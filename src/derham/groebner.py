@@ -9,18 +9,39 @@ whose cosets have no V-minimal member.
 
 The flat internal format keys a term by (position, exponents, h-power);
 the public surface speaks ModuleElement / OperatorMatrix.
+
+All division runs through one kernel, GBEngine.reduce:
+
+- Heap order.  Each monomial's order key is computed once, when it enters
+  the working vector, in its descending form (every order key function
+  here attaches one as ``key.descending``).  A heapq min-heap over those
+  keys, with lazy deletion of cancelled monomials, pops terms in exactly
+  the order of ``max(work, key=key)``: the keys are injective on the
+  monomials that occur.  The reducer is the first whose lead divides.
+- Integer pseudo-division.  Reducer lists hold primitive integer
+  coefficients (primitive_entry).  The working vector is kept as integers
+  times 1/scale: a step with lead coefficient c against a reducer with
+  lead coefficient lc multiplies the vector and scale by lc/gcd(c, lc)
+  and subtracts (c/gcd(c, lc)) * q * reducer.  Division by scale happens
+  once per remainder term, so the Fraction remainder equals that of
+  rational division step for step.
+- The step budget counts the same division steps as rational division.
 """
 
 from __future__ import annotations
 
+import heapq
 import logging
 from fractions import Fraction
-from math import comb, factorial, gcd
+from itertools import product
+from math import gcd
+from operator import add, le, neg, sub
 from typing import Callable, Optional, Sequence
 
-from .errors import (DimensionMismatchError, InvalidInputError,
+from .errors import (DimensionMismatchError, InternalError, InvalidInputError,
                      ReductionLimitError)
-from .weyl import NEG_INF, FiltrationSpec, WeylElement, term_v_degree, weyl_mul
+from .weyl import (NEG_INF, FiltrationSpec, WeylElement, _pair_contractions,
+                   term_v_degree, weyl_mul)
 
 log = logging.getLogger("derham.groebner")
 
@@ -205,6 +226,11 @@ class TermOrder:
 # order keys on flat monomials
 # ---------------------------------------------------------------------------
 
+# Each key function here returns `key` (larger is higher) with `key.descending`
+# attached: a flat tuple with every component negated, so that ascending
+# order of `descending` is descending order of `key`.  Both are injective
+# on the monomials that occur, which makes heap order equal max order.
+
 def v_order_key(n: int, d: int, shifts: Sequence[int], block_start: int) -> Callable:
     """Two-block module order: positions < block_start dominate; inside a
     block, shifted V-degree, total degree, grevlex, h, position."""
@@ -214,32 +240,35 @@ def v_order_key(n: int, d: int, shifts: Sequence[int], block_start: int) -> Call
         pos, e, h = mono
         blk = 1 if pos < block_start else 0
         vd = sum(e[n:n + d]) - sum(e[:d]) + shifts[pos]
-        return (blk, vd, sum(e), tuple(-v for v in reversed(e)), -h, -pos)
+        return (blk, vd, sum(e), tuple(map(neg, reversed(e))), -h, -pos)
 
-    return key
-
-
-def elim_order_key(elim_alpha: Sequence[int]) -> Callable:
-    """Term order eliminating the given alpha-indices (central helpers)."""
-    elim = tuple(elim_alpha)
-
-    def key(mono: Mono):
+    def descending(mono: Mono):
         pos, e, h = mono
-        ed = sum(e[i] for i in elim)
-        return (ed, sum(e) - ed, tuple(-v for v in reversed(e)), -pos)
+        return ((-1 if pos < block_start else 0),
+                sum(e[:d]) - sum(e[n:n + d]) - shifts[pos], -sum(e), *e[::-1], h, pos)
 
+    key.descending = descending
     return key
 
 
 def block_elim_key(block: Sequence[int]) -> Callable:
-    """Term order whose first block is total degree over `block` indices."""
+    """Term order whose first block is total degree over `block` indices.
+
+    It ignores h, so it is injective only where h is always 0 (h_step=0).
+    """
     block = tuple(block)
 
     def key(mono: Mono):
         pos, e, h = mono
         bd = sum(e[i] for i in block)
-        return (bd, sum(e) - bd, tuple(-v for v in reversed(e)), -pos)
+        return (bd, sum(e) - bd, tuple(map(neg, reversed(e))), -pos)
 
+    def descending(mono: Mono):
+        pos, e, h = mono
+        bd = sum(e[i] for i in block)
+        return (-bd, bd - sum(e), *e[::-1], pos)
+
+    key.descending = descending
     return key
 
 
@@ -264,32 +293,42 @@ def flat_to_me(vec: FlatVec, n: int, rank: int, offset: int = 0) -> ModuleElemen
     return ModuleElement(n, [WeylElement(n, t) for t in comps])
 
 
-def _pair_contractions(b: int, c: int):
-    top = min(b, c)
-    return [(k, comb(b, k) * comb(c, k) * factorial(k)) for k in range(top + 1)]
-
-
-def mono_mul_flat(n: int, coeff: Fraction, qe: tuple, qh: int, vec: FlatVec,
+def mono_mul_flat(n: int, coeff, qe: tuple, qh: int, vec: FlatVec,
                   h_step: int) -> FlatVec:
-    """Left-multiply a flat vector by the monomial coeff * x^qa d^qb h^qh."""
-    qa, qb = qe[:n], qe[n:]
+    """Left-multiply a flat vector by the monomial coeff * x^qa d^qb h^qh.
+
+    Coefficients are ints or Fractions; the output has the type of their
+    product.
+    """
+    dvars = [i for i in range(n) if qe[n + i]]
     out: FlatVec = {}
+    get = out.get
     for (pos, e, h), c in vec.items():
-        a, b = e[:n], e[n:]
-        partial = [((), (), 0, 1)]
-        for i in range(n):
-            bi, ai = qb[i], a[i]
-            cons = _pair_contractions(bi, ai) if (bi and ai) else ((0, 1),)
-            nxt = []
-            for al, be, hk, m in partial:
-                for k, mult in cons:
-                    nxt.append((al + (qa[i] + ai - k,), be + (bi + b[i] - k,),
-                                hk + h_step * k, m * mult))
-            partial = nxt
+        hits = [i for i in dvars if e[i]]
         base = coeff * c
-        for al, be, hk, m in partial:
-            key = (pos, al + be, qh + h + hk)
-            s = out.get(key, Fraction(0)) + base * m
+        if not hits:
+            # no d of the monomial meets an x of the term: one product term
+            key = (pos, tuple(map(add, qe, e)), qh + h)
+            s = get(key, 0) + base
+            if s:
+                out[key] = s
+            elif key in out:
+                del out[key]
+            continue
+        # d_i^b x_i^a contracts k times for every i in hits, independently;
+        # product() runs the earlier variable slowest
+        summed = list(map(add, qe, e))
+        for combo in product(*[_pair_contractions(qe[n + i], e[i]) for i in hits]):
+            exps = summed[:]
+            mult, ks = 1, 0
+            for i, (k, mk) in zip(hits, combo):
+                if k:
+                    exps[i] -= k
+                    exps[n + i] -= k
+                    mult *= mk
+                    ks += k
+            key = (pos, tuple(exps), qh + h + h_step * ks)
+            s = get(key, 0) + base * mult
             if s:
                 out[key] = s
             elif key in out:
@@ -297,30 +336,33 @@ def mono_mul_flat(n: int, coeff: Fraction, qe: tuple, qh: int, vec: FlatVec,
     return out
 
 
-def flat_add_into(acc: FlatVec, other: FlatVec, scale: Fraction = Fraction(1)):
+def flat_add_into(acc: FlatVec, other: FlatVec, scale=1):
     for k, c in other.items():
-        s = acc.get(k, Fraction(0)) + scale * c
+        s = acc.get(k, 0) + scale * c
         if s:
             acc[k] = s
         elif k in acc:
             del acc[k]
 
 
-def normalize_flat(vec: FlatVec, key: Callable) -> FlatVec:
-    """Scale to primitive integer coefficients with positive lead."""
-    if not vec:
-        return vec
+def _lead(vec: FlatVec, key: Callable) -> Mono:
+    """The largest monomial of a nonzero vec under key."""
+    return min(vec, key=key.descending)
+
+
+def primitive_entry(vec: FlatVec, key: Callable) -> tuple:
+    """The reducer entry (lead, lc, vec) of a nonzero vec scaled to
+    primitive int coefficients with positive lead coefficient."""
     den = 1
     for c in vec.values():
         den = den * c.denominator // gcd(den, c.denominator)
-    g = 0
-    for c in vec.values():
-        g = gcd(g, c.numerator * (den // c.denominator))
-    scale = Fraction(den, g)
-    lead = max(vec, key=key)
-    if vec[lead] * scale < 0:
-        scale = -scale
-    return {m: c * scale for m, c in vec.items()}
+    num = {m: c.numerator * (den // c.denominator) for m, c in vec.items()}
+    lead = _lead(num, key)
+    g = gcd(*num.values())
+    if num[lead] < 0:
+        g = -g
+    num = {m: c // g for m, c in num.items()}
+    return lead, num[lead], num
 
 
 def homogenize_flat(vec: FlatVec) -> FlatVec:
@@ -330,10 +372,11 @@ def homogenize_flat(vec: FlatVec) -> FlatVec:
     out: FlatVec = {}
     for (pos, e, _h), c in vec.items():
         key = (pos, e, deg - sum(e))
-        s = out.get(key, Fraction(0)) + c
+        old = out.get(key)
+        s = c if old is None else old + c
         if s:
             out[key] = s
-        elif key in out:
+        elif old is not None:
             del out[key]
     return out
 
@@ -342,10 +385,11 @@ def dehomogenize_flat(vec: FlatVec) -> FlatVec:
     out: FlatVec = {}
     for (pos, e, _h), c in vec.items():
         key = (pos, e, 0)
-        s = out.get(key, Fraction(0)) + c
+        old = out.get(key)
+        s = c if old is None else old + c
         if s:
             out[key] = s
-        elif key in out:
+        elif old is not None:
             del out[key]
     return out
 
@@ -353,7 +397,7 @@ def dehomogenize_flat(vec: FlatVec) -> FlatVec:
 def _mono_divides(m1: Mono, m2: Mono) -> bool:
     if m1[0] != m2[0] or m1[2] > m2[2]:
         return False
-    return all(a <= b for a, b in zip(m1[1], m2[1]))
+    return all(map(le, m1[1], m2[1]))
 
 
 def _minimalize_entries(entries: list) -> list:
@@ -395,40 +439,65 @@ class GBEngine:
 
     def reduce(self, vec: FlatVec, reducers, mode: str = "full",
                pred: Optional[Callable] = None) -> FlatVec:
-        """Division remainder of vec by reducers (list of (lead, lc, vec)).
+        """Division remainder, with Fraction coefficients, of vec by
+        reducers: a list of (lead, lc, vec) entries with int coefficients.
 
         mode "full": every term gets reduced; "top": stop at the first
         irreducible lead.  pred filters which monomials are reduction
         candidates (others pass through to the remainder untouched).
+        The module docstring states the kernel's contract.
         """
-        work = dict(vec)
+        n, h_step, desc = self.n, self.h_step, self.key.descending
+        heappush, heappop = heapq.heappush, heapq.heappop
+        # work holds scale * (the rational working vector) in ints
+        scale = 1
+        for c in vec.values():
+            scale = scale * c.denominator // gcd(scale, c.denominator)
+        work = {m: c.numerator * (scale // c.denominator) for m, c in vec.items()}
+        heap = [(desc(m), m) for m in work]
+        heapq.heapify(heap)
         remainder: FlatVec = {}
         steps = 0
-        key = self.key
         while work:
-            m = max(work, key=key)
-            c = work[m]
+            m = heappop(heap)[1]
+            c = work.get(m)
+            if c is None:
+                continue  # cancelled after it was pushed
             if pred is not None and not pred(m):
                 # everything at or below m in this block passes through
                 del work[m]
-                remainder[m] = c
+                remainder[m] = Fraction(c, scale)
                 continue
-            hit = None
+            mpos, mexp, mh = m
             for lead, lc, rvec in reducers:
-                if _mono_divides(lead, m):
-                    hit = (lead, lc, rvec)
+                # _mono_divides(lead, m), inlined: this scan is the hot path
+                if lead[0] == mpos and lead[2] <= mh and all(map(le, lead[1], mexp)):
                     break
-            if hit is None:
+            else:
                 del work[m]
-                remainder[m] = c
+                remainder[m] = Fraction(c, scale)
                 if mode == "top":
-                    flat_add_into(remainder, work)
+                    for m2, c2 in work.items():
+                        remainder[m2] = Fraction(c2, scale)
                     return remainder
                 continue
-            lead, lc, rvec = hit
-            q = tuple(a - b for a, b in zip(m[1], lead[1]))
-            prod = mono_mul_flat(self.n, c / lc, q, m[2] - lead[2], rvec, self.h_step)
-            flat_add_into(work, prod, Fraction(-1))
+            g = gcd(c, lc)
+            f = lc // g
+            if f != 1:
+                for k in work:
+                    work[k] *= f
+                scale *= f
+            q = tuple(map(sub, mexp, lead[1]))
+            prod = mono_mul_flat(n, c // g, q, mh - lead[2], rvec, h_step)
+            for k, v in prod.items():
+                old = work.get(k)
+                if old is None:
+                    work[k] = -v
+                    heappush(heap, (desc(k), k))
+                elif old == v:
+                    del work[k]
+                else:
+                    work[k] = old - v
             steps += 1
             if steps > self.limit:
                 raise ReductionLimitError(
@@ -439,27 +508,22 @@ class GBEngine:
     # Buchberger ---------------------------------------------------------
 
     def buchberger(self, gens: Sequence[FlatVec]) -> list:
-        """Unique reduced basis of the module generated by gens."""
+        """Unique reduced basis of the module generated by gens, as
+        (lead, lc, vec) entries with primitive Fraction coefficients."""
         key = self.key
-        basis = []
+        entries = []  # (lead, lc, vec)
         for g in gens:
             if self.h_step:
                 g = homogenize_flat(g)
-            g = normalize_flat(g, key)
             if g:
-                basis.append(g)
-        entries = []  # (lead, lc, vec)
-        for g in basis:
-            lead = max(g, key=key)
-            entries.append((lead, g[lead], g))
+                entries.append(primitive_entry(g, key))
 
-        import heapq
         pending = []
         in_queue = set()
         counter = 0
 
         def lcm_mono(m1: Mono, m2: Mono) -> Mono:
-            return (m1[0], tuple(max(a, b) for a, b in zip(m1[1], m2[1])),
+            return (m1[0], tuple(map(max, m1[1], m2[1])),
                     max(m1[2], m2[2]))
 
         def push(i, j):
@@ -497,27 +561,27 @@ class GBEngine:
                     break
             if skip:
                 continue
-            qi = tuple(a - b for a, b in zip(l[1], li[1]))
-            qj = tuple(a - b for a, b in zip(l[1], lj[1]))
-            s = mono_mul_flat(self.n, Fraction(lcj), qi, l[2] - li[2], vi, self.h_step)
-            flat_add_into(s, mono_mul_flat(self.n, Fraction(lci), qj, l[2] - lj[2],
-                                           vj, self.h_step), Fraction(-1))
+            qi = tuple(map(sub, l[1], li[1]))
+            qj = tuple(map(sub, l[1], lj[1]))
+            s = mono_mul_flat(self.n, lcj, qi, l[2] - li[2], vi, self.h_step)
+            flat_add_into(s, mono_mul_flat(self.n, lci, qj, l[2] - lj[2],
+                                           vj, self.h_step), -1)
             r = self.reduce(s, entries, mode="top")
-            r = normalize_flat(r, key)
             if not r:
                 continue
-            lead = max(r, key=key)
-            entries.append((lead, r[lead], r))
+            entries.append(primitive_entry(r, key))
             new = len(entries) - 1
             for k in range(new):
                 push(k, new)
 
-        return self._interreduce(entries)
+        return [(lead, Fraction(lc), {m: Fraction(c) for m, c in vec.items()})
+                for lead, lc, vec in self._interreduce(entries)]
 
     def _interreduce(self, entries) -> list:
         # survivors: leads minimal under proper divisibility, one copy per lead
         key = self.key
         order = sorted(range(len(entries)), key=lambda i: (key(entries[i][0]), i))
+        leads = [entry[0] for entry in entries]
         first_with_lead = {}
         for i in order:
             first_with_lead.setdefault(entries[i][0], i)
@@ -526,17 +590,13 @@ class GBEngine:
             lead = entries[i][0]
             if first_with_lead[lead] != i:
                 continue
-            if any(_mono_divides(entries[j][0], lead) and entries[j][0] != lead
-                   for j in order):
+            if any(l2 != lead and _mono_divides(l2, lead) for l2 in leads):
                 continue
             kept.append(entries[i])
         final = []
         for pos, (lead, lc, vec) in enumerate(kept):
             others = [kept[q] for q in range(len(kept)) if q != pos]
-            red = self.reduce(vec, others, mode="full")
-            red = normalize_flat(red, key)
-            lead2 = max(red, key=key)
-            final.append((lead2, red[lead2], red))
+            final.append(primitive_entry(self.reduce(vec, others, mode="full"), key))
         final.sort(key=lambda t: key(t[0]))
         return final
 
@@ -605,20 +665,20 @@ class SubmoduleSolver:
             reduced = self.engine.buchberger(stripped)
         else:
             raise InternalError("h-saturation did not stabilize")
-        self._h_entries = reduced
+        self._h_entries = [(lead, lc.numerator, {m: c.numerator for m, c in vec.items()})
+                           for lead, lc, vec in reduced]
 
         main_entries = []      # main-block leads, dehomogenized, with tails
         syz_entries = []       # cofactor-block leads, dehomogenized
         for lead, lc, vec in reduced:
             d = dehomogenize_flat(vec)
-            d = normalize_flat(d, self.key)
             if not d:
                 continue
-            dl = max(d, key=self.key)
-            if dl[0] < rank:
-                main_entries.append((dl, d[dl], d))
+            entry = primitive_entry(d, self.key)
+            if entry[0][0] < rank:
+                main_entries.append(entry)
             else:
-                syz_entries.append((dl, d[dl], d))
+                syz_entries.append(entry)
         self._deh_entries = _minimalize_entries(main_entries)
         self._syz_entries = _minimalize_entries(syz_entries)
 
@@ -718,7 +778,7 @@ class SubmoduleSolver:
         entries = []
         for _, _, vec in self._syz_entries:
             shifted = {(k[0] - self.rank, k[1], k[2]): c for k, c in vec.items()}
-            lead = max(shifted, key=key)
+            lead = _lead(shifted, key)
             entries.append((lead, shifted[lead], shifted))
         rem = eng.reduce(me_to_flat(w), entries, mode="full")
         return flat_to_me(rem, self.n, p)

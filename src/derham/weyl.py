@@ -10,6 +10,7 @@ anywhere in this package.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
 from typing import Iterable, Iterator
 
@@ -28,11 +29,12 @@ def _as_fraction(c) -> Fraction:
     raise InvalidInputError(f"non-rational coefficient {c!r}")
 
 
-def _pair_contractions(b: int, c: int):
+@lru_cache(maxsize=1024)
+def _pair_contractions(b: int, c: int) -> tuple:
     """Expansion of d^b x^c in one variable: sum over k of
-    comb(b,k)*comb(c,k)*k! * x^(c-k) d^(b-k)."""
+    comb(b,k)*comb(c,k)*k! * x^(c-k) d^(b-k), as (k, multiplier) pairs."""
     top = min(b, c)
-    return [(k, comb(b, k) * comb(c, k) * factorial(k)) for k in range(top + 1)]
+    return tuple((k, comb(b, k) * comb(c, k) * factorial(k)) for k in range(top + 1))
 
 
 class WeylElement:

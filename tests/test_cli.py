@@ -129,3 +129,26 @@ def test_determinism_across_hash_seeds():
                 env_extra={"PYTHONHASHSEED": "31337"})
     assert a.returncode == b.returncode == 0
     assert a.stdout == b.stdout
+
+
+def test_internal_error_exit_code(monkeypatch, capsys):
+    # an h-saturation that never stabilizes is an InternalError: exit code
+    # 3 with a named stage, not an unexpected exception
+    from fractions import Fraction
+    import derham.groebner as G
+    from derham.cli import main
+
+    original = G.GBEngine.buchberger
+
+    def with_h_content(self, gens):
+        if not self.h_step:
+            return original(self, gens)
+        zero = (0,) * (2 * self.n)
+        return [((0, zero, 1), Fraction(1), {(0, zero, 1): Fraction(1)})]
+
+    monkeypatch.setattr(G.GBEngine, "buchberger", with_h_content)
+    assert main(["cohomology", "--vars", "x", "--poly", "x"]) == 3
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["kind"] == "inconsistency"
+    assert err["stage"] is not None
+    assert "h-saturation" in err["error"]

@@ -206,3 +206,150 @@ def test_non_rational_coefficients_rejected():
     from derham import InvalidInputError, WeylElement
     with pytest.raises(InvalidInputError):
         WeylElement(1, {(0, 0): 0.5})
+
+
+# ---------------------------------------------------------------------------
+# the division kernel against rational division with a rescan per step
+# ---------------------------------------------------------------------------
+
+def _reference_reduce(engine, vec, reducers, mode="full", pred=None):
+    """Rational division as the kernel's contract states it: the lead is
+    max(work, key=key) at every step and arithmetic is in Fraction."""
+    import derham.groebner as G
+    from fractions import Fraction
+    from derham import ReductionLimitError
+    work = {m: Fraction(c) for m, c in vec.items()}
+    remainder = {}
+    steps = 0
+    while work:
+        m = max(work, key=engine.key)
+        c = work[m]
+        if pred is not None and not pred(m):
+            del work[m]
+            remainder[m] = c
+            continue
+        hit = next((r for r in reducers if G._mono_divides(r[0], m)), None)
+        if hit is None:
+            del work[m]
+            remainder[m] = c
+            if mode == "top":
+                G.flat_add_into(remainder, work)
+                return remainder
+            continue
+        lead, lc, rvec = hit
+        q = tuple(a - b for a, b in zip(m[1], lead[1]))
+        prod = G.mono_mul_flat(engine.n, c / lc, q, m[2] - lead[2], rvec, engine.h_step)
+        G.flat_add_into(work, prod, -1)
+        steps += 1
+        if steps > engine.limit:
+            raise ReductionLimitError("reference budget exhausted")
+    return remainder
+
+
+def _assert_same_division(engine, vec, reducers, **kw):
+    from fractions import Fraction
+    from derham import ReductionLimitError
+    try:
+        want = _reference_reduce(engine, vec, reducers, **kw)
+    except ReductionLimitError:
+        import pytest
+        with pytest.raises(ReductionLimitError):
+            engine.reduce(vec, reducers, **kw)
+        return "limit"
+    got = engine.reduce(vec, reducers, **kw)
+    # booleans first: pytest's diff of two long term lists can take minutes
+    same_terms = got == want
+    same_order = list(got) == list(want)
+    assert same_terms, "remainders differ"
+    assert same_order, "remainder terms come out in another order"
+    assert all(type(c) is Fraction for c in got.values())
+    return "remainder"
+
+
+def _random_flat(rng, n, rank, homogeneous, **kw):
+    import derham.groebner as G
+    flat = G.me_to_flat(random_module_element(rng, n, rank, **kw))
+    return G.homogenize_flat(flat) if homogeneous else flat
+
+
+def _check_random_divisions(seed, n, rank, key, h_step, limit, count):
+    """Seeded random reducers and dividends, not built by Buchberger, so a
+    faulty kernel fails here rather than in the construction of a basis."""
+    import derham.groebner as G
+    rng = random.Random(seed)
+    engine = G.GBEngine(n, key, h_step=h_step, reduction_limit=limit)
+    outcomes = []
+    while len(outcomes) < count:
+        reducers = [G.primitive_entry(r, key)
+                    for r in (_random_flat(rng, n, rank, h_step, max_deg=1)
+                              for _ in range(rng.randint(1, 3))) if r]
+        vec = _random_flat(rng, n, rank, h_step, max_deg=3, max_terms=5)
+        if not reducers or not vec:
+            continue
+        for mode in ("full", "top"):
+            for pred in (None, lambda m: m[0] == 0):
+                outcomes.append(_assert_same_division(engine, vec, reducers,
+                                                      mode=mode, pred=pred))
+    return outcomes
+
+
+def test_reduce_matches_reference_v_order_homogenized():
+    import derham.groebner as G
+    for seed, n, rank in ((101, 1, 2), (102, 2, 1)):
+        key = G.v_order_key(n, n, (0, 1)[:rank], 1)
+        outcomes = _check_random_divisions(seed, n, rank, key, 2, 200, 200)
+        assert set(outcomes) == {"remainder"}
+
+
+def test_reduce_matches_reference_v_order_plain():
+    import derham.groebner as G
+    for seed, n, rank in ((103, 1, 2), (104, 2, 1)):
+        key = G.v_order_key(n, n, (0, -1)[:rank], 1)
+        outcomes = _check_random_divisions(seed, n, rank, key, 0, 60, 200)
+        assert set(outcomes) == {"remainder", "limit"}
+
+
+def test_reduce_matches_reference_block_elim():
+    import derham.groebner as G
+    key = G.block_elim_key((0, 2))
+    outcomes = _check_random_divisions(105, 2, 1, key, 0, 200, 200)
+    assert set(outcomes) == {"remainder"}
+
+
+def test_reduce_step_budget_matches_reference():
+    import derham.groebner as G
+    import pytest
+    from derham import ReductionLimitError
+    key = G.v_order_key(1, 1, (0,), 1)
+    # 1 - x under the V-order: its lead is 1, so dividing 1 + d by it never
+    # ends; both versions must stop at the same budget
+    reducers = [G.primitive_entry(G.me_to_flat(me(1, "1 - x1")), key)]
+    flat = G.me_to_flat(me(1, "1 + d1"))
+    for limit in (1, 5, 40):
+        engine = G.GBEngine(1, key, h_step=0, reduction_limit=limit)
+        assert _assert_same_division(engine, flat, reducers) == "limit"
+    # a budget of exactly the steps a terminating division takes suffices,
+    # and one step less raises in both versions
+    reducers = [G.primitive_entry(G.homogenize_flat(G.me_to_flat(me(1, g))), key)
+                for g in ("2*x1*d1 + 1", "3*d1^2 - x1")]
+    flat = G.homogenize_flat(G.me_to_flat(me(1, "x1^2*d1^3 + 3*x1*d1^2 - d1")))
+    steps = next(k for k in range(200) if _assert_same_division(
+        G.GBEngine(1, key, h_step=2, reduction_limit=k), flat, reducers) == "remainder")
+    assert steps > 1
+    with pytest.raises(ReductionLimitError):
+        G.GBEngine(1, key, h_step=2, reduction_limit=steps - 1).reduce(flat, reducers)
+
+
+def test_h_saturation_failure_raises_internal_error(monkeypatch):
+    import derham.groebner as G
+    import pytest
+    from fractions import Fraction
+    from derham import InternalError
+
+    def with_h_content(self, gens):
+        vec = {(0, (0, 0), 1): Fraction(1)}
+        return [((0, (0, 0), 1), Fraction(1), vec)]
+
+    monkeypatch.setattr(G.GBEngine, "buchberger", with_h_content)
+    with pytest.raises(InternalError, match="h-saturation"):
+        SubmoduleSolver(SPEC1, 1, [me(1, "d1")])
