@@ -8,7 +8,9 @@ directly in D_n with a step budget guarding the (pathological) inputs
 whose cosets have no V-minimal member.
 
 The flat internal format keys a term by (position, exponents, h-power);
-the public surface speaks ModuleElement / OperatorMatrix.
+the public surface speaks ModuleElement / OperatorMatrix.  Every product
+of a monomial and a flat vector runs through mono_mul_flat in weyl.py,
+the one multiplication kernel, which weyl_mul shares.
 
 All division runs through one kernel, GBEngine.reduce:
 
@@ -33,14 +35,13 @@ from __future__ import annotations
 import heapq
 import logging
 from fractions import Fraction
-from itertools import product
 from math import gcd
-from operator import add, le, neg, sub
+from operator import le, neg, sub
 from typing import Callable, Optional, Sequence
 
 from .errors import (DimensionMismatchError, InternalError, InvalidInputError,
                      ReductionLimitError)
-from .weyl import (NEG_INF, FiltrationSpec, WeylElement, _pair_contractions,
+from .weyl import (NEG_INF, FiltrationSpec, WeylElement, mono_mul_flat,
                    term_v_degree, weyl_mul)
 
 log = logging.getLogger("derham.groebner")
@@ -184,17 +185,6 @@ class OperatorMatrix:
     def is_zero(self) -> bool:
         return all(r.is_zero() for r in self.rows)
 
-    def is_v_adapted(self, spec: FiltrationSpec) -> bool:
-        """Each row's shifted V-degree stays within the declared source
-        shift, so the map carries F^j into F^j."""
-        if self.source_shift is None or self.target_shift is None:
-            raise InvalidInputError("adaptedness needs both shift vectors")
-        for i, row in enumerate(self.rows):
-            vd = row.v_degree(spec, self.target_shift)
-            if vd != NEG_INF and vd > self.source_shift[i]:
-                return False
-        return True
-
     def __repr__(self):
         return f"OperatorMatrix({self.source_rank}x{self.target_rank})"
 
@@ -203,15 +193,11 @@ class TermOrder:
     """Shifted V-degree first, then total degree, then graded reverse
     lexicographic on the exponents, then generator position."""
 
-    __slots__ = ("spec", "shift", "tie_break")
+    __slots__ = ("spec", "shift")
 
-    def __init__(self, spec: FiltrationSpec, shift: Sequence[int],
-                 tie_break: str = "grevlex-position"):
-        if tie_break != "grevlex-position":
-            raise InvalidInputError(f"unsupported tie break {tie_break!r}")
+    def __init__(self, spec: FiltrationSpec, shift: Sequence[int]):
         self.spec = spec
         self.shift = tuple(shift)
-        self.tie_break = tie_break
 
     @property
     def rank(self) -> int:
@@ -291,49 +277,6 @@ def flat_to_me(vec: FlatVec, n: int, rank: int, offset: int = 0) -> ModuleElemen
             raise InvalidInputError("dehomogenize before converting to ModuleElement")
         comps[pos - offset][e] = c
     return ModuleElement(n, [WeylElement(n, t) for t in comps])
-
-
-def mono_mul_flat(n: int, coeff, qe: tuple, qh: int, vec: FlatVec,
-                  h_step: int) -> FlatVec:
-    """Left-multiply a flat vector by the monomial coeff * x^qa d^qb h^qh.
-
-    Coefficients are ints or Fractions; the output has the type of their
-    product.
-    """
-    dvars = [i for i in range(n) if qe[n + i]]
-    out: FlatVec = {}
-    get = out.get
-    for (pos, e, h), c in vec.items():
-        hits = [i for i in dvars if e[i]]
-        base = coeff * c
-        if not hits:
-            # no d of the monomial meets an x of the term: one product term
-            key = (pos, tuple(map(add, qe, e)), qh + h)
-            s = get(key, 0) + base
-            if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
-            continue
-        # d_i^b x_i^a contracts k times for every i in hits, independently;
-        # product() runs the earlier variable slowest
-        summed = list(map(add, qe, e))
-        for combo in product(*[_pair_contractions(qe[n + i], e[i]) for i in hits]):
-            exps = summed[:]
-            mult, ks = 1, 0
-            for i, (k, mk) in zip(hits, combo):
-                if k:
-                    exps[i] -= k
-                    exps[n + i] -= k
-                    mult *= mk
-                    ks += k
-            key = (pos, tuple(exps), qh + h + h_step * ks)
-            s = get(key, 0) + base * mult
-            if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
-    return out
 
 
 def flat_add_into(acc: FlatVec, other: FlatVec, scale=1):
@@ -509,7 +452,7 @@ class GBEngine:
 
     def buchberger(self, gens: Sequence[FlatVec]) -> list:
         """Unique reduced basis of the module generated by gens, as
-        (lead, lc, vec) entries with primitive Fraction coefficients."""
+        (lead, lc, vec) entries with primitive int coefficients."""
         key = self.key
         entries = []  # (lead, lc, vec)
         for g in gens:
@@ -574,8 +517,7 @@ class GBEngine:
             for k in range(new):
                 push(k, new)
 
-        return [(lead, Fraction(lc), {m: Fraction(c) for m, c in vec.items()})
-                for lead, lc, vec in self._interreduce(entries)]
+        return self._interreduce(entries)
 
     def _interreduce(self, entries) -> list:
         # survivors: leads minimal under proper divisibility, one copy per lead
@@ -665,8 +607,7 @@ class SubmoduleSolver:
             reduced = self.engine.buchberger(stripped)
         else:
             raise InternalError("h-saturation did not stabilize")
-        self._h_entries = [(lead, lc.numerator, {m: c.numerator for m, c in vec.items()})
-                           for lead, lc, vec in reduced]
+        self._h_entries = reduced
 
         main_entries = []      # main-block leads, dehomogenized, with tails
         syz_entries = []       # cofactor-block leads, dehomogenized

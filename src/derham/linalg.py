@@ -17,26 +17,7 @@ def _copy(m):
 
 def rank(m) -> int:
     """Rank of a rectangular rational matrix."""
-    if not m or not m[0]:
-        return 0
-    a = _copy(m)
-    rows, cols = len(a), len(a[0])
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if a[i][c]), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [v * inv for v in a[r]]
-        for i in range(rows):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [vi - f * vr for vi, vr in zip(a[i], a[r])]
-        r += 1
-        if r == rows:
-            break
-    return r
+    return len(rref(m)[1])
 
 
 def rref(m):
@@ -85,9 +66,3 @@ def solve(a, b) -> Optional[list]:
             return None
         x[c] = red[r][-1]
     return x
-
-
-def nullity(m, cols: Optional[int] = None) -> int:
-    if not m:
-        return cols or 0
-    return len(m[0]) - rank(m)

@@ -260,10 +260,6 @@ def integer_root_window(b: ThetaPolynomial) -> TruncationWindow:
 # b-function searches
 # ---------------------------------------------------------------------------
 
-def _vdeg_me(e: ModuleElement, spec: FiltrationSpec, shift):
-    return e.v_degree(spec, shift)
-
-
 def _minimal_b_for_generator(kappa: ModuleElement, lam: int,
                              boundary_solver: Optional[SubmoduleSolver],
                              spec: FiltrationSpec, shift,
@@ -481,14 +477,12 @@ class TruncatedComplex:
 
     __slots__ = ("lo", "bases", "matrices", "window")
 
-    def __init__(self, lo: int, bases, matrices, window: TruncationWindow,
-                 check: bool = True):
+    def __init__(self, lo: int, bases, matrices, window: TruncationWindow):
         self.lo = lo
         self.bases = [list(b) for b in bases]
         self.matrices = [[_fr_row(r) for r in m] for m in matrices]
         self.window = window
-        if check:
-            self.check_chain()
+        self.check_chain()
 
     @property
     def hi(self) -> int:
@@ -604,20 +598,15 @@ def omega_tensor_truncate(c: ChainComplexPres, window: TruncationWindow) -> Trun
 
 
 def cohomology_dims(t: TruncatedComplex) -> dict:
-    """Exact cohomology dimensions of a truncated complex, per degree."""
-    t.check_chain()
+    """Exact cohomology dimensions of a truncated complex, per degree.
+
+    The constructor has checked the chain property; each map is ranked
+    once, as the map leaving k and the map entering k + 1.
+    """
+    ranks = {k: linalg.rank(t.matrix(k)) for k in range(t.lo, t.hi)}
     out = {}
     for k in t.degrees():
-        dim = t.dim(k)
-        out_rank = 0
-        mat = t.matrix(k)
-        if mat and t.dim(k + 1):
-            out_rank = linalg.rank(mat)
-        in_rank = 0
-        prev = t.matrix(k - 1)
-        if prev and dim:
-            in_rank = linalg.rank(prev)
-        out[k] = dim - out_rank - in_rank
+        out[k] = t.dim(k) - ranks.get(k, 0) - ranks.get(k - 1, 0)
         if out[k] < 0:
             raise InternalError("negative cohomology dimension")
     return out
@@ -686,16 +675,10 @@ class GradedKoszulComplex:
         return [sum(c[2] for c in comps) for comps in self.components]
 
     def is_exact(self) -> bool:
-        dims = self.dims()
-        for idx in range(len(dims)):
-            dim = dims[idx]
-            out_rank = linalg.rank(self.matrices[idx]) \
-                if idx < len(self.matrices) and self.matrices[idx] and dims[idx + 1] else 0
-            in_rank = linalg.rank(self.matrices[idx - 1]) \
-                if idx > 0 and self.matrices[idx - 1] and dim else 0
-            if dim - out_rank - in_rank:
-                return False
-        return True
+        # ranks[i] and ranks[i + 1]: the maps entering and leaving position i
+        ranks = [0] + [linalg.rank(m) for m in self.matrices] + [0]
+        return all(dim == ranks[i] + ranks[i + 1]
+                   for i, dim in enumerate(self.dims()))
 
 
 def graded_koszul(L: GradedVectorComplex, spec: FiltrationSpec, k: int) -> GradedKoszulComplex:

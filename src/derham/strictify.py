@@ -481,64 +481,11 @@ def free_cover_two_ses(t1: SubmoduleSES, t2: SubmoduleSES,
     """Covers over two linked strict sequences 0 -> A -> B -> C -> 0 (t1)
     and 0 -> D -> A -> F -> 0 (t2), with a given resolution step of D.
 
-    Returns (diagram over t2, diagram over t1); the A-cover P_D + P_F is
-    shared, with preimages of the F-basis taken at minimal V-degree.
+    Returns (diagram over t2, diagram over t1); the A-cover P_D + P_F built
+    over t2 is the A-side cover of t1.
     """
-    spec = t1.spec
-    n = spec.n
-    gb_a = _gb_of(spec, t2.rank_b, t2.gens_b, t2.shift_b)
-    gb_f = _gb_of(spec, t2.rank_c, t2.gens_c, t2.shift_c)
-
-    proj_pairs = []
-    for a in gb_a:
-        fa = t2.proj.apply(a)
-        if fa.is_zero():
-            continue
-        if any(_proportional(fa, f) for f in gb_f):
-            continue
-        proj_pairs.append((a, fa))
-    a_degrees = _obvious(gb_a, spec, t2.shift_b)
-    proj_images = [t2.proj.apply(a) for a in gb_a]
-
-    f_rows = [fa for _, fa in proj_pairs] + gb_f
-    f_shift = tuple(int(_vdeg(a, spec, t2.shift_b)) for a, _ in proj_pairs) \
-        + _obvious(gb_f, spec, t2.shift_c)
-    a_lifts = [a for a, _ in proj_pairs]
-    for f in gb_f:
-        w = _min_preimage(spec, t2.rank_c, t2.shift_c, proj_images, a_degrees,
-                          f, "lifting an F-basis element through A -> F")
-        g = ModuleElement.zero(n, t2.rank_b)
-        for wi, a in zip(w.components, gb_a):
-            if not wi.is_zero():
-                g = g + a.left_mul(wi)
-        need = _vdeg(f, spec, t2.shift_c)
-        got = _vdeg(g, spec, t2.shift_b)
-        if got != NEG_INF and need != NEG_INF and got > need:
-            raise InternalError(
-                "preimage of the required V-degree not found; the input "
-                "sequence is not V-strict")
-        a_lifts.append(g)
-
-    kernel_f = _syzygies_of(spec, t2.rank_c, f_rows, t2.shift_c, f_shift)
-    cover_f = ResolutionStep(f_shift, f_rows, kernel_f)
-
-    a_rows = [t2.incl.apply(r) for r in d_step.rows] + a_lifts
-    a_shift = d_step.shift + f_shift
-    kernel_a = _syzygies_of(spec, t2.rank_b, a_rows, t2.shift_b, a_shift)
-    cover_a = ResolutionStep(a_shift, a_rows, kernel_a)
-
-    rank_pd, rank_pf = d_step.rank, cover_f.rank
-    rank_pa = rank_pd + rank_pf
-    kses2 = SubmoduleSES(
-        spec,
-        rank_pd, d_step.shift, d_step.kernel,
-        rank_pa, a_shift, kernel_a,
-        rank_pf, f_shift, kernel_f,
-        _block_incl(n, rank_pd, rank_pa, 0),
-        _block_proj(n, rank_pa, rank_pf, rank_pd),
-    )
-    diag2 = FreeCoverDiagram(t2, d_step, cover_a, cover_f, kses2)
-    diag1 = free_cover_ses(t1, cover_a=cover_a)
+    diag2 = free_cover_ses(t2, cover_a=d_step)
+    diag1 = free_cover_ses(t1, cover_a=diag2.cover_b)
     return diag2, diag1
 
 

@@ -5,13 +5,19 @@ sparse map from exponent vectors to nonzero rational coefficients.  The
 exponent vector of ``c * x^alpha * d^beta`` is the length-2n tuple
 ``alpha + beta``.  All arithmetic is exact; there is no floating point
 anywhere in this package.
+
+Every product in the package runs through one kernel, mono_mul_flat: a
+monomial times a flat module vector, built on the one-variable
+contraction _pair_contractions.  weyl_mul applies it once per term.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import comb, factorial
+from operator import add
 from typing import Iterable, Iterator
 
 from .errors import DimensionMismatchError, InvalidInputError
@@ -35,6 +41,53 @@ def _pair_contractions(b: int, c: int) -> tuple:
     comb(b,k)*comb(c,k)*k! * x^(c-k) d^(b-k), as (k, multiplier) pairs."""
     top = min(b, c)
     return tuple((k, comb(b, k) * comb(c, k) * factorial(k)) for k in range(top + 1))
+
+
+def mono_mul_flat(n: int, coeff, qe: tuple, qh: int, vec: dict,
+                  h_step: int) -> dict:
+    """Left-multiply a flat vector by the monomial coeff * x^qa d^qb h^qh.
+
+    The one multiplication kernel: weyl_mul and every Groebner routine run
+    on it.  A flat vector maps (position, exponents, h-power) to a
+    coefficient.  A term in which k pairs d_i x_i contract gains h^(h_step
+    * k), so h_step = 2 multiplies in the homogenized algebra and h_step =
+    0 in D_n.  Coefficients are ints or Fractions; the output has the type
+    of their product.
+    """
+    dvars = [i for i in range(n) if qe[n + i]]
+    out: dict = {}
+    get = out.get
+    for (pos, e, h), c in vec.items():
+        hits = [i for i in dvars if e[i]]
+        base = coeff * c
+        if not hits:
+            # no d of the monomial meets an x of the term: one product term
+            key = (pos, tuple(map(add, qe, e)), qh + h)
+            s = get(key, 0) + base
+            if s:
+                out[key] = s
+            elif key in out:
+                del out[key]
+            continue
+        # d_i^b x_i^a contracts k times for every i in hits, independently;
+        # product() runs the earlier variable slowest
+        summed = list(map(add, qe, e))
+        for combo in product(*[_pair_contractions(qe[n + i], e[i]) for i in hits]):
+            exps = summed[:]
+            mult, ks = 1, 0
+            for i, (k, mk) in zip(hits, combo):
+                if k:
+                    exps[i] -= k
+                    exps[n + i] -= k
+                    mult *= mk
+                    ks += k
+            key = (pos, tuple(exps), qh + h + h_step * ks)
+            s = get(key, 0) + base * mult
+            if s:
+                out[key] = s
+            elif key in out:
+                del out[key]
+    return out
 
 
 class WeylElement:
@@ -207,40 +260,21 @@ class WeylElement:
 
 
 def weyl_mul(p: WeylElement, q: WeylElement) -> WeylElement:
-    """Normally ordered product in D_n.
-
-    Uses the one-variable contraction d^b x^c = sum_k C(b,k) C(c,k) k!
-    x^(c-k) d^(b-k), applied independently per variable.
-    """
+    """Normally ordered product in D_n: the kernel mono_mul_flat applied to
+    q once per term of p, in the plain algebra (h_step = 0)."""
     if p.n != q.n:
         raise DimensionMismatchError(f"operands over D_{p.n} and D_{q.n}")
     n = p.n
+    flat = {(0, e, 0): c for e, c in q.terms.items()}
     out: dict = {}
+    get = out.get
     for ep, cp in p.terms.items():
-        a, b = ep[:n], ep[n:]
-        for eq, cq in q.terms.items():
-            c, d_ = eq[:n], eq[n:]
-            # partial: list of (alpha, beta, multiplier) built variable by variable
-            partial = [((), (), 1)]
-            for i in range(n):
-                bi, ci = b[i], c[i]
-                if bi and ci:
-                    contractions = _pair_contractions(bi, ci)
-                else:
-                    contractions = ((0, 1),)
-                nxt = []
-                for al, be, m in partial:
-                    for k, mult in contractions:
-                        nxt.append((al + (a[i] + ci - k,), be + (bi + d_[i] - k,), m * mult))
-                partial = nxt
-            coeff = cp * cq
-            for al, be, m in partial:
-                key = al + be
-                s = out.get(key, Fraction(0)) + coeff * m
-                if s:
-                    out[key] = s
-                elif key in out:
-                    del out[key]
+        for (_, e, _), c in mono_mul_flat(n, cp, ep, 0, flat, 0).items():
+            s = get(e, 0) + c
+            if s:
+                out[e] = s
+            elif e in out:
+                del out[e]
     r = WeylElement.__new__(WeylElement)
     r.n, r.terms = n, out
     return r

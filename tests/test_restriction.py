@@ -227,3 +227,14 @@ def test_koszul_two_row_mapping_cone():
     L = polynomial_line_module()
     K = graded_koszul(L, FiltrationSpec(1, 1), -2)
     assert K.dims() == [1, 1]
+
+
+def test_truncated_complex_rejects_nonzero_composite():
+    from derham import InconsistencyError
+    from derham.restriction import TruncatedComplex
+    bases = [[((0,), 0)], [((0,), 0)], [((0,), 0)]]
+    with pytest.raises(InconsistencyError):
+        TruncatedComplex(0, bases, [[[1]], [[1]]], TruncationWindow(0, 0))
+    # the same spaces with a zero second map form a complex
+    t = TruncatedComplex(0, bases, [[[1]], [[0]]], TruncationWindow(0, 0))
+    assert cohomology_dims(t) == {0: 0, 1: 0, 2: 1}

@@ -108,3 +108,40 @@ def test_format_parse_round_trip():
     for _ in range(50):
         p = random_weyl(rng, 2)
         assert parse_operator(format_operator(p), 2) == p
+
+
+def _reference_weyl_mul(p, q):
+    """The product contracting variable by variable, d^b x^c = sum_k
+    C(b,k) C(c,k) k! x^(c-k) d^(b-k), with Fraction accumulation."""
+    from math import comb, factorial
+    n = p.n
+    out = {}
+    for ep, cp in p.terms.items():
+        a, b = ep[:n], ep[n:]
+        for eq, cq in q.terms.items():
+            c, d_ = eq[:n], eq[n:]
+            partial = [((), (), 1)]
+            for i in range(n):
+                contractions = [(k, comb(b[i], k) * comb(c[i], k) * factorial(k))
+                                for k in range(min(b[i], c[i]) + 1)]
+                partial = [(al + (a[i] + c[i] - k,), be + (b[i] + d_[i] - k,), m * mult)
+                           for al, be, m in partial for k, mult in contractions]
+            for al, be, m in partial:
+                key = al + be
+                s = out.get(key, Fraction(0)) + cp * cq * m
+                if s:
+                    out[key] = s
+                elif key in out:
+                    del out[key]
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_weyl_mul_matches_reference(n):
+    rng = random.Random(40 + n)
+    for _ in range(60):
+        p = random_weyl(rng, n, max_deg=3, max_terms=4)
+        q = random_weyl(rng, n, max_deg=3, max_terms=4)
+        got = weyl_mul(p, q).terms
+        assert got == _reference_weyl_mul(p, q)
+        assert all(type(c) is Fraction for c in got.values())
