@@ -32,9 +32,8 @@ from .mv import (MVIndex, cech_complex, family_for_cech, family_for_mv,
 from .strictify import (FreeCoverDiagram, QuotientSES, ResolutionStep,
                         StrictDoubleComplex, StrictSESWitness,
                         StrictificationResult, SubmoduleSES, free_cover_ses,
-                        free_cover_two_ses, strictify_complex, strictify_ses,
-                        strictify_two_ses, v_strict_complex, verify_strict_ses,
-                        verify_v_strict)
+                        strictify_complex, strictify_ses, strictify_two_ses,
+                        v_strict_complex, verify_strict_ses, verify_v_strict)
 from .restriction import (GradedKoszulComplex, GradedVectorComplex,
                           ThetaPolynomial, TruncatedComplex, TruncationWindow,
                           b_function_of_complex, certify_b_function,

@@ -33,7 +33,6 @@ All division runs through one kernel, GBEngine.reduce:
 from __future__ import annotations
 
 import heapq
-import logging
 from fractions import Fraction
 from math import gcd
 from operator import le, neg, sub
@@ -44,7 +43,6 @@ from .errors import (DimensionMismatchError, InternalError, InvalidInputError,
 from .weyl import (NEG_INF, FiltrationSpec, WeylElement, mono_mul_flat,
                    term_v_degree, weyl_mul)
 
-log = logging.getLogger("derham.groebner")
 
 DEFAULT_REDUCTION_LIMIT = 1_000_000
 
@@ -154,16 +152,6 @@ class OperatorMatrix:
     @classmethod
     def identity(cls, n: int, rank: int) -> "OperatorMatrix":
         return cls(n, rank, [ModuleElement.unit(n, rank, i) for i in range(rank)])
-
-    @classmethod
-    def from_entries(cls, n: int, entries: Sequence[Sequence[WeylElement]],
-                     target_rank: Optional[int] = None, **kw) -> "OperatorMatrix":
-        rows = [ModuleElement(n, row) for row in entries]
-        tr = target_rank if target_rank is not None else (rows[0].rank if rows else 0)
-        return cls(n, tr, rows, **kw)
-
-    def entry(self, i: int, j: int) -> WeylElement:
-        return self.rows[i].components[j]
 
     def apply(self, v: ModuleElement) -> ModuleElement:
         """v . M for a source row vector v."""
@@ -569,10 +557,7 @@ class SubmoduleSolver:
         if len(self.ambient_shift) != rank:
             raise InvalidInputError("ambient shift length != rank")
         if cofactor_shift is None:
-            cofactor_shift = []
-            for g in self.gens:
-                vd = g.v_degree(spec, self.ambient_shift)
-                cofactor_shift.append(0 if vd == NEG_INF else int(vd))
+            cofactor_shift = obvious_shift(self.gens, self.ambient_shift, spec)
         self.cofactor_shift = tuple(cofactor_shift)
         if len(self.cofactor_shift) != len(self.gens):
             raise InvalidInputError("cofactor shift length != number of generators")
@@ -807,19 +792,16 @@ def kernel_of_map(phi: OperatorMatrix, spec: Optional[FiltrationSpec] = None):
     return solver.syzygy_basis
 
 
-def obvious_shift(phi: OperatorMatrix, target_shift: Sequence[int],
+def obvious_shift(rows: Sequence[ModuleElement], shift: Sequence[int],
                   spec: FiltrationSpec):
-    """Per-generator shifts: the shifted V-degree of each row image.
+    """Per-row shifts: the V-degree of each row under `shift`.
 
-    A zero row has no meaningful degree; it gets shift 0 with a warning so
-    degenerate complexes stay usable.
+    A zero row has no degree; it gets shift 0, silently, so degenerate
+    complexes stay usable.
     """
+    shift = tuple(shift)
     out = []
-    for i, row in enumerate(phi.rows):
-        vd = row.v_degree(spec, tuple(target_shift))
-        if vd == NEG_INF:
-            log.warning("obvious shift of a zero column at position %d; using 0", i)
-            out.append(0)
-        else:
-            out.append(int(vd))
+    for row in rows:
+        vd = row.v_degree(spec, shift)
+        out.append(0 if vd == NEG_INF else int(vd))
     return tuple(out)

@@ -13,7 +13,7 @@ import logging
 from typing import Optional, Sequence
 
 from .errors import DimensionMismatchError, InconsistencyError, InvalidInputError
-from .groebner import ModuleElement, OperatorMatrix, SubmoduleSolver
+from .groebner import ModuleElement, OperatorMatrix, SubmoduleSolver, obvious_shift
 from .parsing import parse_operator
 from .weyl import FiltrationSpec, WeylElement, format_operator
 
@@ -170,9 +170,6 @@ class ChainComplexPres:
     def is_free(self) -> bool:
         return all(m.is_free() for m in self.modules)
 
-    def shifts(self):
-        return [m.shift_or_zero() for m in self.modules]
-
     # -- serialization --------------------------------------------------
 
     def to_json(self) -> dict:
@@ -241,6 +238,20 @@ class CohomologyData:
         self.map_z_to_h = map_z_to_h
 
 
+def _heads(vectors, count):
+    """The nonzero truncations of vectors to their first `count` entries.
+
+    Applied to syzygies of (new generators + old relations), these are the
+    relations among the new generators.
+    """
+    out = []
+    for v in vectors:
+        head = ModuleElement(v.n, v.components[:count])
+        if not head.is_zero():
+            out.append(head)
+    return out
+
+
 def cycle_generators(c: ChainComplexPres, k: int):
     """Generators of the preimage in the cover of ker(C^k -> C^k+1).
 
@@ -255,12 +266,7 @@ def cycle_generators(c: ChainComplexPres, k: int):
     gens = list(dmat.rows) + list(tgt.relations)
     solver = SubmoduleSolver(FiltrationSpec.full(c.n), tgt.rank, gens,
                              ambient_shift=tgt.shift_or_zero())
-    out = []
-    for s in solver.syzygy_basis:
-        head = ModuleElement(c.n, s.components[:mod.rank])
-        if not head.is_zero():
-            out.append(head)
-    return out
+    return _heads(solver.syzygy_basis, mod.rank)
 
 
 def cohomology_presentation(c: ChainComplexPres, k: int) -> CohomologyData:
@@ -281,11 +287,7 @@ def cohomology_presentation(c: ChainComplexPres, k: int) -> CohomologyData:
     zsolver = SubmoduleSolver(FiltrationSpec.full(n), mod.rank,
                               zgens + list(mod.relations),
                               ambient_shift=mod.shift_or_zero())
-    relsH = []
-    for s in zsolver.syzygy_basis:
-        head = ModuleElement(n, s.components[:len(zgens)])
-        if not head.is_zero():
-            relsH.append(head)
+    relsH = _heads(zsolver.syzygy_basis, len(zgens))
     b_to_z_rows = []
     for idx, b in enumerate(bgens + list(mod.relations)):
         nf, cof = zsolver.normal_form_with_cofactor(b)
@@ -297,9 +299,7 @@ def cohomology_presentation(c: ChainComplexPres, k: int) -> CohomologyData:
         if not head.is_zero():
             relsH.append(head)
 
-    hshift = [z.v_degree(FiltrationSpec.full(n), mod.shift_or_zero())
-              for z in zgens]
-    hshift = [0 if v == float("-inf") else int(v) for v in hshift]
+    hshift = obvious_shift(zgens, mod.shift_or_zero(), FiltrationSpec.full(n))
     homology = DModPresentation(n, len(zgens), relsH, hshift)
     map_b_to_z = OperatorMatrix(n, len(zgens), b_to_z_rows)
     map_z_to_h = OperatorMatrix.identity(n, len(zgens))
@@ -332,8 +332,7 @@ def v_strict_resolution(pres: DModPresentation, m0: Sequence[int],
         basis = solver.basis
         if not basis:
             break
-        shifts = [b.v_degree(spec, ambient_shift) for b in basis]
-        shifts = tuple(0 if v == float("-inf") else int(v) for v in shifts)
+        shifts = obvious_shift(basis, ambient_shift, spec)
         mat = OperatorMatrix(n, modules[0].rank, basis,
                              source_shift=shifts, target_shift=ambient_shift)
         modules.insert(0, DModPresentation.free(n, len(basis), shifts))

@@ -10,6 +10,12 @@ full column is that plus the next boundary cover, with lifts chosen of
 minimal V-degree.  The total complex of the resulting double complex is
 V-strict and quasi-isomorphic to the input; the comparison map reads off
 the level-zero block.
+
+Each loop builds one SubmoduleSolver per generating set and asks it for
+every target: cofactors, syzygies and minimal witnesses of one submodule
+come from one Groebner computation, and a loop whose targets are all zero
+builds none.  Phase two takes the boundary, homology and next-boundary
+bases of each spot from phase one instead of recomputing them.
 """
 
 from __future__ import annotations
@@ -18,10 +24,11 @@ import logging
 from typing import Optional
 
 from .errors import InconsistencyError, InternalError, InvalidInputError
-from .groebner import (ModuleElement, OperatorMatrix, SubmoduleSolver)
-from .presentations import ChainComplexPres, DModPresentation, cycle_generators
-from .weyl import (NEG_INF, FiltrationSpec, WeylElement, format_operator,
-                   term_v_degree)
+from .groebner import (ModuleElement, OperatorMatrix, SubmoduleSolver,
+                       obvious_shift)
+from .presentations import (ChainComplexPres, DModPresentation, _heads,
+                            cycle_generators)
+from .weyl import NEG_INF, FiltrationSpec, WeylElement, format_operator, v_degree
 
 log = logging.getLogger("derham.strictify")
 
@@ -74,22 +81,17 @@ class ResolutionStep:
     def rank(self):
         return len(self.rows)
 
-    @classmethod
-    def trivial(cls, n: int):
-        return cls((), [], [])
-
 
 class FreeCoverDiagram:
     """A commutative free-cover diagram over a strict SES of submodules."""
 
-    __slots__ = ("ses", "cover_a", "cover_b", "cover_c", "kernel_ses")
+    __slots__ = ("ses", "cover_a", "cover_b", "cover_c")
 
-    def __init__(self, ses, cover_a, cover_b, cover_c, kernel_ses):
+    def __init__(self, ses, cover_a, cover_b, cover_c):
         self.ses = ses
         self.cover_a = cover_a
         self.cover_b = cover_b
         self.cover_c = cover_c
-        self.kernel_ses = kernel_ses
 
 
 class StrictSESWitness:
@@ -117,21 +119,6 @@ def _gb_of(spec, rank, gens, shift):
     return SubmoduleSolver(spec, rank, gens, ambient_shift=shift).basis
 
 
-def _vdeg(e: ModuleElement, spec, shift):
-    return e.v_degree(spec, shift)
-
-
-def _solve_in(spec, rank, gens, shift, target, context: str) -> ModuleElement:
-    """Cofactors expressing target over gens, or an inconsistency error."""
-    if target.is_zero():
-        return ModuleElement.zero(spec.n, len(gens))
-    solver = SubmoduleSolver(spec, rank, gens, ambient_shift=shift)
-    nf, cof = solver.normal_form_with_cofactor(target)
-    if not nf.is_zero():
-        raise InconsistencyError(f"{context}: element is not in the submodule")
-    return cof
-
-
 def _syzygies_of(spec, rank, rows, ambient_shift, cofactor_shift):
     if not rows:
         return []
@@ -140,20 +127,22 @@ def _syzygies_of(spec, rank, rows, ambient_shift, cofactor_shift):
     return solver.syzygy_basis
 
 
-def _obvious(rows, spec, shift):
-    out = []
-    for r in rows:
-        v = _vdeg(r, spec, shift)
-        out.append(0 if v == NEG_INF else int(v))
-    return tuple(out)
+def _cofactor_heads(solver, targets, width, context: str):
+    """The first `width` cofactor entries expressing each target over the
+    generators of `solver`, or an inconsistency error.
 
-
-def _heads(vectors, count, n):
+    A zero target gets a zero head without a query, so `solver` may be
+    None when no target is nonzero.
+    """
     out = []
-    for v in vectors:
-        head = ModuleElement(n, v.components[:count])
-        if not head.is_zero():
-            out.append(head)
+    for t in targets:
+        if t.is_zero():
+            out.append(ModuleElement.zero(t.n, width))
+            continue
+        nf, cof = solver.normal_form_with_cofactor(t)
+        if not nf.is_zero():
+            raise InconsistencyError(f"{context}: element is not in the submodule")
+        out.append(ModuleElement(t.n, cof.components[:width]))
     return out
 
 
@@ -185,7 +174,7 @@ def _block_proj(n, rank_big, rank_small, offset):
 
 class _RewriteResult:
     __slots__ = ("shift_d", "shift_f", "qa_rows", "rels_qa", "qb_rows",
-                 "rels_qb", "pairs_c", "pairs_f")
+                 "rels_qb", "basis_c", "basis_f", "pairs_c", "pairs_f")
 
     def __init__(self, **kw):
         for k, v in kw.items():
@@ -209,13 +198,12 @@ def _rewrite_pair(spec: FiltrationSpec, d_pres: DModPresentation,
     shift_c = tuple(shift_c)
 
     # lift the F-generators through A -> F
-    lift_f_rows = []
     gens_af = list(map_af.rows) + list(f_pres.relations)
-    for j in range(rank_f):
-        cof = _solve_in(spec, rank_f, gens_af, (0,) * rank_f,
-                        ModuleElement.unit(n, rank_f, j),
-                        "lifting a generator through A -> F (exactness)")
-        lift_f_rows.append(ModuleElement(n, cof.components[:a_pres.rank]))
+    solver_af = SubmoduleSolver(spec, rank_f, gens_af, ambient_shift=(0,) * rank_f) \
+        if rank_f else None
+    lift_f_rows = _cofactor_heads(
+        solver_af, [ModuleElement.unit(n, rank_f, j) for j in range(rank_f)],
+        a_pres.rank, "lifting a generator through A -> F (exactness)")
     lift_f = OperatorMatrix(n, a_pres.rank, lift_f_rows)
 
     # Q_A = P_D + P_F covering A
@@ -224,16 +212,15 @@ def _rewrite_pair(spec: FiltrationSpec, d_pres: DModPresentation,
                                   qa_rows + list(a_pres.relations),
                                   a_pres.shift_or_zero(),
                                   None),
-                     rank_d + rank_f, n)
+                     rank_d + rank_f)
 
     # lift the C-generators through B -> C
-    lift_c_rows = []
     gens_bc = list(map_bc.rows) + list(c_pres.relations)
-    for j in range(rank_c):
-        cof = _solve_in(spec, rank_c, gens_bc, (0,) * rank_c,
-                        ModuleElement.unit(n, rank_c, j),
-                        "lifting a generator through B -> C (exactness)")
-        lift_c_rows.append(ModuleElement(n, cof.components[:b_pres.rank]))
+    solver_bc = SubmoduleSolver(spec, rank_c, gens_bc, ambient_shift=(0,) * rank_c) \
+        if rank_c else None
+    lift_c_rows = _cofactor_heads(
+        solver_bc, [ModuleElement.unit(n, rank_c, j) for j in range(rank_c)],
+        b_pres.rank, "lifting a generator through B -> C (exactness)")
     lift_c = OperatorMatrix(n, b_pres.rank, lift_c_rows)
 
     # Q_B = Q_A + P_C covering B
@@ -242,43 +229,44 @@ def _rewrite_pair(spec: FiltrationSpec, d_pres: DModPresentation,
     rels_qb = _heads(_syzygies_of(spec, b_pres.rank,
                                   qb_rows + list(b_pres.relations),
                                   b_pres.shift_or_zero(), None),
-                     rank_d + rank_f + rank_c, n)
+                     rank_d + rank_f + rank_c)
 
     # step 1: basis of the C-relations and paired lifts (d', f')
     basis_c = _gb_of(spec, rank_c, list(c_pres.relations), shift_c)
-    pairs_c = []
-    solve_gens_b = qa_to_b + list(b_pres.relations)
-    for ct in basis_c:
-        target = -lift_c.apply(ct)
-        cof = _solve_in(spec, b_pres.rank, solve_gens_b, b_pres.shift_or_zero(),
-                        target, "pairing a C-relation into the middle kernel")
-        pairs_c.append((ct, ModuleElement(n, cof.components[:rank_d + rank_f])))
+    targets = [-lift_c.apply(ct) for ct in basis_c]
+    solver_b = SubmoduleSolver(spec, b_pres.rank, qa_to_b + list(b_pres.relations),
+                               ambient_shift=b_pres.shift_or_zero()) \
+        if any(not t.is_zero() for t in targets) else None
+    pairs_c = list(zip(basis_c, _cofactor_heads(
+        solver_b, targets, rank_d + rank_f,
+        "pairing a C-relation into the middle kernel")))
 
     # step 2: F-shifts from the paired lifts
     shift_f = _bound_shifts(spec, rank_f,
                             [(p.components[rank_d:rank_d + rank_f],
-                              _vdeg(ct, spec, shift_c))
+                              ct.v_degree(spec, shift_c))
                              for ct, p in pairs_c])
 
     # step 3: basis of the F-relations and paired lifts d
     basis_f = _gb_of(spec, rank_f, list(f_pres.relations), shift_f)
-    pairs_f = []
-    solve_gens_a = list(map_da.rows) + list(a_pres.relations)
-    for fu in basis_f:
-        target = -lift_f.apply(fu)
-        cof = _solve_in(spec, a_pres.rank, solve_gens_a, a_pres.shift_or_zero(),
-                        target, "pairing an F-relation into the A kernel")
-        pairs_f.append((fu, ModuleElement(n, cof.components[:rank_d])))
+    targets = [-lift_f.apply(fu) for fu in basis_f]
+    gens_a = list(map_da.rows) + list(a_pres.relations)
+    solver_a = SubmoduleSolver(spec, a_pres.rank, gens_a,
+                               ambient_shift=a_pres.shift_or_zero()) \
+        if any(not t.is_zero() for t in targets) else None
+    pairs_f = list(zip(basis_f, _cofactor_heads(
+        solver_a, targets, rank_d, "pairing an F-relation into the A kernel")))
 
     # step 4: D-shifts from both families
-    constraints = [(p.components[:rank_d], _vdeg(ct, spec, shift_c))
+    constraints = [(p.components[:rank_d], ct.v_degree(spec, shift_c))
                    for ct, p in pairs_c]
-    constraints += [(p.components, _vdeg(fu, spec, shift_f))
+    constraints += [(p.components, fu.v_degree(spec, shift_f))
                     for fu, p in pairs_f]
     shift_d = _bound_shifts(spec, rank_d, constraints)
 
     return _RewriteResult(shift_d=shift_d, shift_f=shift_f, qa_rows=qa_rows,
                           rels_qa=rels_qa, qb_rows=qb_rows, rels_qb=rels_qb,
+                          basis_c=basis_c, basis_f=basis_f,
                           pairs_c=pairs_c, pairs_f=pairs_f)
 
 
@@ -292,15 +280,11 @@ def _bound_shifts(spec, rank, constraints):
         for j, op in enumerate(comps):
             if op.is_zero():
                 continue
-            cap = int(bound) - _vdeg0_op(op, spec)
+            cap = int(bound) - v_degree(op, spec)
             if not bounded[j] or cap < shift[j]:
                 shift[j] = cap
                 bounded[j] = True
     return tuple(shift)
-
-
-def _vdeg0_op(op: WeylElement, spec) -> int:
-    return max(term_v_degree(e, spec.n, spec.d) for e in op.terms)
 
 
 # ---------------------------------------------------------------------------
@@ -367,24 +351,9 @@ def strictify_two_ses(seq1: QuotientSES, seq2: QuotientSES, shift_c,
 
 def _fresh_step(spec, rank, gens, shift) -> ResolutionStep:
     basis = _gb_of(spec, rank, gens, shift)
-    shifts = _obvious(basis, spec, shift)
+    shifts = obvious_shift(basis, shift, spec)
     kernel = _syzygies_of(spec, rank, basis, shift, shifts)
     return ResolutionStep(shifts, basis, kernel)
-
-
-def _min_preimage(spec, rank_tgt, shift_tgt, sources, source_degrees, target,
-                  context: str):
-    """Minimal-V-degree combination of `sources` mapping onto `target`.
-
-    sources are the images (in the target ambient); the returned cofactor
-    has one entry per source, V-degree measured against source_degrees.
-    """
-    solver = SubmoduleSolver(spec, rank_tgt, sources, ambient_shift=shift_tgt,
-                             cofactor_shift=source_degrees)
-    w = solver.min_degree_witness(target)
-    if w is None:
-        raise InconsistencyError(f"{context}: no preimage exists")
-    return w
 
 
 def _proportional(v: ModuleElement, w: ModuleElement) -> bool:
@@ -433,22 +402,27 @@ def free_cover_ses(ses: SubmoduleSES,
             continue  # the fresh basis copy keeps the tighter shift
         proj_pairs.append((b, pb))
 
-    proj_images = [ses.proj.apply(b) for b in gb_b]
-    b_degrees = _obvious(gb_b, spec, ses.shift_b)
-
     c_rows = [pb for _, pb in proj_pairs] + gb_c
-    c_shift = tuple(int(_vdeg(b, spec, ses.shift_b)) for b, _ in proj_pairs) \
-        + _obvious(gb_c, spec, ses.shift_c)
+    c_shift = tuple(int(b.v_degree(spec, ses.shift_b)) for b, _ in proj_pairs) \
+        + obvious_shift(gb_c, ses.shift_c, spec)
     lifts = [b for b, _ in proj_pairs]
+    # minimal-V-degree combinations of the projected B-basis, measured
+    # against the B-side degrees: one solver for every C-basis element
+    solver = SubmoduleSolver(spec, ses.rank_c, [ses.proj.apply(b) for b in gb_b],
+                             ambient_shift=ses.shift_c,
+                             cofactor_shift=obvious_shift(gb_b, ses.shift_b, spec)) \
+        if gb_c else None
     for c in gb_c:
-        w = _min_preimage(spec, ses.rank_c, ses.shift_c, proj_images, b_degrees,
-                          c, "lifting a C-basis element through B -> C")
+        w = solver.min_degree_witness(c)
+        if w is None:
+            raise InconsistencyError(
+                "lifting a C-basis element through B -> C: no preimage exists")
         psi = ModuleElement.zero(n, ses.rank_b)
         for wi, b in zip(w.components, gb_b):
             if not wi.is_zero():
                 psi = psi + b.left_mul(wi)
-        need = _vdeg(c, spec, ses.shift_c)
-        got = _vdeg(psi, spec, ses.shift_b)
+        need = c.v_degree(spec, ses.shift_c)
+        got = psi.v_degree(spec, ses.shift_b)
         if got != NEG_INF and need != NEG_INF and got > need:
             raise InternalError(
                 "lift of the required V-degree not found; the input sequence "
@@ -462,31 +436,7 @@ def free_cover_ses(ses: SubmoduleSES,
     b_shift = cover_a.shift + c_shift
     kernel_b = _syzygies_of(spec, ses.rank_b, b_rows, ses.shift_b, b_shift)
     cover_b = ResolutionStep(b_shift, b_rows, kernel_b)
-
-    rank_pa, rank_pc = cover_a.rank, cover_c.rank
-    rank_pb = rank_pa + rank_pc
-    kses = SubmoduleSES(
-        spec,
-        rank_pa, cover_a.shift, cover_a.kernel,
-        rank_pb, b_shift, kernel_b,
-        rank_pc, c_shift, kernel_c,
-        _block_incl(n, rank_pa, rank_pb, 0),
-        _block_proj(n, rank_pb, rank_pc, rank_pa),
-    )
-    return FreeCoverDiagram(ses, cover_a, cover_b, cover_c, kses)
-
-
-def free_cover_two_ses(t1: SubmoduleSES, t2: SubmoduleSES,
-                       d_step: ResolutionStep):
-    """Covers over two linked strict sequences 0 -> A -> B -> C -> 0 (t1)
-    and 0 -> D -> A -> F -> 0 (t2), with a given resolution step of D.
-
-    Returns (diagram over t2, diagram over t1); the A-cover P_D + P_F built
-    over t2 is the A-side cover of t1.
-    """
-    diag2 = free_cover_ses(t2, cover_a=d_step)
-    diag1 = free_cover_ses(t1, cover_a=diag2.cover_b)
-    return diag2, diag1
+    return FreeCoverDiagram(ses, cover_a, cover_b, cover_c)
 
 
 # ---------------------------------------------------------------------------
@@ -591,35 +541,32 @@ def verify_strict_ses(ses: QuotientSES, spec: FiltrationSpec,
             return False
     # level surjectivity at C: generator e_j needs a preimage of degree <= sc[j]
     bc_images = list(ses.b_to_c.rows)
-    b_degrees = [sb[i] for i in range(ses.b.rank)]
-    units = [ModuleElement.unit(n, ses.b.rank, i) for i in range(ses.b.rank)]
     solver = SubmoduleSolver(spec, ses.c.rank,
                              bc_images + list(ses.c.relations),
                              ambient_shift=sc,
-                             cofactor_shift=tuple(b_degrees) + _obvious(
-                                 list(ses.c.relations), spec, sc))
+                             cofactor_shift=tuple(sb) + obvious_shift(
+                                 ses.c.relations, sc, spec))
     for j in range(ses.c.rank):
         w = solver.min_degree_witness(ModuleElement.unit(n, ses.c.rank, j))
         if w is None:
             return False
-        wd = w.v_degree(spec, tuple(b_degrees) + _obvious(list(ses.c.relations),
-                                                          spec, sc))
+        wd = w.v_degree(spec, solver.cofactor_shift)
         if wd != NEG_INF and wd > sc[j]:
             return False
     # strictness at A: kernel generators of B -> C lift at their degree
     ker_heads = _heads(_syzygies_of(spec, ses.c.rank,
                                     bc_images + list(ses.c.relations), sc, None),
-                       ses.b.rank, n)
+                       ses.b.rank)
     asolver = SubmoduleSolver(spec, ses.b.rank,
                               list(ses.a_to_b.rows) + list(ses.b.relations),
                               ambient_shift=sb,
-                              cofactor_shift=tuple(sa) + _obvious(
-                                  list(ses.b.relations), spec, sb))
+                              cofactor_shift=tuple(sa) + obvious_shift(
+                                  ses.b.relations, sb, spec))
     for g in ker_heads:
         w = asolver.min_degree_witness(g)
         if w is None:
             return False
-        wd = w.v_degree(spec, tuple(sa) + _obvious(list(ses.b.relations), spec, sb))
+        wd = w.v_degree(spec, asolver.cofactor_shift)
         gd = g.v_degree(spec, sb)
         if wd != NEG_INF and gd != NEG_INF and wd > gd:
             return False
@@ -712,17 +659,15 @@ def _phase_one(c: ChainComplexPres, spec: FiltrationSpec):
         rank_d = prev.source_rank if prev is not None else 0
         rels_d = ztilde[i - 1] if i - 1 >= c.lo else []
 
-        # presentation of the cycles on zgens, and the boundary map into it
-        rels_zin = _heads(_syzygies_of(spec, orig.rank,
-                                       zgens + list(orig.relations),
-                                       orig.shift_or_zero(), None), p, n)
-        map_da_rows = []
-        if prev is not None:
-            for row in prev.rows:
-                cof = _solve_in(spec, orig.rank, zgens + list(orig.relations),
-                                orig.shift_or_zero(), row,
-                                "boundary row is not a cycle")
-                map_da_rows.append(ModuleElement(n, cof.components[:p]))
+        # presentation of the cycles on zgens, and the boundary map into it,
+        # both from one solver over the cycle generators
+        gens_z = zgens + list(orig.relations)
+        rows_d = list(prev.rows) if prev is not None else []
+        zsolver = SubmoduleSolver(spec, orig.rank, gens_z,
+                                  ambient_shift=orig.shift_or_zero()) \
+            if gens_z or any(not r.is_zero() for r in rows_d) else None
+        rels_zin = _heads(zsolver.syzygy_basis, p) if zsolver is not None else []
+        map_da_rows = _cofactor_heads(zsolver, rows_d, p, "boundary row is not a cycle")
 
         d_pres = DModPresentation(n, rank_d, rels_d)
         a_pres = DModPresentation(n, p, rels_zin)
@@ -748,11 +693,10 @@ def _phase_one(c: ChainComplexPres, spec: FiltrationSpec):
             "shift_d": res.shift_d,
             "shift_f": res.shift_f,
             "shift_bnext": tuple(shift_next),
-            "rels_d": rels_d,
             "rels_qz": res.rels_qa,
-            "rels_f": list(rels_zin) + map_da_rows,
             "rels_qc": res.rels_qb,
-            "rels_bnext": ztilde[i] if i < c.hi else [],
+            "basis_f": res.basis_f,
+            "basis_c": res.basis_c,
             "realization": res.qb_rows,
         }
         shift_next = res.shift_d
@@ -772,11 +716,13 @@ def _phase_two(c: ChainComplexPres, spec: FiltrationSpec, phase1: dict, edge: in
         shift0 = shift_d + shift_f + shift_bn
         depth = i - edge
 
-        gb_ib = _gb_of(spec, rank_d, d1["rels_d"], shift_d)
+        # phase one passed this spot's shift_d down as the C-shift of spot
+        # i - 1, so that spot's C-basis is the boundary basis here
+        gb_ib = phase1[i - 1]["basis_c"] if i > c.lo else []
         gb_iz = _gb_of(spec, rank_d + rank_f, d1["rels_qz"], shift_d + shift_f)
-        gb_ih = _gb_of(spec, rank_f, d1["rels_f"], shift_f)
+        gb_ih = d1["basis_f"]
         gb_ic = _gb_of(spec, rank_d + rank_f + rank_c, d1["rels_qc"], shift0)
-        gb_ibn = _gb_of(spec, rank_c, d1["rels_bnext"], shift_bn)
+        gb_ibn = d1["basis_c"]
 
         # extend the carried boundary resolution to the needed depth
         while len(res_b) < depth:
@@ -785,7 +731,7 @@ def _phase_two(c: ChainComplexPres, spec: FiltrationSpec, phase1: dict, edge: in
             else:
                 st = res_b[-1]
                 prev_rank, prev_shift, prev_kernel = st.rank, st.shift, st.kernel
-            sh = _obvious(prev_kernel, spec, prev_shift)
+            sh = obvious_shift(prev_kernel, prev_shift, spec)
             ker = _syzygies_of(spec, prev_rank, prev_kernel, prev_shift, sh)
             res_b.append(ResolutionStep(sh, prev_kernel, ker))
 
@@ -813,7 +759,9 @@ def _phase_two(c: ChainComplexPres, spec: FiltrationSpec, phase1: dict, edge: in
                               prbn, s_bn, kbn,
                               _block_incl(n, prb + prh, prb + prh + prbn, 0),
                               _block_proj(n, prb + prh + prbn, prbn, prb + prh))
-            diag2, diag1 = free_cover_two_ses(t1, t2, d_step)
+            # the A-cover P_D + P_F built over t2 is the A-side cover of t1
+            diag2 = free_cover_ses(t2, cover_a=d_step)
+            diag1 = free_cover_ses(t1, cover_a=diag2.cover_b)
             ranks_k = (d_step.rank, diag2.cover_c.rank, diag1.cover_c.rank)
             _assert_triangular(diag1.cover_b.rows, ranks_k, (prb, prh, prbn))
             levels.append(_LevelData(ranks_k, diag1.cover_b.shift,

@@ -18,7 +18,7 @@ from functools import lru_cache
 from itertools import product
 from math import comb, factorial
 from operator import add
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import DimensionMismatchError, InvalidInputError
 
@@ -167,17 +167,9 @@ class WeylElement:
     def constant_coefficient(self) -> Fraction:
         return self.terms.get((0,) * (2 * self.n), Fraction(0))
 
-    def total_degree(self):
-        if not self.terms:
-            return NEG_INF
-        return max(sum(e) for e in self.terms)
-
     def sorted_terms(self) -> list:
         """Terms in the canonical (descending) print order."""
         return sorted(self.terms.items(), key=lambda kv: (-sum(kv[0]), tuple(-e for e in kv[0])))
-
-    def iter_terms(self) -> Iterator:
-        return iter(self.terms.items())
 
     # -- arithmetic ---------------------------------------------------
 

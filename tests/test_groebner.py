@@ -132,11 +132,11 @@ def test_kernel_of_map():
 
 
 def test_obvious_shift_examples():
-    assert obvious_shift(OperatorMatrix(1, 1, [me(1, "x1*d1")]), (0,), SPEC1) == (0,)
-    assert obvious_shift(OperatorMatrix(1, 1, [me(1, "x1")]), (0,), SPEC1) == (-1,)
-    assert obvious_shift(OperatorMatrix(1, 1, [me(1, "d1")]), (2,), SPEC1) == (3,)
-    # zero column falls back to 0 with a warning
-    assert obvious_shift(OperatorMatrix.zero(1, 1, 1), (0,), SPEC1) == (0,)
+    assert obvious_shift(OperatorMatrix(1, 1, [me(1, "x1*d1")]).rows, (0,), SPEC1) == (0,)
+    assert obvious_shift(OperatorMatrix(1, 1, [me(1, "x1")]).rows, (0,), SPEC1) == (-1,)
+    assert obvious_shift(OperatorMatrix(1, 1, [me(1, "d1")]).rows, (2,), SPEC1) == (3,)
+    # zero column falls back to 0
+    assert obvious_shift(OperatorMatrix.zero(1, 1, 1).rows, (0,), SPEC1) == (0,)
 
 
 def test_v_strict_resolution_examples():
