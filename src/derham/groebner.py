@@ -717,6 +717,59 @@ class SubmoduleSolver:
         return self.reduce_cofactor(w)
 
 
+class SolverCache:
+    """One SubmoduleSolver per distinct submodule, for the length of one call.
+
+    The key is (spec, rank, gens in order, ambient shift, cofactor shift)
+    after the defaults are filled in: a missing ambient shift is zero and a
+    missing cofactor shift is the obvious shift of the generators, exactly
+    as SubmoduleSolver fills them.  A solver is a deterministic function of
+    its key and is never changed after construction, so a hit hands back
+    the solver the caller would have built.  Callers create one cache per
+    run and drop it when the run returns; `builds` and `hits` count what
+    it did.
+    """
+
+    __slots__ = ("spec", "builds", "hits", "_solvers")
+
+    def __init__(self, spec: FiltrationSpec):
+        self.spec = spec
+        self.builds = 0
+        self.hits = 0
+        self._solvers = {}
+
+    def get(self, rank: int, gens: Sequence[ModuleElement], ambient_shift=None,
+            cofactor_shift=None) -> SubmoduleSolver:
+        gens = tuple(gens)
+        ambient = tuple(ambient_shift) if ambient_shift is not None else (0,) * rank
+        if len(ambient) != rank:
+            raise InvalidInputError("ambient shift length != rank")
+        if cofactor_shift is None:
+            cofactor_shift = obvious_shift(gens, ambient, self.spec)
+        key = (self.spec, rank, gens, ambient, tuple(cofactor_shift))
+        solver = self._solvers.get(key)
+        if solver is None:
+            solver = SubmoduleSolver(self.spec, rank, gens, ambient, key[4])
+            self._solvers[key] = solver
+            self.builds += 1
+        else:
+            self.hits += 1
+        return solver
+
+    def basis(self, rank: int, gens: Sequence[ModuleElement], shift):
+        """V-adapted basis of <gens> under `shift`; [] for no generators."""
+        if rank == 0 or not gens:
+            return []
+        return self.get(rank, gens, shift).basis
+
+    def syzygies(self, rank: int, rows: Sequence[ModuleElement], ambient_shift,
+                 cofactor_shift=None):
+        """V-adapted basis of the syzygies of `rows`; [] for no rows."""
+        if not rows:
+            return []
+        return self.get(rank, rows, ambient_shift, cofactor_shift).syzygy_basis
+
+
 # ---------------------------------------------------------------------------
 # public operations
 # ---------------------------------------------------------------------------

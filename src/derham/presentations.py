@@ -13,7 +13,8 @@ import logging
 from typing import Optional, Sequence
 
 from .errors import DimensionMismatchError, InconsistencyError, InvalidInputError
-from .groebner import ModuleElement, OperatorMatrix, SubmoduleSolver, obvious_shift
+from .groebner import (ModuleElement, OperatorMatrix, SolverCache, SubmoduleSolver,
+                       obvious_shift)
 from .parsing import parse_operator
 from .weyl import FiltrationSpec, WeylElement, format_operator
 
@@ -252,21 +253,23 @@ def _heads(vectors, count):
     return out
 
 
-def cycle_generators(c: ChainComplexPres, k: int):
+def cycle_generators(c: ChainComplexPres, k: int,
+                     solvers: Optional[SolverCache] = None):
     """Generators of the preimage in the cover of ker(C^k -> C^k+1).
 
     These are vectors v in D^rank(k) with v . d_k inside the relations of
-    C^k+1; they include the relations of C^k.
+    C^k+1; they include the relations of C^k.  The solver comes from
+    `solvers`, a fresh cache when none is given.
     """
     mod = c.module(k)
     dmat = c.differential(k)
     if dmat is None or dmat.target_rank == 0:
         return [ModuleElement.unit(c.n, mod.rank, i) for i in range(mod.rank)]
+    if solvers is None:
+        solvers = SolverCache(FiltrationSpec.full(c.n))
     tgt = c.module(k + 1)
     gens = list(dmat.rows) + list(tgt.relations)
-    solver = SubmoduleSolver(FiltrationSpec.full(c.n), tgt.rank, gens,
-                             ambient_shift=tgt.shift_or_zero())
-    return _heads(solver.syzygy_basis, mod.rank)
+    return _heads(solvers.syzygies(tgt.rank, gens, tgt.shift_or_zero()), mod.rank)
 
 
 def cohomology_presentation(c: ChainComplexPres, k: int) -> CohomologyData:

@@ -20,7 +20,8 @@ from typing import Optional, Sequence
 from . import linalg
 from .errors import (BBoundExceededError, InconsistencyError, InvalidInputError,
                      InternalError)
-from .groebner import (ModuleElement, OperatorMatrix, SubmoduleSolver)
+from .groebner import (ModuleElement, OperatorMatrix, SolverCache,
+                       SubmoduleSolver)
 from .presentations import ChainComplexPres, DModPresentation
 from .weyl import (NEG_INF, FiltrationSpec, WeylElement, fourier, term_v_degree,
                    theta, weyl_mul)
@@ -343,15 +344,27 @@ class BFunctionDetail:
         self.factor = factor
 
 
+def _boundary_solver(c: ChainComplexPres, k: int, solvers: SolverCache):
+    """The solver over the boundary rows in C^k, or None when they vanish."""
+    prev = c.differential(k - 1)
+    if prev is None or not prev.source_rank or prev.is_zero():
+        return None
+    return solvers.get(c.module(k).rank, prev.rows, c.module(k).shift_or_zero())
+
+
 def b_function_of_complex(c: ChainComplexPres, spec: FiltrationSpec,
                           max_degree: int = DEFAULT_MAX_B_DEGREE,
                           positions=None, details: Optional[list] = None) -> ThetaPolynomial:
     """lcm over cycle generators of their minimal polynomials, shifted by
-    the generators' V-degrees; kills gr H at every requested position."""
+    the generators' V-degrees; kills gr H at every requested position.
+
+    Each distinct submodule is solved once per call, through one
+    SolverCache that the call drops when it returns."""
     if not c.is_free():
         raise InvalidInputError("b_function_of_complex needs a free complex")
     if positions is None:
         positions = list(c.degrees())
+    solvers = SolverCache(spec)
     out = ThetaPolynomial.one()
     for k in positions:
         mod = c.module(k)
@@ -362,15 +375,9 @@ def b_function_of_complex(c: ChainComplexPres, spec: FiltrationSpec,
         if dmat is None or dmat.target_rank == 0:
             kappas = [ModuleElement.unit(c.n, mod.rank, i) for i in range(mod.rank)]
         else:
-            tgt_shift = c.module(k + 1).shift_or_zero()
-            solver = SubmoduleSolver(spec, dmat.target_rank, list(dmat.rows),
-                                     ambient_shift=tgt_shift, cofactor_shift=shift)
-            kappas = solver.syzygy_basis
-        prev = c.differential(k - 1)
-        bsolver = None
-        if prev is not None and prev.source_rank and not prev.is_zero():
-            bsolver = SubmoduleSolver(spec, mod.rank, list(prev.rows),
-                                      ambient_shift=shift)
+            kappas = solvers.syzygies(dmat.target_rank, dmat.rows,
+                                      c.module(k + 1).shift_or_zero(), shift)
+        bsolver = _boundary_solver(c, k, solvers)
         for kappa in kappas:
             lam = kappa.v_degree(spec, shift)
             if lam == NEG_INF:
@@ -380,6 +387,8 @@ def b_function_of_complex(c: ChainComplexPres, spec: FiltrationSpec,
             if details is not None:
                 details.append(BFunctionDetail(k, kappa, lam, q))
             out = out.lcm(q.taylor_shift(-lam))
+    log.debug("b-function: %d solver builds, %d cache hits",
+              solvers.builds, solvers.hits)
     return out
 
 
@@ -403,18 +412,13 @@ def generator_membership_holds(b: ThetaPolynomial, kappa: ModuleElement, lam: in
 def certify_b_function(b: ThetaPolynomial, details: Sequence[BFunctionDetail],
                        c: ChainComplexPres, spec: FiltrationSpec) -> bool:
     """Memberships hold for b, and every integer-root factor is needed."""
-    solvers = {}
+    cache = SolverCache(spec)
+    solvers = {k: _boundary_solver(c, k, cache)
+               for k in {det.position for det in details}}
     for det in details:
-        k = det.position
-        if k not in solvers:
-            prev = c.differential(k - 1)
-            solvers[k] = None
-            if prev is not None and prev.source_rank and not prev.is_zero():
-                solvers[k] = SubmoduleSolver(spec, c.module(k).rank, list(prev.rows),
-                                             ambient_shift=c.module(k).shift_or_zero())
-        shift = c.module(k).shift_or_zero()
+        shift = c.module(det.position).shift_or_zero()
         if not generator_membership_holds(b, det.kappa, det.lam,
-                                          solvers[k], spec, shift):
+                                          solvers[det.position], spec, shift):
             return False
     for root in b.integer_roots():
         dropped = b.exact_divide(ThetaPolynomial([-root, 1]))

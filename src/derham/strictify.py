@@ -11,11 +11,16 @@ minimal V-degree.  The total complex of the resulting double complex is
 V-strict and quasi-isomorphic to the input; the comparison map reads off
 the level-zero block.
 
-Each loop builds one SubmoduleSolver per generating set and asks it for
-every target: cofactors, syzygies and minimal witnesses of one submodule
-come from one Groebner computation, and a loop whose targets are all zero
-builds none.  Phase two takes the boundary, homology and next-boundary
-bases of each spot from phase one instead of recomputing them.
+Each distinct submodule is solved once per strictify_complex call: every
+solver comes from one SolverCache that the call creates, passes down
+through both phases and drops when it returns.  Its key is (spec, rank,
+generators in order, ambient shift, cofactor shift), with a missing
+ambient shift read as zero and a missing cofactor shift as the obvious
+shift of the generators, so a basis, a syzygy module and a cofactor query
+over the same submodule share one Groebner computation.  Each loop asks
+its solver for every target, and a loop whose targets are all zero asks
+for none.  Phase two takes the boundary, homology and next-boundary bases
+of each spot from phase one instead of recomputing them.
 """
 
 from __future__ import annotations
@@ -24,8 +29,8 @@ import logging
 from typing import Optional
 
 from .errors import InconsistencyError, InternalError, InvalidInputError
-from .groebner import (ModuleElement, OperatorMatrix, SubmoduleSolver,
-                       obvious_shift)
+from .groebner import (ModuleElement, OperatorMatrix, SolverCache,
+                       SubmoduleSolver, obvious_shift)
 from .presentations import (ChainComplexPres, DModPresentation, _heads,
                             cycle_generators)
 from .weyl import NEG_INF, FiltrationSpec, WeylElement, format_operator, v_degree
@@ -113,20 +118,6 @@ class StrictSESWitness:
 # shared solving helpers
 # ---------------------------------------------------------------------------
 
-def _gb_of(spec, rank, gens, shift):
-    if rank == 0 or not gens:
-        return []
-    return SubmoduleSolver(spec, rank, gens, ambient_shift=shift).basis
-
-
-def _syzygies_of(spec, rank, rows, ambient_shift, cofactor_shift):
-    if not rows:
-        return []
-    solver = SubmoduleSolver(spec, rank, rows, ambient_shift=ambient_shift,
-                             cofactor_shift=cofactor_shift)
-    return solver.syzygy_basis
-
-
 def _cofactor_heads(solver, targets, width, context: str):
     """The first `width` cofactor entries expressing each target over the
     generators of `solver`, or an inconsistency error.
@@ -181,7 +172,7 @@ class _RewriteResult:
             setattr(self, k, v)
 
 
-def _rewrite_pair(spec: FiltrationSpec, d_pres: DModPresentation,
+def _rewrite_pair(solvers: SolverCache, d_pres: DModPresentation,
                   a_pres: DModPresentation, f_pres: DModPresentation,
                   c_pres: DModPresentation, b_pres: DModPresentation,
                   map_da: OperatorMatrix, map_af: OperatorMatrix,
@@ -193,14 +184,14 @@ def _rewrite_pair(spec: FiltrationSpec, d_pres: DModPresentation,
     basis of the C-relations through paired lifts, then bound the D-shifts
     against bases of both the F-relations and the C-relations.
     """
+    spec = solvers.spec
     n = spec.n
     rank_d, rank_f, rank_c = d_pres.rank, f_pres.rank, c_pres.rank
     shift_c = tuple(shift_c)
 
     # lift the F-generators through A -> F
     gens_af = list(map_af.rows) + list(f_pres.relations)
-    solver_af = SubmoduleSolver(spec, rank_f, gens_af, ambient_shift=(0,) * rank_f) \
-        if rank_f else None
+    solver_af = solvers.get(rank_f, gens_af) if rank_f else None
     lift_f_rows = _cofactor_heads(
         solver_af, [ModuleElement.unit(n, rank_f, j) for j in range(rank_f)],
         a_pres.rank, "lifting a generator through A -> F (exactness)")
@@ -208,16 +199,14 @@ def _rewrite_pair(spec: FiltrationSpec, d_pres: DModPresentation,
 
     # Q_A = P_D + P_F covering A
     qa_rows = [r for r in map_da.rows] + lift_f_rows
-    rels_qa = _heads(_syzygies_of(spec, a_pres.rank,
-                                  qa_rows + list(a_pres.relations),
-                                  a_pres.shift_or_zero(),
-                                  None),
+    rels_qa = _heads(solvers.syzygies(a_pres.rank,
+                                      qa_rows + list(a_pres.relations),
+                                      a_pres.shift_or_zero()),
                      rank_d + rank_f)
 
     # lift the C-generators through B -> C
     gens_bc = list(map_bc.rows) + list(c_pres.relations)
-    solver_bc = SubmoduleSolver(spec, rank_c, gens_bc, ambient_shift=(0,) * rank_c) \
-        if rank_c else None
+    solver_bc = solvers.get(rank_c, gens_bc) if rank_c else None
     lift_c_rows = _cofactor_heads(
         solver_bc, [ModuleElement.unit(n, rank_c, j) for j in range(rank_c)],
         b_pres.rank, "lifting a generator through B -> C (exactness)")
@@ -226,16 +215,16 @@ def _rewrite_pair(spec: FiltrationSpec, d_pres: DModPresentation,
     # Q_B = Q_A + P_C covering B
     qa_to_b = [map_ab.apply(r) for r in qa_rows]
     qb_rows = qa_to_b + lift_c_rows
-    rels_qb = _heads(_syzygies_of(spec, b_pres.rank,
-                                  qb_rows + list(b_pres.relations),
-                                  b_pres.shift_or_zero(), None),
+    rels_qb = _heads(solvers.syzygies(b_pres.rank,
+                                      qb_rows + list(b_pres.relations),
+                                      b_pres.shift_or_zero()),
                      rank_d + rank_f + rank_c)
 
     # step 1: basis of the C-relations and paired lifts (d', f')
-    basis_c = _gb_of(spec, rank_c, list(c_pres.relations), shift_c)
+    basis_c = solvers.basis(rank_c, list(c_pres.relations), shift_c)
     targets = [-lift_c.apply(ct) for ct in basis_c]
-    solver_b = SubmoduleSolver(spec, b_pres.rank, qa_to_b + list(b_pres.relations),
-                               ambient_shift=b_pres.shift_or_zero()) \
+    solver_b = solvers.get(b_pres.rank, qa_to_b + list(b_pres.relations),
+                           b_pres.shift_or_zero()) \
         if any(not t.is_zero() for t in targets) else None
     pairs_c = list(zip(basis_c, _cofactor_heads(
         solver_b, targets, rank_d + rank_f,
@@ -248,11 +237,10 @@ def _rewrite_pair(spec: FiltrationSpec, d_pres: DModPresentation,
                              for ct, p in pairs_c])
 
     # step 3: basis of the F-relations and paired lifts d
-    basis_f = _gb_of(spec, rank_f, list(f_pres.relations), shift_f)
+    basis_f = solvers.basis(rank_f, list(f_pres.relations), shift_f)
     targets = [-lift_f.apply(fu) for fu in basis_f]
     gens_a = list(map_da.rows) + list(a_pres.relations)
-    solver_a = SubmoduleSolver(spec, a_pres.rank, gens_a,
-                               ambient_shift=a_pres.shift_or_zero()) \
+    solver_a = solvers.get(a_pres.rank, gens_a, a_pres.shift_or_zero()) \
         if any(not t.is_zero() for t in targets) else None
     pairs_f = list(zip(basis_f, _cofactor_heads(
         solver_a, targets, rank_d, "pairing an F-relation into the A kernel")))
@@ -304,7 +292,7 @@ def strictify_ses(ses: QuotientSES, shift_c, spec: FiltrationSpec) -> StrictSESW
     _spot_check_ses(ses)
     n = spec.n
     zero = DModPresentation.zero(n)
-    res = _rewrite_pair(spec, zero, ses.a, ses.a, ses.c, ses.b,
+    res = _rewrite_pair(SolverCache(spec), zero, ses.a, ses.a, ses.c, ses.b,
                         OperatorMatrix.zero(n, 0, ses.a.rank),
                         OperatorMatrix.identity(n, ses.a.rank),
                         ses.a_to_b, ses.b_to_c, shift_c)
@@ -326,7 +314,7 @@ def strictify_two_ses(seq1: QuotientSES, seq2: QuotientSES, shift_c,
     if seq2.b is not seq1.a:
         raise InvalidInputError("the sequences must share the module A")
     n = spec.n
-    res = _rewrite_pair(spec, seq2.a, seq1.a, seq2.c, seq1.c, seq1.b,
+    res = _rewrite_pair(SolverCache(spec), seq2.a, seq1.a, seq2.c, seq1.c, seq1.b,
                         seq2.a_to_b, seq2.b_to_c, seq1.a_to_b, seq1.b_to_c,
                         shift_c)
     rank_d, rank_f, rank_c = seq2.a.rank, seq2.c.rank, seq1.c.rank
@@ -349,10 +337,10 @@ def strictify_two_ses(seq1: QuotientSES, seq2: QuotientSES, shift_c,
 # free covers of strict sequences of submodules
 # ---------------------------------------------------------------------------
 
-def _fresh_step(spec, rank, gens, shift) -> ResolutionStep:
-    basis = _gb_of(spec, rank, gens, shift)
-    shifts = obvious_shift(basis, shift, spec)
-    kernel = _syzygies_of(spec, rank, basis, shift, shifts)
+def _fresh_step(solvers: SolverCache, rank, gens, shift) -> ResolutionStep:
+    basis = solvers.basis(rank, gens, shift)
+    shifts = obvious_shift(basis, shift, solvers.spec)
+    kernel = solvers.syzygies(rank, basis, shift, shifts)
     return ResolutionStep(shifts, basis, kernel)
 
 
@@ -377,21 +365,24 @@ def _proportional(v: ModuleElement, w: ModuleElement) -> bool:
     return True
 
 
-def free_cover_ses(ses: SubmoduleSES,
-                   cover_a: Optional[ResolutionStep] = None) -> FreeCoverDiagram:
+def free_cover_ses(ses: SubmoduleSES, cover_a: Optional[ResolutionStep] = None,
+                   solvers: Optional[SolverCache] = None) -> FreeCoverDiagram:
     """Free covers P_B = P_A + P_C over a strict SES of submodules.
 
     The C-cover generators are the nonzero projections of a basis of B at
     their B-side degrees together with a fresh basis of C; the middle lift
     of a fresh C-basis element is a minimal-degree preimage, which the
-    strictness of the input keeps at or below the C-side degree.
+    strictness of the input keeps at or below the C-side degree.  Solvers
+    come from `solvers`, a fresh cache over ses.spec when none is given.
     """
     spec = ses.spec
     n = spec.n
+    if solvers is None:
+        solvers = SolverCache(spec)
     if cover_a is None:
-        cover_a = _fresh_step(spec, ses.rank_a, ses.gens_a, ses.shift_a)
-    gb_b = _gb_of(spec, ses.rank_b, ses.gens_b, ses.shift_b)
-    gb_c = _gb_of(spec, ses.rank_c, ses.gens_c, ses.shift_c)
+        cover_a = _fresh_step(solvers, ses.rank_a, ses.gens_a, ses.shift_a)
+    gb_b = solvers.basis(ses.rank_b, ses.gens_b, ses.shift_b)
+    gb_c = solvers.basis(ses.rank_c, ses.gens_c, ses.shift_c)
 
     proj_pairs = []
     for b in gb_b:
@@ -408,9 +399,8 @@ def free_cover_ses(ses: SubmoduleSES,
     lifts = [b for b, _ in proj_pairs]
     # minimal-V-degree combinations of the projected B-basis, measured
     # against the B-side degrees: one solver for every C-basis element
-    solver = SubmoduleSolver(spec, ses.rank_c, [ses.proj.apply(b) for b in gb_b],
-                             ambient_shift=ses.shift_c,
-                             cofactor_shift=obvious_shift(gb_b, ses.shift_b, spec)) \
+    solver = solvers.get(ses.rank_c, [ses.proj.apply(b) for b in gb_b], ses.shift_c,
+                         obvious_shift(gb_b, ses.shift_b, spec)) \
         if gb_c else None
     for c in gb_c:
         w = solver.min_degree_witness(c)
@@ -429,12 +419,12 @@ def free_cover_ses(ses: SubmoduleSES,
                 "is not V-strict")
         lifts.append(psi)
 
-    kernel_c = _syzygies_of(spec, ses.rank_c, c_rows, ses.shift_c, c_shift)
+    kernel_c = solvers.syzygies(ses.rank_c, c_rows, ses.shift_c, c_shift)
     cover_c = ResolutionStep(c_shift, c_rows, kernel_c)
 
     b_rows = [ses.incl.apply(r) for r in cover_a.rows] + lifts
     b_shift = cover_a.shift + c_shift
-    kernel_b = _syzygies_of(spec, ses.rank_b, b_rows, ses.shift_b, b_shift)
+    kernel_b = solvers.syzygies(ses.rank_b, b_rows, ses.shift_b, b_shift)
     cover_b = ResolutionStep(b_shift, b_rows, kernel_b)
     return FreeCoverDiagram(ses, cover_a, cover_b, cover_c)
 
@@ -540,12 +530,10 @@ def verify_strict_ses(ses: QuotientSES, spec: FiltrationSpec,
         if vd != NEG_INF and vd > sb[i]:
             return False
     # level surjectivity at C: generator e_j needs a preimage of degree <= sc[j]
-    bc_images = list(ses.b_to_c.rows)
-    solver = SubmoduleSolver(spec, ses.c.rank,
-                             bc_images + list(ses.c.relations),
-                             ambient_shift=sc,
-                             cofactor_shift=tuple(sb) + obvious_shift(
-                                 ses.c.relations, sc, spec))
+    solvers = SolverCache(spec)
+    gens_c = list(ses.b_to_c.rows) + list(ses.c.relations)
+    solver = solvers.get(ses.c.rank, gens_c, sc,
+                         tuple(sb) + obvious_shift(ses.c.relations, sc, spec))
     for j in range(ses.c.rank):
         w = solver.min_degree_witness(ModuleElement.unit(n, ses.c.rank, j))
         if w is None:
@@ -554,14 +542,9 @@ def verify_strict_ses(ses: QuotientSES, spec: FiltrationSpec,
         if wd != NEG_INF and wd > sc[j]:
             return False
     # strictness at A: kernel generators of B -> C lift at their degree
-    ker_heads = _heads(_syzygies_of(spec, ses.c.rank,
-                                    bc_images + list(ses.c.relations), sc, None),
-                       ses.b.rank)
-    asolver = SubmoduleSolver(spec, ses.b.rank,
-                              list(ses.a_to_b.rows) + list(ses.b.relations),
-                              ambient_shift=sb,
-                              cofactor_shift=tuple(sa) + obvious_shift(
-                                  ses.b.relations, sb, spec))
+    ker_heads = _heads(solvers.syzygies(ses.c.rank, gens_c, sc), ses.b.rank)
+    asolver = solvers.get(ses.b.rank, list(ses.a_to_b.rows) + list(ses.b.relations),
+                          sb, tuple(sa) + obvious_shift(ses.b.relations, sb, spec))
     for g in ker_heads:
         w = asolver.min_degree_witness(g)
         if w is None:
@@ -644,11 +627,11 @@ class StrictificationResult:
         self.complete = complete
 
 
-def _phase_one(c: ChainComplexPres, spec: FiltrationSpec):
+def _phase_one(c: ChainComplexPres, solvers: SolverCache):
     """Rewrites every C^i over boundary/homology/next-boundary covers,
     choosing shift vectors top-down; returns per-spot data."""
     n = c.n
-    ztilde = {k: cycle_generators(c, k) for k in c.degrees()}
+    ztilde = {k: cycle_generators(c, k, solvers) for k in c.degrees()}
     data = {}
     shift_next = ()
     for i in range(c.hi, c.lo - 1, -1):
@@ -663,8 +646,7 @@ def _phase_one(c: ChainComplexPres, spec: FiltrationSpec):
         # both from one solver over the cycle generators
         gens_z = zgens + list(orig.relations)
         rows_d = list(prev.rows) if prev is not None else []
-        zsolver = SubmoduleSolver(spec, orig.rank, gens_z,
-                                  ambient_shift=orig.shift_or_zero()) \
+        zsolver = solvers.get(orig.rank, gens_z, orig.shift_or_zero()) \
             if gens_z or any(not r.is_zero() for r in rows_d) else None
         rels_zin = _heads(zsolver.syzygy_basis, p) if zsolver is not None else []
         map_da_rows = _cofactor_heads(zsolver, rows_d, p, "boundary row is not a cycle")
@@ -682,7 +664,7 @@ def _phase_one(c: ChainComplexPres, spec: FiltrationSpec):
             map_bc = OperatorMatrix.identity(n, orig.rank)
 
         res = _rewrite_pair(
-            spec, d_pres, a_pres, f_pres, c_pres, orig,
+            solvers, d_pres, a_pres, f_pres, c_pres, orig,
             OperatorMatrix(n, p, map_da_rows),
             OperatorMatrix.identity(n, p),
             OperatorMatrix(n, orig.rank, zgens),
@@ -703,8 +685,9 @@ def _phase_one(c: ChainComplexPres, spec: FiltrationSpec):
     return data
 
 
-def _phase_two(c: ChainComplexPres, spec: FiltrationSpec, phase1: dict, edge: int):
+def _phase_two(c: ChainComplexPres, solvers: SolverCache, phase1: dict, edge: int):
     """Builds compatible free resolutions spot by spot, level by level."""
+    spec = solvers.spec
     n = c.n
     spots = {}
     res_b: list = []
@@ -719,9 +702,9 @@ def _phase_two(c: ChainComplexPres, spec: FiltrationSpec, phase1: dict, edge: in
         # phase one passed this spot's shift_d down as the C-shift of spot
         # i - 1, so that spot's C-basis is the boundary basis here
         gb_ib = phase1[i - 1]["basis_c"] if i > c.lo else []
-        gb_iz = _gb_of(spec, rank_d + rank_f, d1["rels_qz"], shift_d + shift_f)
+        gb_iz = solvers.basis(rank_d + rank_f, d1["rels_qz"], shift_d + shift_f)
         gb_ih = d1["basis_f"]
-        gb_ic = _gb_of(spec, rank_d + rank_f + rank_c, d1["rels_qc"], shift0)
+        gb_ic = solvers.basis(rank_d + rank_f + rank_c, d1["rels_qc"], shift0)
         gb_ibn = d1["basis_c"]
 
         # extend the carried boundary resolution to the needed depth
@@ -732,7 +715,7 @@ def _phase_two(c: ChainComplexPres, spec: FiltrationSpec, phase1: dict, edge: in
                 st = res_b[-1]
                 prev_rank, prev_shift, prev_kernel = st.rank, st.shift, st.kernel
             sh = obvious_shift(prev_kernel, prev_shift, spec)
-            ker = _syzygies_of(spec, prev_rank, prev_kernel, prev_shift, sh)
+            ker = solvers.syzygies(prev_rank, prev_kernel, prev_shift, sh)
             res_b.append(ResolutionStep(sh, prev_kernel, ker))
 
         levels = [_LevelData((rank_d, rank_f, rank_c), shift0, None)]
@@ -760,8 +743,8 @@ def _phase_two(c: ChainComplexPres, spec: FiltrationSpec, phase1: dict, edge: in
                               _block_incl(n, prb + prh, prb + prh + prbn, 0),
                               _block_proj(n, prb + prh + prbn, prbn, prb + prh))
             # the A-cover P_D + P_F built over t2 is the A-side cover of t1
-            diag2 = free_cover_ses(t2, cover_a=d_step)
-            diag1 = free_cover_ses(t1, cover_a=diag2.cover_b)
+            diag2 = free_cover_ses(t2, cover_a=d_step, solvers=solvers)
+            diag1 = free_cover_ses(t1, cover_a=diag2.cover_b, solvers=solvers)
             ranks_k = (d_step.rank, diag2.cover_c.rank, diag1.cover_c.rank)
             _assert_triangular(diag1.cover_b.rows, ranks_k, (prb, prh, prbn))
             levels.append(_LevelData(ranks_k, diag1.cover_b.shift,
@@ -808,8 +791,11 @@ def strictify_complex(c: ChainComplexPres, depth_margin: int = 2) -> Strictifica
     edge = c.lo - (n + depth_margin)
     log.info("strictifying complex over degrees [%d, %d], edge %d",
              c.lo, c.hi, edge)
-    phase1 = _phase_one(c, spec)
-    spots, complete = _phase_two(c, spec, phase1, edge)
+    solvers = SolverCache(spec)
+    phase1 = _phase_one(c, solvers)
+    spots, complete = _phase_two(c, solvers, phase1, edge)
+    log.debug("strictify: %d solver builds, %d cache hits",
+              solvers.builds, solvers.hits)
 
     # assemble the total complex
     blocks = {}

@@ -117,6 +117,17 @@ def test_stage_logging_env():
     assert "stage" in out.stderr  # pipeline stages logged at info level
 
 
+def test_debug_logging_reports_cache_counts_and_keeps_stdout():
+    bare = run_cli("cohomology", "--vars", "x,y", "--poly", "x*y")
+    debug = run_cli("cohomology", "--vars", "x,y", "--poly", "x*y",
+                    env_extra={"DERHAM_LOG": "debug"})
+    assert bare.returncode == debug.returncode == 0
+    assert debug.stdout == bare.stdout
+    assert "derham.strictify DEBUG strictify: " in debug.stderr
+    assert "derham.restriction DEBUG b-function: " in debug.stderr
+    assert "cache hits" not in bare.stderr
+
+
 def test_variable_collision_rejected():
     out = run_cli("cohomology", "--vars", "x,dx", "--poly", "x")
     assert out.returncode == 1

@@ -5,7 +5,7 @@ from derham import (FiltrationSpec, ModuleElement, OperatorMatrix, TermOrder,
                     WeylElement, groebner_basis, kernel_of_map, normal_form,
                     obvious_shift, parse_operator, submodule_membership,
                     syzygies, v_strict_resolution, weyl_mul)
-from derham.groebner import SubmoduleSolver
+from derham.groebner import SolverCache, SubmoduleSolver
 from derham.presentations import DModPresentation
 
 SPEC1 = FiltrationSpec.full(1)
@@ -353,3 +353,41 @@ def test_h_saturation_failure_raises_internal_error(monkeypatch):
     monkeypatch.setattr(G.GBEngine, "buchberger", with_h_content)
     with pytest.raises(InternalError, match="h-saturation"):
         SubmoduleSolver(SPEC1, 1, [me(1, "d1")])
+
+
+def test_solver_cache_normalizes_defaults_into_one_key():
+    cache = SolverCache(SPEC1)
+    gens = [me(1, "x1*d1"), me(1, "x1^2")]
+    first = cache.get(1, gens)
+    # a missing ambient shift is zero, a missing cofactor shift is obvious
+    assert cache.get(1, gens, (0,)) is first
+    assert cache.get(1, tuple(gens), (0,), obvious_shift(gens, (0,), SPEC1)) is first
+    assert (cache.builds, cache.hits) == (1, 2)
+    assert first.cofactor_shift == SubmoduleSolver(SPEC1, 1, gens).cofactor_shift
+
+
+def test_solver_cache_keeps_distinct_submodules_apart():
+    cache = SolverCache(SPEC1)
+    gens = [me(1, "x1*d1"), me(1, "x1^2")]
+    base = cache.get(1, gens)
+    other_cofactor = cache.get(1, gens, None, (5, 5))
+    reordered = cache.get(1, gens[::-1])
+    other_ambient = cache.get(1, gens, (1,))
+    assert len({id(base), id(other_cofactor), id(reordered), id(other_ambient)}) == 4
+    assert other_cofactor.cofactor_shift == (5, 5)
+    assert reordered.gens == gens[::-1]
+    assert (cache.builds, cache.hits) == (4, 0)
+    assert cache.get(1, gens[::-1]) is reordered
+    assert (cache.builds, cache.hits) == (4, 1)
+
+
+def test_solver_cache_basis_and_syzygies_share_one_solver():
+    cache = SolverCache(SPEC1)
+    gens = [me(1, "x1*d1"), me(1, "x1^2")]
+    fresh = SubmoduleSolver(SPEC1, 1, gens, ambient_shift=(0,))
+    assert cache.basis(1, gens, (0,)) == fresh.basis
+    assert cache.syzygies(1, gens, (0,)) == fresh.syzygy_basis
+    assert (cache.builds, cache.hits) == (1, 1)
+    # nothing to solve: no build, no hit
+    assert cache.basis(0, [], ()) == [] and cache.syzygies(1, [], (0,)) == []
+    assert (cache.builds, cache.hits) == (1, 1)

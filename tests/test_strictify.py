@@ -6,7 +6,8 @@ import pytest
 from derham import (ChainComplexPres, DModPresentation, FiltrationSpec,
                     InconsistencyError, ModuleElement, OperatorMatrix,
                     ProblemSpec, QuotientSES, ResolutionStep, SubmoduleSES,
-                    SubmoduleSolver, WeylElement, family_for_mv,
+                    SubmoduleSolver, WeylElement, cohomology_presentation,
+                    compute_derham, compute_derham_support, family_for_mv,
                     format_operator, fourier_complex, free_cover_ses,
                     mv_complex, parse_operator, strictify_complex,
                     strictify_ses, strictify_two_ses, v_strict_complex,
@@ -262,5 +263,80 @@ def test_strictify_builds_one_solver_per_generating_set(monkeypatch):
 
     monkeypatch.setattr(SubmoduleSolver, "__init__", counting_init)
     strictify_complex(c)
-    # one solver per generating set and loop; 78 when each target had its own
-    assert builds <= 54
+    # one solver per distinct submodule; 78 when each target had its own,
+    # 54 with one solver per generating set and loop but no shared cache
+    assert builds <= 33
+
+
+def _record_solver_keys(monkeypatch):
+    """Normalized keys of every SubmoduleSolver built from now on."""
+    keys = []
+    init = SubmoduleSolver.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        keys.append((self.spec, self.rank, tuple(self.gens), self.ambient_shift,
+                     self.cofactor_shift))
+
+    monkeypatch.setattr(SubmoduleSolver, "__init__", recording_init)
+    return keys
+
+
+@pytest.mark.parametrize("names,polys,support", [
+    (["x", "y"], ["x", "y"], None),
+    (["x", "y"], ["x*y*(x + y)"], None),
+    (["x", "y"], ["x*y"], ["x - y"]),
+], ids=["x y", "x*y*(x + y)", "x*y | x - y"])
+def test_each_stage_solves_each_submodule_once(monkeypatch, names, polys, support):
+    from derham import pipeline
+    keys = _record_solver_keys(monkeypatch)
+    per_stage = {}
+    for name in ("strictify_complex", "b_function_of_complex"):
+        def recorded(*args, _fn=getattr(pipeline, name), _name=name, **kwargs):
+            start = len(keys)
+            out = _fn(*args, **kwargs)
+            per_stage[_name] = keys[start:]
+            return out
+        monkeypatch.setattr(pipeline, name, recorded)
+    run = compute_derham_support if support else compute_derham
+    run(ProblemSpec(names, polys, support_polys=support))
+    assert set(per_stage) == {"strictify_complex", "b_function_of_complex"}
+    for name, stage_keys in per_stage.items():
+        assert stage_keys and len(set(stage_keys)) == len(stage_keys), name
+
+
+def test_stages_log_their_cache_counts(caplog):
+    import logging
+    caplog.set_level(logging.DEBUG, logger="derham")
+    compute_derham(ProblemSpec(["x", "y"], ["x", "y"]))
+    lines = {r.name: r.getMessage() for r in caplog.records
+             if "solver builds" in r.getMessage()}
+    assert lines == {"derham.strictify": "strictify: 33 solver builds, 21 cache hits",
+                     "derham.restriction": "b-function: 3 solver builds, 0 cache hits"}
+
+
+def test_boundary_basis_comes_from_the_spot_below():
+    # D -x-> D -> 0 -> D -x-> D.  Spot 0 has nothing to resolve, so the
+    # boundary resolution at spot 1 starts from the boundary basis there:
+    # the relations of B^1 = D x, which are none.  Spot 1's own C-basis
+    # (all of D, since d_1 = 0) would make the total complex acyclic at 0
+    # no longer, though H^0 of the input vanishes.
+    x = me(1, "x1")
+    free = [DModPresentation.free(1, 1), DModPresentation.free(1, 1),
+            DModPresentation.free(1, 0), DModPresentation.free(1, 1),
+            DModPresentation.free(1, 1)]
+    c = ChainComplexPres(1, 0, free, [
+        OperatorMatrix(1, 1, [x]), OperatorMatrix.zero(1, 1, 0),
+        OperatorMatrix.zero(1, 0, 1), OperatorMatrix(1, 1, [x])])
+    res = strictify_complex(c)
+
+    def vanishes(cx, k):
+        h = cohomology_presentation(cx, k).homology
+        return all(h.contains_relation(ModuleElement.unit(1, h.rank, j))
+                   for j in range(h.rank))
+
+    assert [vanishes(c, k) for k in c.degrees()] == [True, False, True, True, False]
+    assert [vanishes(res.total, k) for k in range(res.edge + 1, res.hi + 1)] == \
+        [True, True, True, False, True, True, False]
+    assert [[lv.ranks for lv in res.double.spots[i].levels] for i in (0, 1)] == \
+        [[(0, 0, 1)], [(1, 1, 1), (0, 1, 1)]]
