@@ -264,7 +264,8 @@ def flat_to_me(vec: FlatVec, n: int, rank: int, offset: int = 0) -> ModuleElemen
         if h:
             raise InvalidInputError("dehomogenize before converting to ModuleElement")
         comps[pos - offset][e] = c
-    return ModuleElement(n, [WeylElement(n, t) for t in comps])
+    zero = WeylElement.zero(n)
+    return ModuleElement(n, [WeylElement(n, t) if t else zero for t in comps])
 
 
 def flat_add_into(acc: FlatVec, other: FlatVec, scale=1):

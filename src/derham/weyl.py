@@ -93,7 +93,8 @@ def mono_mul_flat(n: int, coeff, qe: tuple, qh: int, vec: dict,
 class WeylElement:
     """A normally ordered element of D_n with exact rational coefficients.
 
-    Immutable by convention: every operation returns a fresh element.
+    Immutable by convention: no operation changes its operands, though a
+    sum with a zero summand is the other summand itself.
     """
 
     __slots__ = ("n", "terms")
@@ -182,6 +183,11 @@ class WeylElement:
         if isinstance(other, (int, Fraction)):
             other = WeylElement.constant(self.n, other)
         self._check(other)
+        # elements are immutable, so a zero summand can hand back the other
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         out = dict(self.terms)
         for e, c in other.terms.items():
             s = out.get(e, Fraction(0)) + c
