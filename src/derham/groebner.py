@@ -727,7 +727,7 @@ class SolverCache:
     as SubmoduleSolver fills them.  A solver is a deterministic function of
     its key and is never changed after construction, so a hit hands back
     the solver the caller would have built.  Callers create one cache per
-    run and drop it when the run returns; `builds` and `hits` count what
+    call and drop it when the call returns; `builds` and `hits` count what
     it did.
     """
 
@@ -745,12 +745,12 @@ class SolverCache:
         ambient = tuple(ambient_shift) if ambient_shift is not None else (0,) * rank
         if len(ambient) != rank:
             raise InvalidInputError("ambient shift length != rank")
-        if cofactor_shift is None:
-            cofactor_shift = obvious_shift(gens, ambient, self.spec)
-        key = (self.spec, rank, gens, ambient, tuple(cofactor_shift))
+        cofactor = tuple(cofactor_shift) if cofactor_shift is not None \
+            else obvious_shift(gens, ambient, self.spec)
+        key = (self.spec, rank, gens, ambient, cofactor)
         solver = self._solvers.get(key)
         if solver is None:
-            solver = SubmoduleSolver(self.spec, rank, gens, ambient, key[4])
+            solver = SubmoduleSolver(self.spec, rank, gens, ambient, cofactor)
             self._solvers[key] = solver
             self.builds += 1
         else:

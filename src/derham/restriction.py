@@ -412,26 +412,17 @@ def generator_membership_holds(b: ThetaPolynomial, kappa: ModuleElement, lam: in
 def certify_b_function(b: ThetaPolynomial, details: Sequence[BFunctionDetail],
                        c: ChainComplexPres, spec: FiltrationSpec) -> bool:
     """Memberships hold for b, and every integer-root factor is needed."""
-    cache = SolverCache(spec)
-    solvers = {k: _boundary_solver(c, k, cache)
-               for k in {det.position for det in details}}
-    for det in details:
-        shift = c.module(det.position).shift_or_zero()
-        if not generator_membership_holds(b, det.kappa, det.lam,
-                                          solvers[det.position], spec, shift):
-            return False
-    for root in b.integer_roots():
-        dropped = b.exact_divide(ThetaPolynomial([-root, 1]))
-        still = True
-        for det in details:
-            shift = c.module(det.position).shift_or_zero()
-            if not generator_membership_holds(dropped, det.kappa, det.lam,
-                                              solvers[det.position], spec, shift):
-                still = False
-                break
-        if still:
-            return False
-    return True
+    solvers = SolverCache(spec)
+
+    def holds(poly):
+        return all(generator_membership_holds(
+            poly, det.kappa, det.lam, _boundary_solver(c, det.position, solvers),
+            spec, c.module(det.position).shift_or_zero()) for det in details)
+
+    if not holds(b):
+        return False
+    return not any(holds(b.exact_divide(ThetaPolynomial([-root, 1])))
+                   for root in b.integer_roots())
 
 
 # ---------------------------------------------------------------------------

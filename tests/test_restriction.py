@@ -94,6 +94,8 @@ def test_b_function_of_complex_with_certificate():
     assert certify_b_function(b, details, c, SPEC1)
     # dropping the only root breaks a membership
     assert not certify_b_function(ThetaPolynomial.one(), details, c, SPEC1)
+    # an extra integer root that no membership needs fails the certificate
+    assert not certify_b_function(b * ThetaPolynomial([-3, 1]), details, c, SPEC1)
 
 
 def test_b_function_exact_complex_is_one():
