@@ -1,5 +1,6 @@
 import hashlib
 import json
+import logging
 
 import pytest
 
@@ -12,6 +13,7 @@ from derham import (ChainComplexPres, DModPresentation, FiltrationSpec,
                     mv_complex, parse_operator, strictify_complex,
                     strictify_ses, strictify_two_ses, v_strict_complex,
                     verify_strict_ses, verify_v_strict)
+from derham import pipeline
 
 SPEC1 = FiltrationSpec.full(1)
 
@@ -288,7 +290,6 @@ def _record_solver_keys(monkeypatch):
     (["x", "y"], ["x*y"], ["x - y"]),
 ], ids=["x y", "x*y*(x + y)", "x*y | x - y"])
 def test_each_stage_solves_each_submodule_once(monkeypatch, names, polys, support):
-    from derham import pipeline
     keys = _record_solver_keys(monkeypatch)
     per_stage = {}
     for name in ("strictify_complex", "b_function_of_complex"):
@@ -306,7 +307,6 @@ def test_each_stage_solves_each_submodule_once(monkeypatch, names, polys, suppor
 
 
 def test_stages_log_their_cache_counts(caplog):
-    import logging
     caplog.set_level(logging.DEBUG, logger="derham")
     compute_derham(ProblemSpec(["x", "y"], ["x", "y"]))
     lines = {r.name: r.getMessage() for r in caplog.records
@@ -319,8 +319,8 @@ def test_boundary_basis_comes_from_the_spot_below():
     # D -x-> D -> 0 -> D -x-> D.  Spot 0 has nothing to resolve, so the
     # boundary resolution at spot 1 starts from the boundary basis there:
     # the relations of B^1 = D x, which are none.  Spot 1's own C-basis
-    # (all of D, since d_1 = 0) would make the total complex acyclic at 0
-    # no longer, though H^0 of the input vanishes.
+    # (all of D, since d_1 = 0) in its place gives the total complex
+    # cohomology at position 0, where the input has none.
     x = me(1, "x1")
     free = [DModPresentation.free(1, 1), DModPresentation.free(1, 1),
             DModPresentation.free(1, 0), DModPresentation.free(1, 1),
