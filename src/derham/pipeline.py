@@ -3,7 +3,8 @@ without support, as staged Groebner computations.
 
 Stage order: localize every needed product, build the Mayer-Vietoris (or
 tensored Cech) complex, apply the Fourier automorphism, replace by a
-V-strict free complex, compute the restriction b-function over the
+V-strict free complex, minimize it by cancelling its unit entries between
+generators of equal shift, compute the restriction b-function over the
 original degrees, truncate to the integer-root window and read off exact
 ranks.  dims[i] is the cohomology of the truncated complex at position
 i - n; that re-indexing lives here and is printed in the report.
@@ -24,7 +25,7 @@ from .parsing import parse_operator, parse_polynomial
 from .restriction import (DEFAULT_MAX_B_DEGREE, b_function_of_complex,
                           cohomology_dims, fourier_complex,
                           integer_root_window, omega_tensor_truncate)
-from .strictify import strictify_complex
+from .strictify import minimize_complex, strictify_complex
 from .weyl import FiltrationSpec, WeylElement, format_operator
 
 log = logging.getLogger("derham.pipeline")
@@ -88,7 +89,7 @@ class ResultReport:
 
     def to_json(self) -> dict:
         return {
-            "schema": "derham.report/1",
+            "schema": "derham.report/2",
             "version": _pkg_version,
             "kind": self.kind,
             "n": self.n,
@@ -182,8 +183,11 @@ def _run(spec: ProblemSpec, kind: str) -> ResultReport:
     _dump(spec, "strict_complex.json", strict.total.to_json())
     _dump(spec, "double_complex.json", strict.double.to_json())
 
+    minimal = stage.run("minimize", minimize_complex, strict.total)
+    _dump(spec, "minimal_complex.json", minimal.to_json())
+
     positions = list(range(transformed.lo, transformed.hi + 1))
-    b = stage.run("b-function", b_function_of_complex, strict.total, fspec,
+    b = stage.run("b-function", b_function_of_complex, minimal, fspec,
                   spec.max_b_degree, positions)
     window = stage.run("window", integer_root_window, b)
     _dump(spec, "b_function.json",
@@ -191,7 +195,7 @@ def _run(spec: ProblemSpec, kind: str) -> ResultReport:
            "integer_roots": b.integer_roots(),
            "window": None if window.is_empty() else [window.k0, window.k1]})
 
-    truncated = stage.run("truncate", omega_tensor_truncate, strict.total, window)
+    truncated = stage.run("truncate", omega_tensor_truncate, minimal, window)
     _dump(spec, "truncated_complex.json", truncated.to_json())
 
     raw = stage.run("ranks", cohomology_dims, truncated)
@@ -211,14 +215,15 @@ def _run(spec: ProblemSpec, kind: str) -> ResultReport:
                 stage="ranks")
 
     gb_sizes = {"strict_ranks": [m.rank for m in strict.total.modules],
+                "minimal_ranks": [m.rank for m in minimal.modules],
                 "truncated_dims": [truncated.dim(k) for k in truncated.degrees()]}
     report = ResultReport(
         kind=kind, n=n, names=spec.names,
         polys=[format_operator(p) for p in spec.polys],
         support_polys=[format_operator(p) for p in spec.support_polys],
         dims=dims, b_function=b, window=window,
-        shifts={m: tuple(strict.total.module(m).shift_or_zero())
-                for m in strict.total.degrees()},
+        shifts={m: tuple(minimal.module(m).shift_or_zero())
+                for m in minimal.degrees()},
         gb_sizes=gb_sizes, timings=timings, warnings=warnings,
         family_exponent=family.exponent)
     _dump(spec, "report.json", report.to_json())

@@ -21,6 +21,11 @@ over the same submodule share one Groebner computation.  Each loop asks
 its solver for every target, and a loop whose targets are all zero asks
 for none.  Phase two takes the boundary, homology and next-boundary bases
 of each spot from phase one instead of recomputing them.
+
+minimize_complex then shrinks the total complex: it cancels every
+constant entry between generators of equal shift, which keeps the complex
+V-strict and its b-function, and leaves strictify_complex's own output
+as it is.
 """
 
 from __future__ import annotations
@@ -33,7 +38,8 @@ from .groebner import (ModuleElement, OperatorMatrix, SolverCache,
                        SubmoduleSolver, obvious_shift)
 from .presentations import (ChainComplexPres, DModPresentation, _heads,
                             cycle_generators)
-from .weyl import NEG_INF, FiltrationSpec, WeylElement, format_operator, v_degree
+from .weyl import (NEG_INF, FiltrationSpec, WeylElement, format_operator,
+                   v_degree, weyl_mul)
 
 log = logging.getLogger("derham.strictify")
 
@@ -859,6 +865,69 @@ def strictify_complex(c: ChainComplexPres, depth_margin: int = 2) -> Strictifica
 
     return StrictificationResult(total, comparison, StrictDoubleComplex(spots),
                                  c.lo, c.hi, edge, complete)
+
+
+def _unit_pivot(rows, source_shift, target_shift, one):
+    """The first (row, column) whose entry is a nonzero constant between
+    generators of equal shift, or None."""
+    for a, row in enumerate(rows):
+        for b, entry in enumerate(row):
+            if len(entry.terms) == 1 and one in entry.terms and \
+                    source_shift[a] == target_shift[b]:
+                return a, b
+    return None
+
+
+def minimize_complex(c: ChainComplexPres) -> ChainComplexPres:
+    """Cancel every constant entry between generators of equal shift.
+
+    Gaussian elimination on a free complex: a constant u at row a, column
+    b of d_m, where source generator a and target generator b carry the
+    same shift, is a filtered isomorphism between the two rank-one
+    summands.  Row a and column b go away, every other row r of d_m
+    becomes r - (r_b / u) . row_a, d_(m-1) loses column a and d_(m+1)
+    loses row b.  The result is filtered homotopy equivalent to c, so it
+    stays V-strict and has the same gr.  Pivots are taken in (degree,
+    row, column) order; a cancellation in d_m only deletes entries of its
+    neighbours, so one pass over the degrees finds every pivot.
+    """
+    if not c.is_free():
+        raise InvalidInputError("minimize_complex needs a free complex")
+    n = c.n
+    one = (0,) * (2 * n)
+    shifts = [list(m.shift_or_zero()) for m in c.modules]
+    mats = [[list(row.components) for row in d.rows] for d in c.differentials]
+    cancelled = 0
+    for m, rows in enumerate(mats):
+        while True:
+            pivot = _unit_pivot(rows, shifts[m], shifts[m + 1], one)
+            if pivot is None:
+                break
+            a, b = pivot
+            row_a = rows.pop(a)
+            inv = 1 / row_a[b].constant_coefficient()
+            for r, row in enumerate(rows):
+                if row[b]:
+                    f = row[b].scale(inv)
+                    row = [x - weyl_mul(f, y) if y else x
+                           for x, y in zip(row, row_a)]
+                del row[b]
+                rows[r] = row
+            if m > 0:
+                for row in mats[m - 1]:
+                    del row[a]
+            if m + 1 < len(mats):
+                del mats[m + 1][b]
+            del shifts[m][a], shifts[m + 1][b]
+            cancelled += 1
+    modules = [DModPresentation.free(n, len(s), s) for s in shifts]
+    diffs = [OperatorMatrix(n, len(shifts[m + 1]),
+                            [ModuleElement(n, row) for row in rows],
+                            source_shift=shifts[m], target_shift=shifts[m + 1])
+             for m, rows in enumerate(mats)]
+    log.debug("minimize: ranks %s -> %s, %d cancellations",
+              [mod.rank for mod in c.modules], [len(s) for s in shifts], cancelled)
+    return ChainComplexPres(n, c.lo, modules, diffs)
 
 
 def v_strict_complex(c: ChainComplexPres, depth_margin: int = 2) -> ChainComplexPres:

@@ -86,8 +86,17 @@ def test_dump_intermediate(tmp_path):
     assert out.returncode == 0, out.stderr
     names = {p.name for p in (tmp_path / "stages").iterdir()}
     assert {"mv_complex.json", "fourier_complex.json", "strict_complex.json",
-            "double_complex.json", "b_function.json", "truncated_complex.json",
-            "report.json"} <= names
+            "double_complex.json", "minimal_complex.json", "b_function.json",
+            "truncated_complex.json", "report.json"} <= names
+    # the report's shifts describe the minimized complex
+    minimal = json.loads((tmp_path / "stages" / "minimal_complex.json").read_text())
+    report = json.loads((tmp_path / "stages" / "report.json").read_text())
+    assert report["schema"] == "derham.report/2"
+    assert report["shifts"] == {str(minimal["lo"] + k): m["shift"]
+                                for k, m in enumerate(minimal["modules"])}
+    sizes = report["engine"]["gb_sizes"]
+    assert sizes["minimal_ranks"] == [m["rank"] for m in minimal["modules"]]
+    assert set(sizes) == {"strict_ranks", "minimal_ranks", "truncated_dims"}
 
 
 def test_presentation_override(tmp_path):
@@ -125,7 +134,17 @@ def test_debug_logging_reports_cache_counts_and_keeps_stdout():
     assert debug.stdout == bare.stdout
     assert "derham.strictify DEBUG strictify: " in debug.stderr
     assert "derham.restriction DEBUG b-function: " in debug.stderr
+    assert "derham.strictify DEBUG minimize: " in debug.stderr
     assert "cache hits" not in bare.stderr
+    assert "minimize" not in bare.stderr
+
+
+def test_text_reports_are_deterministic():
+    args = ("cohomology", "--vars", "x,y", "--poly", "x*y", "--format", "text")
+    a = run_cli(*args)
+    b = run_cli(*args)
+    assert a.returncode == b.returncode == 0
+    assert a.stdout == b.stdout
 
 
 def test_variable_collision_rejected():

@@ -7,7 +7,11 @@ characteristics of plane curves.
 
 import pytest
 
-from derham import ProblemSpec, compute_derham, compute_derham_support
+from derham import (ProblemSpec, b_function_of_complex, certify_b_function,
+                    compute_derham, compute_derham_support, family_for_mv,
+                    family_for_support, fourier_complex, minimize_complex,
+                    mv_complex, mv_tensor_cech, strictify_complex,
+                    verify_v_strict)
 
 GOLDEN = [
     (["x"], ["x"], [1, 1, 0]),
@@ -58,6 +62,36 @@ def test_golden_support(names, polys, support, expected):
     report = compute_derham_support(ProblemSpec(names, polys,
                                                 support_polys=support))
     assert report.dims == expected
+
+
+ORACLE_CASES = [
+    pytest.param(*getattr(c, "values", c)[:2], None, marks=getattr(c, "marks", ()),
+                 id=" ".join(getattr(c, "values", c)[1]))
+    for c in GOLDEN] + [
+    pytest.param(names, polys, support, id=" ".join(polys + ["|"] + support))
+    for names, polys, support, _ in GOLDEN_SUPPORT]
+
+
+@pytest.mark.parametrize("names,polys,support", ORACLE_CASES)
+def test_minimal_complex_keeps_the_b_function(names, polys, support):
+    spec = ProblemSpec(names, polys, support_polys=support)
+    if support:
+        family = family_for_support(spec.n, spec.polys, spec.support_polys, {})
+        c = fourier_complex(mv_tensor_cech(family, len(polys), len(support)))
+    else:
+        family = family_for_mv(spec.n, spec.polys, {})
+        c = fourier_complex(mv_complex(family, len(polys)))
+    total = strictify_complex(c).total
+    minimal = minimize_complex(total)
+    minimal.check_chain()
+    assert verify_v_strict(minimal).passed
+    positions = list(c.degrees())
+    details = []
+    b = b_function_of_complex(minimal, spec.spec(), positions=positions,
+                              details=details)
+    assert str(b) == str(b_function_of_complex(total, spec.spec(),
+                                               positions=positions))
+    assert certify_b_function(b, details, minimal, spec.spec())
 
 
 def test_single_hypersurface_special_case():

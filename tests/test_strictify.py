@@ -10,7 +10,8 @@ from derham import (ChainComplexPres, DModPresentation, FiltrationSpec,
                     SubmoduleSolver, WeylElement, cohomology_presentation,
                     compute_derham, compute_derham_support, family_for_mv,
                     format_operator, fourier_complex, free_cover_ses,
-                    mv_complex, parse_operator, strictify_complex,
+                    minimize_complex, mv_complex, parse_operator,
+                    strictify_complex,
                     strictify_ses, strictify_two_ses, v_strict_complex,
                     verify_strict_ses, verify_v_strict)
 from derham import pipeline
@@ -31,6 +32,20 @@ PINNED_STRICT = [
      "6f8ec9320880df741652fc532731ddb1703d1bf3382283c31953ebfca8e7034a"),
     (["x", "y", "z"], ["x", "y", "z"],
      "6c3b0e82675a6b5c28d129ad24b06693c2f23d60323cc94bea9d27f3f130955c"),
+]
+
+# sha256 of the JSON of minimize_complex on the total complexes above
+PINNED_MINIMAL = [
+    (["x"], ["x"],
+     "63f8152bdf34c58ce60db241dd964d1f0f3947a3fc403426c3b80c090e3c77e7"),
+    (["x", "y"], ["x*y"],
+     "7e2557254325fba663fb3bd4e65622c620742a2e3cede40b4620df54dea0ec9b"),
+    (["x", "y"], ["x", "y"],
+     "e03e774dde63882a0f76774500fbb40ae251078f4bc8352f8c7f407881b7f0a3"),
+    (["x", "y"], ["x*y*(x + y)"],
+     "e73571dddcc1f7dc658efd0031e1e309c7e691f9276350dddd3bed08b33e2798"),
+    (["x", "y", "z"], ["x", "y", "z"],
+     "f378b8b41826e74e860f3813477be66ed4c2b193204932d99005f1de873b04b9"),
 ]
 
 
@@ -312,7 +327,7 @@ def test_stages_log_their_cache_counts(caplog):
     lines = {r.name: r.getMessage() for r in caplog.records
              if "solver builds" in r.getMessage()}
     assert lines == {"derham.strictify": "strictify: 33 solver builds, 21 cache hits",
-                     "derham.restriction": "b-function: 3 solver builds, 0 cache hits"}
+                     "derham.restriction": "b-function: 2 solver builds, 1 cache hits"}
 
 
 def test_boundary_basis_comes_from_the_spot_below():
@@ -340,3 +355,72 @@ def test_boundary_basis_comes_from_the_spot_below():
         [True, True, True, False, True, True, False]
     assert [[lv.ranks for lv in res.double.spots[i].levels] for i in (0, 1)] == \
         [[(0, 0, 1)], [(1, 1, 1), (0, 1, 1)]]
+
+
+def _free_complex(lo, shifts, matrices):
+    """A free complex from shift vectors and differentials given as lists
+    of rows of operator strings, all over D_1."""
+    modules = [DModPresentation.free(1, len(sh), sh) for sh in shifts]
+    diffs = [OperatorMatrix(1, len(shifts[k + 1]), [me(1, *row) for row in rows],
+                            source_shift=shifts[k], target_shift=shifts[k + 1])
+             for k, rows in enumerate(matrices)]
+    return ChainComplexPres(1, lo, modules, diffs)
+
+
+def _entries(c):
+    return [[[format_operator(e) for e in row.components] for row in d.rows]
+            for d in c.differentials]
+
+
+def test_minimize_cancels_a_unit_between_equal_shifts():
+    out = minimize_complex(_free_complex(0, [(2,), (2,)], [[["1"]]]))
+    assert [m.rank for m in out.modules] == [0, 0]
+    assert out.differentials[0].rows == ()
+
+
+@pytest.mark.parametrize("shifts,entry", [([(1,), (0,)], "1"),
+                                          ([(0,), (0,)], "x1")],
+                         ids=["unequal shifts", "non-constant"])
+def test_minimize_keeps_entries_that_are_not_filtered_units(shifts, entry):
+    c = _free_complex(0, shifts, [[[entry]]])
+    assert minimize_complex(c).to_json() == c.to_json()
+
+
+def test_minimize_row_update_multiplies_on_the_left():
+    # r - (r_b / u) . row_a with r = (d1, 0), row_a = (1, x1): d1 . x1 is
+    # x1*d1 + 1, while x1 . d1 would be x1*d1
+    c = _free_complex(0, [(0, 0), (0, 0)], [[["1", "x1"], ["d1", "0"]]])
+    out = minimize_complex(c)
+    assert [m.rank for m in out.modules] == [1, 1]
+    assert _entries(out) == [[["-x1*d1 - 1"]]]
+
+
+def test_minimize_drops_the_pivot_column_and_row_of_the_neighbours():
+    # D -(d1, -x1*d1 - 1)-> D^2 -(x1; 1)-> D: the unit sits in d_1, so d_0
+    # loses its second column and the target of d_1 goes away
+    c = _free_complex(0, [(0,), (0, 0), (0,)],
+                      [[["d1", "-x1*d1 - 1"]], [["x1"], ["1"]]])
+    c.check_chain()
+    out = minimize_complex(c)
+    out.check_chain()
+    assert [m.rank for m in out.modules] == [1, 1, 0]
+    assert _entries(out) == [[["d1"]], [[]]]
+
+
+@pytest.mark.parametrize("names,polys,digest", PINNED_MINIMAL,
+                         ids=[" ".join(p) for _, p, _ in PINNED_MINIMAL])
+def test_minimal_complex_is_pinned(names, polys, digest):
+    total = strictify_complex(fourier_mv(names, polys)).total
+    first = json.dumps(minimize_complex(total).to_json(), sort_keys=True)
+    second = json.dumps(minimize_complex(total).to_json(), sort_keys=True)
+    assert first == second
+    assert hashlib.sha256(first.encode()).hexdigest() == digest
+
+
+def test_minimize_logs_its_ranks(caplog):
+    caplog.set_level(logging.DEBUG, logger="derham")
+    compute_derham(ProblemSpec(["x", "y"], ["x", "y"]))
+    lines = [r.getMessage() for r in caplog.records
+             if r.getMessage().startswith("minimize:")]
+    assert lines == ["minimize: ranks [0, 0, 3, 12, 12, 3] -> "
+                     "[0, 0, 1, 2, 2, 1], 12 cancellations"]
