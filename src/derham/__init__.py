@@ -17,24 +17,19 @@ from .weyl import (NEG_INF, FiltrationSpec, WeylElement, apply_to_laurent,
                    apply_to_polynomial, format_operator, fourier, theta,
                    v_degree, weyl_mul)
 from .parsing import parse_operator, parse_polynomial
-from .groebner import (GroebnerBasis, ModuleElement, OperatorMatrix,
-                       SubmoduleSolver, TermOrder, groebner_basis,
-                       kernel_of_map, normal_form, obvious_shift,
-                       submodule_membership, syzygies)
-from .presentations import (ChainComplexPres, CohomologyData, DModMap,
-                            DModPresentation, cohomology_presentation,
+from .groebner import (ModuleElement, OperatorMatrix, SubmoduleSolver,
+                       obvious_shift)
+from .presentations import (ChainComplexPres, CohomologyData, DModPresentation,
                             v_strict_resolution)
 from .localization import (LocalizationFamily, LocalizedModule,
                            annihilator_of_fs, bernstein_sato,
                            formal_action_is_zero, localize)
-from .mv import (MVIndex, cech_complex, family_for_cech, family_for_mv,
-                 family_for_support, mv_complex, mv_tensor_cech)
-from .strictify import (FreeCoverDiagram, QuotientSES, ResolutionStep,
-                        StrictDoubleComplex, StrictSESWitness,
+from .mv import (MVIndex, family_for_mv, family_for_support, mv_complex,
+                 mv_tensor_cech)
+from .strictify import (FreeCoverDiagram, ResolutionStep, StrictDoubleComplex,
                         StrictificationResult, SubmoduleSES, free_cover_ses,
-                        minimize_complex, strictify_complex, strictify_ses,
-                        strictify_two_ses, v_strict_complex, verify_strict_ses,
-                        verify_v_strict)
+                        minimize_complex, strictify_complex, v_strict_complex,
+                        verify_strict_ses, verify_v_strict)
 from .restriction import (GradedKoszulComplex, GradedVectorComplex,
                           ThetaPolynomial, TruncatedComplex, TruncationWindow,
                           b_function_of_complex, certify_b_function,

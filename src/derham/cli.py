@@ -2,8 +2,8 @@
 
 Subcommands: cohomology, support, bfunction, localize, mv.  Results print
 as JSON (default) or aligned text; identical input and configuration give
-byte-identical JSON.  Exit codes: 0 success, 1 invalid input, 2 b-function
-bound exceeded, 3 internal inconsistency.
+byte-identical JSON.  Exit codes: 0 success, 1 invalid input (usage
+errors included), 2 b-function bound exceeded, 3 internal inconsistency.
 """
 
 from __future__ import annotations
@@ -39,6 +39,17 @@ def _vars(arg: str):
     return names
 
 
+def _b_degree(arg: str) -> int:
+    if not arg.isdecimal():
+        raise argparse.ArgumentTypeError(f"{arg!r} is not a nonnegative integer")
+    return int(arg)
+
+
+def _usage_error(message: str):
+    """Replaces argparse's exit with status 2, which the b-bound owns."""
+    raise InvalidInputError(message)
+
+
 def _emit(payload: dict, fmt: str, text: str = None):
     if fmt == "text" and text is not None:
         print(text)
@@ -49,7 +60,8 @@ def _emit(payload: dict, fmt: str, text: str = None):
 def _add_common(p):
     p.add_argument("--vars", required=True, help="comma separated variable names")
     p.add_argument("--format", choices=("json", "text"), default="json")
-    p.add_argument("--max-b-degree", type=int, default=DEFAULT_MAX_B_DEGREE)
+    p.add_argument("--max-b-degree", type=_b_degree, default=DEFAULT_MAX_B_DEGREE,
+                   help="nonnegative bound on the b-function degree")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -86,6 +98,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mv", help="print the Mayer-Vietoris complex")
     _add_common(p)
     p.add_argument("--poly", action="append", required=True)
+    for parser in (ap, *sub.choices.values()):
+        parser.error = _usage_error
     return ap
 
 

@@ -177,25 +177,6 @@ class OperatorMatrix:
         return f"OperatorMatrix({self.source_rank}x{self.target_rank})"
 
 
-class TermOrder:
-    """Shifted V-degree first, then total degree, then graded reverse
-    lexicographic on the exponents, then generator position."""
-
-    __slots__ = ("spec", "shift")
-
-    def __init__(self, spec: FiltrationSpec, shift: Sequence[int]):
-        self.spec = spec
-        self.shift = tuple(shift)
-
-    @property
-    def rank(self) -> int:
-        return len(self.shift)
-
-    def describe(self) -> str:
-        return (f"shifted-V-degree(d={self.spec.d}) > total-degree > grevlex > position; "
-                f"shift={list(self.shift)}")
-
-
 # ---------------------------------------------------------------------------
 # order keys on flat monomials
 # ---------------------------------------------------------------------------
@@ -682,33 +663,20 @@ class SubmoduleSolver:
         return self.normal_form_with_cofactor(e)[0]
 
     def contains(self, e: ModuleElement) -> bool:
-        """Exact membership: the homogenized reduction decides most cases
-        and always terminates; a leftover remainder falls back to direct
-        division, whose fully reduced remainder is zero exactly for
+        """Exact membership: the fully reduced remainder is zero exactly for
         members."""
-        if e.rank != self.rank:
-            raise DimensionMismatchError("element rank mismatch")
-        main_h, _ = self._homogeneous_remainder(e)
-        if not main_h:
-            return True
-        rank = self.rank
-        rem = self.divider.reduce(dehomogenize_flat(main_h), self._deh_entries,
-                                  mode="full", pred=lambda m: m[0] < rank)
-        return not any(k[0] < rank for k in rem)
+        return self.normal_form(e).is_zero()
 
     def reduce_cofactor(self, w: ModuleElement) -> ModuleElement:
         """Normal form of w against the syzygy basis: the V-minimal element
-        of the coset w + Syz(gens) under the cofactor shift."""
-        p = len(self.gens)
-        key = v_order_key(self.n, self.spec.d, self.cofactor_shift, p)
-        eng = GBEngine(self.n, key, h_step=0)
-        entries = []
-        for _, _, vec in self._syz_entries:
-            shifted = {(k[0] - self.rank, k[1], k[2]): c for k, c in vec.items()}
-            lead = _lead(shifted, key)
-            entries.append((lead, shifted[lead], shifted))
-        rem = eng.reduce(me_to_flat(w), entries, mode="full")
-        return flat_to_me(rem, self.n, p)
+        of the coset w + Syz(gens) under the cofactor shift.
+
+        w sits in the cofactor block of the solver's own order, which ranks
+        that block exactly as an order on the cofactor shift alone would.
+        """
+        rem = self.divider.reduce(me_to_flat(w, self.rank), self._syz_entries,
+                                  mode="full")
+        return flat_to_me(rem, self.n, len(self.gens), self.rank)
 
     def min_degree_witness(self, target: ModuleElement):
         """A w with w . gens = target of minimal shifted V-degree, or None."""
@@ -769,81 +737,6 @@ class SolverCache:
         if not rows:
             return []
         return self.get(rank, rows, ambient_shift, cofactor_shift).syzygy_basis
-
-
-# ---------------------------------------------------------------------------
-# public operations
-# ---------------------------------------------------------------------------
-
-class GroebnerBasis:
-    """A V-adapted Groebner basis with its generating order and cofactors."""
-
-    __slots__ = ("elements", "order", "rank", "cofactors", "_solver")
-
-    def __init__(self, elements, order: TermOrder, rank: int, cofactors=None,
-                 solver: Optional[SubmoduleSolver] = None):
-        self.elements = tuple(elements)
-        self.order = order
-        self.rank = rank
-        self.cofactors = None if cofactors is None else tuple(cofactors)
-        self._solver = solver
-
-    def __len__(self):
-        return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def solver(self) -> SubmoduleSolver:
-        if self._solver is None:
-            self._solver = SubmoduleSolver(self.order.spec, self.rank,
-                                           list(self.elements),
-                                           ambient_shift=self.order.shift)
-        return self._solver
-
-
-def groebner_basis(gens: Sequence[ModuleElement], order: TermOrder,
-                   rank: Optional[int] = None) -> GroebnerBasis:
-    """V-adapted Groebner basis of the submodule generated by gens."""
-    gens = [g for g in gens if not g.is_zero()]
-    if rank is None:
-        rank = gens[0].rank if gens else len(order.shift)
-    solver = SubmoduleSolver(order.spec, rank, gens, ambient_shift=order.shift)
-    pairs = solver.basis_with_cofactors()
-    return GroebnerBasis([b for b, _ in pairs], order, rank,
-                         cofactors=[c for _, c in pairs], solver=solver)
-
-
-def normal_form(e: ModuleElement, gb: GroebnerBasis) -> ModuleElement:
-    """Remainder of e with no term divisible by a lead monomial of gb."""
-    if e.rank != gb.rank:
-        raise DimensionMismatchError("rank mismatch in normal form")
-    return gb.solver().normal_form(e)
-
-
-def submodule_membership(e: ModuleElement, gb: GroebnerBasis) -> bool:
-    if e.rank != gb.rank:
-        raise DimensionMismatchError("rank mismatch in membership test")
-    return gb.solver().contains(e)
-
-
-def syzygies(gb: GroebnerBasis):
-    """Generators (a V-adapted basis) of {w : w . gb.elements = 0}."""
-    return gb.solver().syzygy_basis
-
-
-def kernel_of_map(phi: OperatorMatrix, spec: Optional[FiltrationSpec] = None):
-    """Generators of {v : v . phi = 0}, a V-adapted basis of the kernel.
-
-    The order on the source uses phi.source_shift when present, else the
-    obvious shifts of the rows under phi.target_shift.
-    """
-    if spec is None:
-        spec = FiltrationSpec.full(phi.n)
-    tgt = phi.target_shift if phi.target_shift is not None else (0,) * phi.target_rank
-    solver = SubmoduleSolver(spec, phi.target_rank, list(phi.rows),
-                             ambient_shift=tgt, cofactor_shift=phi.source_shift)
-    return solver.syzygy_basis
 
 
 def obvious_shift(rows: Sequence[ModuleElement], shift: Sequence[int],

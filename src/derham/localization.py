@@ -321,7 +321,7 @@ class LocalizationFamily:
     """
 
     def __init__(self, n: int, factors: Sequence[WeylElement], index_sets,
-                 overrides: Optional[dict] = None, verify: bool = True):
+                 overrides: Optional[dict] = None):
         self.n = n
         self.factors = list(factors)
         if not self.factors:
@@ -363,8 +363,7 @@ class LocalizationFamily:
                     raise InvalidInputError(
                         f"user presentation of {format_operator(mod.f)} uses exponent "
                         f"{mod.exponent}, but the family needs {self.exponent}")
-                if verify:
-                    self._verify(mod)
+                self._verify(mod)
                 self.modules[key] = mod
             elif mod.f.is_constant():
                 self.modules[key] = LocalizedModule(mod.f, self.exponent,

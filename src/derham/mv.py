@@ -3,10 +3,12 @@
 MV(F) places the direct sum of the R_(f_I) over the size-(i+1) subsets I
 in degree i, with signed natural localization maps; C(G) is the tensor
 product of the two-step complexes R -> R_g; their degreewise tensor
-product computes cohomology with support.  All natural maps are
-polynomial multipliers thanks to the family-wide generator exponent, and
-both well-definedness and the chain property are verified by Groebner
-membership.
+product computes cohomology with support.  One construction builds all
+three: MV(F) is the s = 0 case of MV(F) tensor C(G), because C of the
+empty family is R, and C(G) is the F = {1} case, because the block of the
+constant 1 is R.  All natural maps are polynomial multipliers thanks to
+the family-wide generator exponent, and both well-definedness and the
+chain property are verified by Groebner membership.
 """
 
 from __future__ import annotations
@@ -74,8 +76,8 @@ def _direct_sum(n: int, blocks: Sequence[DModPresentation]) -> DModPresentation:
     return DModPresentation(n, rank, rels)
 
 
-def _assemble(n: int, layers: list, maps: dict, family: LocalizationFamily,
-              verify: bool) -> ChainComplexPres:
+def _assemble(n: int, layers: list, maps: dict,
+              family: LocalizationFamily) -> ChainComplexPres:
     """layers: per degree, ordered list of block keys; maps: (src_key,
     dst_key) -> multiplier operator (signed)."""
     modules = []
@@ -105,9 +107,8 @@ def _assemble(n: int, layers: list, maps: dict, family: LocalizationFamily,
         diffs.append(OperatorMatrix(n, tgt_rank, rows))
 
     cplx = ChainComplexPres(n, 0, modules, diffs)
-    if verify:
-        _verify_natural_maps(family, maps)
-        cplx.check_chain()
+    _verify_natural_maps(family, maps)
+    cplx.check_chain()
     return cplx
 
 
@@ -123,100 +124,35 @@ def _verify_natural_maps(family: LocalizationFamily, maps: dict):
                     f"natural localization map {src} -> {dst} is not well defined")
 
 
-def mv_complex(family: LocalizationFamily, r: int, verify: bool = True) -> ChainComplexPres:
-    """MV^i = direct sum of R_(f_I) over |I| = i+1, for 0 <= i <= r-1."""
-    if r < 1:
-        raise InvalidInputError("Mayer-Vietoris complex needs at least one polynomial")
-    n = family.n
-    layers = []
-    for size in range(1, r + 1):
-        layers.append([tuple(c) for c in itertools.combinations(range(r), size)])
-    maps = {}
-    for t in range(r - 1):
-        for key in layers[t]:
-            idx = MVIndex(key)
-            for j in range(r):
-                if j in key:
-                    continue
-                dst = tuple(sorted(key + (j,)))
-                sign = (-1) ** idx.sgn(j)
-                maps[(key, dst)] = family.multiplier(key, dst).scale(sign)
-    return _assemble(n, layers, maps, family, verify)
+def _index_pairs(r: int, s: int):
+    """The (I, J) of the blocks R_(f_I g_J): I a nonempty subset of 0..r-1,
+    J a subset of r..r+s-1."""
+    for isize in range(1, r + 1):
+        for jsize in range(0, s + 1):
+            for I in itertools.combinations(range(r), isize):
+                for J in itertools.combinations(range(r, r + s), jsize):
+                    yield I, J
 
 
-def cech_complex(family, s: int = None, offset: int = 0,
-                 verify: bool = True) -> ChainComplexPres:
-    """C^j = direct sum of R_(G_J) over |J| = j, 0 <= j <= s (G_empty = 1).
-
-    Accepts either a prepared LocalizationFamily (with `s` factors starting
-    at `offset`) or a plain list of polynomials.  offset shifts the factor
-    indices inside the family (used when the family also holds the
-    Mayer-Vietoris factors).
-    """
-    if not isinstance(family, LocalizationFamily):
-        polys = list(family)
-        if not polys:
-            raise InvalidInputError("Cech complex needs at least one polynomial")
-        family = family_for_cech(polys[0].n, polys, verify=verify)
-        s = len(polys)
-    if s is None or s < 1:
-        raise InvalidInputError("Cech complex needs at least one polynomial")
-    n = family.n
-    layers = []
-    for size in range(0, s + 1):
-        layers.append([tuple(offset + i for i in c)
-                       for c in itertools.combinations(range(s), size)])
-    maps = {}
-    for t in range(s):
-        for key in layers[t]:
-            for j in range(offset, offset + s):
-                if j in key:
-                    continue
-                dst = tuple(sorted(key + (j,)))
-                sign = (-1) ** sum(1 for i in key if i < j)
-                maps[(key, dst)] = family.multiplier(key, dst).scale(sign)
-    return _assemble(n, layers, maps, family, verify)
-
-
-def mv_tensor_cech(family, r=None, s: int = None,
-                   verify: bool = True) -> ChainComplexPres:
+def mv_tensor_cech(family: LocalizationFamily, r: int, s: int) -> ChainComplexPres:
     """Total complex of MV(F) tensor C(G): blocks R_(f_I g_J) in total
     degree (|I| - 1) + |J|, Cech maps signed by the Mayer-Vietoris degree.
 
-    Accepts a prepared LocalizationFamily (F on factor indices 0..r-1 and
-    G on r..r+s-1) or two plain polynomial lists (F, G).
+    The family holds F on factor indices 0..r-1 and G on r..r+s-1; s = 0
+    gives MV(F) itself.
     """
-    if not isinstance(family, LocalizationFamily):
-        F, G = list(family), list(r)
-        if not F or not G:
-            raise InvalidInputError("support computation needs nonempty F and G")
-        family = family_for_support(F[0].n, F, G, verify=verify)
-        r, s = len(F), len(G)
-    if r is None or s is None or r < 1 or s < 1:
-        raise InvalidInputError("support computation needs nonempty F and G")
-    n = family.n
-    top = (r - 1) + s
+    if r < 1 or s < 0:
+        raise InvalidInputError("Mayer-Vietoris complex needs at least one polynomial")
+    blocks = [[] for _ in range(r + s)]    # (I, J) per total degree
+    for I, J in _index_pairs(r, s):
+        blocks[(len(I) - 1) + len(J)].append((I, J))
     layers = []
-    blocks_by_degree = {}
-    for isize in range(1, r + 1):
-        for jsize in range(0, s + 1):
-            t = (isize - 1) + jsize
-            for I in itertools.combinations(range(r), isize):
-                for J in itertools.combinations(range(r, r + s), jsize):
-                    blocks_by_degree.setdefault(t, []).append((I, J))
-    for t in range(top + 1):
-        layer = sorted(blocks_by_degree.get(t, []))
-        layers.append([tuple(sorted(I + J)) for I, J in layer])
-    # keys must stay unambiguous: record the (I, J) split per flattened key
-    split = {}
-    for t in range(top + 1):
-        for I, J in sorted(blocks_by_degree.get(t, [])):
-            split[tuple(sorted(I + J))] = (I, J)
-
     maps = {}
-    for t in range(top):
-        for key in layers[t]:
-            I, J = split[key]
+    for layer in blocks:
+        layer.sort()
+        layers.append([I + J for I, J in layer])
+        for I, J in layer:
+            key = I + J
             idx = MVIndex(I)
             for i in range(r):
                 if i in I:
@@ -230,36 +166,22 @@ def mv_tensor_cech(family, r=None, s: int = None,
                 dst = tuple(sorted(key + (j,)))
                 sign = (-1) ** ((len(I) - 1) + sum(1 for q in J if q < j))
                 maps[(key, dst)] = family.multiplier(key, dst).scale(sign)
-    return _assemble(n, layers, maps, family, verify)
+    return _assemble(family.n, layers, maps, family)
 
 
-def family_for_mv(n: int, polys: Sequence[WeylElement], overrides=None,
-                  verify: bool = True) -> LocalizationFamily:
-    r = len(polys)
-    index_sets = []
-    for size in range(1, r + 1):
-        index_sets.extend(itertools.combinations(range(r), size))
-    return LocalizationFamily(n, polys, index_sets, overrides, verify=verify)
-
-
-def family_for_cech(n: int, polys: Sequence[WeylElement], overrides=None,
-                    verify: bool = True) -> LocalizationFamily:
-    s = len(polys)
-    index_sets = [()]
-    for size in range(1, s + 1):
-        index_sets.extend(itertools.combinations(range(s), size))
-    return LocalizationFamily(n, polys, index_sets, overrides, verify=verify)
+def mv_complex(family: LocalizationFamily, r: int) -> ChainComplexPres:
+    """MV^i = direct sum of R_(f_I) over |I| = i+1, for 0 <= i <= r-1."""
+    return mv_tensor_cech(family, r, 0)
 
 
 def family_for_support(n: int, polys: Sequence[WeylElement],
-                       support_polys: Sequence[WeylElement], overrides=None,
-                       verify: bool = True) -> LocalizationFamily:
-    r, s = len(polys), len(support_polys)
-    index_sets = []
-    for isize in range(1, r + 1):
-        for jsize in range(0, s + 1):
-            for I in itertools.combinations(range(r), isize):
-                for J in itertools.combinations(range(r, r + s), jsize):
-                    index_sets.append(I + J)
+                       support_polys: Sequence[WeylElement],
+                       overrides=None) -> LocalizationFamily:
+    index_sets = [I + J for I, J in _index_pairs(len(polys), len(support_polys))]
     return LocalizationFamily(n, list(polys) + list(support_polys), index_sets,
-                              overrides, verify=verify)
+                              overrides)
+
+
+def family_for_mv(n: int, polys: Sequence[WeylElement],
+                  overrides=None) -> LocalizationFamily:
+    return family_for_support(n, polys, [], overrides)

@@ -49,7 +49,9 @@ def variable_table(names, n: int) -> dict:
     """Maps every accepted symbol name to a generator of D_n."""
     table = {}
     declared = set(names)
-    for name in names:
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise InvalidInputError(f"variable name {name!r} is declared twice")
         if f"d{name}" in declared:
             raise InvalidInputError(
                 f"variable names {name!r} and 'd{name}' collide: 'd' + name "

@@ -59,6 +59,8 @@ class ProblemSpec:
         for f in self.polys + self.support_polys:
             if f.is_zero():
                 raise InvalidInputError("the zero polynomial cuts out everything")
+        if max_b_degree < 0:
+            raise InvalidInputError("max_b_degree must be nonnegative")
         self.max_b_degree = max_b_degree
         self.dump_dir = dump_dir
         self.presentations = dict(presentations or {})

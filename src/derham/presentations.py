@@ -8,7 +8,6 @@ target relations.
 
 from __future__ import annotations
 
-import json
 import logging
 from typing import Optional, Sequence
 
@@ -122,7 +121,7 @@ class ChainComplexPres:
     __slots__ = ("n", "lo", "modules", "differentials")
 
     def __init__(self, n: int, lo: int, modules: Sequence[DModPresentation],
-                 differentials: Sequence[OperatorMatrix], validate: bool = False):
+                 differentials: Sequence[OperatorMatrix]):
         self.n = n
         self.lo = lo
         self.modules = tuple(modules)
@@ -133,8 +132,6 @@ class ChainComplexPres:
             if dmat.source_rank != self.modules[k].rank or \
                     dmat.target_rank != self.modules[k + 1].rank:
                 raise DimensionMismatchError(f"differential {k} has wrong shape")
-        if validate:
-            self.check_chain()
 
     @property
     def hi(self) -> int:
@@ -216,10 +213,6 @@ class ChainComplexPres:
                 n, tgt_rank, [me(r, tgt_rank) for r in rows],
                 source_shift=modules[k].shift, target_shift=modules[k + 1].shift))
         return cls(n, data["lo"], modules, diffs)
-
-    def dump(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=2, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import logging
 from fractions import Fraction
+from math import gcd
 from typing import Optional, Sequence
 
 from . import linalg
@@ -84,10 +85,6 @@ class ThetaPolynomial:
                 out[i + j] += a * b
         return ThetaPolynomial(out)
 
-    def divides(self, other: "ThetaPolynomial") -> bool:
-        q, r = _divmod_poly(other.coeffs, self.coeffs)
-        return not any(r)
-
     def exact_divide(self, other: "ThetaPolynomial") -> "ThetaPolynomial":
         """self / other, assuming divisibility."""
         q, r = _divmod_poly(self.coeffs, other.coeffs)
@@ -136,7 +133,7 @@ class ThetaPolynomial:
             roots.add(0)
         den = 1
         for c in coeffs:
-            den = den * c.denominator // _gcd(den, c.denominator)
+            den = den * c.denominator // gcd(den, c.denominator)
         ints = [int(c * den) for c in coeffs]
         const = ints[0]
         if const:
@@ -173,12 +170,6 @@ class ThetaPolynomial:
 
     def __repr__(self):
         return f"ThetaPolynomial({self})"
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _divisors(m: int):

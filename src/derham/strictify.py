@@ -43,6 +43,11 @@ from .weyl import (NEG_INF, FiltrationSpec, WeylElement, format_operator,
 
 log = logging.getLogger("derham.strictify")
 
+# how far below the complex the vertical resolutions reach, beyond n; every
+# golden case ends its resolutions before the edge, and a margin of 1 keeps
+# every golden answer while 0 breaks seven of them
+DEPTH_MARGIN = 2
+
 
 # ---------------------------------------------------------------------------
 # small data carriers
@@ -465,16 +470,15 @@ class VStrictReport:
         self.checked = checked
 
 
-def verify_v_strict(c: ChainComplexPres, spec: Optional[FiltrationSpec] = None,
-                    window=None, budget: Optional[int] = None) -> VStrictReport:
+def verify_v_strict(c: ChainComplexPres,
+                    spec: Optional[FiltrationSpec] = None) -> VStrictReport:
     """Check V-adaptedness exactly and V-strictness via minimal witnesses.
 
     For each differential, every element g of a V-adapted basis of its
     image must admit a preimage of shifted V-degree at most vdeg(g); the
     normal form of any particular preimage against the syzygies of the
     rows realizes the minimal degree, so the check is a decision, not a
-    search.  `window` restricts which levels j are reported; `budget`
-    caps the number of witness computations.
+    search.
     """
     if not c.is_free():
         raise InvalidInputError("verify_v_strict needs a free complex with shifts")
@@ -500,10 +504,6 @@ def verify_v_strict(c: ChainComplexPres, spec: Optional[FiltrationSpec] = None,
             if j == NEG_INF:
                 continue
             j = int(j)
-            if window is not None and not window[0] <= j <= window[1]:
-                continue
-            if budget is not None and checked >= budget:
-                break
             checked += 1
             w = solver.min_degree_witness(g)
             if w is None:
@@ -786,15 +786,15 @@ def _assert_triangular(rows, ranks, prev_ranks):
             raise InternalError("vertical differential lost its triangular shape")
 
 
-def strictify_complex(c: ChainComplexPres, depth_margin: int = 2) -> StrictificationResult:
+def strictify_complex(c: ChainComplexPres) -> StrictificationResult:
     """A V-strict free complex quasi-isomorphic to c, with its witnesses.
 
-    Vertical resolutions reach down to edge = lo - (n + depth_margin); the
+    Vertical resolutions reach down to edge = lo - (n + DEPTH_MARGIN); the
     total complex is reliable at positions strictly above the edge.
     """
     spec = FiltrationSpec.full(c.n)
     n = c.n
-    edge = c.lo - (n + depth_margin)
+    edge = c.lo - (n + DEPTH_MARGIN)
     log.info("strictifying complex over degrees [%d, %d], edge %d",
              c.lo, c.hi, edge)
     solvers = SolverCache(spec)
@@ -930,6 +930,6 @@ def minimize_complex(c: ChainComplexPres) -> ChainComplexPres:
     return ChainComplexPres(n, c.lo, modules, diffs)
 
 
-def v_strict_complex(c: ChainComplexPres, depth_margin: int = 2) -> ChainComplexPres:
+def v_strict_complex(c: ChainComplexPres) -> ChainComplexPres:
     """The V-strict free complex quasi-isomorphic to c (total complex)."""
-    return strictify_complex(c, depth_margin).total
+    return strictify_complex(c).total

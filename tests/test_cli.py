@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
@@ -150,6 +152,45 @@ def test_text_reports_are_deterministic():
 def test_variable_collision_rejected():
     out = run_cli("cohomology", "--vars", "x,dx", "--poly", "x")
     assert out.returncode == 1
+
+
+def test_duplicate_variable_names_rejected():
+    out = run_cli("cohomology", "--vars", "x,x", "--poly", "x")
+    assert out.returncode == 1
+    assert out.stdout == ""
+    err = json.loads(out.stderr.strip().splitlines()[-1])
+    assert err["kind"] == "invalid-input"
+    assert "declared twice" in err["error"]
+
+
+@pytest.mark.parametrize("args", [
+    ("cohomology", "--poly", "x"),
+    ("cohomology", "--vars", "x", "--poly", "x", "--max-b-degree", "abc"),
+    ("cohomology", "--vars", "x", "--poly", "x", "--max-b-degree", "-1"),
+    ("bfunction", "--vars", "x", "--module", "d1", "--max-b-degree", "-1"),
+    ("frobnicate", "--vars", "x"),
+    (),
+], ids=["missing vars", "non-integer b-degree", "negative b-degree",
+        "negative b-degree bfunction", "unknown subcommand", "no subcommand"])
+def test_usage_errors_exit_1(args):
+    # exit code 2 belongs to the b-function bound, not to argparse
+    out = run_cli(*args)
+    assert out.returncode == 1
+    assert out.stdout == ""
+    lines = out.stderr.strip().splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["kind"] == "invalid-input"
+    assert err["stage"] is None
+
+
+def test_help_exits_0():
+    out = run_cli("--help")
+    assert out.returncode == 0
+    assert out.stdout.startswith("usage: derham")
+    out = run_cli("cohomology", "--help")
+    assert out.returncode == 0
+    assert "--max-b-degree" in out.stdout
 
 
 def test_determinism_across_hash_seeds():

@@ -101,6 +101,14 @@ def test_single_hypersurface_special_case():
     assert single.window.k0 is not None
 
 
+def test_negative_b_degree_bound_is_invalid_input():
+    from derham import InvalidInputError
+    # rejected before any stage runs, not as a b-bound failure at the end
+    with pytest.raises(InvalidInputError, match="max_b_degree") as err:
+        ProblemSpec(["x"], ["x"], max_b_degree=-1)
+    assert err.value.stage is None
+
+
 def test_pipeline_errors_name_their_stage():
     import pytest
     from derham import BBoundExceededError

@@ -3,19 +3,20 @@ from fractions import Fraction
 import pytest
 
 from derham import (FiltrationSpec, InvalidInputError, LocalizationFamily,
-                    ModuleElement, TermOrder, WeylElement, annihilator_of_fs,
-                    bernstein_sato, formal_action_is_zero, groebner_basis,
-                    localize, parse_operator, parse_polynomial,
-                    submodule_membership)
+                    ModuleElement, SubmoduleSolver, WeylElement,
+                    annihilator_of_fs, bernstein_sato, formal_action_is_zero,
+                    localize, parse_operator, parse_polynomial)
 from derham.localization import substitute_s
 
 
 def same_ideal(ops_a, ops_b, n):
-    order = TermOrder(FiltrationSpec.full(n), (0,))
-    ga = groebner_basis([ModuleElement(n, [o]) for o in ops_a], order, rank=1)
-    gb = groebner_basis([ModuleElement(n, [o]) for o in ops_b], order, rank=1)
-    return all(submodule_membership(ModuleElement(n, [o]), ga) for o in ops_b) and \
-        all(submodule_membership(ModuleElement(n, [o]), gb) for o in ops_a)
+    spec = FiltrationSpec.full(n)
+    sa = SubmoduleSolver(spec, 1, [ModuleElement(n, [o]) for o in ops_a
+                                   if not o.is_zero()])
+    sb = SubmoduleSolver(spec, 1, [ModuleElement(n, [o]) for o in ops_b
+                                   if not o.is_zero()])
+    return all(sa.contains(ModuleElement(n, [o])) for o in ops_b) and \
+        all(sb.contains(ModuleElement(n, [o])) for o in ops_a)
 
 
 def test_localize_coordinate():

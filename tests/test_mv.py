@@ -1,14 +1,40 @@
+import hashlib
+import json
 from math import comb
 
 import pytest
 
-from derham import (InvalidInputError, MVIndex, cech_complex, family_for_cech,
-                    family_for_mv, family_for_support, mv_complex,
-                    mv_tensor_cech, parse_polynomial)
+from derham import (InvalidInputError, MVIndex, family_for_mv, family_for_support,
+                    mv_complex, mv_tensor_cech, parse_polynomial)
+
+# sha256 of to_json() of MV(F), MV(F) (x) C(G) and C(G) = MV({1}) (x) C(G)
+# over two variables, recorded while each had its own construction
+PINNED = [
+    (["x1", "x2"], None,
+     "5679f2131fb6976d87b05c4c59d5e2b934cfa075a7b13d02843da3898dec30f4"),
+    (["x1", "x2", "x1 + x2"], None,
+     "770c88574c682fc92f4801328987c3702baa1e822da335434550284152b68ec3"),
+    (["x1"], ["x2"],
+     "dfb7131a85f2f6c005f906fca128c8bbb31e6994ac4b30bc9eac2781ba7e8176"),
+    (["x1", "x2"], ["x1 - 1"],
+     "80e63b81060ec0c29f353f9879c4b5431e44f47af82c45868495032e39334642"),
+    (["x1"], ["1"],
+     "b0224bdc32938ae68a641b74c82eaf99fbafbb8f96b419156179e9c1d2e9316d"),
+    (["1"], ["x2"],
+     "84ae79afdde80c3ee4cf0c753b18fcbc0625630af5f2913255b8f6c876166ca4"),
+    (["1"], ["x1", "x2"],
+     "5134fff5df994d7828707096a0e50efc02a501c849417a710df0e39dfec9fbe6"),
+]
 
 
 def polys(n, *texts):
     return [parse_polynomial(t, n) for t in texts]
+
+
+def cech(n, *texts):
+    """C(G) as MV({1}) (x) C(G): the block of the constant 1 is R."""
+    return mv_tensor_cech(family_for_support(n, polys(n, "1"), polys(n, *texts)),
+                          1, len(texts))
 
 
 def test_sign_bookkeeping():
@@ -54,22 +80,20 @@ def test_mv_rejects_empty():
 
 
 def test_cech_shapes():
-    fam = family_for_cech(2, polys(2, "x2"))
-    c = cech_complex(fam, 1)
+    c = cech(2, "x2")
     assert [m.rank for m in c.modules] == [1, 1]
     # degree-0 entry is R itself: relations generated by the derivatives
     rels = sorted(str(r.components[0]) for r in c.modules[0].relations)
     assert rels == ["d1", "d2"]
 
-    fam2 = family_for_cech(2, polys(2, "x1", "x2"))
-    c2 = cech_complex(fam2, 2)
+    c2 = cech(2, "x1", "x2")
     assert [m.rank for m in c2.modules] == [1, 2, 1]
     c2.check_chain()
 
 
 def test_cech_rejects_zero_polynomial():
     with pytest.raises(InvalidInputError):
-        family_for_cech(1, polys(1, "0"))
+        family_for_support(1, polys(1, "1"), polys(1, "0"))
 
 
 def test_tensor_single_factors():
@@ -103,3 +127,16 @@ def test_tensor_with_unit_support():
     c = mv_tensor_cech(fam, 1, 1)
     assert [m.rank for m in c.modules] == [1, 1]
     c.check_chain()
+
+
+@pytest.mark.parametrize("F,G,digest", PINNED,
+                         ids=[" ".join(F) + (" | " + " ".join(G) if G else "")
+                              for F, G, _ in PINNED])
+def test_complex_is_pinned(F, G, digest):
+    if G is None:
+        c = mv_complex(family_for_mv(2, polys(2, *F)), len(F))
+    else:
+        c = mv_tensor_cech(family_for_support(2, polys(2, *F), polys(2, *G)),
+                           len(F), len(G))
+    text = json.dumps(c.to_json(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -45,3 +45,14 @@ def test_parse_errors():
         parse_operator("x1 / d1", 1)
     with pytest.raises(InvalidInputError):
         parse_operator("x1 ^ d1", 1)
+
+
+def test_duplicate_variable_names_rejected():
+    from derham.parsing import variable_table
+    with pytest.raises(InvalidInputError, match="declared twice"):
+        variable_table(["x", "x"], 2)
+    # the second name used to shadow the first: "x" parsed as x2
+    with pytest.raises(InvalidInputError, match="declared twice"):
+        parse_polynomial("x", 2, names=["x", "x"])
+    with pytest.raises(InvalidInputError, match="declared twice"):
+        parse_operator("dy", 3, names=["x", "y", "y"])

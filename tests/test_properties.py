@@ -10,11 +10,11 @@ from fractions import Fraction
 from conftest import random_module_element, random_polynomial, random_weyl
 from derham import (ChainComplexPres, DModPresentation, FiltrationSpec,
                     GradedVectorComplex, OperatorMatrix,
-                    ProblemSpec, WeylElement,
+                    ProblemSpec, SubmoduleSolver, WeylElement,
                     apply_to_polynomial, b_function_of_complex, cohomology_dims,
                     compute_derham, fourier,
                     fourier_complex, graded_koszul, integer_root_window,
-                    kernel_of_map, omega_tensor_truncate, parse_operator,
+                    omega_tensor_truncate, parse_operator,
                     strictify_complex, v_degree, weyl_mul)
 from derham.mv import family_for_mv, mv_complex
 
@@ -80,7 +80,7 @@ def run_chain_property_suite(cases=200, seed=103):
         if not rows:
             continue
         phi = OperatorMatrix(1, 2, rows)
-        ker = kernel_of_map(phi, spec)
+        ker = SubmoduleSolver(spec, 2, phi.rows).syzygy_basis
         if not ker:
             checked += 1
             continue

@@ -6,15 +6,16 @@ import pytest
 
 from derham import (ChainComplexPres, DModPresentation, FiltrationSpec,
                     InconsistencyError, ModuleElement, OperatorMatrix,
-                    ProblemSpec, QuotientSES, ResolutionStep, SubmoduleSES,
-                    SubmoduleSolver, WeylElement, cohomology_presentation,
+                    ProblemSpec, ResolutionStep, SubmoduleSES,
+                    SubmoduleSolver, WeylElement,
                     compute_derham, compute_derham_support, family_for_mv,
                     format_operator, fourier_complex, free_cover_ses,
                     minimize_complex, mv_complex, parse_operator,
-                    strictify_complex,
-                    strictify_ses, strictify_two_ses, v_strict_complex,
+                    strictify_complex, v_strict_complex,
                     verify_strict_ses, verify_v_strict)
 from derham import pipeline
+from derham.presentations import cohomology_presentation
+from derham.strictify import QuotientSES, strictify_ses, strictify_two_ses
 
 SPEC1 = FiltrationSpec.full(1)
 
