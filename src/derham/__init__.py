@@ -28,8 +28,8 @@ from .mv import (MVIndex, family_for_mv, family_for_support, mv_complex,
                  mv_tensor_cech)
 from .strictify import (FreeCoverDiagram, ResolutionStep, StrictDoubleComplex,
                         StrictificationResult, SubmoduleSES, free_cover_ses,
-                        minimize_complex, strictify_complex, v_strict_complex,
-                        verify_strict_ses, verify_v_strict)
+                        minimize_complex, strictify_complex, verify_strict_ses,
+                        verify_v_strict)
 from .restriction import (GradedKoszulComplex, GradedVectorComplex,
                           ThetaPolynomial, TruncatedComplex, TruncationWindow,
                           b_function_of_complex, certify_b_function,

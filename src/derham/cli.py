@@ -22,7 +22,7 @@ from .pipeline import (ProblemSpec, compute_derham, compute_derham_support,
                        load_presentation_overrides)
 from .presentations import DModPresentation
 from .restriction import DEFAULT_MAX_B_DEGREE, restriction_b_function_module
-from .weyl import FiltrationSpec, format_operator
+from .weyl import format_operator
 
 
 def _setup_logging():
@@ -130,8 +130,7 @@ def _cmd_bfunction(args) -> int:
     rels = [parse_operator(chunk.strip(), n, names)
             for chunk in args.module.split(";") if chunk.strip()]
     pres = DModPresentation.cyclic(n, rels, shift=(args.shift,))
-    b = restriction_b_function_module(pres, FiltrationSpec.full(n),
-                                      max_degree=args.max_b_degree)
+    b = restriction_b_function_module(pres, max_degree=args.max_b_degree)
     payload = {"schema": "derham.bfunction/1",
                "module_relations": [format_operator(r.components[0])
                                     for r in pres.relations],

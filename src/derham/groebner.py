@@ -99,7 +99,7 @@ class ModuleElement:
     def left_mul(self, op: WeylElement) -> "ModuleElement":
         return ModuleElement(self.n, [weyl_mul(op, c) for c in self.components])
 
-    def v_degree(self, spec: FiltrationSpec, shift: Optional[Sequence[int]] = None):
+    def v_degree(self, shift: Optional[Sequence[int]] = None):
         """Shifted V-degree: max over components of v_degree + shift."""
         if shift is None:
             shift = (0,) * self.rank
@@ -107,7 +107,7 @@ class ModuleElement:
         for j, c in enumerate(self.components):
             if c.is_zero():
                 continue
-            vd = max(term_v_degree(e, spec.n, spec.d) for e in c.terms) + shift[j]
+            vd = max(term_v_degree(e, self.n) for e in c.terms) + shift[j]
             if vd > best:
                 best = vd
         return best
@@ -127,13 +127,13 @@ class OperatorMatrix:
     """A left-module map by right multiplication of row vectors.
 
     rows[i] is the image of the i-th source generator, an element of the
-    target free module, so (v . M)_j = sum_i v_i * rows[i][j].
+    target free module, so (v . M)_j = sum_i v_i * rows[i][j].  Shifts live
+    on the modules of a complex, not on the map.
     """
 
-    __slots__ = ("n", "source_rank", "target_rank", "rows", "source_shift", "target_shift")
+    __slots__ = ("n", "source_rank", "target_rank", "rows")
 
-    def __init__(self, n: int, target_rank: int, rows: Sequence[ModuleElement],
-                 source_shift=None, target_shift=None):
+    def __init__(self, n: int, target_rank: int, rows: Sequence[ModuleElement]):
         self.n = n
         self.rows = tuple(rows)
         self.source_rank = len(self.rows)
@@ -141,8 +141,6 @@ class OperatorMatrix:
         for r in self.rows:
             if r.rank != target_rank:
                 raise DimensionMismatchError("row rank does not match target rank")
-        self.source_shift = None if source_shift is None else tuple(source_shift)
-        self.target_shift = None if target_shift is None else tuple(target_shift)
 
     @classmethod
     def zero(cls, n: int, source_rank: int, target_rank: int) -> "OperatorMatrix":
@@ -166,9 +164,7 @@ class OperatorMatrix:
         if self.target_rank != other.source_rank:
             raise DimensionMismatchError("composition rank mismatch")
         return OperatorMatrix(self.n, other.target_rank,
-                              [other.apply(row) for row in self.rows],
-                              source_shift=self.source_shift,
-                              target_shift=other.target_shift)
+                              [other.apply(row) for row in self.rows])
 
     def is_zero(self) -> bool:
         return all(r.is_zero() for r in self.rows)
@@ -186,7 +182,7 @@ class OperatorMatrix:
 # order of `descending` is descending order of `key`.  Both are injective
 # on the monomials that occur, which makes heap order equal max order.
 
-def v_order_key(n: int, d: int, shifts: Sequence[int], block_start: int) -> Callable:
+def v_order_key(n: int, shifts: Sequence[int], block_start: int) -> Callable:
     """Two-block module order: positions < block_start dominate; inside a
     block, shifted V-degree, total degree, grevlex, h, position."""
     shifts = tuple(shifts)
@@ -194,13 +190,13 @@ def v_order_key(n: int, d: int, shifts: Sequence[int], block_start: int) -> Call
     def key(mono: Mono):
         pos, e, h = mono
         blk = 1 if pos < block_start else 0
-        vd = sum(e[n:n + d]) - sum(e[:d]) + shifts[pos]
+        vd = sum(e[n:]) - sum(e[:n]) + shifts[pos]
         return (blk, vd, sum(e), tuple(map(neg, reversed(e))), -h, -pos)
 
     def descending(mono: Mono):
         pos, e, h = mono
         return ((-1 if pos < block_start else 0),
-                sum(e[:d]) - sum(e[n:n + d]) - shifts[pos], -sum(e), *e[::-1], h, pos)
+                sum(e[:n]) - sum(e[n:]) - shifts[pos], -sum(e), *e[::-1], h, pos)
 
     key.descending = descending
     return key
@@ -341,12 +337,11 @@ class GBEngine:
     algebra (for genuine term orders that need no homogenization).
     """
 
-    def __init__(self, n: int, key: Callable, h_step: int,
-                 reduction_limit: int = DEFAULT_REDUCTION_LIMIT):
+    def __init__(self, n: int, key: Callable, h_step: int):
         self.n = n
         self.key = key
         self.h_step = h_step
-        self.limit = reduction_limit
+        self.limit = DEFAULT_REDUCTION_LIMIT
 
     # division ---------------------------------------------------------
 
@@ -490,21 +485,9 @@ class GBEngine:
         return self._interreduce(entries)
 
     def _interreduce(self, entries) -> list:
-        # survivors: leads minimal under proper divisibility, one copy per lead
+        # one entry per minimal lead; the key is injective, so sorting fixes the order
         key = self.key
-        order = sorted(range(len(entries)), key=lambda i: (key(entries[i][0]), i))
-        leads = [entry[0] for entry in entries]
-        first_with_lead = {}
-        for i in order:
-            first_with_lead.setdefault(entries[i][0], i)
-        kept = []
-        for i in order:
-            lead = entries[i][0]
-            if first_with_lead[lead] != i:
-                continue
-            if any(l2 != lead and _mono_divides(l2, lead) for l2 in leads):
-                continue
-            kept.append(entries[i])
+        kept = sorted(_minimalize_entries(entries), key=lambda t: key(t[0]))
         final = []
         for pos, (lead, lc, vec) in enumerate(kept):
             others = [kept[q] for q in range(len(kept)) if q != pos]
@@ -523,7 +506,8 @@ class SubmoduleSolver:
     The augmented module {(g_i, e_i)} is computed once; its reduced basis
     yields the V-adapted basis of <g_i> with cofactors (elements whose
     lead sits in the main block) and a basis of the syzygy module (elements
-    supported entirely in the cofactor block).
+    supported entirely in the cofactor block).  The spec names n, which
+    an empty generating set cannot.
     """
 
     def __init__(self, spec: FiltrationSpec, rank: int,
@@ -539,14 +523,14 @@ class SubmoduleSolver:
         if len(self.ambient_shift) != rank:
             raise InvalidInputError("ambient shift length != rank")
         if cofactor_shift is None:
-            cofactor_shift = obvious_shift(self.gens, self.ambient_shift, spec)
+            cofactor_shift = obvious_shift(self.gens, self.ambient_shift)
         self.cofactor_shift = tuple(cofactor_shift)
         if len(self.cofactor_shift) != len(self.gens):
             raise InvalidInputError("cofactor shift length != number of generators")
 
         p = len(self.gens)
         shifts = self.ambient_shift + self.cofactor_shift
-        self.key = v_order_key(n, spec.d, shifts, rank)
+        self.key = v_order_key(n, shifts, rank)
         self.engine = GBEngine(n, self.key, h_step=2)
         aug = []
         for i, g in enumerate(self.gens):
@@ -689,14 +673,14 @@ class SubmoduleSolver:
 class SolverCache:
     """One SubmoduleSolver per distinct submodule, for the length of one call.
 
-    The key is (spec, rank, gens in order, ambient shift, cofactor shift)
-    after the defaults are filled in: a missing ambient shift is zero and a
-    missing cofactor shift is the obvious shift of the generators, exactly
-    as SubmoduleSolver fills them.  A solver is a deterministic function of
-    its key and is never changed after construction, so a hit hands back
-    the solver the caller would have built.  Callers create one cache per
-    call and drop it when the call returns; `builds` and `hits` count what
-    it did.
+    The key is (spec, rank, gens in order, ambient shift, cofactor shift),
+    the spec holding only n, after the defaults are filled in: a missing
+    ambient shift is zero and a missing cofactor shift is the obvious shift
+    of the generators, exactly as SubmoduleSolver fills them.  A solver is
+    a deterministic function of its key and is never changed after
+    construction, so a hit hands back the solver the caller would have
+    built.  Callers create one cache per call and drop it when the call
+    returns; `builds` and `hits` count what it did.
     """
 
     __slots__ = ("spec", "builds", "hits", "_solvers")
@@ -714,7 +698,7 @@ class SolverCache:
         if len(ambient) != rank:
             raise InvalidInputError("ambient shift length != rank")
         cofactor = tuple(cofactor_shift) if cofactor_shift is not None \
-            else obvious_shift(gens, ambient, self.spec)
+            else obvious_shift(gens, ambient)
         key = (self.spec, rank, gens, ambient, cofactor)
         solver = self._solvers.get(key)
         if solver is None:
@@ -739,8 +723,7 @@ class SolverCache:
         return self.get(rank, rows, ambient_shift, cofactor_shift).syzygy_basis
 
 
-def obvious_shift(rows: Sequence[ModuleElement], shift: Sequence[int],
-                  spec: FiltrationSpec):
+def obvious_shift(rows: Sequence[ModuleElement], shift: Sequence[int]):
     """Per-row shifts: the V-degree of each row under `shift`.
 
     A zero row has no degree; it gets shift 0, silently, so degenerate
@@ -749,6 +732,6 @@ def obvious_shift(rows: Sequence[ModuleElement], shift: Sequence[int],
     shift = tuple(shift)
     out = []
     for row in rows:
-        vd = row.v_degree(spec, shift)
+        vd = row.v_degree(shift)
         out.append(0 if vd == NEG_INF else int(vd))
     return tuple(out)

@@ -26,7 +26,7 @@ from .restriction import (DEFAULT_MAX_B_DEGREE, b_function_of_complex,
                           cohomology_dims, fourier_complex,
                           integer_root_window, omega_tensor_truncate)
 from .strictify import minimize_complex, strictify_complex
-from .weyl import FiltrationSpec, WeylElement, format_operator
+from .weyl import WeylElement, format_operator
 
 log = logging.getLogger("derham.pipeline")
 
@@ -70,9 +70,6 @@ class ProblemSpec:
         if isinstance(p, WeylElement):
             return p
         return parse_polynomial(p, self.n, self.names)
-
-    def spec(self) -> FiltrationSpec:
-        return FiltrationSpec.full(self.n)
 
 
 class ResultReport:
@@ -158,7 +155,6 @@ def _dump(spec: ProblemSpec, name: str, payload: dict):
 
 def _run(spec: ProblemSpec, kind: str) -> ResultReport:
     n = spec.n
-    fspec = spec.spec()
     timings = {} if spec.collect_timings else None
     stage = _Stage(timings)
     warnings: list = []
@@ -189,7 +185,7 @@ def _run(spec: ProblemSpec, kind: str) -> ResultReport:
     _dump(spec, "minimal_complex.json", minimal.to_json())
 
     positions = list(range(transformed.lo, transformed.hi + 1))
-    b = stage.run("b-function", b_function_of_complex, minimal, fspec,
+    b = stage.run("b-function", b_function_of_complex, minimal,
                   spec.max_b_degree, positions)
     window = stage.run("window", integer_root_window, b)
     _dump(spec, "b_function.json",

@@ -57,13 +57,10 @@ class DModPresentation:
     def shift_or_zero(self):
         return self.shift if self.shift is not None else (0,) * self.rank
 
-    def spec(self) -> FiltrationSpec:
-        return FiltrationSpec.full(self.n)
-
     def solver(self) -> SubmoduleSolver:
         """Cached Groebner data for the relation submodule."""
         if self._solver is None:
-            self._solver = SubmoduleSolver(self.spec(), self.rank,
+            self._solver = SubmoduleSolver(FiltrationSpec(self.n), self.rank,
                                            list(self.relations),
                                            ambient_shift=self.shift_or_zero())
         return self._solver
@@ -209,9 +206,7 @@ class ChainComplexPres:
         diffs = []
         for k, rows in enumerate(data.get("differentials", [])):
             tgt_rank = modules[k + 1].rank
-            diffs.append(OperatorMatrix(
-                n, tgt_rank, [me(r, tgt_rank) for r in rows],
-                source_shift=modules[k].shift, target_shift=modules[k + 1].shift))
+            diffs.append(OperatorMatrix(n, tgt_rank, [me(r, tgt_rank) for r in rows]))
         return cls(n, data["lo"], modules, diffs)
 
 
@@ -259,7 +254,7 @@ def cycle_generators(c: ChainComplexPres, k: int,
     if dmat is None or dmat.target_rank == 0:
         return [ModuleElement.unit(c.n, mod.rank, i) for i in range(mod.rank)]
     if solvers is None:
-        solvers = SolverCache(FiltrationSpec.full(c.n))
+        solvers = SolverCache(FiltrationSpec(c.n))
     tgt = c.module(k + 1)
     gens = list(dmat.rows) + list(tgt.relations)
     return _heads(solvers.syzygies(tgt.rank, gens, tgt.shift_or_zero()), mod.rank)
@@ -280,7 +275,7 @@ def cohomology_presentation(c: ChainComplexPres, k: int) -> CohomologyData:
 
     # relations of H^k on the Z-generators: syzygies of the z's modulo the
     # cover relations, plus the expression of every boundary generator
-    zsolver = SubmoduleSolver(FiltrationSpec.full(n), mod.rank,
+    zsolver = SubmoduleSolver(FiltrationSpec(n), mod.rank,
                               zgens + list(mod.relations),
                               ambient_shift=mod.shift_or_zero())
     relsH = _heads(zsolver.syzygy_basis, len(zgens))
@@ -295,7 +290,7 @@ def cohomology_presentation(c: ChainComplexPres, k: int) -> CohomologyData:
         if not head.is_zero():
             relsH.append(head)
 
-    hshift = obvious_shift(zgens, mod.shift_or_zero(), FiltrationSpec.full(n))
+    hshift = obvious_shift(zgens, mod.shift_or_zero())
     homology = DModPresentation(n, len(zgens), relsH, hshift)
     map_b_to_z = OperatorMatrix(n, len(zgens), b_to_z_rows)
     map_z_to_h = OperatorMatrix.identity(n, len(zgens))
@@ -314,7 +309,7 @@ def v_strict_resolution(pres: DModPresentation, m0: Sequence[int],
     if length < 1:
         raise InvalidInputError("resolution length must be >= 1")
     n = pres.n
-    spec = FiltrationSpec.full(n)
+    spec = FiltrationSpec(n)
     m0 = tuple(m0)
     modules = [DModPresentation.free(n, pres.rank, m0)]
     diffs = []
@@ -328,11 +323,9 @@ def v_strict_resolution(pres: DModPresentation, m0: Sequence[int],
         basis = solver.basis
         if not basis:
             break
-        shifts = obvious_shift(basis, ambient_shift, spec)
-        mat = OperatorMatrix(n, modules[0].rank, basis,
-                             source_shift=shifts, target_shift=ambient_shift)
+        shifts = obvious_shift(basis, ambient_shift)
         modules.insert(0, DModPresentation.free(n, len(basis), shifts))
-        diffs.insert(0, mat)
+        diffs.insert(0, OperatorMatrix(n, modules[1].rank, basis))
         # kernel of the new cover map = syzygies of the basis
         ksolver = SubmoduleSolver(spec, modules[1].rank, basis,
                                   ambient_shift=ambient_shift,

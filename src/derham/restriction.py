@@ -254,8 +254,7 @@ def integer_root_window(b: ThetaPolynomial) -> TruncationWindow:
 
 def _minimal_b_for_generator(kappa: ModuleElement, lam: int,
                              boundary_solver: Optional[SubmoduleSolver],
-                             spec: FiltrationSpec, shift,
-                             max_degree: int) -> ThetaPolynomial:
+                             shift, max_degree: int) -> ThetaPolynomial:
     """Minimal monic q with q(theta).kappa in F^(lam-1) + boundaries.
 
     Undetermined-coefficients search by increasing degree: reduce the
@@ -263,8 +262,8 @@ def _minimal_b_for_generator(kappa: ModuleElement, lam: int,
     shifted V-degree >= lam cancels.  Soundness of the normal-form test
     rests on V-refining division realizing the minimal coset degree.
     """
-    n = spec.n
-    th = theta(spec)
+    n = kappa.n
+    th = theta(n)
 
     def nf(e: ModuleElement) -> ModuleElement:
         if boundary_solver is None:
@@ -278,7 +277,7 @@ def _minimal_b_for_generator(kappa: ModuleElement, lam: int,
     def high_terms(e: ModuleElement):
         for pos, comp in enumerate(e.components):
             for exps, c in comp.terms.items():
-                if term_v_degree(exps, n, spec.d) + shift[pos] >= lam:
+                if term_v_degree(exps, n) + shift[pos] >= lam:
                     yield (pos, exps), c
 
     for t in range(max_degree + 1):
@@ -309,7 +308,7 @@ def _minimal_b_for_generator(kappa: ModuleElement, lam: int,
         "specializable or the bound is too low")
 
 
-def restriction_b_function_module(pres: DModPresentation, spec: FiltrationSpec,
+def restriction_b_function_module(pres: DModPresentation,
                                   max_degree: int = DEFAULT_MAX_B_DEGREE) -> ThetaPolynomial:
     """Minimal monic b with b(theta + j) F^j contained in F^(j-1) for all j."""
     shift = pres.shift_or_zero()
@@ -318,7 +317,7 @@ def restriction_b_function_module(pres: DModPresentation, spec: FiltrationSpec,
     for i in range(pres.rank):
         gen = ModuleElement.unit(pres.n, pres.rank, i)
         lam = shift[i]
-        q = _minimal_b_for_generator(gen, lam, solver, spec, shift, max_degree)
+        q = _minimal_b_for_generator(gen, lam, solver, shift, max_degree)
         out = out.lcm(q.taylor_shift(-lam))
     return out
 
@@ -343,7 +342,7 @@ def _boundary_solver(c: ChainComplexPres, k: int, solvers: SolverCache):
     return solvers.get(c.module(k).rank, prev.rows, c.module(k).shift_or_zero())
 
 
-def b_function_of_complex(c: ChainComplexPres, spec: FiltrationSpec,
+def b_function_of_complex(c: ChainComplexPres,
                           max_degree: int = DEFAULT_MAX_B_DEGREE,
                           positions=None, details: Optional[list] = None) -> ThetaPolynomial:
     """lcm over cycle generators of their minimal polynomials, shifted by
@@ -355,7 +354,7 @@ def b_function_of_complex(c: ChainComplexPres, spec: FiltrationSpec,
         raise InvalidInputError("b_function_of_complex needs a free complex")
     if positions is None:
         positions = list(c.degrees())
-    solvers = SolverCache(spec)
+    solvers = SolverCache(FiltrationSpec(c.n))
     out = ThetaPolynomial.one()
     for k in positions:
         mod = c.module(k)
@@ -370,11 +369,11 @@ def b_function_of_complex(c: ChainComplexPres, spec: FiltrationSpec,
                                       c.module(k + 1).shift_or_zero(), shift)
         bsolver = _boundary_solver(c, k, solvers)
         for kappa in kappas:
-            lam = kappa.v_degree(spec, shift)
+            lam = kappa.v_degree(shift)
             if lam == NEG_INF:
                 continue
             lam = int(lam)
-            q = _minimal_b_for_generator(kappa, lam, bsolver, spec, shift, max_degree)
+            q = _minimal_b_for_generator(kappa, lam, bsolver, shift, max_degree)
             if details is not None:
                 details.append(BFunctionDetail(k, kappa, lam, q))
             out = out.lcm(q.taylor_shift(-lam))
@@ -384,31 +383,32 @@ def b_function_of_complex(c: ChainComplexPres, spec: FiltrationSpec,
 
 
 def generator_membership_holds(b: ThetaPolynomial, kappa: ModuleElement, lam: int,
-                               boundary_solver, spec: FiltrationSpec, shift) -> bool:
+                               boundary_solver, shift) -> bool:
     """Does b(theta + lam) . kappa land in F^(lam-1) + boundaries?"""
     shifted = b.taylor_shift(lam)
-    op = WeylElement.zero(spec.n)
-    power = WeylElement.one(spec.n)
-    th = theta(spec)
+    n = kappa.n
+    op = WeylElement.zero(n)
+    power = WeylElement.one(n)
+    th = theta(n)
     for c in shifted.coeffs:
         op = op + power.scale(c)
         power = weyl_mul(power, th)
     img = kappa.left_mul(op)
     if boundary_solver is not None:
         img = boundary_solver.normal_form(img)
-    vd = img.v_degree(spec, shift)
+    vd = img.v_degree(shift)
     return vd == NEG_INF or vd <= lam - 1
 
 
 def certify_b_function(b: ThetaPolynomial, details: Sequence[BFunctionDetail],
-                       c: ChainComplexPres, spec: FiltrationSpec) -> bool:
+                       c: ChainComplexPres) -> bool:
     """Memberships hold for b, and every integer-root factor is needed."""
-    solvers = SolverCache(spec)
+    solvers = SolverCache(FiltrationSpec(c.n))
 
     def holds(poly):
         return all(generator_membership_holds(
             poly, det.kappa, det.lam, _boundary_solver(c, det.position, solvers),
-            spec, c.module(det.position).shift_or_zero()) for det in details)
+            c.module(det.position).shift_or_zero()) for det in details)
 
     if not holds(b):
         return False
@@ -667,7 +667,7 @@ class GradedKoszulComplex:
                    for i, dim in enumerate(self.dims()))
 
 
-def graded_koszul(L: GradedVectorComplex, spec: FiltrationSpec, k: int) -> GradedKoszulComplex:
+def graded_koszul(L: GradedVectorComplex, k: int) -> GradedKoszulComplex:
     """The degree-k Koszul slice of L with respect to x_1..x_d.
 
     Component (i, S) sits in position i + |S| and carries the graded piece
@@ -675,7 +675,7 @@ def graded_koszul(L: GradedVectorComplex, spec: FiltrationSpec, k: int) -> Grade
     d(u) at (i+1, S) plus, for every variable v not in S, the x_v-image at
     (i, S + {v}) with sign (-1)^(i + #{s in S : s < v}).
     """
-    d = spec.d
+    d = L.d
     for w in range(d + 1):
         for i in range(L.lo, L.hi + 1):
             L.require(k + d - w)

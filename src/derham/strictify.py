@@ -13,7 +13,7 @@ the level-zero block.
 
 Each distinct submodule is solved once per strictify_complex call: every
 solver comes from one SolverCache that the call creates, passes down
-through both phases and drops when it returns.  Its key is (spec, rank,
+through both phases and drops when it returns.  Its key is (n, rank,
 generators in order, ambient shift, cofactor shift), with a missing
 ambient shift read as zero and a missing cofactor shift as the obvious
 shift of the generators, so a basis, a syzygy module and a cofactor query
@@ -66,18 +66,19 @@ class QuotientSES:
 
 
 class SubmoduleSES:
-    """0 -> A -> B -> C -> 0 of submodules of free modules with shifts."""
+    """0 -> A -> B -> C -> 0 of submodules of free modules with shifts.
 
-    __slots__ = ("spec", "rank_a", "rank_b", "rank_c", "shift_a", "shift_b",
-                 "shift_c", "gens_a", "gens_b", "gens_c", "incl", "proj")
+    Each ambient rank is the length of its shift vector.
+    """
 
-    def __init__(self, spec: FiltrationSpec, rank_a, shift_a, gens_a,
-                 rank_b, shift_b, gens_b, rank_c, shift_c, gens_c,
+    __slots__ = ("shift_a", "shift_b", "shift_c", "gens_a", "gens_b", "gens_c",
+                 "incl", "proj")
+
+    def __init__(self, shift_a, gens_a, shift_b, gens_b, shift_c, gens_c,
                  incl: OperatorMatrix, proj: OperatorMatrix):
-        self.spec = spec
-        self.rank_a, self.shift_a, self.gens_a = rank_a, tuple(shift_a), list(gens_a)
-        self.rank_b, self.shift_b, self.gens_b = rank_b, tuple(shift_b), list(gens_b)
-        self.rank_c, self.shift_c, self.gens_c = rank_c, tuple(shift_c), list(gens_c)
+        self.shift_a, self.gens_a = tuple(shift_a), list(gens_a)
+        self.shift_b, self.gens_b = tuple(shift_b), list(gens_b)
+        self.shift_c, self.gens_c = tuple(shift_c), list(gens_c)
         self.incl = incl
         self.proj = proj
 
@@ -195,8 +196,7 @@ def _rewrite_pair(solvers: SolverCache, d_pres: DModPresentation,
     basis of the C-relations through paired lifts, then bound the D-shifts
     against bases of both the F-relations and the C-relations.
     """
-    spec = solvers.spec
-    n = spec.n
+    n = b_pres.n
     rank_d, rank_f, rank_c = d_pres.rank, f_pres.rank, c_pres.rank
     shift_c = tuple(shift_c)
 
@@ -242,10 +242,8 @@ def _rewrite_pair(solvers: SolverCache, d_pres: DModPresentation,
         "pairing a C-relation into the middle kernel")))
 
     # step 2: F-shifts from the paired lifts
-    shift_f = _bound_shifts(spec, rank_f,
-                            [(p.components[rank_d:rank_d + rank_f],
-                              ct.v_degree(spec, shift_c))
-                             for ct, p in pairs_c])
+    shift_f = _bound_shifts(rank_f, [(p.components[rank_d:rank_d + rank_f],
+                                      ct.v_degree(shift_c)) for ct, p in pairs_c])
 
     # step 3: basis of the F-relations and paired lifts d
     basis_f = solvers.basis(rank_f, list(f_pres.relations), shift_f)
@@ -257,11 +255,10 @@ def _rewrite_pair(solvers: SolverCache, d_pres: DModPresentation,
         solver_a, targets, rank_d, "pairing an F-relation into the A kernel")))
 
     # step 4: D-shifts from both families
-    constraints = [(p.components[:rank_d], ct.v_degree(spec, shift_c))
+    constraints = [(p.components[:rank_d], ct.v_degree(shift_c))
                    for ct, p in pairs_c]
-    constraints += [(p.components, fu.v_degree(spec, shift_f))
-                    for fu, p in pairs_f]
-    shift_d = _bound_shifts(spec, rank_d, constraints)
+    constraints += [(p.components, fu.v_degree(shift_f)) for fu, p in pairs_f]
+    shift_d = _bound_shifts(rank_d, constraints)
 
     return _RewriteResult(shift_d=shift_d, shift_f=shift_f, qa_rows=qa_rows,
                           rels_qa=rels_qa, qb_rows=qb_rows, rels_qb=rels_qb,
@@ -269,7 +266,7 @@ def _rewrite_pair(solvers: SolverCache, d_pres: DModPresentation,
                           pairs_c=pairs_c, pairs_f=pairs_f)
 
 
-def _bound_shifts(spec, rank, constraints):
+def _bound_shifts(rank, constraints):
     """Componentwise largest shifts with vdeg(witness) <= vdeg(bound)."""
     shift = [0] * rank
     bounded = [False] * rank
@@ -279,7 +276,7 @@ def _bound_shifts(spec, rank, constraints):
         for j, op in enumerate(comps):
             if op.is_zero():
                 continue
-            cap = int(bound) - v_degree(op, spec)
+            cap = int(bound) - v_degree(op)
             if not bounded[j] or cap < shift[j]:
                 shift[j] = cap
                 bounded[j] = True
@@ -297,14 +294,14 @@ def _spot_check_ses(ses: QuotientSES):
             raise InconsistencyError("A -> B -> C does not compose to zero")
 
 
-def strictify_ses(ses: QuotientSES, shift_c, spec: FiltrationSpec) -> StrictSESWitness:
+def strictify_ses(ses: QuotientSES, shift_c) -> StrictSESWitness:
     """Rewrite the middle of an exact 0 -> A -> B -> C -> 0 so that shift
     vectors exist making the sequence V-strict (shift on C given)."""
     _spot_check_ses(ses)
-    n = spec.n
+    n = ses.b.n
     zero = DModPresentation.zero(n)
-    res = _rewrite_pair(SolverCache(spec), zero, ses.a, ses.a, ses.c, ses.b,
-                        OperatorMatrix.zero(n, 0, ses.a.rank),
+    res = _rewrite_pair(SolverCache(FiltrationSpec(n)), zero, ses.a, ses.a, ses.c,
+                        ses.b, OperatorMatrix.zero(n, 0, ses.a.rank),
                         OperatorMatrix.identity(n, ses.a.rank),
                         ses.a_to_b, ses.b_to_c, shift_c)
     rank_mid = ses.a.rank + ses.c.rank
@@ -316,18 +313,17 @@ def strictify_ses(ses: QuotientSES, shift_c, spec: FiltrationSpec) -> StrictSESW
     return StrictSESWitness(middle, res.shift_f, shift_b, incl, proj, pairs)
 
 
-def strictify_two_ses(seq1: QuotientSES, seq2: QuotientSES, shift_c,
-                      spec: FiltrationSpec):
+def strictify_two_ses(seq1: QuotientSES, seq2: QuotientSES, shift_c):
     """Lemma-2-style rewrite of two chained sequences 0 -> A -> B -> C -> 0
     and 0 -> D -> A -> F -> 0 sharing A; returns witnesses for both."""
     _spot_check_ses(seq1)
     _spot_check_ses(seq2)
     if seq2.b is not seq1.a:
         raise InvalidInputError("the sequences must share the module A")
-    n = spec.n
-    res = _rewrite_pair(SolverCache(spec), seq2.a, seq1.a, seq2.c, seq1.c, seq1.b,
-                        seq2.a_to_b, seq2.b_to_c, seq1.a_to_b, seq1.b_to_c,
-                        shift_c)
+    n = seq1.b.n
+    res = _rewrite_pair(SolverCache(FiltrationSpec(n)), seq2.a, seq1.a, seq2.c,
+                        seq1.c, seq1.b, seq2.a_to_b, seq2.b_to_c, seq1.a_to_b,
+                        seq1.b_to_c, shift_c)
     rank_d, rank_f, rank_c = seq2.a.rank, seq2.c.rank, seq1.c.rank
     shift_a = res.shift_d + res.shift_f
     shift_b = shift_a + tuple(shift_c)
@@ -350,7 +346,7 @@ def strictify_two_ses(seq1: QuotientSES, seq2: QuotientSES, shift_c,
 
 def _fresh_step(solvers: SolverCache, rank, gens, shift) -> ResolutionStep:
     basis = solvers.basis(rank, gens, shift)
-    shifts = obvious_shift(basis, shift, solvers.spec)
+    shifts = obvious_shift(basis, shift)
     kernel = solvers.syzygies(rank, basis, shift, shifts)
     return ResolutionStep(shifts, basis, kernel)
 
@@ -384,16 +380,16 @@ def free_cover_ses(ses: SubmoduleSES, cover_a: Optional[ResolutionStep] = None,
     their B-side degrees together with a fresh basis of C; the middle lift
     of a fresh C-basis element is a minimal-degree preimage, which the
     strictness of the input keeps at or below the C-side degree.  Solvers
-    come from `solvers`, a fresh cache over ses.spec when none is given.
+    come from `solvers`, a fresh cache when none is given.
     """
-    spec = ses.spec
-    n = spec.n
+    n = ses.incl.n
+    rank_b, rank_c = len(ses.shift_b), len(ses.shift_c)
     if solvers is None:
-        solvers = SolverCache(spec)
+        solvers = SolverCache(FiltrationSpec(n))
     if cover_a is None:
-        cover_a = _fresh_step(solvers, ses.rank_a, ses.gens_a, ses.shift_a)
-    gb_b = solvers.basis(ses.rank_b, ses.gens_b, ses.shift_b)
-    gb_c = solvers.basis(ses.rank_c, ses.gens_c, ses.shift_c)
+        cover_a = _fresh_step(solvers, len(ses.shift_a), ses.gens_a, ses.shift_a)
+    gb_b = solvers.basis(rank_b, ses.gens_b, ses.shift_b)
+    gb_c = solvers.basis(rank_c, ses.gens_c, ses.shift_c)
 
     proj_pairs = []
     for b in gb_b:
@@ -405,37 +401,37 @@ def free_cover_ses(ses: SubmoduleSES, cover_a: Optional[ResolutionStep] = None,
         proj_pairs.append((b, pb))
 
     c_rows = [pb for _, pb in proj_pairs] + gb_c
-    c_shift = tuple(int(b.v_degree(spec, ses.shift_b)) for b, _ in proj_pairs) \
-        + obvious_shift(gb_c, ses.shift_c, spec)
+    c_shift = tuple(int(b.v_degree(ses.shift_b)) for b, _ in proj_pairs) \
+        + obvious_shift(gb_c, ses.shift_c)
     lifts = [b for b, _ in proj_pairs]
     # minimal-V-degree combinations of the projected B-basis, measured
     # against the B-side degrees: one solver for every C-basis element
-    solver = solvers.get(ses.rank_c, [ses.proj.apply(b) for b in gb_b], ses.shift_c,
-                         obvious_shift(gb_b, ses.shift_b, spec)) \
+    solver = solvers.get(rank_c, [ses.proj.apply(b) for b in gb_b], ses.shift_c,
+                         obvious_shift(gb_b, ses.shift_b)) \
         if gb_c else None
     for c in gb_c:
         w = solver.min_degree_witness(c)
         if w is None:
             raise InconsistencyError(
                 "lifting a C-basis element through B -> C: no preimage exists")
-        psi = ModuleElement.zero(n, ses.rank_b)
+        psi = ModuleElement.zero(n, rank_b)
         for wi, b in zip(w.components, gb_b):
             if not wi.is_zero():
                 psi = psi + b.left_mul(wi)
-        need = c.v_degree(spec, ses.shift_c)
-        got = psi.v_degree(spec, ses.shift_b)
+        need = c.v_degree(ses.shift_c)
+        got = psi.v_degree(ses.shift_b)
         if got != NEG_INF and need != NEG_INF and got > need:
             raise InternalError(
                 "lift of the required V-degree not found; the input sequence "
                 "is not V-strict")
         lifts.append(psi)
 
-    kernel_c = solvers.syzygies(ses.rank_c, c_rows, ses.shift_c, c_shift)
+    kernel_c = solvers.syzygies(rank_c, c_rows, ses.shift_c, c_shift)
     cover_c = ResolutionStep(c_shift, c_rows, kernel_c)
 
     b_rows = [ses.incl.apply(r) for r in cover_a.rows] + lifts
     b_shift = cover_a.shift + c_shift
-    kernel_b = solvers.syzygies(ses.rank_b, b_rows, ses.shift_b, b_shift)
+    kernel_b = solvers.syzygies(rank_b, b_rows, ses.shift_b, b_shift)
     cover_b = ResolutionStep(b_shift, b_rows, kernel_b)
     return FreeCoverDiagram(ses, cover_a, cover_b, cover_c)
 
@@ -470,8 +466,7 @@ class VStrictReport:
         self.checked = checked
 
 
-def verify_v_strict(c: ChainComplexPres,
-                    spec: Optional[FiltrationSpec] = None) -> VStrictReport:
+def verify_v_strict(c: ChainComplexPres) -> VStrictReport:
     """Check V-adaptedness exactly and V-strictness via minimal witnesses.
 
     For each differential, every element g of a V-adapted basis of its
@@ -482,8 +477,6 @@ def verify_v_strict(c: ChainComplexPres,
     """
     if not c.is_free():
         raise InvalidInputError("verify_v_strict needs a free complex with shifts")
-    if spec is None:
-        spec = FiltrationSpec.full(c.n)
     failures = []
     checked = 0
     for k in range(c.lo, c.hi):
@@ -491,16 +484,17 @@ def verify_v_strict(c: ChainComplexPres,
         src_shift = c.module(k).shift_or_zero()
         tgt_shift = c.module(k + 1).shift_or_zero()
         for i, row in enumerate(dmat.rows):
-            vd = row.v_degree(spec, tgt_shift)
+            vd = row.v_degree(tgt_shift)
             if vd != NEG_INF and vd > src_shift[i]:
                 failures.append(VStrictFailure(k, int(vd), row, int(vd),
                                                "not-V-adapted"))
         if dmat.source_rank == 0 or dmat.is_zero():
             continue
-        solver = SubmoduleSolver(spec, dmat.target_rank, list(dmat.rows),
-                                 ambient_shift=tgt_shift, cofactor_shift=src_shift)
+        solver = SubmoduleSolver(FiltrationSpec(c.n), dmat.target_rank,
+                                 list(dmat.rows), ambient_shift=tgt_shift,
+                                 cofactor_shift=src_shift)
         for g in solver.basis:
-            j = g.v_degree(spec, tgt_shift)
+            j = g.v_degree(tgt_shift)
             if j == NEG_INF:
                 continue
             j = int(j)
@@ -508,55 +502,54 @@ def verify_v_strict(c: ChainComplexPres,
             w = solver.min_degree_witness(g)
             if w is None:
                 raise InternalError("image basis element without preimage")
-            wd = w.v_degree(spec, src_shift)
+            wd = w.v_degree(src_shift)
             wd = int(wd) if wd != NEG_INF else None
             if wd is not None and wd > j:
                 failures.append(VStrictFailure(k + 1, j, g, wd, "not-strict"))
     return VStrictReport(not failures, failures, checked)
 
 
-def verify_strict_ses(ses: QuotientSES, spec: FiltrationSpec,
-                      levels=None) -> bool:
+def verify_strict_ses(ses: QuotientSES) -> bool:
     """Spot-check strictness of a quotient-module SES at the generators.
 
     Checks V-adaptedness of both maps, surjectivity of B -> C level by
     level on the C-generators, and that kernel elements of B -> C lift
     through A at their own V-degree.
     """
-    n = spec.n
+    n = ses.b.n
     sa = ses.a.shift_or_zero()
     sb = ses.b.shift_or_zero()
     sc = ses.c.shift_or_zero()
     for i, row in enumerate(ses.a_to_b.rows):
-        vd = row.v_degree(spec, sb)
+        vd = row.v_degree(sb)
         if vd != NEG_INF and vd > sa[i]:
             return False
     for i, row in enumerate(ses.b_to_c.rows):
-        vd = row.v_degree(spec, sc)
+        vd = row.v_degree(sc)
         if vd != NEG_INF and vd > sb[i]:
             return False
     # level surjectivity at C: generator e_j needs a preimage of degree <= sc[j]
-    solvers = SolverCache(spec)
+    solvers = SolverCache(FiltrationSpec(n))
     gens_c = list(ses.b_to_c.rows) + list(ses.c.relations)
     solver = solvers.get(ses.c.rank, gens_c, sc,
-                         tuple(sb) + obvious_shift(ses.c.relations, sc, spec))
+                         tuple(sb) + obvious_shift(ses.c.relations, sc))
     for j in range(ses.c.rank):
         w = solver.min_degree_witness(ModuleElement.unit(n, ses.c.rank, j))
         if w is None:
             return False
-        wd = w.v_degree(spec, solver.cofactor_shift)
+        wd = w.v_degree(solver.cofactor_shift)
         if wd != NEG_INF and wd > sc[j]:
             return False
     # strictness at A: kernel generators of B -> C lift at their degree
     ker_heads = _heads(solvers.syzygies(ses.c.rank, gens_c, sc), ses.b.rank)
     asolver = solvers.get(ses.b.rank, list(ses.a_to_b.rows) + list(ses.b.relations),
-                          sb, tuple(sa) + obvious_shift(ses.b.relations, sb, spec))
+                          sb, tuple(sa) + obvious_shift(ses.b.relations, sb))
     for g in ker_heads:
         w = asolver.min_degree_witness(g)
         if w is None:
             return False
-        wd = w.v_degree(spec, asolver.cofactor_shift)
-        gd = g.v_degree(spec, sb)
+        wd = w.v_degree(asolver.cofactor_shift)
+        gd = g.v_degree(sb)
         if wd != NEG_INF and gd != NEG_INF and wd > gd:
             return False
     return True
@@ -693,7 +686,6 @@ def _phase_one(c: ChainComplexPres, solvers: SolverCache):
 
 def _phase_two(c: ChainComplexPres, solvers: SolverCache, phase1: dict, edge: int):
     """Builds compatible free resolutions spot by spot, level by level."""
-    spec = solvers.spec
     n = c.n
     spots = {}
     res_b: list = []
@@ -720,7 +712,7 @@ def _phase_two(c: ChainComplexPres, solvers: SolverCache, phase1: dict, edge: in
             else:
                 st = res_b[-1]
                 prev_rank, prev_shift, prev_kernel = st.rank, st.shift, st.kernel
-            sh = obvious_shift(prev_kernel, prev_shift, spec)
+            sh = obvious_shift(prev_kernel, prev_shift)
             ker = solvers.syzygies(prev_rank, prev_kernel, prev_shift, sh)
             res_b.append(ResolutionStep(sh, prev_kernel, ker))
 
@@ -739,13 +731,10 @@ def _phase_two(c: ChainComplexPres, solvers: SolverCache, phase1: dict, edge: in
             s_b = psh[:prb]
             s_h = psh[prb:prb + prh]
             s_bn = psh[prb + prh:]
-            t2 = SubmoduleSES(spec, prb, s_b, kb, prb + prh, s_z, kz,
-                              prh, s_h, kh,
+            t2 = SubmoduleSES(s_b, kb, s_z, kz, s_h, kh,
                               _block_incl(n, prb, prb + prh, 0),
                               _block_proj(n, prb + prh, prh, prb))
-            t1 = SubmoduleSES(spec, prb + prh, s_z, kz,
-                              prb + prh + prbn, psh, kc,
-                              prbn, s_bn, kbn,
+            t1 = SubmoduleSES(s_z, kz, psh, kc, s_bn, kbn,
                               _block_incl(n, prb + prh, prb + prh + prbn, 0),
                               _block_proj(n, prb + prh + prbn, prbn, prb + prh))
             # the A-cover P_D + P_F built over t2 is the A-side cover of t1
@@ -792,12 +781,11 @@ def strictify_complex(c: ChainComplexPres) -> StrictificationResult:
     Vertical resolutions reach down to edge = lo - (n + DEPTH_MARGIN); the
     total complex is reliable at positions strictly above the edge.
     """
-    spec = FiltrationSpec.full(c.n)
     n = c.n
     edge = c.lo - (n + DEPTH_MARGIN)
     log.info("strictifying complex over degrees [%d, %d], edge %d",
              c.lo, c.hi, edge)
-    solvers = SolverCache(spec)
+    solvers = SolverCache(FiltrationSpec(n))
     phase1 = _phase_one(c, solvers)
     spots, complete = _phase_two(c, solvers, phase1, edge)
     log.debug("strictify: %d solver builds, %d cache hits",
@@ -845,9 +833,7 @@ def strictify_complex(c: ChainComplexPres) -> StrictificationResult:
                         n, tgt_rank, offsets[m + 1][(k, i + 1)] + (g - rb - rh))
                     row = row + unit.scale(sign)
                 rows.append(row)
-        diffs.append(OperatorMatrix(n, tgt_rank, rows,
-                                    source_shift=modules[m - edge].shift,
-                                    target_shift=modules[m + 1 - edge].shift))
+        diffs.append(OperatorMatrix(n, tgt_rank, rows))
 
     total = ChainComplexPres(n, edge, modules, diffs)
     comparison = {}
@@ -921,15 +907,9 @@ def minimize_complex(c: ChainComplexPres) -> ChainComplexPres:
             del shifts[m][a], shifts[m + 1][b]
             cancelled += 1
     modules = [DModPresentation.free(n, len(s), s) for s in shifts]
-    diffs = [OperatorMatrix(n, len(shifts[m + 1]),
-                            [ModuleElement(n, row) for row in rows],
-                            source_shift=shifts[m], target_shift=shifts[m + 1])
-             for m, rows in enumerate(mats)]
+    diffs = [OperatorMatrix(n, len(s), [ModuleElement(n, row) for row in rows])
+             for s, rows in zip(shifts[1:], mats)]
     log.debug("minimize: ranks %s -> %s, %d cancellations",
               [mod.rank for mod in c.modules], [len(s) for s in shifts], cancelled)
     return ChainComplexPres(n, c.lo, modules, diffs)
 
-
-def v_strict_complex(c: ChainComplexPres) -> ChainComplexPres:
-    """The V-strict free complex quasi-isomorphic to c (total complex)."""
-    return strictify_complex(c).total

@@ -279,45 +279,41 @@ def weyl_mul(p: WeylElement, q: WeylElement) -> WeylElement:
 
 
 class FiltrationSpec:
-    """The V-filtration data: d leading variables cut out Var(x_1..x_d).
+    """The V-filtration along x_1..x_n, the one for restriction to the
+    origin: V^k D_n is spanned by the monomials x^alpha d^beta with
+    |beta| - |alpha| <= k, so n is its only datum.
 
-    Every public pipeline uses d = n; d < n stays reachable for internal
-    and test interfaces only.
+    A solver carries one, because an empty generating set does not tell it
+    n; everything else reads n off its inputs.
     """
 
-    __slots__ = ("n", "d")
+    __slots__ = ("n",)
 
-    def __init__(self, n: int, d: int):
-        if not 0 <= d <= n:
-            raise InvalidInputError(f"need 0 <= d <= n, got d={d}, n={n}")
+    def __init__(self, n: int):
+        if n < 0:
+            raise InvalidInputError("variable count must be nonnegative")
         self.n = n
-        self.d = d
-
-    @classmethod
-    def full(cls, n: int) -> "FiltrationSpec":
-        return cls(n, n)
 
     def __eq__(self, other):
-        return isinstance(other, FiltrationSpec) and (self.n, self.d) == (other.n, other.d)
+        return isinstance(other, FiltrationSpec) and self.n == other.n
 
     def __hash__(self):
-        return hash((self.n, self.d))
+        return hash(self.n)
 
     def __repr__(self):
-        return f"FiltrationSpec(n={self.n}, d={self.d})"
+        return f"FiltrationSpec(n={self.n})"
 
 
-def term_v_degree(exps: Exps, n: int, d: int) -> int:
-    """V-degree |beta_H| - |alpha_H| of a single monomial."""
-    return sum(exps[n:n + d]) - sum(exps[:d])
+def term_v_degree(exps: Exps, n: int) -> int:
+    """V-degree |beta| - |alpha| of a single monomial."""
+    return sum(exps[n:]) - sum(exps[:n])
 
 
-def v_degree(p: WeylElement, spec: FiltrationSpec, shift: int = 0):
+def v_degree(p: WeylElement, shift: int = 0):
     """Shifted V-degree of an operator; NEG_INF for the zero element."""
     if p.is_zero():
         return NEG_INF
-    n, d = spec.n, spec.d
-    return max(term_v_degree(e, n, d) for e in p.terms) + shift
+    return max(term_v_degree(e, p.n) for e in p.terms) + shift
 
 
 def fourier(p: WeylElement) -> WeylElement:
@@ -333,13 +329,12 @@ def fourier(p: WeylElement) -> WeylElement:
     return out
 
 
-def theta(spec: FiltrationSpec) -> WeylElement:
-    """The Euler operator x_1 d_1 + ... + x_d d_d."""
-    if spec.d == 0:
-        raise InvalidInputError("theta is empty for d = 0")
-    n = spec.n
+def theta(n: int) -> WeylElement:
+    """The Euler operator x_1 d_1 + ... + x_n d_n."""
+    if n == 0:
+        raise InvalidInputError("theta is empty for n = 0")
     terms = {}
-    for i in range(spec.d):
+    for i in range(n):
         e = [0] * (2 * n)
         e[i] = 1
         e[n + i] = 1

@@ -9,14 +9,11 @@ import time
 import pytest
 
 import test_properties as props
-from derham import (ChainComplexPres, DModPresentation, FiltrationSpec,
-                    ModuleElement, OperatorMatrix, ProblemSpec, ThetaPolynomial,
-                    WeylElement, compute_derham, compute_derham_support,
-                    parse_operator, restriction_b_function_module,
-                    verify_v_strict)
+from derham import (ChainComplexPres, DModPresentation, ModuleElement,
+                    OperatorMatrix, ProblemSpec, ThetaPolynomial, WeylElement,
+                    compute_derham, compute_derham_support, parse_operator,
+                    restriction_b_function_module, verify_v_strict)
 from derham.restriction import generator_membership_holds
-
-SPEC1 = FiltrationSpec.full(1)
 
 
 def _check(number, ok, detail, elapsed, limit):
@@ -97,17 +94,16 @@ def test_criterion_6_support_and_les():
 def test_criterion_7_b_function_units(relation, expected):
     t0 = time.monotonic()
     pres = DModPresentation.cyclic(1, [parse_operator(relation, 1)], shift=(0,))
-    b = restriction_b_function_module(pres, SPEC1)
+    b = restriction_b_function_module(pres)
     ok = str(b) == expected
     # certificate: the membership holds for b and fails for every proper
     # divisor obtained by dropping an integer root
     solver = pres.solver() if pres.relations else None
     gen = ModuleElement.unit(1, 1, 0)
-    ok = ok and generator_membership_holds(b, gen, 0, solver, SPEC1, (0,))
+    ok = ok and generator_membership_holds(b, gen, 0, solver, (0,))
     for root in b.integer_roots():
         dropped = b.exact_divide(ThetaPolynomial([-root, 1]))
-        ok = ok and not generator_membership_holds(dropped, gen, 0, solver,
-                                                   SPEC1, (0,))
+        ok = ok and not generator_membership_holds(dropped, gen, 0, solver, (0,))
     elapsed = time.monotonic() - t0
     _check(7, ok, f"b({relation}) = {b}", elapsed, 5)
 
@@ -117,8 +113,7 @@ def test_criterion_8_strictness_counterexample():
     d1 = WeylElement.d(0, 1)
     mods = [DModPresentation.free(1, 2, (1, 1)), DModPresentation.free(1, 1, (0,))]
     mat = OperatorMatrix(1, 1, [ModuleElement(1, [d1]),
-                                ModuleElement(1, [d1 - 1])],
-                         source_shift=(1, 1), target_shift=(0,))
+                                ModuleElement(1, [d1 - 1])])
     tot = ChainComplexPres(1, -1, mods, [mat])
     report = verify_v_strict(tot)
     ok = not report.passed

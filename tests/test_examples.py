@@ -87,11 +87,9 @@ def test_minimal_complex_keeps_the_b_function(names, polys, support):
     assert verify_v_strict(minimal).passed
     positions = list(c.degrees())
     details = []
-    b = b_function_of_complex(minimal, spec.spec(), positions=positions,
-                              details=details)
-    assert str(b) == str(b_function_of_complex(total, spec.spec(),
-                                               positions=positions))
-    assert certify_b_function(b, details, minimal, spec.spec())
+    b = b_function_of_complex(minimal, positions=positions, details=details)
+    assert str(b) == str(b_function_of_complex(total, positions=positions))
+    assert certify_b_function(b, details, minimal)
 
 
 def test_single_hypersurface_special_case():

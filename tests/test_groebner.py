@@ -6,7 +6,7 @@ from derham import (FiltrationSpec, ModuleElement, OperatorMatrix, WeylElement,
 from derham.groebner import SolverCache, SubmoduleSolver
 from derham.presentations import DModPresentation
 
-SPEC1 = FiltrationSpec.full(1)
+SPEC1 = FiltrationSpec(1)
 
 
 def me(n, *ops):
@@ -81,7 +81,7 @@ def test_normal_form_degree_monotone():
         e = random_module_element(rng, 1, 1)
         r = solver.normal_form(e)
         if not e.is_zero() and not r.is_zero():
-            assert r.v_degree(SPEC1, (0,)) <= e.v_degree(SPEC1, (0,))
+            assert r.v_degree((0,)) <= e.v_degree((0,))
 
 
 def test_membership_examples():
@@ -124,11 +124,11 @@ def test_kernel_of_map():
 
 
 def test_obvious_shift_examples():
-    assert obvious_shift(OperatorMatrix(1, 1, [me(1, "x1*d1")]).rows, (0,), SPEC1) == (0,)
-    assert obvious_shift(OperatorMatrix(1, 1, [me(1, "x1")]).rows, (0,), SPEC1) == (-1,)
-    assert obvious_shift(OperatorMatrix(1, 1, [me(1, "d1")]).rows, (2,), SPEC1) == (3,)
+    assert obvious_shift(OperatorMatrix(1, 1, [me(1, "x1*d1")]).rows, (0,)) == (0,)
+    assert obvious_shift(OperatorMatrix(1, 1, [me(1, "x1")]).rows, (0,)) == (-1,)
+    assert obvious_shift(OperatorMatrix(1, 1, [me(1, "d1")]).rows, (2,)) == (3,)
     # zero column falls back to 0
-    assert obvious_shift(OperatorMatrix.zero(1, 1, 1).rows, (0,), SPEC1) == (0,)
+    assert obvious_shift(OperatorMatrix.zero(1, 1, 1).rows, (0,)) == (0,)
 
 
 def test_v_strict_resolution_examples():
@@ -156,7 +156,7 @@ def test_determinism_bit_identical():
 
 def test_module_order_with_shifts():
     # shifted orders change which generator leads
-    spec = FiltrationSpec.full(1)
+    spec = FiltrationSpec(1)
     gens = [ModuleElement(1, [WeylElement.d(0, 1), WeylElement.x(0, 1)])]
     sol_a = SubmoduleSolver(spec, 2, gens, ambient_shift=(0, 0))
     sol_b = SubmoduleSolver(spec, 2, gens, ambient_shift=(0, 10))
@@ -171,7 +171,7 @@ def test_normal_form_minimal_coset_degree():
     # x d + x^2 reduces to x^2, the V-minimal representative
     nf = solver.normal_form(me(1, "x1*d1 + x1^2"))
     assert nf == me(1, "x1^2")
-    assert nf.v_degree(SPEC1, (0,)) == -2
+    assert nf.v_degree((0,)) == -2
 
 
 def test_reduction_limit_is_honest():
@@ -266,7 +266,8 @@ def _check_random_divisions(seed, n, rank, key, h_step, limit, count):
     faulty kernel fails here rather than in the construction of a basis."""
     import derham.groebner as G
     rng = random.Random(seed)
-    engine = G.GBEngine(n, key, h_step=h_step, reduction_limit=limit)
+    engine = G.GBEngine(n, key, h_step=h_step)
+    engine.limit = limit
     outcomes = []
     while len(outcomes) < count:
         reducers = [G.primitive_entry(r, key)
@@ -285,7 +286,7 @@ def _check_random_divisions(seed, n, rank, key, h_step, limit, count):
 def test_reduce_matches_reference_v_order_homogenized():
     import derham.groebner as G
     for seed, n, rank in ((101, 1, 2), (102, 2, 1)):
-        key = G.v_order_key(n, n, (0, 1)[:rank], 1)
+        key = G.v_order_key(n, (0, 1)[:rank], 1)
         outcomes = _check_random_divisions(seed, n, rank, key, 2, 200, 200)
         assert set(outcomes) == {"remainder"}
 
@@ -293,7 +294,7 @@ def test_reduce_matches_reference_v_order_homogenized():
 def test_reduce_matches_reference_v_order_plain():
     import derham.groebner as G
     for seed, n, rank in ((103, 1, 2), (104, 2, 1)):
-        key = G.v_order_key(n, n, (0, -1)[:rank], 1)
+        key = G.v_order_key(n, (0, -1)[:rank], 1)
         outcomes = _check_random_divisions(seed, n, rank, key, 0, 60, 200)
         assert set(outcomes) == {"remainder", "limit"}
 
@@ -309,24 +310,31 @@ def test_reduce_step_budget_matches_reference():
     import derham.groebner as G
     import pytest
     from derham import ReductionLimitError
-    key = G.v_order_key(1, 1, (0,), 1)
+    key = G.v_order_key(1, (0,), 1)
     # 1 - x under the V-order: its lead is 1, so dividing 1 + d by it never
     # ends; both versions must stop at the same budget
     reducers = [G.primitive_entry(G.me_to_flat(me(1, "1 - x1")), key)]
     flat = G.me_to_flat(me(1, "1 + d1"))
     for limit in (1, 5, 40):
-        engine = G.GBEngine(1, key, h_step=0, reduction_limit=limit)
+        engine = G.GBEngine(1, key, h_step=0)
+        engine.limit = limit
         assert _assert_same_division(engine, flat, reducers) == "limit"
     # a budget of exactly the steps a terminating division takes suffices,
     # and one step less raises in both versions
     reducers = [G.primitive_entry(G.homogenize_flat(G.me_to_flat(me(1, g))), key)
                 for g in ("2*x1*d1 + 1", "3*d1^2 - x1")]
     flat = G.homogenize_flat(G.me_to_flat(me(1, "x1^2*d1^3 + 3*x1*d1^2 - d1")))
-    steps = next(k for k in range(200) if _assert_same_division(
-        G.GBEngine(1, key, h_step=2, reduction_limit=k), flat, reducers) == "remainder")
+    engine = G.GBEngine(1, key, h_step=2)
+
+    def outcome(limit):
+        engine.limit = limit
+        return _assert_same_division(engine, flat, reducers)
+
+    steps = next(k for k in range(200) if outcome(k) == "remainder")
     assert steps > 1
+    engine.limit = steps - 1
     with pytest.raises(ReductionLimitError):
-        G.GBEngine(1, key, h_step=2, reduction_limit=steps - 1).reduce(flat, reducers)
+        engine.reduce(flat, reducers)
 
 
 def test_h_saturation_failure_raises_internal_error(monkeypatch):
@@ -350,7 +358,7 @@ def test_solver_cache_normalizes_defaults_into_one_key():
     first = cache.get(1, gens)
     # a missing ambient shift is zero, a missing cofactor shift is obvious
     assert cache.get(1, gens, (0,)) is first
-    assert cache.get(1, tuple(gens), (0,), obvious_shift(gens, (0,), SPEC1)) is first
+    assert cache.get(1, tuple(gens), (0,), obvious_shift(gens, (0,))) is first
     assert (cache.builds, cache.hits) == (1, 2)
     assert first.cofactor_shift == SubmoduleSolver(SPEC1, 1, gens).cofactor_shift
 
@@ -388,8 +396,9 @@ def _reference_reduce_cofactor(solver, w, limit):
     given step budget."""
     import derham.groebner as G
     p = len(solver.gens)
-    key = G.v_order_key(solver.n, solver.spec.d, solver.cofactor_shift, p)
-    eng = G.GBEngine(solver.n, key, h_step=0, reduction_limit=limit)
+    key = G.v_order_key(solver.n, solver.cofactor_shift, p)
+    eng = G.GBEngine(solver.n, key, h_step=0)
+    eng.limit = limit
     entries = []
     for _, _, vec in solver._syz_entries:
         shifted = {(k[0] - solver.rank, k[1], k[2]): c for k, c in vec.items()}
@@ -402,7 +411,7 @@ def _reference_reduce_cofactor(solver, w, limit):
 def test_reduce_cofactor_matches_reference():
     from derham import ReductionLimitError
     rng = random.Random(31)
-    spec2 = FiltrationSpec.full(2)
+    spec2 = FiltrationSpec(2)
     outcomes = []
     for n, spec, rank in ((1, SPEC1, 1), (1, SPEC1, 2), (2, spec2, 1)):
         for _ in range(6):

@@ -10,7 +10,7 @@ from derham.localization import substitute_s
 
 
 def same_ideal(ops_a, ops_b, n):
-    spec = FiltrationSpec.full(n)
+    spec = FiltrationSpec(n)
     sa = SubmoduleSolver(spec, 1, [ModuleElement(n, [o]) for o in ops_a
                                    if not o.is_zero()])
     sb = SubmoduleSolver(spec, 1, [ModuleElement(n, [o]) for o in ops_b
@@ -124,7 +124,7 @@ def test_localizations_are_specializable():
         cplx = ChainComplexPres(n, 0, [mod.presentation], [])
         moved = fourier_complex(cplx).modules[0]
         shifted = DModPresentation(n, 1, moved.relations, (0,))
-        b = restriction_b_function_module(shifted, FiltrationSpec.full(n))
+        b = restriction_b_function_module(shifted)
         assert b.degree >= 1
 
 

@@ -13,7 +13,7 @@ def me(n, *ops):
 def d_complex():
     """0 -> D1 -(d)-> D1 -> 0 in degrees 0, 1."""
     free = DModPresentation.free(1, 1, (0,))
-    dmat = OperatorMatrix(1, 1, [me(1, "d1")], source_shift=(0,), target_shift=(0,))
+    dmat = OperatorMatrix(1, 1, [me(1, "d1")])
     return ChainComplexPres(1, 0, [free, free], [dmat])
 
 
@@ -54,7 +54,7 @@ def test_cohomology_cokernel():
     # H^1 = D/<d> = C[x]: nonzero, killed by multiplication with d
     assert not h1.homology.is_zero_module()
     rel_ops = [r for r in h1.homology.relations]
-    solver = SubmoduleSolver(FiltrationSpec.full(1), h1.homology.rank, rel_ops,
+    solver = SubmoduleSolver(FiltrationSpec(1), h1.homology.rank, rel_ops,
                              ambient_shift=h1.homology.shift_or_zero())
     assert solver.contains(ModuleElement(1, [parse_operator("d1", 1)]))
 

@@ -40,7 +40,6 @@ def run_weyl_algebra_suite(cases=220, seed=101):
 
 def run_fourier_suite(cases=220, seed=102):
     rng = random.Random(seed)
-    spec = FiltrationSpec.full(2)
     for _ in range(cases):
         p = random_weyl(rng, 2)
         q = random_weyl(rng, 2)
@@ -52,14 +51,13 @@ def run_fourier_suite(cases=220, seed=102):
         if p.terms:
             e, c = next(iter(p.terms.items()))
             mono = WeylElement(2, {e: c})
-            assert v_degree(fourier(mono), spec) == -v_degree(mono, spec)
+            assert v_degree(fourier(mono)) == -v_degree(mono)
         if not p.is_zero() and not q.is_zero():
             ep = max(p.terms)
             eq = max(q.terms)
             mp = WeylElement(2, {ep: p.terms[ep]})
             mq = WeylElement(2, {eq: q.terms[eq]})
-            assert v_degree(weyl_mul(mp, mq), spec) == \
-                v_degree(mp, spec) + v_degree(mq, spec)
+            assert v_degree(weyl_mul(mp, mq)) == v_degree(mp) + v_degree(mq)
     return cases
 
 
@@ -71,7 +69,7 @@ def run_chain_property_suite(cases=200, seed=103):
     check; each verified composite row counts as one case.
     """
     rng = random.Random(seed)
-    spec = FiltrationSpec.full(1)
+    spec = FiltrationSpec(1)
     checked = 0
     while checked < cases:
         rows = [random_module_element(rng, 1, 2, max_deg=1, max_terms=2)
@@ -105,8 +103,7 @@ def run_window_widening_suite(cases=200, seed=104):
         fam = family_for_mv(n, [parse_operator(p, n) for p in polys])
         fc = fourier_complex(mv_complex(fam, len(polys)))
         strict = strictify_complex(fc).total
-        b = b_function_of_complex(strict, FiltrationSpec.full(n),
-                                  positions=list(range(fc.lo, fc.hi + 1)))
+        b = b_function_of_complex(strict, positions=list(range(fc.lo, fc.hi + 1)))
         w = integer_root_window(b)
         base = cohomology_dims(omega_tensor_truncate(strict, w))
         corpus.append((strict, w, base))
@@ -147,7 +144,6 @@ def run_exactness_propagation_suite(cases=200, seed=105):
     top position and reproduces the single-polynomial answer.
     """
     rng = random.Random(seed)
-    spec = FiltrationSpec.full(1)
     menu = ["x1*d1", "x1*d1 + 1", "x1*d1 - 2", "x1", "d1", "x1*d1^2 + d1"]
     done = 0
     while done < cases:
@@ -156,7 +152,7 @@ def run_exactness_propagation_suite(cases=200, seed=105):
         ident = OperatorMatrix.identity(1, 1)
         cone = ChainComplexPres(1, 0, [pres, pres], [ident])
         strict = strictify_complex(cone).total
-        b = b_function_of_complex(strict, spec, positions=[0, 1])
+        b = b_function_of_complex(strict, positions=[0, 1])
         t = omega_tensor_truncate(strict, integer_root_window(b))
         dims = cohomology_dims(t)
         assert all(v == 0 for v in dims.values()), (str(op), dims)
@@ -190,21 +186,21 @@ def run_koszul_suite(cases=200):
     done = 0
     for k in range(-7, 13):
         if k != 0:
-            assert graded_koszul(L1, FiltrationSpec(1, 1), k).is_exact(), k
+            assert graded_koszul(L1, k).is_exact(), k
             done += 1
     for k in range(-7, 12):
         if k != 0:
-            assert graded_koszul(L2, FiltrationSpec(2, 2), k).is_exact(), k
+            assert graded_koszul(L2, k).is_exact(), k
             done += 1
     # window sanity on the non-root slice
-    assert not graded_koszul(L1, FiltrationSpec(1, 1), 0).is_exact()
-    assert not graded_koszul(L2, FiltrationSpec(2, 2), 0).is_exact()
+    assert not graded_koszul(L1, 0).is_exact()
+    assert not graded_koszul(L2, 0).is_exact()
     done += 2
     # repeat across scaled variants to reach the case budget
     scale = 1
     while done < cases:
         for k in (1, 2, -1, -2, 3, -3):
-            assert graded_koszul(L1, FiltrationSpec(1, 1), k).is_exact()
+            assert graded_koszul(L1, k).is_exact()
             done += 1
         scale += 1
     return done

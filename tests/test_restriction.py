@@ -3,15 +3,12 @@ from fractions import Fraction
 import pytest
 
 from derham import (BBoundExceededError, ChainComplexPres, DModPresentation,
-                    FiltrationSpec, GradedVectorComplex, InvalidInputError,
-                    ModuleElement, OperatorMatrix, ThetaPolynomial,
-                    TruncationWindow, WeylElement, b_function_of_complex,
-                    certify_b_function, cohomology_dims, euler_characteristic,
-                    fourier_complex, graded_koszul, integer_root_window,
-                    omega_tensor_truncate, parse_operator,
-                    restriction_b_function_module)
-
-SPEC1 = FiltrationSpec.full(1)
+                    GradedVectorComplex, InvalidInputError, ModuleElement,
+                    OperatorMatrix, ThetaPolynomial, TruncationWindow,
+                    WeylElement, b_function_of_complex, certify_b_function,
+                    cohomology_dims, euler_characteristic, fourier_complex,
+                    graded_koszul, integer_root_window, omega_tensor_truncate,
+                    parse_operator, restriction_b_function_module)
 
 
 def me(n, *ops):
@@ -21,8 +18,7 @@ def me(n, *ops):
 def euler_complex():
     """0 -> D[0] -(xd)-> D[0] -> 0 in degrees -1, 0."""
     free = DModPresentation.free(1, 1, (0,))
-    mat = OperatorMatrix(1, 1, [me(1, "x1*d1")], source_shift=(0,),
-                         target_shift=(0,))
+    mat = OperatorMatrix(1, 1, [me(1, "x1*d1")])
     return ChainComplexPres(1, -1, [free, free], [mat])
 
 
@@ -65,51 +61,51 @@ def test_window_validation():
 def test_b_function_unit_suite():
     polynomial_ring = DModPresentation.cyclic(1, [parse_operator("d1", 1)],
                                               shift=(0,))
-    assert str(restriction_b_function_module(polynomial_ring, SPEC1)) == "s"
+    assert str(restriction_b_function_module(polynomial_ring)) == "s"
 
     delta = DModPresentation.cyclic(1, [parse_operator("x1", 1)], shift=(0,))
-    assert str(restriction_b_function_module(delta, SPEC1)) == "s + 1"
+    assert str(restriction_b_function_module(delta)) == "s + 1"
 
     zero = DModPresentation.cyclic(1, [parse_operator("1", 1)], shift=(0,))
-    assert restriction_b_function_module(zero, SPEC1).is_one()
+    assert restriction_b_function_module(zero).is_one()
 
 
 def test_b_function_respects_shift():
     delta = DModPresentation.cyclic(1, [parse_operator("x1", 1)], shift=(2,))
-    b = restriction_b_function_module(delta, SPEC1)
+    b = restriction_b_function_module(delta)
     assert b.integer_roots() == [1]
 
 
 def test_b_function_not_specializable():
     free = DModPresentation.free(1, 1, (0,))
     with pytest.raises(BBoundExceededError):
-        restriction_b_function_module(free, SPEC1, max_degree=5)
+        restriction_b_function_module(free, max_degree=5)
 
 
 def test_b_function_of_complex_with_certificate():
     c = euler_complex()
     details = []
-    b = b_function_of_complex(c, SPEC1, details=details)
+    b = b_function_of_complex(c, details=details)
     assert str(b) == "s"
-    assert certify_b_function(b, details, c, SPEC1)
+    assert certify_b_function(b, details, c)
     # dropping the only root breaks a membership
-    assert not certify_b_function(ThetaPolynomial.one(), details, c, SPEC1)
+    assert not certify_b_function(ThetaPolynomial.one(), details, c)
     # an extra integer root that no membership needs fails the certificate
-    assert not certify_b_function(b * ThetaPolynomial([-3, 1]), details, c, SPEC1)
+    assert not certify_b_function(b * ThetaPolynomial([-3, 1]), details, c)
 
 
 def test_b_function_exact_complex_is_one():
     free = DModPresentation.free(1, 1, (0,))
-    ident = OperatorMatrix(1, 1, [me(1, "1")], source_shift=(0,), target_shift=(0,))
+    ident = OperatorMatrix(1, 1, [me(1, "1")])
     c = ChainComplexPres(1, 0, [free, free], [ident])
-    assert b_function_of_complex(c, SPEC1).is_one()
+    assert b_function_of_complex(c).is_one()
 
 
 def test_b_function_error_path():
     free = DModPresentation.free(1, 1, (0,))
     c = ChainComplexPres(1, 0, [free], [])
     with pytest.raises(BBoundExceededError):
-        b_function_of_complex(c, SPEC1, max_degree=4)
+        b_function_of_complex(c, max_degree=4)
 
 
 # -- Fourier transform of complexes -------------------------------------
@@ -147,7 +143,7 @@ def test_truncation_hand_example():
 def test_truncation_derivative_entry():
     # differential d: basis {1} at shift 1 maps to {d} at shift 0: entry 1
     mods = [DModPresentation.free(1, 1, (1,)), DModPresentation.free(1, 1, (0,))]
-    mat = OperatorMatrix(1, 1, [me(1, "d1")], source_shift=(1,), target_shift=(0,))
+    mat = OperatorMatrix(1, 1, [me(1, "d1")])
     c = ChainComplexPres(1, 0, mods, [mat])
     t = omega_tensor_truncate(c, TruncationWindow(1, 1))
     assert t.dim(0) == 1 and t.dim(1) == 1
@@ -157,13 +153,13 @@ def test_truncation_derivative_entry():
 def test_truncation_x_entry_dies():
     # basis {1} -> {1}: the multiplication entry x vanishes at x := 0
     mods = [DModPresentation.free(1, 1, (0,)), DModPresentation.free(1, 1, (0,))]
-    mat = OperatorMatrix(1, 1, [me(1, "x1")], source_shift=(0,), target_shift=(0,))
+    mat = OperatorMatrix(1, 1, [me(1, "x1")])
     c = ChainComplexPres(1, 0, mods, [mat])
     t = omega_tensor_truncate(c, TruncationWindow(0, 0))
     assert t.matrices[0] == [[Fraction(0)]]
     # with a derivative in the basis, the commutator constant survives
     mods2 = [DModPresentation.free(1, 1, (-1,)), DModPresentation.free(1, 1, (0,))]
-    mat2 = OperatorMatrix(1, 1, [me(1, "x1")], source_shift=(-1,), target_shift=(0,))
+    mat2 = OperatorMatrix(1, 1, [me(1, "x1")])
     c2 = ChainComplexPres(1, 0, mods2, [mat2])
     t2 = omega_tensor_truncate(c2, TruncationWindow(-1, 0))
     assert any(any(v != 0 for v in row) for row in t2.matrices[0])
@@ -209,25 +205,25 @@ def polynomial_line_module(jlo=-8, jhi=8):
 def test_koszul_line_fixture():
     L = polynomial_line_module()
     for k in (1, 2, 3, -2, -5):
-        assert graded_koszul(L, FiltrationSpec(1, 1), k).is_exact()
-    assert not graded_koszul(L, FiltrationSpec(1, 1), 0).is_exact()
+        assert graded_koszul(L, k).is_exact()
+    assert not graded_koszul(L, 0).is_exact()
 
 
 def test_koszul_zero_complex():
     L = GradedVectorComplex(0, 0, -3, 3, 1, {}, {}, {})
-    assert graded_koszul(L, FiltrationSpec(1, 1), 0).is_exact()
+    assert graded_koszul(L, 0).is_exact()
 
 
 def test_koszul_window_error():
     L = polynomial_line_module(jlo=-2, jhi=0)
     with pytest.raises(InvalidInputError):
-        graded_koszul(L, FiltrationSpec(1, 1), 1)
+        graded_koszul(L, 1)
 
 
 def test_koszul_two_row_mapping_cone():
     # d = 1 reduces to the two-row construction: dims are piece(k+1) + piece(k)
     L = polynomial_line_module()
-    K = graded_koszul(L, FiltrationSpec(1, 1), -2)
+    K = graded_koszul(L, -2)
     assert K.dims() == [1, 1]
 
 

@@ -11,13 +11,12 @@ from derham import (ChainComplexPres, DModPresentation, FiltrationSpec,
                     compute_derham, compute_derham_support, family_for_mv,
                     format_operator, fourier_complex, free_cover_ses,
                     minimize_complex, mv_complex, parse_operator,
-                    strictify_complex, v_strict_complex,
-                    verify_strict_ses, verify_v_strict)
+                    strictify_complex, verify_strict_ses, verify_v_strict)
 from derham import pipeline
 from derham.presentations import cohomology_presentation
 from derham.strictify import QuotientSES, strictify_ses, strictify_two_ses
 
-SPEC1 = FiltrationSpec.full(1)
+SPEC1 = FiltrationSpec(1)
 
 # sha256 of the strict total complex, the double complex and the comparison
 # maps of Fourier-transformed Mayer-Vietoris complexes, recorded before the
@@ -77,7 +76,7 @@ def test_strictify_ses_degenerate_c_zero():
     c = DModPresentation.zero(1)
     ses = QuotientSES(a, b, c, OperatorMatrix.identity(1, 1),
                       OperatorMatrix.zero(1, 1, 0))
-    wit = strictify_ses(ses, (), SPEC1)
+    wit = strictify_ses(ses, ())
     assert wit.middle.rank == a.rank
     assert wit.shift_b == wit.shift_a
 
@@ -86,20 +85,20 @@ def test_strictify_ses_degenerate_a_zero():
     b = DModPresentation.cyclic(1, [parse_operator("d1", 1)])
     ses = QuotientSES(DModPresentation.zero(1), b, b,
                       OperatorMatrix.zero(1, 0, 1), OperatorMatrix.identity(1, 1))
-    wit = strictify_ses(ses, (4,), SPEC1)
+    wit = strictify_ses(ses, (4,))
     assert wit.middle.rank == 1
     assert wit.shift_b == (4,)
 
 
 def test_strictify_ses_passes_checker():
     ses = quotient_ses_xd()
-    wit = strictify_ses(ses, (0,), SPEC1)
+    wit = strictify_ses(ses, (0,))
     a_shifted = DModPresentation(1, ses.a.rank, ses.a.relations, wit.shift_a)
     rewritten = QuotientSES(a_shifted, wit.middle, ses.c, wit.incl, wit.proj)
-    assert verify_strict_ses(rewritten, SPEC1)
+    assert verify_strict_ses(rewritten)
     for ct, lift in wit.pairs:
-        need = ct.v_degree(SPEC1, ses.c.shift_or_zero())
-        got = lift.v_degree(SPEC1, wit.shift_a)
+        need = ct.v_degree(ses.c.shift_or_zero())
+        got = lift.v_degree(wit.shift_a)
         assert got <= need
 
 
@@ -111,7 +110,7 @@ def test_strictify_ses_detects_non_exactness():
     ses = QuotientSES(a, b, c, OperatorMatrix.zero(1, 0, 1),
                       OperatorMatrix(1, 1, [me(1, "d1")]))
     with pytest.raises(InconsistencyError):
-        strictify_ses(ses, (0,), SPEC1)
+        strictify_ses(ses, (0,))
 
 
 def test_strictify_two_ses_trivial_outer():
@@ -121,7 +120,7 @@ def test_strictify_two_ses_trivial_outer():
                        OperatorMatrix.zero(1, 1, 0))
     seq2 = QuotientSES(zero, mid, mid, OperatorMatrix.zero(1, 0, 1),
                        OperatorMatrix.identity(1, 1))
-    wit1, wit2 = strictify_two_ses(seq1, seq2, (), SPEC1)
+    wit1, wit2 = strictify_two_ses(seq1, seq2, ())
     assert wit1.middle.rank == 1
     assert wit2.middle.rank == 1
 
@@ -129,7 +128,7 @@ def test_strictify_two_ses_trivial_outer():
 def test_free_cover_ses_collapse():
     # A = 0: the diagram collapses to a free cover of B = C
     gens = [me(1, "x1*d1")]
-    ses = SubmoduleSES(SPEC1, 1, (0,), [], 1, (0,), gens, 1, (0,), gens,
+    ses = SubmoduleSES((0,), [], (0,), gens, (0,), gens,
                        OperatorMatrix.identity(1, 1), OperatorMatrix.identity(1, 1))
     diag = free_cover_ses(ses, cover_a=ResolutionStep((), [], []))
     assert diag.cover_b.rank == diag.cover_c.rank == 1
@@ -148,8 +147,7 @@ def test_free_cover_ses_small_instance():
                                  ModuleElement.unit(1, 1, 0)])
     gens_mid = [ModuleElement(1, [parse_operator("x1", 1), WeylElement.zero(1)]),
                 ModuleElement(1, [WeylElement.zero(1), parse_operator("x1*d1", 1)])]
-    ses = SubmoduleSES(SPEC1, 1, (0,), gens_a, 2, (0, 0), gens_mid,
-                       1, (0,), gens_c, incl, proj)
+    ses = SubmoduleSES((0,), gens_a, (0, 0), gens_mid, (0,), gens_c, incl, proj)
     diag = free_cover_ses(ses)
     # kernel rows compose to zero through the covers
     for kb in diag.cover_b.kernel:
@@ -163,10 +161,10 @@ def test_free_cover_two_ses_pass_through():
     # F = 0: P_A = P_D
     gens_d = [me(1, "x1*d1")]
     step = ResolutionStep((0,), gens_d, [])
-    t2 = SubmoduleSES(SPEC1, 1, (0,), gens_d, 1, (0,), gens_d, 1, (0,), [],
+    t2 = SubmoduleSES((0,), gens_d, (0,), gens_d, (0,), [],
                       OperatorMatrix.identity(1, 1),
                       OperatorMatrix.zero(1, 1, 1))
-    t1 = SubmoduleSES(SPEC1, 1, (0,), gens_d, 1, (0,), gens_d, 1, (0,), [],
+    t1 = SubmoduleSES((0,), gens_d, (0,), gens_d, (0,), [],
                       OperatorMatrix.identity(1, 1),
                       OperatorMatrix.zero(1, 1, 1))
     diag2 = free_cover_ses(t2, cover_a=step)
@@ -178,7 +176,7 @@ def test_free_cover_two_ses_pass_through():
 def test_v_strict_complex_free_input():
     free = DModPresentation.free(1, 1, None)
     c = ChainComplexPres(1, 0, [free], [])
-    out = v_strict_complex(c)
+    out = strictify_complex(c).total
     assert out.is_free()
     assert verify_v_strict(out).passed
 
@@ -203,8 +201,7 @@ def test_counterexample_total_complex_fails():
     d1 = WeylElement.d(0, 1)
     mods = [DModPresentation.free(1, 2, (1, 1)), DModPresentation.free(1, 1, (0,))]
     mat = OperatorMatrix(1, 1, [ModuleElement(1, [d1]),
-                                ModuleElement(1, [d1 - 1])],
-                         source_shift=(1, 1), target_shift=(0,))
+                                ModuleElement(1, [d1 - 1])])
     tot = ChainComplexPres(1, -1, mods, [mat])
     report = verify_v_strict(tot)
     assert not report.passed
@@ -239,13 +236,13 @@ def test_strictify_two_ses_genuine_instance():
     seq2 = QuotientSES(boundary, free, homology,
                        OperatorMatrix(1, 1, [me(1, "x1*d1")]),
                        OperatorMatrix.identity(1, 1))
-    wit1, wit2 = strictify_two_ses(seq1, seq2, (), SPEC1)
+    wit1, wit2 = strictify_two_ses(seq1, seq2, ())
     a2 = DModPresentation(1, boundary.rank, boundary.relations, wit2.shift_a)
     rewritten2 = QuotientSES(a2, wit2.middle, homology, wit2.incl, wit2.proj)
-    assert verify_strict_ses(rewritten2, SPEC1)
+    assert verify_strict_ses(rewritten2)
     a1 = DModPresentation(1, wit2.middle.rank, wit2.middle.relations, wit1.shift_a)
     rewritten1 = QuotientSES(a1, wit1.middle, zero, wit1.incl, wit1.proj)
-    assert verify_strict_ses(rewritten1, SPEC1)
+    assert verify_strict_ses(rewritten1)
 
 
 def fourier_mv(names, polys):
@@ -362,8 +359,7 @@ def _free_complex(lo, shifts, matrices):
     """A free complex from shift vectors and differentials given as lists
     of rows of operator strings, all over D_1."""
     modules = [DModPresentation.free(1, len(sh), sh) for sh in shifts]
-    diffs = [OperatorMatrix(1, len(shifts[k + 1]), [me(1, *row) for row in rows],
-                            source_shift=shifts[k], target_shift=shifts[k + 1])
+    diffs = [OperatorMatrix(1, len(shifts[k + 1]), [me(1, *row) for row in rows])
              for k, rows in enumerate(matrices)]
     return ChainComplexPres(1, lo, modules, diffs)
 

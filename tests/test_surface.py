@@ -2,6 +2,9 @@
 and the names the engine no longer carries stay gone."""
 
 import ast
+import importlib
+import inspect
+import pkgutil
 import re
 from pathlib import Path
 
@@ -12,13 +15,13 @@ import derham
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 # one way to do each job: SubmoduleSolver answers every Groebner query,
-# mv_tensor_cech builds MV(F) and C(G) as its cases, and test-only helpers
-# live in their modules
+# mv_tensor_cech builds MV(F) and C(G) as its cases, the strict complex is
+# strictify_complex(c).total, and test-only helpers live in their modules
 REMOVED = ["TermOrder", "GroebnerBasis", "groebner_basis", "normal_form",
            "submodule_membership", "syzygies", "kernel_of_map",
            "cech_complex", "family_for_cech", "strictify_ses",
            "strictify_two_ses", "QuotientSES", "StrictSESWitness", "DModMap",
-           "cohomology_presentation"]
+           "cohomology_presentation", "v_strict_complex"]
 
 
 def library_surface_block():
@@ -48,3 +51,42 @@ def test_readme_library_surface_runs():
 @pytest.mark.parametrize("name", REMOVED)
 def test_removed_name_is_not_exported(name):
     assert not hasattr(derham, name)
+
+
+def public_callables():
+    """(qualified name, function) for every public function of derham and
+    its modules, and every method defined on their public classes."""
+    modules = [derham] + [importlib.import_module(f"derham.{m.name}")
+                          for m in pkgutil.iter_modules(derham.__path__)]
+    seen = set()
+    for mod in modules:
+        for name, obj in vars(mod).items():
+            if name.startswith("_") or id(obj) in seen or \
+                    not getattr(obj, "__module__", "").startswith("derham"):
+                continue
+            seen.add(id(obj))
+            if inspect.isfunction(obj):
+                yield f"{obj.__module__}.{name}", obj
+            elif inspect.isclass(obj):
+                for attr, member in vars(obj).items():
+                    fn = getattr(member, "__func__", member)
+                    if inspect.isfunction(fn):
+                        yield f"{obj.__module__}.{name}.{attr}", fn
+
+
+def test_only_solvers_take_a_filtration_spec():
+    # n is the only input to the V-filtration, and every other caller reads
+    # it off its inputs; compute_derham's spec is a ProblemSpec
+    takers = []
+    for qual, fn in public_callables():
+        spec = inspect.signature(fn).parameters.get("spec")
+        if spec is not None and spec.annotation != "ProblemSpec":
+            takers.append(qual)
+    assert sorted(takers) == ["derham.groebner.SolverCache.__init__",
+                              "derham.groebner.SubmoduleSolver.__init__"]
+
+
+def test_operator_matrix_carries_no_shifts():
+    # shifts live on the modules of a complex
+    params = inspect.signature(derham.OperatorMatrix.__init__).parameters
+    assert "source_shift" not in params and "target_shift" not in params

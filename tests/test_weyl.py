@@ -4,10 +4,9 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_polynomial, random_weyl
-from derham import (NEG_INF, DimensionMismatchError, FiltrationSpec,
-                    InvalidInputError, WeylElement, apply_to_laurent,
-                    apply_to_polynomial, format_operator, fourier,
-                    parse_operator, theta, v_degree, weyl_mul)
+from derham import (NEG_INF, DimensionMismatchError, WeylElement,
+                    apply_to_laurent, apply_to_polynomial, format_operator,
+                    fourier, parse_operator, theta, v_degree, weyl_mul)
 
 
 def x(i, n):
@@ -43,18 +42,10 @@ def test_dimension_mismatch():
 
 
 def test_v_degree_examples():
-    spec2 = FiltrationSpec(2, 2)
-    assert v_degree(WeylElement.monomial(2, (1, 1), (1, 0)), spec2) == -1
-    assert v_degree(WeylElement.one(2), spec2) == 0
-    assert v_degree(WeylElement.monomial(1, (0,), (2,)), FiltrationSpec(1, 1), 3) == 5
-    assert v_degree(WeylElement.zero(1), FiltrationSpec(1, 1)) == NEG_INF
-
-
-def test_v_degree_partial_d():
-    # only the leading d variables count toward the filtration
-    spec = FiltrationSpec(2, 1)
-    p = WeylElement.monomial(2, (0, 3), (0, 5))
-    assert v_degree(p, spec) == 0
+    assert v_degree(WeylElement.monomial(2, (1, 1), (1, 0))) == -1
+    assert v_degree(WeylElement.one(2)) == 0
+    assert v_degree(WeylElement.monomial(1, (0,), (2,)), 3) == 5
+    assert v_degree(WeylElement.zero(1)) == NEG_INF
 
 
 def test_fourier_on_generators():
@@ -65,11 +56,8 @@ def test_fourier_on_generators():
 
 
 def test_theta():
-    assert theta(FiltrationSpec(1, 1)) == x(0, 1) * d(0, 1)
-    t2 = theta(FiltrationSpec(2, 2))
-    assert t2 == x(0, 2) * d(0, 2) + x(1, 2) * d(1, 2)
-    with pytest.raises(InvalidInputError):
-        theta(FiltrationSpec(2, 0))
+    assert theta(1) == x(0, 1) * d(0, 1)
+    assert theta(2) == x(0, 2) * d(0, 2) + x(1, 2) * d(1, 2)
 
 
 def test_apply_to_polynomial():
