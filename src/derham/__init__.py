@@ -26,8 +26,7 @@ from .localization import (LocalizationFamily, LocalizedModule,
                            formal_action_is_zero, localize)
 from .mv import (MVIndex, family_for_mv, family_for_support, mv_complex,
                  mv_tensor_cech)
-from .strictify import (FreeCoverDiagram, ResolutionStep, StrictDoubleComplex,
-                        StrictificationResult, SubmoduleSES, free_cover_ses,
+from .strictify import (StrictDoubleComplex, StrictificationResult,
                         minimize_complex, strictify_complex, verify_strict_ses,
                         verify_v_strict)
 from .restriction import (GradedKoszulComplex, GradedVectorComplex,

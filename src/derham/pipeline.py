@@ -243,14 +243,35 @@ def compute_derham_support(spec: ProblemSpec) -> ResultReport:
 
 def load_presentation_overrides(path: str, n: int, names) -> dict:
     """User-supplied localizations: a JSON list of {poly, exponent,
-    relations}; keys are canonical polynomial strings."""
-    with open(path) as fh:
-        data = json.load(fh)
+    relations}; keys are canonical polynomial strings.  An unreadable
+    file, invalid JSON, a missing key, a non-integer exponent or a
+    polynomial or relation that is not a string is invalid input."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise InvalidInputError(f"cannot read presentation file {path}: "
+                                f"{exc.strerror}") from exc
+    except json.JSONDecodeError as exc:
+        raise InvalidInputError(f"presentation file {path} is not JSON: {exc}") from exc
     if isinstance(data, dict):
         data = [data]
+    if not isinstance(data, list):
+        raise InvalidInputError("a presentation file holds an object or a list of them")
     out = {}
     for entry in data:
-        f = parse_polynomial(entry["poly"], n, names)
-        rels = [parse_operator(rtext, n, names) for rtext in entry["relations"]]
-        out[format_operator(f)] = (int(entry["exponent"]), rels)
+        missing = [key for key in ("poly", "exponent", "relations")
+                   if not isinstance(entry, dict) or key not in entry]
+        if missing:
+            raise InvalidInputError(f"presentation entry lacks {', '.join(missing)}")
+        poly, exponent, relations = entry["poly"], entry["exponent"], entry["relations"]
+        if not isinstance(exponent, int) or isinstance(exponent, bool):
+            raise InvalidInputError(f"presentation exponent {exponent!r} is not an integer")
+        if not isinstance(poly, str) or not isinstance(relations, list) or \
+                not all(isinstance(r, str) for r in relations):
+            raise InvalidInputError("a presentation gives its poly as a string and "
+                                    "its relations as a list of strings")
+        f = parse_polynomial(poly, n, names)
+        rels = [parse_operator(rtext, n, names) for rtext in relations]
+        out[format_operator(f)] = (exponent, rels)
     return out

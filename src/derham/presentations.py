@@ -241,20 +241,17 @@ def _heads(vectors, count):
     return out
 
 
-def cycle_generators(c: ChainComplexPres, k: int,
-                     solvers: Optional[SolverCache] = None):
+def cycle_generators(c: ChainComplexPres, k: int, solvers: SolverCache):
     """Generators of the preimage in the cover of ker(C^k -> C^k+1).
 
     These are vectors v in D^rank(k) with v . d_k inside the relations of
     C^k+1; they include the relations of C^k.  The solver comes from
-    `solvers`, a fresh cache when none is given.
+    `solvers`.
     """
     mod = c.module(k)
     dmat = c.differential(k)
     if dmat is None or dmat.target_rank == 0:
         return [ModuleElement.unit(c.n, mod.rank, i) for i in range(mod.rank)]
-    if solvers is None:
-        solvers = SolverCache(FiltrationSpec(c.n))
     tgt = c.module(k + 1)
     gens = list(dmat.rows) + list(tgt.relations)
     return _heads(solvers.syzygies(tgt.rank, gens, tgt.shift_or_zero()), mod.rank)
@@ -266,7 +263,7 @@ def cohomology_presentation(c: ChainComplexPres, k: int) -> CohomologyData:
         raise InvalidInputError(f"degree {k} outside [{c.lo}, {c.hi}]")
     mod = c.module(k)
     n = c.n
-    zgens = cycle_generators(c, k)
+    zgens = cycle_generators(c, k, SolverCache(FiltrationSpec(n)))
 
     prev = c.differential(k - 1)
     bgens = []

@@ -7,9 +7,13 @@ that the short exact sequences of relation submodules become V-strict.
 Phase two walks back up, building compatible free covers level by level:
 each level's cover of the cycle column is (B-cover) + (H-cover) and the
 full column is that plus the next boundary cover, with lifts chosen of
-minimal V-degree.  The total complex of the resulting double complex is
-V-strict and quasi-isomorphic to the input; the comparison map reads off
-the level-zero block.
+minimal V-degree.  Both short exact sequences of a level, 0 -> B -> Z ->
+H -> 0 and 0 -> Z -> C -> B_next -> 0, are blocks: in each 0 -> A -> M ->
+Q -> 0, A sits in the leading components of M, Q in the trailing ones,
+and the projection M -> Q keeps the trailing components.  The total
+complex of the resulting double complex is V-strict and
+quasi-isomorphic to the input; the comparison map reads off the
+level-zero block.
 
 Each distinct submodule is solved once per strictify_complex call: every
 solver comes from one SolverCache that the call creates, passes down
@@ -31,7 +35,6 @@ as it is.
 from __future__ import annotations
 
 import logging
-from typing import Optional
 
 from .errors import InconsistencyError, InternalError, InvalidInputError
 from .groebner import (ModuleElement, OperatorMatrix, SolverCache,
@@ -65,24 +68,6 @@ class QuotientSES:
         self.b_to_c = b_to_c
 
 
-class SubmoduleSES:
-    """0 -> A -> B -> C -> 0 of submodules of free modules with shifts.
-
-    Each ambient rank is the length of its shift vector.
-    """
-
-    __slots__ = ("shift_a", "shift_b", "shift_c", "gens_a", "gens_b", "gens_c",
-                 "incl", "proj")
-
-    def __init__(self, shift_a, gens_a, shift_b, gens_b, shift_c, gens_c,
-                 incl: OperatorMatrix, proj: OperatorMatrix):
-        self.shift_a, self.gens_a = tuple(shift_a), list(gens_a)
-        self.shift_b, self.gens_b = tuple(shift_b), list(gens_b)
-        self.shift_c, self.gens_c = tuple(shift_c), list(gens_c)
-        self.incl = incl
-        self.proj = proj
-
-
 class ResolutionStep:
     """One step 0 -> K -> P[shift] -> M -> 0; the rows map the generators
     of P onto a Groebner basis of M inside its ambient free module."""
@@ -97,18 +82,6 @@ class ResolutionStep:
     @property
     def rank(self):
         return len(self.rows)
-
-
-class FreeCoverDiagram:
-    """A commutative free-cover diagram over a strict SES of submodules."""
-
-    __slots__ = ("ses", "cover_a", "cover_b", "cover_c")
-
-    def __init__(self, ses, cover_a, cover_b, cover_c):
-        self.ses = ses
-        self.cover_a = cover_a
-        self.cover_b = cover_b
-        self.cover_c = cover_c
 
 
 class StrictSESWitness:
@@ -344,13 +317,6 @@ def strictify_two_ses(seq1: QuotientSES, seq2: QuotientSES, shift_c):
 # free covers of strict sequences of submodules
 # ---------------------------------------------------------------------------
 
-def _fresh_step(solvers: SolverCache, rank, gens, shift) -> ResolutionStep:
-    basis = solvers.basis(rank, gens, shift)
-    shifts = obvious_shift(basis, shift)
-    kernel = solvers.syzygies(rank, basis, shift, shifts)
-    return ResolutionStep(shifts, basis, kernel)
-
-
 def _proportional(v: ModuleElement, w: ModuleElement) -> bool:
     """True when v = c w for a nonzero rational c."""
     if v.is_zero() or w.is_zero():
@@ -372,28 +338,28 @@ def _proportional(v: ModuleElement, w: ModuleElement) -> bool:
     return True
 
 
-def free_cover_ses(ses: SubmoduleSES, cover_a: Optional[ResolutionStep] = None,
-                   solvers: Optional[SolverCache] = None) -> FreeCoverDiagram:
-    """Free covers P_B = P_A + P_C over a strict SES of submodules.
+def free_cover_ses(cover_a: ResolutionStep, gens_b, shift_b, gens_c, shift_c,
+                   solvers: SolverCache):
+    """Free covers P_B = P_A + P_C over a strict SES 0 -> A -> B -> C -> 0
+    of submodules; returns (cover_b, cover_c).
 
-    The C-cover generators are the nonzero projections of a basis of B at
-    their B-side degrees together with a fresh basis of C; the middle lift
-    of a fresh C-basis element is a minimal-degree preimage, which the
-    strictness of the input keeps at or below the C-side degree.  Solvers
-    come from `solvers`, a fresh cache when none is given.
+    The maps are blocks: B lies in D^(a+c) under shift_b, A in its leading
+    a = len(shift_b) - len(shift_c) components, and B -> C keeps the
+    trailing c components.  The C-cover generators are the nonzero
+    projections of a basis of B at their B-side degrees together with a
+    fresh basis of C; the middle lift of a fresh C-basis element is a
+    minimal-degree preimage, which the strictness of the input keeps at or
+    below the C-side degree.
     """
-    n = ses.incl.n
-    rank_b, rank_c = len(ses.shift_b), len(ses.shift_c)
-    if solvers is None:
-        solvers = SolverCache(FiltrationSpec(n))
-    if cover_a is None:
-        cover_a = _fresh_step(solvers, len(ses.shift_a), ses.gens_a, ses.shift_a)
-    gb_b = solvers.basis(rank_b, ses.gens_b, ses.shift_b)
-    gb_c = solvers.basis(rank_c, ses.gens_c, ses.shift_c)
+    n = solvers.spec.n
+    rank_b, rank_c = len(shift_b), len(shift_c)
+    a = rank_b - rank_c
+    gb_b = solvers.basis(rank_b, gens_b, shift_b)
+    gb_c = solvers.basis(rank_c, gens_c, shift_c)
+    proj_b = [ModuleElement(n, b.components[a:]) for b in gb_b]
 
     proj_pairs = []
-    for b in gb_b:
-        pb = ses.proj.apply(b)
+    for b, pb in zip(gb_b, proj_b):
         if pb.is_zero():
             continue
         if any(_proportional(pb, c) for c in gb_c):
@@ -401,13 +367,12 @@ def free_cover_ses(ses: SubmoduleSES, cover_a: Optional[ResolutionStep] = None,
         proj_pairs.append((b, pb))
 
     c_rows = [pb for _, pb in proj_pairs] + gb_c
-    c_shift = tuple(int(b.v_degree(ses.shift_b)) for b, _ in proj_pairs) \
-        + obvious_shift(gb_c, ses.shift_c)
+    c_shift = tuple(int(b.v_degree(shift_b)) for b, _ in proj_pairs) \
+        + obvious_shift(gb_c, shift_c)
     lifts = [b for b, _ in proj_pairs]
     # minimal-V-degree combinations of the projected B-basis, measured
     # against the B-side degrees: one solver for every C-basis element
-    solver = solvers.get(rank_c, [ses.proj.apply(b) for b in gb_b], ses.shift_c,
-                         obvious_shift(gb_b, ses.shift_b)) \
+    solver = solvers.get(rank_c, proj_b, shift_c, obvious_shift(gb_b, shift_b)) \
         if gb_c else None
     for c in gb_c:
         w = solver.min_degree_witness(c)
@@ -418,22 +383,21 @@ def free_cover_ses(ses: SubmoduleSES, cover_a: Optional[ResolutionStep] = None,
         for wi, b in zip(w.components, gb_b):
             if not wi.is_zero():
                 psi = psi + b.left_mul(wi)
-        need = c.v_degree(ses.shift_c)
-        got = psi.v_degree(ses.shift_b)
+        need = c.v_degree(shift_c)
+        got = psi.v_degree(shift_b)
         if got != NEG_INF and need != NEG_INF and got > need:
             raise InternalError(
                 "lift of the required V-degree not found; the input sequence "
                 "is not V-strict")
         lifts.append(psi)
 
-    kernel_c = solvers.syzygies(rank_c, c_rows, ses.shift_c, c_shift)
+    kernel_c = solvers.syzygies(rank_c, c_rows, shift_c, c_shift)
     cover_c = ResolutionStep(c_shift, c_rows, kernel_c)
 
-    b_rows = [ses.incl.apply(r) for r in cover_a.rows] + lifts
+    b_rows = [_embed(r, rank_b, 0, n) for r in cover_a.rows] + lifts
     b_shift = cover_a.shift + c_shift
-    kernel_b = solvers.syzygies(rank_b, b_rows, ses.shift_b, b_shift)
-    cover_b = ResolutionStep(b_shift, b_rows, kernel_b)
-    return FreeCoverDiagram(ses, cover_a, cover_b, cover_c)
+    kernel_b = solvers.syzygies(rank_b, b_rows, shift_b, b_shift)
+    return ResolutionStep(b_shift, b_rows, kernel_b), cover_c
 
 
 # ---------------------------------------------------------------------------
@@ -686,7 +650,6 @@ def _phase_one(c: ChainComplexPres, solvers: SolverCache):
 
 def _phase_two(c: ChainComplexPres, solvers: SolverCache, phase1: dict, edge: int):
     """Builds compatible free resolutions spot by spot, level by level."""
-    n = c.n
     spots = {}
     res_b: list = []
     complete_all = True
@@ -727,31 +690,24 @@ def _phase_two(c: ChainComplexPres, solvers: SolverCache, phase1: dict, edge: in
                 complete = True
                 break
             d_step = res_b[k - 1]
-            s_z = psh[:prb + prh]
-            s_b = psh[:prb]
-            s_h = psh[prb:prb + prh]
-            s_bn = psh[prb + prh:]
-            t2 = SubmoduleSES(s_b, kb, s_z, kz, s_h, kh,
-                              _block_incl(n, prb, prb + prh, 0),
-                              _block_proj(n, prb + prh, prh, prb))
-            t1 = SubmoduleSES(s_z, kz, psh, kc, s_bn, kbn,
-                              _block_incl(n, prb + prh, prb + prh + prbn, 0),
-                              _block_proj(n, prb + prh + prbn, prbn, prb + prh))
-            # the A-cover P_D + P_F built over t2 is the A-side cover of t1
-            diag2 = free_cover_ses(t2, cover_a=d_step, solvers=solvers)
-            diag1 = free_cover_ses(t1, cover_a=diag2.cover_b, solvers=solvers)
-            ranks_k = (d_step.rank, diag2.cover_c.rank, diag1.cover_c.rank)
-            _assert_triangular(diag1.cover_b.rows, ranks_k, (prb, prh, prbn))
-            levels.append(_LevelData(ranks_k, diag1.cover_b.shift,
-                                     diag1.cover_b.rows))
-            res_bnext.append(diag1.cover_c)
+            # 0 -> B -> Z -> H -> 0, then 0 -> Z -> C -> B_next -> 0: the
+            # Z-cover P_D + P_H built over the first is the A-side cover of
+            # the second
+            cover_z, cover_h = free_cover_ses(d_step, kz, psh[:prb + prh], kh,
+                                              psh[prb:prb + prh], solvers)
+            cover_c, cover_bn = free_cover_ses(cover_z, kc, psh, kbn,
+                                               psh[prb + prh:], solvers)
+            ranks_k = (d_step.rank, cover_h.rank, cover_bn.rank)
+            _assert_triangular(cover_c.rows, ranks_k, (prb, prh, prbn))
+            levels.append(_LevelData(ranks_k, cover_c.shift, cover_c.rows))
+            res_bnext.append(cover_bn)
             kb = d_step.kernel
-            kz = diag2.cover_b.kernel
-            kh = diag2.cover_c.kernel
-            kc = diag1.cover_b.kernel
-            kbn = diag1.cover_c.kernel
+            kz = cover_z.kernel
+            kh = cover_h.kernel
+            kc = cover_c.kernel
+            kbn = cover_bn.kernel
             prb, prh, prbn = ranks_k
-            psh = diag1.cover_b.shift
+            psh = cover_c.shift
         else:
             complete = not (kb or kz or kh or kc or kbn)
         complete_all = complete_all and complete

@@ -112,6 +112,38 @@ def test_presentation_override(tmp_path):
     assert data["dims"] == {"0": 1, "1": 1, "2": 0}
 
 
+GOOD_ENTRY = {"poly": "x", "exponent": -1, "relations": ["x1*d1 + 1"]}
+
+
+def _without(key):
+    return json.dumps([{k: v for k, v in GOOD_ENTRY.items() if k != key}])
+
+
+@pytest.mark.parametrize("text, message", [
+    (None, "cannot read"),
+    ("{not json", "not JSON"),
+    ("42", "object or a list"),
+    (_without("poly"), "lacks poly"),
+    (_without("exponent"), "lacks exponent"),
+    (_without("relations"), "lacks relations"),
+    (json.dumps([dict(GOOD_ENTRY, exponent=-1.5)]), "not an integer"),
+    (json.dumps([dict(GOOD_ENTRY, poly=5)]), "as a string"),
+    (json.dumps([dict(GOOD_ENTRY, relations=[3])]), "list of strings"),
+], ids=["missing file", "invalid json", "not a list", "no poly",
+        "no exponent", "no relations", "non-integer exponent",
+        "non-string poly", "non-string relation"])
+def test_presentation_file_errors_are_invalid_input(tmp_path, text, message):
+    pres = tmp_path / "rx.json"
+    if text is not None:
+        pres.write_text(text)
+    out = run_cli("cohomology", "--vars", "x", "--poly", "x",
+                  "--presentation", str(pres))
+    assert out.returncode == 1, out.stderr
+    err = json.loads(out.stderr.strip().splitlines()[-1])
+    assert err["kind"] == "invalid-input"
+    assert message in err["error"]
+
+
 def test_timings_flag():
     out = run_cli("cohomology", "--vars", "x", "--poly", "x", "--timings")
     data = json.loads(out.stdout)

@@ -20,8 +20,9 @@ def fourier_mv(n, texts):
 
 def cycle_gen_heads(c, k):
     """Generators of the cycle preimages at degree k (cover coordinates)."""
+    from derham.groebner import SolverCache
     from derham.presentations import cycle_generators
-    return cycle_generators(c, k)
+    return cycle_generators(c, k, SolverCache(FiltrationSpec(c.n)))
 
 
 def test_comparison_is_chain_map_and_quasi_iso():

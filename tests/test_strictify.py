@@ -6,15 +6,16 @@ import pytest
 
 from derham import (ChainComplexPres, DModPresentation, FiltrationSpec,
                     InconsistencyError, ModuleElement, OperatorMatrix,
-                    ProblemSpec, ResolutionStep, SubmoduleSES,
-                    SubmoduleSolver, WeylElement,
+                    ProblemSpec, SubmoduleSolver, WeylElement,
                     compute_derham, compute_derham_support, family_for_mv,
-                    format_operator, fourier_complex, free_cover_ses,
-                    minimize_complex, mv_complex, parse_operator,
+                    format_operator, fourier_complex, minimize_complex,
+                    mv_complex, obvious_shift, parse_operator,
                     strictify_complex, verify_strict_ses, verify_v_strict)
 from derham import pipeline
+from derham.groebner import SolverCache
 from derham.presentations import cohomology_presentation
-from derham.strictify import QuotientSES, strictify_ses, strictify_two_ses
+from derham.strictify import (QuotientSES, ResolutionStep, free_cover_ses,
+                              strictify_ses, strictify_two_ses)
 
 SPEC1 = FiltrationSpec(1)
 
@@ -128,31 +129,29 @@ def test_strictify_two_ses_trivial_outer():
 def test_free_cover_ses_collapse():
     # A = 0: the diagram collapses to a free cover of B = C
     gens = [me(1, "x1*d1")]
-    ses = SubmoduleSES((0,), [], (0,), gens, (0,), gens,
-                       OperatorMatrix.identity(1, 1), OperatorMatrix.identity(1, 1))
-    diag = free_cover_ses(ses, cover_a=ResolutionStep((), [], []))
-    assert diag.cover_b.rank == diag.cover_c.rank == 1
-    assert diag.cover_b.rows[0] == gens[0]
+    cover_b, cover_c = free_cover_ses(ResolutionStep((), [], []), gens, (0,),
+                                      gens, (0,), SolverCache(SPEC1))
+    assert cover_b.rank == cover_c.rank == 1
+    assert cover_b.rows[0] == gens[0]
 
 
 def test_free_cover_ses_small_instance():
     # B = <x, xd> inside D, C = image under identity mod x: exact strict row
     gens_a = [me(1, "x1")]
-    gens_b = [me(1, "x1"), me(1, "x1*d1")]
     gens_c = [me(1, "x1*d1")]
     # use a direct-sum ambient: A -> A + C -> C with block maps
-    incl = OperatorMatrix(1, 2, [ModuleElement(1, [parse_operator("1", 1),
-                                                   WeylElement.zero(1)])])
-    proj = OperatorMatrix(1, 1, [ModuleElement.zero(1, 1),
-                                 ModuleElement.unit(1, 1, 0)])
     gens_mid = [ModuleElement(1, [parse_operator("x1", 1), WeylElement.zero(1)]),
                 ModuleElement(1, [WeylElement.zero(1), parse_operator("x1*d1", 1)])]
-    ses = SubmoduleSES((0,), gens_a, (0, 0), gens_mid, (0,), gens_c, incl, proj)
-    diag = free_cover_ses(ses)
+    solvers = SolverCache(SPEC1)
+    basis_a = solvers.basis(1, gens_a, (0,))
+    shift_a = obvious_shift(basis_a, (0,))
+    cover_a = ResolutionStep(shift_a, basis_a,
+                             solvers.syzygies(1, basis_a, (0,), shift_a))
+    cover_b, _ = free_cover_ses(cover_a, gens_mid, (0, 0), gens_c, (0,), solvers)
     # kernel rows compose to zero through the covers
-    for kb in diag.cover_b.kernel:
+    for kb in cover_b.kernel:
         img = ModuleElement.zero(1, 2)
-        for ci, row in zip(kb.components, diag.cover_b.rows):
+        for ci, row in zip(kb.components, cover_b.rows):
             img = img + row.left_mul(ci)
         assert img.is_zero()
 
@@ -161,16 +160,19 @@ def test_free_cover_two_ses_pass_through():
     # F = 0: P_A = P_D
     gens_d = [me(1, "x1*d1")]
     step = ResolutionStep((0,), gens_d, [])
-    t2 = SubmoduleSES((0,), gens_d, (0,), gens_d, (0,), [],
-                      OperatorMatrix.identity(1, 1),
-                      OperatorMatrix.zero(1, 1, 1))
-    t1 = SubmoduleSES((0,), gens_d, (0,), gens_d, (0,), [],
-                      OperatorMatrix.identity(1, 1),
-                      OperatorMatrix.zero(1, 1, 1))
-    diag2 = free_cover_ses(t2, cover_a=step)
-    diag1 = free_cover_ses(t1, cover_a=diag2.cover_b)
-    assert diag2.cover_b.rank == step.rank
-    assert diag1.cover_b.rank == step.rank
+    solvers = SolverCache(SPEC1)
+    cover_a, _ = free_cover_ses(step, gens_d, (0,), [], (), solvers)
+    cover_b, _ = free_cover_ses(cover_a, gens_d, (0,), [], (), solvers)
+    assert cover_a.rank == step.rank
+    assert cover_b.rank == step.rank
+
+
+def test_free_cover_ses_rejects_c_outside_the_projection():
+    # B = <(x, 0)> projects to zero, so C = <d> has no preimage in B
+    with pytest.raises(InconsistencyError, match="no preimage exists"):
+        free_cover_ses(ResolutionStep((0,), [me(1, "x1")], []),
+                       [me(1, "x1", "0")], (0, 0), [me(1, "d1")], (0,),
+                       SolverCache(SPEC1))
 
 
 def test_v_strict_complex_free_input():

@@ -16,12 +16,14 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 
 # one way to do each job: SubmoduleSolver answers every Groebner query,
 # mv_tensor_cech builds MV(F) and C(G) as its cases, the strict complex is
-# strictify_complex(c).total, and test-only helpers live in their modules
+# strictify_complex(c).total, phase two's short exact sequences are block
+# offsets, and test-only helpers live in their modules
 REMOVED = ["TermOrder", "GroebnerBasis", "groebner_basis", "normal_form",
            "submodule_membership", "syzygies", "kernel_of_map",
            "cech_complex", "family_for_cech", "strictify_ses",
            "strictify_two_ses", "QuotientSES", "StrictSESWitness", "DModMap",
-           "cohomology_presentation", "v_strict_complex"]
+           "cohomology_presentation", "v_strict_complex", "SubmoduleSES",
+           "FreeCoverDiagram", "free_cover_ses", "ResolutionStep"]
 
 
 def library_surface_block():
@@ -90,3 +92,13 @@ def test_operator_matrix_carries_no_shifts():
     # shifts live on the modules of a complex
     params = inspect.signature(derham.OperatorMatrix.__init__).parameters
     assert "source_shift" not in params and "target_shift" not in params
+
+
+def test_solver_caches_are_passed_not_defaulted():
+    # a caller hands its SolverCache down; no callee builds a fresh one
+    defaulted = []
+    for qual, fn in public_callables():
+        solvers = inspect.signature(fn).parameters.get("solvers")
+        if solvers is not None and solvers.default is not solvers.empty:
+            defaulted.append(qual)
+    assert defaulted == []
