@@ -28,6 +28,32 @@ All division runs through one kernel, GBEngine.reduce:
   once per remainder term, so the Fraction remainder equals that of
   rational division step for step.
 - The step budget counts the same division steps as rational division.
+
+Buchberger skips finished work in two places without changing its output,
+because the tail of a reduced basis entry is unique.  Take an entry g of a
+Groebner basis and two remainders of g modulo the other entries, scaled to
+one lead coefficient.  Their difference lies in the module and has no term
+divisible by another lead, so if it were nonzero its lead would be
+divisible by lead(g).  For h_step=2 every vector is homogeneous, so that
+term would have the degree of lead(g) and equal it; for h_step=0 the order
+is a term order, so that term would be at least lead(g).  But its terms
+are tail terms, below lead(g).  So the reduced basis is unique too, and:
+
+- _interreduce walks the minimal leads in ascending order.  An entry with
+  no tail term divisible by another lead is reduced already and passes
+  through, its terms in descending key order as reduce emits them.  Any
+  other entry is reduced against the current list (the entries below it
+  reduced, those above not yet), a Groebner basis with the same leads, so
+  the remainder is the one all-pairs reduction gives.
+- A saturation round in SubmoduleSolver divides some entries of the
+  reduced basis by their h-content h^c and restarts Buchberger from the
+  stripped list.  h is central and lead(h^c g) = h^c lead(g) under
+  v_order_key, so a standard representation of an S-pair of two
+  unchanged entries with respect to the old basis is one with respect to
+  the stripped list.  Buchberger is told which entries changed, forms only
+  the pairs that touch one of them, and counts every other pair as
+  treated for the chain criterion.  The round returns the reduced basis,
+  which a restart from scratch returns too.
 """
 
 from __future__ import annotations
@@ -326,6 +352,19 @@ def _minimalize_entries(entries: list) -> list:
     return out
 
 
+def _tail_reducible(lead: Mono, vec: FlatVec, leads_at: dict) -> bool:
+    """Whether a lead in leads_at (leads by position) other than `lead`
+    divides a term of vec other than `lead`."""
+    for m in vec:
+        if m == lead:
+            continue
+        mexp, mh = m[1], m[2]
+        for l in leads_at.get(m[0], ()):
+            if l != lead and l[2] <= mh and all(map(le, l[1], mexp)):
+                return True
+    return False
+
+
 # ---------------------------------------------------------------------------
 # the engine
 # ---------------------------------------------------------------------------
@@ -342,6 +381,10 @@ class GBEngine:
         self.key = key
         self.h_step = h_step
         self.limit = DEFAULT_REDUCTION_LIMIT
+        # S-pairs that went through reduce, and those the chain criterion
+        # skipped, over every buchberger call of this engine
+        self.spairs_reduced = 0
+        self.spairs_skipped = 0
 
     # division ---------------------------------------------------------
 
@@ -415,9 +458,16 @@ class GBEngine:
 
     # Buchberger ---------------------------------------------------------
 
-    def buchberger(self, gens: Sequence[FlatVec]) -> list:
+    def buchberger(self, gens: Sequence[FlatVec], changed=None) -> list:
         """Unique reduced basis of the module generated by gens, as
-        (lead, lc, vec) entries with primitive int coefficients."""
+        (lead, lc, vec) entries with primitive int coefficients.
+
+        changed, if given, holds the indices of the gens that may break the
+        basis property: every S-pair of two other gens has a standard
+        representation with respect to gens (the module docstring says when
+        that holds).  Only pairs that touch a changed index are formed.
+        The gens must then be nonzero, so that indices name entries.
+        """
         key = self.key
         entries = []  # (lead, lc, vec)
         for g in gens:
@@ -444,11 +494,14 @@ class GBEngine:
             in_queue.add((i, j))
             counter += 1
 
+        treated = set()
         for i in range(len(entries)):
             for j in range(i + 1, len(entries)):
-                push(i, j)
+                if changed is None or i in changed or j in changed:
+                    push(i, j)
+                else:
+                    treated.add((i, j))  # a standard representation exists
 
-        treated = set()
         while pending:
             _, _, i, j = heapq.heappop(pending)
             in_queue.discard((i, j))
@@ -468,7 +521,9 @@ class GBEngine:
                     skip = True
                     break
             if skip:
+                self.spairs_skipped += 1
                 continue
+            self.spairs_reduced += 1
             qi = tuple(map(sub, l[1], li[1]))
             qj = tuple(map(sub, l[1], lj[1]))
             s = mono_mul_flat(self.n, lcj, qi, l[2] - li[2], vi, self.h_step)
@@ -485,15 +540,23 @@ class GBEngine:
         return self._interreduce(entries)
 
     def _interreduce(self, entries) -> list:
-        # one entry per minimal lead; the key is injective, so sorting fixes the order
+        # one entry per minimal lead; the key is injective, so sorting fixes
+        # the order.  Walking up it, out[:i] is reduced and out[i + 1:] not
+        # yet; only an entry with a reducible tail term is divided (the
+        # module docstring says why the result does not depend on the list)
         key = self.key
         kept = sorted(_minimalize_entries(entries), key=lambda t: key(t[0]))
-        final = []
-        for pos, (lead, lc, vec) in enumerate(kept):
-            others = [kept[q] for q in range(len(kept)) if q != pos]
-            final.append(primitive_entry(self.reduce(vec, others, mode="full"), key))
-        final.sort(key=lambda t: key(t[0]))
-        return final
+        leads_at = {}
+        for lead, _, _ in kept:
+            leads_at.setdefault(lead[0], []).append(lead)
+        out = list(kept)
+        for i, (lead, lc, vec) in enumerate(kept):
+            if _tail_reducible(lead, vec, leads_at):
+                others = out[:i] + out[i + 1:]
+                out[i] = primitive_entry(self.reduce(vec, others, mode="full"), key)
+            else:
+                out[i] = (lead, lc, {m: vec[m] for m in sorted(vec, key=key.descending)})
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -542,20 +605,23 @@ class SubmoduleSolver:
 
         # saturate with respect to h: orders refining the V-degree are not
         # well-orders, so membership is only decidable against a basis of
-        # the h-saturation (reduction then stays in the homogenized world)
+        # the h-saturation (reduction then stays in the homogenized world).
+        # A round strips the h-content of some entries of a reduced basis;
+        # pairs of two unstripped entries keep their standard representations
+        # (module docstring), so Buchberger resumes from the stripped ones
         reduced = self.engine.buchberger(aug)
         for _ in range(64):
             stripped = []
-            changed = False
-            for _lead, _lc, vec in reduced:
+            changed = set()
+            for i, (_lead, _lc, vec) in enumerate(reduced):
                 content = min(h for (_, _, h) in vec)
                 if content:
-                    changed = True
+                    changed.add(i)
                     vec = {(pos, e, h - content): c for (pos, e, h), c in vec.items()}
                 stripped.append(vec)
             if not changed:
                 break
-            reduced = self.engine.buchberger(stripped)
+            reduced = self.engine.buchberger(stripped, changed)
         else:
             raise InternalError("h-saturation did not stabilize")
         self._h_entries = reduced
@@ -680,15 +746,19 @@ class SolverCache:
     a deterministic function of its key and is never changed after
     construction, so a hit hands back the solver the caller would have
     built.  Callers create one cache per call and drop it when the call
-    returns; `builds` and `hits` count what it did.
+    returns; `builds` and `hits` count what it did, `spairs_reduced` and
+    `spairs_skipped` sum the S-pair counts of the solvers it built.
     """
 
-    __slots__ = ("spec", "builds", "hits", "_solvers")
+    __slots__ = ("spec", "builds", "hits", "spairs_reduced", "spairs_skipped",
+                 "_solvers")
 
     def __init__(self, spec: FiltrationSpec):
         self.spec = spec
         self.builds = 0
         self.hits = 0
+        self.spairs_reduced = 0
+        self.spairs_skipped = 0
         self._solvers = {}
 
     def get(self, rank: int, gens: Sequence[ModuleElement], ambient_shift=None,
@@ -705,6 +775,8 @@ class SolverCache:
             solver = SubmoduleSolver(self.spec, rank, gens, ambient, cofactor)
             self._solvers[key] = solver
             self.builds += 1
+            self.spairs_reduced += solver.engine.spairs_reduced
+            self.spairs_skipped += solver.engine.spairs_skipped
         else:
             self.hits += 1
         return solver

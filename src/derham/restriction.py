@@ -379,6 +379,8 @@ def b_function_of_complex(c: ChainComplexPres,
             out = out.lcm(q.taylor_shift(-lam))
     log.debug("b-function: %d solver builds, %d cache hits",
               solvers.builds, solvers.hits)
+    log.debug("b-function: %d S-pairs reduced, %d skipped by the chain criterion",
+              solvers.spairs_reduced, solvers.spairs_skipped)
     return out
 
 

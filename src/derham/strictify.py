@@ -746,6 +746,8 @@ def strictify_complex(c: ChainComplexPres) -> StrictificationResult:
     spots, complete = _phase_two(c, solvers, phase1, edge)
     log.debug("strictify: %d solver builds, %d cache hits",
               solvers.builds, solvers.hits)
+    log.debug("strictify: %d S-pairs reduced, %d skipped by the chain criterion",
+              solvers.spairs_reduced, solvers.spairs_skipped)
 
     # assemble the total complex
     blocks = {}

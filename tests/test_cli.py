@@ -234,6 +234,30 @@ def test_determinism_across_hash_seeds():
     assert a.stdout == b.stdout
 
 
+def test_support_determinism_across_hash_seeds():
+    # its solvers take two h-saturation rounds, which keep sets of indices
+    args = ("support", "--vars", "x,y", "--poly", "x", "--poly", "y",
+            "--support-poly", "x - 1", "--support-poly", "y - 1")
+    a = run_cli(*args, env_extra={"PYTHONHASHSEED": "1"})
+    b = run_cli(*args, env_extra={"PYTHONHASHSEED": "31337"})
+    assert a.returncode == b.returncode == 0, a.stderr + b.stderr
+    assert a.stdout == b.stdout
+
+
+def test_debug_logging_reports_spair_counts():
+    args = ("cohomology", "--vars", "x,y", "--poly", "x", "--poly", "y")
+    bare = run_cli(*args)
+    debug = run_cli(*args, env_extra={"DERHAM_LOG": "debug"})
+    assert bare.returncode == debug.returncode == 0
+    lines = [line for line in debug.stderr.splitlines() if "S-pairs" in line]
+    assert lines == [
+        "derham.strictify DEBUG strictify: 113 S-pairs reduced, "
+        "43 skipped by the chain criterion",
+        "derham.restriction DEBUG b-function: 2 S-pairs reduced, "
+        "0 skipped by the chain criterion"]
+    assert "S-pairs" not in bare.stderr
+
+
 def test_internal_error_exit_code(monkeypatch, capsys):
     # an h-saturation that never stabilizes is an InternalError: exit code
     # 3 with a named stage, not an unexpected exception
@@ -243,9 +267,9 @@ def test_internal_error_exit_code(monkeypatch, capsys):
 
     original = G.GBEngine.buchberger
 
-    def with_h_content(self, gens):
+    def with_h_content(self, gens, *args, **kwargs):
         if not self.h_step:
-            return original(self, gens)
+            return original(self, gens, *args, **kwargs)
         zero = (0,) * (2 * self.n)
         return [((0, zero, 1), Fraction(1), {(0, zero, 1): Fraction(1)})]
 

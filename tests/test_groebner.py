@@ -343,7 +343,7 @@ def test_h_saturation_failure_raises_internal_error(monkeypatch):
     from fractions import Fraction
     from derham import InternalError
 
-    def with_h_content(self, gens):
+    def with_h_content(self, gens, *args, **kwargs):
         vec = {(0, (0, 0), 1): Fraction(1)}
         return [((0, (0, 0), 1), Fraction(1), vec)]
 
@@ -435,3 +435,114 @@ def test_reduce_cofactor_matches_reference():
                 assert solver.reduce_cofactor(w) == want
                 outcomes.append("moved" if want != w else "kept")
     assert outcomes.count("moved") >= 10
+
+
+# ---------------------------------------------------------------------------
+# Buchberger's shortcuts against the computations they stand for
+# ---------------------------------------------------------------------------
+
+def _reference_interreduce(engine, entries):
+    """All-pairs interreduction: every minimal entry divided by all the
+    others, unreduced, then sorted by lead."""
+    import derham.groebner as G
+    key = engine.key
+    kept = sorted(G._minimalize_entries(entries), key=lambda t: key(t[0]))
+    final = [G.primitive_entry(engine.reduce(vec, kept[:i] + kept[i + 1:]), key)
+             for i, (_, _, vec) in enumerate(kept)]
+    return sorted(final, key=lambda t: key(t[0]))
+
+
+def _unreduced_basis(engine, gens):
+    """Buchberger's entries before interreduction: a Groebner basis."""
+    engine._interreduce = list
+    try:
+        return engine.buchberger(gens)
+    finally:
+        del engine._interreduce
+
+
+def _same_entries(got, want):
+    assert got == want, "entries differ"
+    assert [list(v) for _, _, v in got] == [list(v) for _, _, v in want], \
+        "terms come out in another order"
+
+
+def test_interreduce_matches_all_pairs_reference():
+    import derham.groebner as G
+    cases = (
+        (201, 1, 2, G.v_order_key(1, (0, 1), 2), 2, 2),
+        (202, 2, 1, G.v_order_key(2, (0,), 1), 2, 1),
+        (203, 2, 1, G.block_elim_key((0, 2)), 0, 1),
+    )
+    passed = reduced = 0
+    for seed, n, rank, key, h_step, deg in cases:
+        rng = random.Random(seed)
+        for _ in range(8):
+            engine = G.GBEngine(n, key, h_step=h_step)
+            gens = [_random_flat(rng, n, rank, h_step, max_deg=deg, max_terms=2)
+                    for _ in range(3)]
+            raw = _unreduced_basis(engine, [g for g in gens if g])
+            want = _reference_interreduce(engine, raw)
+            _same_entries(engine._interreduce(raw), want)
+            before = {lead: vec for lead, _, vec in raw}
+            for lead, _, vec in want:
+                if before[lead] == vec:
+                    passed += 1
+                else:
+                    reduced += 1
+    # both branches ran: entries that pass through and entries that reduce
+    assert passed >= 10 and reduced >= 10
+
+
+def _saturate_from_scratch(solver):
+    """The h-saturation of the solver's augmented module with every round
+    restarted from scratch.  Returns the basis and, per saturation round,
+    whether it needed S-pairs: whether its basis differs from the
+    interreduced stripped list."""
+    import derham.groebner as G
+    from fractions import Fraction
+    engine = G.GBEngine(solver.n, solver.key, h_step=2)
+    aug = []
+    for i, g in enumerate(solver.gens):
+        flat = G.me_to_flat(g)
+        flat[(solver.rank + i, (0,) * (2 * solver.n), 0)] = Fraction(1)
+        aug.append(flat)
+    reduced, rounds = engine.buchberger(aug), []
+    while True:
+        stripped = []
+        for _, _, vec in reduced:
+            content = min(h for (_, _, h) in vec)
+            stripped.append({(p, e, h - content): c for (p, e, h), c in vec.items()})
+        if stripped == [vec for _, _, vec in reduced]:
+            return reduced, rounds
+        reduced = engine.buchberger(stripped)
+        rounds.append(reduced != engine.buchberger(stripped, changed=()))
+
+
+def test_saturation_rounds_resume_as_from_scratch():
+    rng = random.Random(47)
+    rounds = []
+    for n, rank, deg, count in ((1, 1, 2, 3), (1, 2, 2, 4), (2, 1, 1, 3)) * 2:
+        for _ in range(4):
+            gens = [random_module_element(rng, n, rank, max_deg=deg, max_terms=2)
+                    for _ in range(count)]
+            gens = [g for g in gens if not g.is_zero()]
+            if not gens:
+                continue
+            solver = SubmoduleSolver(FiltrationSpec(n), rank, gens)
+            want, needed_pairs = _saturate_from_scratch(solver)
+            _same_entries(solver._h_entries, want)
+            rounds.append(needed_pairs)
+    # generating sets with a second round, some of whose S-pairs add entries
+    assert sum(bool(r) for r in rounds) >= 5
+    assert sum(any(r) for r in rounds) >= 2
+
+
+def test_solver_cache_sums_the_spair_counts_of_its_builds():
+    cache = SolverCache(SPEC1)
+    first = cache.get(1, [me(1, "x1*d1"), me(1, "x1^2")])
+    second = cache.get(1, [me(1, "x1^2*d1"), me(1, "x1*d1^2 + 1")])
+    cache.get(1, [me(1, "x1*d1"), me(1, "x1^2")])  # a hit adds nothing
+    engines = (first.engine, second.engine)
+    assert cache.spairs_reduced == sum(e.spairs_reduced for e in engines) > 0
+    assert cache.spairs_skipped == sum(e.spairs_skipped for e in engines)
