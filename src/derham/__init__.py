@@ -13,14 +13,12 @@ __version__ = "0.1.0"
 from .errors import (BBoundExceededError, DerhamError, DimensionMismatchError,
                      InconsistencyError, InternalError, InvalidInputError,
                      ReductionLimitError)
-from .weyl import (NEG_INF, FiltrationSpec, WeylElement, apply_to_laurent,
-                   apply_to_polynomial, format_operator, fourier, theta,
-                   v_degree, weyl_mul)
+from .weyl import (NEG_INF, FiltrationSpec, WeylElement, apply_to_polynomial,
+                   format_operator, fourier, theta, v_degree, weyl_mul)
 from .parsing import parse_operator, parse_polynomial
 from .groebner import (ModuleElement, OperatorMatrix, SubmoduleSolver,
                        obvious_shift)
-from .presentations import (ChainComplexPres, CohomologyData, DModPresentation,
-                            v_strict_resolution)
+from .presentations import ChainComplexPres, DModPresentation
 from .localization import (LocalizationFamily, LocalizedModule,
                            annihilator_of_fs, bernstein_sato,
                            formal_action_is_zero, localize)
@@ -32,8 +30,8 @@ from .strictify import (StrictDoubleComplex, StrictificationResult,
 from .restriction import (GradedKoszulComplex, GradedVectorComplex,
                           ThetaPolynomial, TruncatedComplex, TruncationWindow,
                           b_function_of_complex, certify_b_function,
-                          cohomology_dims, euler_characteristic,
-                          fourier_complex, graded_koszul, integer_root_window,
-                          omega_tensor_truncate, restriction_b_function_module)
+                          cohomology_dims, fourier_complex, graded_koszul,
+                          integer_root_window, omega_tensor_truncate,
+                          restriction_b_function_module)
 from .pipeline import (ProblemSpec, ResultReport, compute_derham,
                        compute_derham_support)

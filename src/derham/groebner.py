@@ -674,8 +674,13 @@ class SubmoduleSolver:
     def _homogeneous_remainder(self, e: ModuleElement):
         """Reduce the homogenization of e against the saturated basis.
 
-        Always terminates; the main block vanishes exactly when e lies in
-        the submodule (completeness is what the h-saturation buys).
+        Always terminates.  A zero main block proves that e lies in the
+        submodule; a nonzero one does not prove the opposite.  Saturation
+        strips only the h-content of a whole augmented entry, so an entry
+        whose cofactor tail has no h keeps an h-power on its main lead,
+        and that lead cannot divide a term of lower h-power: for the gens
+        x^2 and 3/4 x^2 - x d the basis is [8], with lead 8 h^2 over a
+        cofactor tail free of h, and the main block of -1 stays -1.
         """
         rank = self.rank
         flat = homogenize_flat(me_to_flat(e))
@@ -689,9 +694,10 @@ class SubmoduleSolver:
     def normal_form_with_cofactor(self, e: ModuleElement):
         """(r, w) with e = r + w . gens and no term of r lead-divisible.
 
-        Membership is decided in the homogenized world; only a nonzero
-        remainder continues with direct division in D_n, where the
-        V-minimal representative may require the step budget.
+        The homogenized reduction settles members whose main block it
+        clears; everything else, members included, continues with direct
+        division in D_n, which decides membership and may need the step
+        budget to reach the V-minimal representative.
         """
         if e.rank != self.rank:
             raise DimensionMismatchError("element rank mismatch")

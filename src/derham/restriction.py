@@ -600,10 +600,6 @@ def cohomology_dims(t: TruncatedComplex) -> dict:
     return out
 
 
-def euler_characteristic(dims: dict) -> int:
-    return sum((-1) ** k * v for k, v in dims.items())
-
-
 # ---------------------------------------------------------------------------
 # graded Koszul slices: the exactness oracle
 # ---------------------------------------------------------------------------

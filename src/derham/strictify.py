@@ -57,7 +57,8 @@ DEPTH_MARGIN = 2
 # ---------------------------------------------------------------------------
 
 class QuotientSES:
-    """0 -> A -> B -> C -> 0 of presented modules, maps on the covers."""
+    """0 -> A -> B -> C -> 0 of presented modules, maps on the covers;
+    the input of verify_strict_ses."""
 
     __slots__ = ("a", "b", "c", "a_to_b", "b_to_c")
 
@@ -82,21 +83,6 @@ class ResolutionStep:
     @property
     def rank(self):
         return len(self.rows)
-
-
-class StrictSESWitness:
-    """The rewritten middle presentation with the chosen shift vectors."""
-
-    __slots__ = ("middle", "shift_a", "shift_b", "incl", "proj", "pairs")
-
-    def __init__(self, middle: DModPresentation, shift_a, shift_b,
-                 incl: OperatorMatrix, proj: OperatorMatrix, pairs):
-        self.middle = middle
-        self.shift_a = tuple(shift_a)
-        self.shift_b = tuple(shift_b)
-        self.incl = incl
-        self.proj = proj
-        self.pairs = pairs  # [(basis element of I_C, paired lift)]
 
 
 # ---------------------------------------------------------------------------
@@ -129,28 +115,13 @@ def _embed(v: ModuleElement, rank: int, offset: int, n: int) -> ModuleElement:
     return ModuleElement(n, comps)
 
 
-def _block_incl(n, rank_small, rank_big, offset):
-    rows = [ModuleElement.unit(n, rank_big, offset + i) for i in range(rank_small)]
-    return OperatorMatrix(n, rank_big, rows)
-
-
-def _block_proj(n, rank_big, rank_small, offset):
-    rows = []
-    for i in range(rank_big):
-        if offset <= i < offset + rank_small:
-            rows.append(ModuleElement.unit(n, rank_small, i - offset))
-        else:
-            rows.append(ModuleElement.zero(n, rank_small))
-    return OperatorMatrix(n, rank_small, rows)
-
-
 # ---------------------------------------------------------------------------
-# the middle-rewriting step (used once per short exact sequence pair)
+# the middle-rewriting step (phase one, once per spot)
 # ---------------------------------------------------------------------------
 
 class _RewriteResult:
-    __slots__ = ("shift_d", "shift_f", "qa_rows", "rels_qa", "qb_rows",
-                 "rels_qb", "basis_c", "basis_f", "pairs_c", "pairs_f")
+    __slots__ = ("shift_d", "shift_f", "rels_qa", "qb_rows", "rels_qb",
+                 "basis_c", "basis_f")
 
     def __init__(self, **kw):
         for k, v in kw.items():
@@ -165,6 +136,9 @@ def _rewrite_pair(solvers: SolverCache, d_pres: DModPresentation,
                   shift_c) -> _RewriteResult:
     """Rewrite A over (D, F) and B over (D, F, C) with strict shifts.
 
+    At a spot of phase one, A is the cycle module, D the boundary, F the
+    homology and C the next boundary, so 0 -> D -> A -> F -> 0 and
+    0 -> A -> B -> C -> 0 are the spot's two short exact sequences.
     Implements the four-step shift recipe: bound the F-shifts against a
     basis of the C-relations through paired lifts, then bound the D-shifts
     against bases of both the F-relations and the C-relations.
@@ -233,10 +207,9 @@ def _rewrite_pair(solvers: SolverCache, d_pres: DModPresentation,
     constraints += [(p.components, fu.v_degree(shift_f)) for fu, p in pairs_f]
     shift_d = _bound_shifts(rank_d, constraints)
 
-    return _RewriteResult(shift_d=shift_d, shift_f=shift_f, qa_rows=qa_rows,
-                          rels_qa=rels_qa, qb_rows=qb_rows, rels_qb=rels_qb,
-                          basis_c=basis_c, basis_f=basis_f,
-                          pairs_c=pairs_c, pairs_f=pairs_f)
+    return _RewriteResult(shift_d=shift_d, shift_f=shift_f, rels_qa=rels_qa,
+                          qb_rows=qb_rows, rels_qb=rels_qb, basis_c=basis_c,
+                          basis_f=basis_f)
 
 
 def _bound_shifts(rank, constraints):
@@ -254,63 +227,6 @@ def _bound_shifts(rank, constraints):
                 shift[j] = cap
                 bounded[j] = True
     return tuple(shift)
-
-
-# ---------------------------------------------------------------------------
-# public single-sequence operations
-# ---------------------------------------------------------------------------
-
-def _spot_check_ses(ses: QuotientSES):
-    comp = ses.a_to_b.compose(ses.b_to_c)
-    for row in comp.rows:
-        if not row.is_zero() and not ses.c.contains_relation(row):
-            raise InconsistencyError("A -> B -> C does not compose to zero")
-
-
-def strictify_ses(ses: QuotientSES, shift_c) -> StrictSESWitness:
-    """Rewrite the middle of an exact 0 -> A -> B -> C -> 0 so that shift
-    vectors exist making the sequence V-strict (shift on C given)."""
-    _spot_check_ses(ses)
-    n = ses.b.n
-    zero = DModPresentation.zero(n)
-    res = _rewrite_pair(SolverCache(FiltrationSpec(n)), zero, ses.a, ses.a, ses.c,
-                        ses.b, OperatorMatrix.zero(n, 0, ses.a.rank),
-                        OperatorMatrix.identity(n, ses.a.rank),
-                        ses.a_to_b, ses.b_to_c, shift_c)
-    rank_mid = ses.a.rank + ses.c.rank
-    shift_b = res.shift_f + tuple(shift_c)
-    middle = DModPresentation(n, rank_mid, res.rels_qb, shift_b)
-    incl = _block_incl(n, ses.a.rank, rank_mid, 0)
-    proj = _block_proj(n, rank_mid, ses.c.rank, ses.a.rank)
-    pairs = [(ct, lift) for ct, lift in res.pairs_c]
-    return StrictSESWitness(middle, res.shift_f, shift_b, incl, proj, pairs)
-
-
-def strictify_two_ses(seq1: QuotientSES, seq2: QuotientSES, shift_c):
-    """Lemma-2-style rewrite of two chained sequences 0 -> A -> B -> C -> 0
-    and 0 -> D -> A -> F -> 0 sharing A; returns witnesses for both."""
-    _spot_check_ses(seq1)
-    _spot_check_ses(seq2)
-    if seq2.b is not seq1.a:
-        raise InvalidInputError("the sequences must share the module A")
-    n = seq1.b.n
-    res = _rewrite_pair(SolverCache(FiltrationSpec(n)), seq2.a, seq1.a, seq2.c,
-                        seq1.c, seq1.b, seq2.a_to_b, seq2.b_to_c, seq1.a_to_b,
-                        seq1.b_to_c, shift_c)
-    rank_d, rank_f, rank_c = seq2.a.rank, seq2.c.rank, seq1.c.rank
-    shift_a = res.shift_d + res.shift_f
-    shift_b = shift_a + tuple(shift_c)
-    middle_a = DModPresentation(n, rank_d + rank_f, res.rels_qa, shift_a)
-    middle_b = DModPresentation(n, rank_d + rank_f + rank_c, res.rels_qb, shift_b)
-    wit2 = StrictSESWitness(middle_a, res.shift_d, shift_a,
-                            _block_incl(n, rank_d, rank_d + rank_f, 0),
-                            _block_proj(n, rank_d + rank_f, rank_f, rank_d),
-                            res.pairs_f)
-    wit1 = StrictSESWitness(middle_b, shift_a, shift_b,
-                            _block_incl(n, rank_d + rank_f, middle_b.rank, 0),
-                            _block_proj(n, middle_b.rank, rank_c, rank_d + rank_f),
-                            res.pairs_c)
-    return wit1, wit2
 
 
 # ---------------------------------------------------------------------------

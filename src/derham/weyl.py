@@ -18,7 +18,6 @@ from functools import lru_cache
 from itertools import product
 from math import comb, factorial
 from operator import add
-from typing import Iterable
 
 from .errors import DimensionMismatchError, InvalidInputError
 
@@ -378,32 +377,6 @@ def apply_to_polynomial(p: WeylElement, g: WeylElement) -> WeylElement:
             elif key in out:
                 del out[key]
     return WeylElement(n, out)
-
-
-def apply_to_laurent(p: WeylElement, mono: Iterable, coeff=1) -> dict:
-    """Action of p on a Laurent monomial x^mono (integer exponents allowed).
-
-    Returns a map {exponent-tuple: coefficient}; exponents may be negative.
-    Test oracle for localization presentations at monomial inputs.
-    """
-    n = p.n
-    mono = tuple(mono)
-    out: dict = {}
-    for ep, cp in p.terms.items():
-        a, b = ep[:n], ep[n:]
-        m = 1
-        for i in range(n):
-            if b[i]:
-                m *= _falling(mono[i], b[i])
-        if not m:
-            continue
-        key = tuple(a[i] + mono[i] - b[i] for i in range(n))
-        s = out.get(key, Fraction(0)) + cp * _as_fraction(coeff) * m
-        if s:
-            out[key] = s
-        elif key in out:
-            del out[key]
-    return out
 
 
 # -- canonical text form ----------------------------------------------

@@ -5,7 +5,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from derham import ModuleElement, WeylElement  # noqa: E402
+from derham import FiltrationSpec, ModuleElement, WeylElement  # noqa: E402
+from derham.groebner import SolverCache  # noqa: E402
+from derham.presentations import cycle_generators  # noqa: E402
 
 
 def random_weyl(rng: random.Random, n: int, max_deg: int = 2,
@@ -34,3 +36,13 @@ def random_polynomial(rng: random.Random, n: int, max_deg: int = 2,
 def random_module_element(rng: random.Random, n: int, rank: int,
                           **kw) -> ModuleElement:
     return ModuleElement(n, [random_weyl(rng, n, **kw) for _ in range(rank)])
+
+
+def cohomology_vanishes(c, k) -> bool:
+    """H^k(c) = 0: every cycle generator of C^k lies in the submodule of
+    the boundary rows and the relations of C^k."""
+    solvers = SolverCache(FiltrationSpec(c.n))
+    cycles = cycle_generators(c, k, solvers)
+    prev = c.differential(k - 1)
+    rows = (list(prev.rows) if prev is not None else []) + list(c.module(k).relations)
+    return all(solvers.get(c.module(k).rank, rows).contains(z) for z in cycles)

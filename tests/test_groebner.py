@@ -2,9 +2,8 @@ import random
 
 from conftest import random_module_element
 from derham import (FiltrationSpec, ModuleElement, OperatorMatrix, WeylElement,
-                    obvious_shift, parse_operator, v_strict_resolution, weyl_mul)
+                    obvious_shift, parse_operator, weyl_mul)
 from derham.groebner import SolverCache, SubmoduleSolver
-from derham.presentations import DModPresentation
 
 SPEC1 = FiltrationSpec(1)
 
@@ -90,6 +89,18 @@ def test_membership_examples():
     assert not solver_d.contains(me(1, "x1"))
 
 
+def test_membership_needs_more_than_the_homogenized_remainder():
+    # <x^2, 3/4 x^2 - x d> is all of D (d . x^2 - x . (x d) = 2x), but the
+    # h-saturated basis entry 8 carries h^2 on its lead, so the
+    # homogenized remainder of -1 keeps a main block; contains must not
+    # stop there
+    solver = SubmoduleSolver(SPEC1, 1, [me(1, "x1^2"), me(1, "3/4*x1^2 - x1*d1")])
+    assert [str(b.components[0]) for b in solver.basis] == ["8"]
+    main, _ = solver._homogeneous_remainder(me(1, "-1"))
+    assert main
+    assert solver.contains(me(1, "-1"))
+
+
 def test_syzygies_contract():
     assert SubmoduleSolver(SPEC1, 1, [me(1, "d1")]).syzygy_basis == []
 
@@ -129,22 +140,6 @@ def test_obvious_shift_examples():
     assert obvious_shift(OperatorMatrix(1, 1, [me(1, "d1")]).rows, (2,)) == (3,)
     # zero column falls back to 0
     assert obvious_shift(OperatorMatrix.zero(1, 1, 1).rows, (0,)) == (0,)
-
-
-def test_v_strict_resolution_examples():
-    pres = DModPresentation.cyclic(1, [WeylElement.x(0, 1)])
-    res = v_strict_resolution(pres, (0,), 2)
-    assert res.lo == -1 and res.hi == 0
-    assert res.modules[0].shift == (-1,)
-    assert res.differentials[0].rows[0] == me(1, "x1")
-
-    free = v_strict_resolution(DModPresentation.free(1, 1, (0,)), (0,), 2)
-    assert free.lo == 0 == free.hi
-
-    euler = v_strict_resolution(DModPresentation.cyclic(1, [parse_operator("x1*d1", 1)]),
-                                (0,), 2)
-    assert euler.modules[0].shift == (0,)
-    assert euler.lo == -1
 
 
 def test_determinism_bit_identical():

@@ -4,6 +4,7 @@ import logging
 
 import pytest
 
+from conftest import cohomology_vanishes
 from derham import (ChainComplexPres, DModPresentation, FiltrationSpec,
                     InconsistencyError, ModuleElement, OperatorMatrix,
                     ProblemSpec, SubmoduleSolver, WeylElement,
@@ -13,9 +14,8 @@ from derham import (ChainComplexPres, DModPresentation, FiltrationSpec,
                     strictify_complex, verify_strict_ses, verify_v_strict)
 from derham import pipeline
 from derham.groebner import SolverCache
-from derham.presentations import cohomology_presentation
-from derham.strictify import (QuotientSES, ResolutionStep, free_cover_ses,
-                              strictify_ses, strictify_two_ses)
+from derham.strictify import (QuotientSES, ResolutionStep, _phase_one,
+                              free_cover_ses)
 
 SPEC1 = FiltrationSpec(1)
 
@@ -55,75 +55,116 @@ def me(n, *ops):
                              for o in ops])
 
 
-def quotient_ses_xd():
-    """0 -> (class of x) -> D/(xd) -> quotient -> 0, annihilator computed."""
-    from derham.groebner import SubmoduleSolver
-    b = DModPresentation.cyclic(1, [parse_operator("x1*d1", 1)])
-    gens = [me(1, "x1")] + list(b.relations)
-    sol = SubmoduleSolver(SPEC1, 1, gens, ambient_shift=(0,))
-    ann = [ModuleElement(1, s.components[:1]) for s in sol.syzygy_basis]
-    ann = [a for a in ann if not a.is_zero()]
-    a = DModPresentation(1, 1, ann)
-    c = DModPresentation.cyclic(1, [parse_operator("x1*d1", 1),
-                                    parse_operator("x1", 1)], shift=(0,))
-    a_to_b = OperatorMatrix(1, 1, [me(1, "x1")])
-    b_to_c = OperatorMatrix.identity(1, 1)
-    return QuotientSES(a, b, c, a_to_b, b_to_c)
+def _block_ses(a, b, c):
+    """0 -> A -> B -> C -> 0 with A in the leading components of B and
+    B -> C keeping the trailing ones, as phase one lays its spots out."""
+    n, ra, rc = b.n, a.rank, c.rank
+    incl = OperatorMatrix(n, b.rank, [ModuleElement.unit(n, b.rank, j)
+                                      for j in range(ra)])
+    proj = OperatorMatrix(n, rc, [ModuleElement.unit(n, rc, j - ra) if j >= ra
+                                  else ModuleElement.zero(n, rc)
+                                  for j in range(b.rank)])
+    return QuotientSES(a, b, c, incl, proj)
+
+
+def phase_one_sequences(c):
+    """{spot: (0 -> D -> Z~ -> H -> 0, 0 -> Z~ -> C -> B_next -> 0)} as
+    phase one of strictify_complex rewrites them, with its shifts.
+
+    D's relations are the C-basis of the spot below, which phase one
+    computed under this spot's D-shift.
+    """
+    n = c.n
+    data = _phase_one(c, SolverCache(FiltrationSpec(n)))
+    out = {}
+    for i, rec in data.items():
+        rank_d, rank_h, rank_bn = rec["ranks"]
+        sd, sh, sbn = rec["shift_d"], rec["shift_f"], rec["shift_bnext"]
+        d = DModPresentation(n, rank_d, data[i - 1]["basis_c"] if i > c.lo else (),
+                             sd)
+        z = DModPresentation(n, rank_d + rank_h, rec["rels_qz"], sd + sh)
+        h = DModPresentation(n, rank_h, rec["basis_f"], sh)
+        mid = DModPresentation(n, rank_d + rank_h + rank_bn, rec["rels_qc"],
+                               sd + sh + sbn)
+        bn = DModPresentation(n, rank_bn, rec["basis_c"], sbn)
+        out[i] = (_block_ses(d, z, h), _block_ses(z, mid, bn))
+    return out
 
 
 def test_strictify_ses_degenerate_c_zero():
-    a = DModPresentation.cyclic(1, [parse_operator("d1", 1)])
-    b = DModPresentation.cyclic(1, [parse_operator("d1", 1)])
-    c = DModPresentation.zero(1)
-    ses = QuotientSES(a, b, c, OperatorMatrix.identity(1, 1),
-                      OperatorMatrix.zero(1, 1, 0))
-    wit = strictify_ses(ses, ())
-    assert wit.middle.rank == a.rank
-    assert wit.shift_b == wit.shift_a
+    # the top spot has no next boundary: 0 -> Z~ -> C -> 0 -> 0
+    c = ChainComplexPres(1, 0, [DModPresentation.cyclic(
+        1, [parse_operator("d1", 1)])], [])
+    _, seq = phase_one_sequences(c)[0]
+    assert seq.c.rank == 0
+    assert seq.b.rank == seq.a.rank and seq.b.shift == seq.a.shift
+    assert verify_strict_ses(seq)
 
 
 def test_strictify_ses_degenerate_a_zero():
-    b = DModPresentation.cyclic(1, [parse_operator("d1", 1)])
-    ses = QuotientSES(DModPresentation.zero(1), b, b,
-                      OperatorMatrix.zero(1, 0, 1), OperatorMatrix.identity(1, 1))
-    wit = strictify_ses(ses, (4,))
-    assert wit.middle.rank == 1
-    assert wit.shift_b == (4,)
+    # the bottom spot has no boundary: 0 -> 0 -> Z~ -> H -> 0
+    c = ChainComplexPres(1, 0, [DModPresentation.cyclic(
+        1, [parse_operator("d1", 1)])], [])
+    seq, _ = phase_one_sequences(c)[0]
+    assert seq.a.rank == 0
+    assert seq.b.rank == seq.c.rank == 1 and seq.b.shift == seq.c.shift
+    assert verify_strict_ses(seq)
 
 
 def test_strictify_ses_passes_checker():
-    ses = quotient_ses_xd()
-    wit = strictify_ses(ses, (0,))
-    a_shifted = DModPresentation(1, ses.a.rank, ses.a.relations, wit.shift_a)
-    rewritten = QuotientSES(a_shifted, wit.middle, ses.c, wit.incl, wit.proj)
-    assert verify_strict_ses(rewritten)
-    for ct, lift in wit.pairs:
-        need = ct.v_degree(ses.c.shift_or_zero())
-        got = lift.v_degree(wit.shift_a)
-        assert got <= need
+    # both sequences of every spot of every pinned input are V-strict
+    spots = 0
+    for names, polys, _ in PINNED_STRICT:
+        for i, (seq1, seq2) in phase_one_sequences(fourier_mv(names, polys)).items():
+            assert verify_strict_ses(seq1), (polys, i)
+            assert verify_strict_ses(seq2), (polys, i)
+            spots += 1
+    assert spots == 8
+
+
+def test_raised_boundary_shift_fails_the_ses_check():
+    # negative control: one D-shift above phase one's choice breaks
+    # strictness at spot 1 of x, y
+    seq, _ = phase_one_sequences(fourier_mv(["x", "y"], ["x", "y"]))[1]
+    d = seq.a
+    raised = DModPresentation(d.n, d.rank, d.relations,
+                              (d.shift[0] + 1,) + d.shift[1:])
+    assert verify_strict_ses(seq)
+    assert not verify_strict_ses(QuotientSES(raised, seq.b, seq.c, seq.a_to_b,
+                                             seq.b_to_c))
 
 
 def test_strictify_ses_detects_non_exactness():
-    # B -> C not surjective: C = D/(d^2), map = multiplication by d
-    a = DModPresentation.zero(1)
-    b = DModPresentation.cyclic(1, [parse_operator("d1", 1)])
-    c = DModPresentation.cyclic(1, [parse_operator("d1^2", 1)], shift=(0,))
-    ses = QuotientSES(a, b, c, OperatorMatrix.zero(1, 0, 1),
-                      OperatorMatrix(1, 1, [me(1, "d1")]))
-    with pytest.raises(InconsistencyError):
-        strictify_ses(ses, (0,))
+    # D -x-> D -x-> D is no complex: the boundary row x of degree 1 is not
+    # a cycle, since x . x != 0
+    x = me(1, "x1")
+    free = DModPresentation.free(1, 1)
+    c = ChainComplexPres(1, 0, [free] * 3, [OperatorMatrix(1, 1, [x])] * 2)
+    with pytest.raises(InconsistencyError, match="boundary row is not a cycle"):
+        strictify_complex(c)
 
 
 def test_strictify_two_ses_trivial_outer():
-    mid = DModPresentation.cyclic(1, [parse_operator("x1*d1", 1)])
-    zero = DModPresentation.zero(1)
-    seq1 = QuotientSES(mid, mid, zero, OperatorMatrix.identity(1, 1),
-                       OperatorMatrix.zero(1, 1, 0))
-    seq2 = QuotientSES(zero, mid, mid, OperatorMatrix.zero(1, 0, 1),
-                       OperatorMatrix.identity(1, 1))
-    wit1, wit2 = strictify_two_ses(seq1, seq2, ())
-    assert wit1.middle.rank == 1
-    assert wit2.middle.rank == 1
+    # a single module D/(xd): both sequences of its one spot
+    c = ChainComplexPres(1, 0, [DModPresentation.cyclic(
+        1, [parse_operator("x1*d1", 1)])], [])
+    seq1, seq2 = phase_one_sequences(c)[0]
+    assert seq1.b.rank == 1 and seq2.b.rank == 1
+    assert verify_strict_ses(seq1) and verify_strict_ses(seq2)
+
+
+def test_strictify_two_ses_genuine_instance():
+    # 0 -> D -(xd)-> D -> 0: at the top spot B = D . xd is free and
+    # H = D/(xd); every spot's two sequences are V-strict
+    free = DModPresentation.free(1, 1, None)
+    c = ChainComplexPres(1, 0, [free, free],
+                         [OperatorMatrix(1, 1, [me(1, "x1*d1")])])
+    spots = phase_one_sequences(c)
+    seq_top, _ = spots[1]
+    assert (seq_top.a.rank, seq_top.a.relations) == (1, ())
+    assert seq_top.c.rank == 1 and len(seq_top.c.relations) == 1
+    for seq1, seq2 in spots.values():
+        assert verify_strict_ses(seq1) and verify_strict_ses(seq2)
 
 
 def test_free_cover_ses_collapse():
@@ -220,31 +261,10 @@ def test_zero_maps_always_strict():
 
 
 def test_resolution_output_is_strict():
-    from derham import v_strict_resolution
+    # the total complex resolves D/(x d^2 + d) V-strictly
     pres = DModPresentation.cyclic(1, [parse_operator("x1*d1^2 + d1", 1)])
-    res = v_strict_resolution(pres, (0,), 3)
-    assert verify_v_strict(res).passed
-
-
-def test_strictify_two_ses_genuine_instance():
-    # complex 0 -> D -(xd)-> D -> 0 at the top spot:
-    # seq1: 0 -> Z -> C -> 0 -> 0 and seq2: 0 -> B -> Z -> H -> 0
-    free = DModPresentation.free(1, 1, None)
-    boundary = DModPresentation.free(1, 1, None)          # B = D . (xd), free
-    homology = DModPresentation.cyclic(1, [parse_operator("x1*d1", 1)])
-    zero = DModPresentation.zero(1)
-    seq1 = QuotientSES(free, free, zero, OperatorMatrix.identity(1, 1),
-                       OperatorMatrix.zero(1, 1, 0))
-    seq2 = QuotientSES(boundary, free, homology,
-                       OperatorMatrix(1, 1, [me(1, "x1*d1")]),
-                       OperatorMatrix.identity(1, 1))
-    wit1, wit2 = strictify_two_ses(seq1, seq2, ())
-    a2 = DModPresentation(1, boundary.rank, boundary.relations, wit2.shift_a)
-    rewritten2 = QuotientSES(a2, wit2.middle, homology, wit2.incl, wit2.proj)
-    assert verify_strict_ses(rewritten2)
-    a1 = DModPresentation(1, wit2.middle.rank, wit2.middle.relations, wit1.shift_a)
-    rewritten1 = QuotientSES(a1, wit1.middle, zero, wit1.incl, wit1.proj)
-    assert verify_strict_ses(rewritten1)
+    total = strictify_complex(ChainComplexPres(1, 0, [pres], [])).total
+    assert verify_v_strict(total).passed
 
 
 def fourier_mv(names, polys):
@@ -344,14 +364,10 @@ def test_boundary_basis_comes_from_the_spot_below():
         OperatorMatrix(1, 1, [x]), OperatorMatrix.zero(1, 1, 0),
         OperatorMatrix.zero(1, 0, 1), OperatorMatrix(1, 1, [x])])
     res = strictify_complex(c)
-
-    def vanishes(cx, k):
-        h = cohomology_presentation(cx, k).homology
-        return all(h.contains_relation(ModuleElement.unit(1, h.rank, j))
-                   for j in range(h.rank))
-
-    assert [vanishes(c, k) for k in c.degrees()] == [True, False, True, True, False]
-    assert [vanishes(res.total, k) for k in range(res.edge + 1, res.hi + 1)] == \
+    assert [cohomology_vanishes(c, k) for k in c.degrees()] == \
+        [True, False, True, True, False]
+    assert [cohomology_vanishes(res.total, k)
+            for k in range(res.edge + 1, res.hi + 1)] == \
         [True, True, True, False, True, True, False]
     assert [[lv.ranks for lv in res.double.spots[i].levels] for i in (0, 1)] == \
         [[(0, 0, 1)], [(1, 1, 1), (0, 1, 1)]]

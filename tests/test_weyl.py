@@ -5,8 +5,8 @@ import pytest
 
 from conftest import random_polynomial, random_weyl
 from derham import (NEG_INF, DimensionMismatchError, WeylElement,
-                    apply_to_laurent, apply_to_polynomial, format_operator,
-                    fourier, parse_operator, theta, v_degree, weyl_mul)
+                    apply_to_polynomial, format_operator, fourier,
+                    parse_operator, theta, v_degree, weyl_mul)
 
 
 def x(i, n):
@@ -72,14 +72,6 @@ def test_apply_to_polynomial():
     for _ in range(20):
         g = random_polynomial(rng, 1)
         assert apply_to_polynomial(comm, g) == g
-
-
-def test_apply_to_laurent():
-    # (x d + 1) kills x^(-1)
-    p = x(0, 1) * d(0, 1) + 1
-    assert apply_to_laurent(p, (-1,)) == {}
-    out = apply_to_laurent(d(0, 1), (-1,))
-    assert out == {(-2,): Fraction(-1)}
 
 
 def test_canonical_text_form():
