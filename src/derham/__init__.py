@@ -22,8 +22,7 @@ from .presentations import ChainComplexPres, DModPresentation
 from .localization import (LocalizationFamily, LocalizedModule,
                            annihilator_of_fs, bernstein_sato,
                            formal_action_is_zero, localize)
-from .mv import (MVIndex, family_for_mv, family_for_support, mv_complex,
-                 mv_tensor_cech)
+from .mv import family_for_mv, family_for_support, mv_complex, mv_tensor_cech
 from .strictify import (StrictDoubleComplex, StrictificationResult,
                         minimize_complex, strictify_complex, verify_strict_ses,
                         verify_v_strict)

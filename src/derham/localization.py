@@ -222,6 +222,9 @@ class LocalizedModule:
         if self.ann_s is None:
             raise InvalidInputError(
                 "user-supplied presentation cannot be moved to a different exponent")
+        s0 = self.b_function.integer_roots()[0]
+        if a > s0:
+            raise InvalidInputError(f"exponent {a} above the minimal integer root {s0}")
         return _specialize(self.f, self.ann_s, self.b_function, a)
 
 
@@ -233,12 +236,12 @@ def _specialize(f: WeylElement, ann_s, b: ThetaPolynomial, a: int) -> LocalizedM
     return LocalizedModule(f, a, b, pres, ann_s=ann_s)
 
 
-def localize(f: WeylElement, exponent: Optional[int] = None) -> LocalizedModule:
+def localize(f: WeylElement) -> LocalizedModule:
     """A cyclic presentation of R_f on the generator f^s0.
 
-    s0 is the minimal integer root of the Bernstein-Sato polynomial (or a
-    caller-requested exponent at most s0).  Nonzero constants localize
-    trivially with s0 = 0.
+    s0 is the minimal integer root of the Bernstein-Sato polynomial;
+    at_exponent moves the presentation to a lower exponent.  Nonzero
+    constants localize trivially with s0 = 0.
     """
     n = f.n
     if f.is_zero():
@@ -246,10 +249,8 @@ def localize(f: WeylElement, exponent: Optional[int] = None) -> LocalizedModule:
     if not f.is_polynomial():
         raise InvalidInputError("localization needs a polynomial")
     if f.is_constant():
-        if exponent is None:
-            exponent = 0
         pres = DModPresentation.cyclic(n, [WeylElement.d(i, n) for i in range(n)])
-        return LocalizedModule(f, exponent, ThetaPolynomial.one(), pres, ann_s=None)
+        return LocalizedModule(f, 0, ThetaPolynomial.one(), pres, ann_s=None)
     ann = annihilator_of_fs(f)
     b = bernstein_sato(f, ann)
     roots = b.integer_roots()
@@ -257,14 +258,7 @@ def localize(f: WeylElement, exponent: Optional[int] = None) -> LocalizedModule:
         raise InternalError(
             f"Bernstein-Sato polynomial {b} of a nonconstant polynomial has "
             "no integer root")
-    s0 = roots[0]
-    if exponent is None:
-        exponent = s0
-    elif exponent > s0:
-        raise InvalidInputError(
-            f"exponent {exponent} above the minimal integer root {s0}")
-    out = _specialize(f, ann, b, exponent)
-    return out
+    return _specialize(f, ann, b, roots[0])
 
 
 def formal_action_is_zero(op: WeylElement, f: WeylElement, a: int) -> bool:

@@ -18,48 +18,12 @@ import logging
 from typing import Sequence
 
 from .errors import InconsistencyError, InvalidInputError
-from .groebner import ModuleElement, OperatorMatrix
+from .groebner import ModuleElement, OperatorMatrix, SolverCache
 from .localization import LocalizationFamily
 from .presentations import ChainComplexPres, DModPresentation
-from .weyl import WeylElement
+from .weyl import FiltrationSpec, WeylElement
 
 log = logging.getLogger("derham.mv")
-
-
-class MVIndex:
-    """A strictly increasing index subset with its sign bookkeeping."""
-
-    __slots__ = ("indices",)
-
-    def __init__(self, indices):
-        idx = tuple(indices)
-        if list(idx) != sorted(set(idx)):
-            raise InvalidInputError("index set must be strictly increasing")
-        self.indices = idx
-
-    def sgn(self, j: int) -> int:
-        """Number of elementary permutations needed to sort (indices, j)."""
-        if j in self.indices:
-            raise InvalidInputError(f"{j} already present in {self.indices}")
-        return sum(1 for i in self.indices if i > j)
-
-    def insert(self, j: int) -> "MVIndex":
-        return MVIndex(tuple(sorted(self.indices + (j,))))
-
-    def __len__(self):
-        return len(self.indices)
-
-    def __iter__(self):
-        return iter(self.indices)
-
-    def __eq__(self, other):
-        return isinstance(other, MVIndex) and self.indices == other.indices
-
-    def __hash__(self):
-        return hash(self.indices)
-
-    def __repr__(self):
-        return f"MVIndex{self.indices}"
 
 
 def _direct_sum(n: int, blocks: Sequence[DModPresentation]) -> DModPresentation:
@@ -114,12 +78,14 @@ def _assemble(n: int, layers: list, maps: dict,
 
 def _verify_natural_maps(family: LocalizationFamily, maps: dict):
     """Each source relation must land in the target relations."""
+    solvers = SolverCache(FiltrationSpec(family.n))
     for (src, dst), mult in maps.items():
         source = family.modules[src].presentation
         target = family.modules[dst].presentation
         for rel in source.relations:
             img = ModuleElement(family.n, [rel.components[0] * mult])
-            if not target.contains_relation(img):
+            if target.rank and not solvers.get(target.rank, target.relations,
+                                               target.shift_or_zero()).contains(img):
                 raise InconsistencyError(
                     f"natural localization map {src} -> {dst} is not well defined")
 
@@ -153,12 +119,11 @@ def mv_tensor_cech(family: LocalizationFamily, r: int, s: int) -> ChainComplexPr
         layers.append([I + J for I, J in layer])
         for I, J in layer:
             key = I + J
-            idx = MVIndex(I)
             for i in range(r):
                 if i in I:
                     continue
                 dst = tuple(sorted(key + (i,)))
-                sign = (-1) ** idx.sgn(i)
+                sign = (-1) ** sum(1 for q in I if q > i)
                 maps[(key, dst)] = family.multiplier(key, dst).scale(sign)
             for j in range(r, r + s):
                 if j in J:

@@ -12,7 +12,7 @@ import logging
 from typing import Optional, Sequence
 
 from .errors import DimensionMismatchError, InconsistencyError, InvalidInputError
-from .groebner import ModuleElement, OperatorMatrix, SolverCache, SubmoduleSolver
+from .groebner import ModuleElement, OperatorMatrix, SolverCache
 from .weyl import FiltrationSpec, WeylElement, format_operator
 
 log = logging.getLogger("derham.presentations")
@@ -21,7 +21,7 @@ log = logging.getLogger("derham.presentations")
 class DModPresentation:
     """D_n^rank / <relations>, with an optional shift vector."""
 
-    __slots__ = ("n", "rank", "relations", "shift", "_solver")
+    __slots__ = ("n", "rank", "relations", "shift")
 
     def __init__(self, n: int, rank: int, relations: Sequence[ModuleElement] = (),
                  shift=None):
@@ -37,7 +37,6 @@ class DModPresentation:
         self.shift = None if shift is None else tuple(shift)
         if self.shift is not None and len(self.shift) != rank:
             raise InvalidInputError("shift length != rank")
-        self._solver = None
 
     @classmethod
     def free(cls, n: int, rank: int, shift=None) -> "DModPresentation":
@@ -54,19 +53,6 @@ class DModPresentation:
 
     def shift_or_zero(self):
         return self.shift if self.shift is not None else (0,) * self.rank
-
-    def solver(self) -> SubmoduleSolver:
-        """Cached Groebner data for the relation submodule."""
-        if self._solver is None:
-            self._solver = SubmoduleSolver(FiltrationSpec(self.n), self.rank,
-                                           list(self.relations),
-                                           ambient_shift=self.shift_or_zero())
-        return self._solver
-
-    def contains_relation(self, e: ModuleElement) -> bool:
-        if self.rank == 0:
-            return True
-        return self.solver().contains(e)
 
     def is_free(self) -> bool:
         return not self.relations
@@ -116,6 +102,7 @@ class ChainComplexPres:
 
     def check_chain(self):
         """delta о delta = 0, by membership of composite rows in relations."""
+        solvers = SolverCache(FiltrationSpec(self.n))
         for k in range(self.lo, self.hi - 1):
             d1 = self.differential(k)
             d2 = self.differential(k + 1)
@@ -124,7 +111,8 @@ class ChainComplexPres:
             for i, row in enumerate(comp.rows):
                 if row.is_zero():
                     continue
-                if not tgt.contains_relation(row):
+                if tgt.rank and not solvers.get(tgt.rank, tgt.relations,
+                                                tgt.shift_or_zero()).contains(row):
                     raise InconsistencyError(
                         f"composite differential nonzero at degree {k}, row {i}")
 

@@ -312,7 +312,8 @@ def restriction_b_function_module(pres: DModPresentation,
                                   max_degree: int = DEFAULT_MAX_B_DEGREE) -> ThetaPolynomial:
     """Minimal monic b with b(theta + j) F^j contained in F^(j-1) for all j."""
     shift = pres.shift_or_zero()
-    solver = pres.solver() if pres.relations else None
+    solver = SolverCache(FiltrationSpec(pres.n)).get(pres.rank, pres.relations, shift) \
+        if pres.relations else None
     out = ThetaPolynomial.one()
     for i in range(pres.rank):
         gen = ModuleElement.unit(pres.n, pres.rank, i)

@@ -4,16 +4,17 @@ The construction runs in two phases.  Phase one walks the complex from the
 top degree down, rewriting each C^i over the direct sum of covers of the
 boundary, homology and next-boundary modules and choosing shift vectors so
 that the short exact sequences of relation submodules become V-strict.
-Phase two walks back up, building compatible free covers level by level:
-each level's cover of the cycle column is (B-cover) + (H-cover) and the
-full column is that plus the next boundary cover, with lifts chosen of
-minimal V-degree.  Both short exact sequences of a level, 0 -> B -> Z ->
-H -> 0 and 0 -> Z -> C -> B_next -> 0, are blocks: in each 0 -> A -> M ->
-Q -> 0, A sits in the leading components of M, Q in the trailing ones,
-and the projection M -> Q keeps the trailing components.  The total
-complex of the resulting double complex is V-strict and
-quasi-isomorphic to the input; the comparison map reads off the
-level-zero block.
+Both quotient maps of a spot are identities on generators, so a lift is
+the cofactor of a unit vector, and each spot ends as one record that phase
+two reads.  Phase two walks back up, building compatible free covers level
+by level: each level's cover of the cycle column is (B-cover) + (H-cover)
+and the full column is that plus the next boundary cover, with lifts
+chosen of minimal V-degree.  Both short exact sequences of a level,
+0 -> B -> Z -> H -> 0 and 0 -> Z -> C -> B_next -> 0, are blocks: in each
+0 -> A -> M -> Q -> 0, A sits in the leading components of M, Q in the
+trailing ones, and the projection M -> Q keeps the trailing components.  The total
+complex of the resulting double complex is V-strict and quasi-isomorphic
+to the input; the comparison map reads off the level-zero block.
 
 Each distinct submodule is solved once per strictify_complex call: every
 solver comes from one SolverCache that the call creates, passes down
@@ -115,103 +116,6 @@ def _embed(v: ModuleElement, rank: int, offset: int, n: int) -> ModuleElement:
     return ModuleElement(n, comps)
 
 
-# ---------------------------------------------------------------------------
-# the middle-rewriting step (phase one, once per spot)
-# ---------------------------------------------------------------------------
-
-class _RewriteResult:
-    __slots__ = ("shift_d", "shift_f", "rels_qa", "qb_rows", "rels_qb",
-                 "basis_c", "basis_f")
-
-    def __init__(self, **kw):
-        for k, v in kw.items():
-            setattr(self, k, v)
-
-
-def _rewrite_pair(solvers: SolverCache, d_pres: DModPresentation,
-                  a_pres: DModPresentation, f_pres: DModPresentation,
-                  c_pres: DModPresentation, b_pres: DModPresentation,
-                  map_da: OperatorMatrix, map_af: OperatorMatrix,
-                  map_ab: OperatorMatrix, map_bc: OperatorMatrix,
-                  shift_c) -> _RewriteResult:
-    """Rewrite A over (D, F) and B over (D, F, C) with strict shifts.
-
-    At a spot of phase one, A is the cycle module, D the boundary, F the
-    homology and C the next boundary, so 0 -> D -> A -> F -> 0 and
-    0 -> A -> B -> C -> 0 are the spot's two short exact sequences.
-    Implements the four-step shift recipe: bound the F-shifts against a
-    basis of the C-relations through paired lifts, then bound the D-shifts
-    against bases of both the F-relations and the C-relations.
-    """
-    n = b_pres.n
-    rank_d, rank_f, rank_c = d_pres.rank, f_pres.rank, c_pres.rank
-    shift_c = tuple(shift_c)
-
-    # lift the F-generators through A -> F
-    gens_af = list(map_af.rows) + list(f_pres.relations)
-    solver_af = solvers.get(rank_f, gens_af) if rank_f else None
-    lift_f_rows = _cofactor_heads(
-        solver_af, [ModuleElement.unit(n, rank_f, j) for j in range(rank_f)],
-        a_pres.rank, "lifting a generator through A -> F (exactness)")
-    lift_f = OperatorMatrix(n, a_pres.rank, lift_f_rows)
-
-    # Q_A = P_D + P_F covering A
-    qa_rows = [r for r in map_da.rows] + lift_f_rows
-    rels_qa = _heads(solvers.syzygies(a_pres.rank,
-                                      qa_rows + list(a_pres.relations),
-                                      a_pres.shift_or_zero()),
-                     rank_d + rank_f)
-
-    # lift the C-generators through B -> C
-    gens_bc = list(map_bc.rows) + list(c_pres.relations)
-    solver_bc = solvers.get(rank_c, gens_bc) if rank_c else None
-    lift_c_rows = _cofactor_heads(
-        solver_bc, [ModuleElement.unit(n, rank_c, j) for j in range(rank_c)],
-        b_pres.rank, "lifting a generator through B -> C (exactness)")
-    lift_c = OperatorMatrix(n, b_pres.rank, lift_c_rows)
-
-    # Q_B = Q_A + P_C covering B
-    qa_to_b = [map_ab.apply(r) for r in qa_rows]
-    qb_rows = qa_to_b + lift_c_rows
-    rels_qb = _heads(solvers.syzygies(b_pres.rank,
-                                      qb_rows + list(b_pres.relations),
-                                      b_pres.shift_or_zero()),
-                     rank_d + rank_f + rank_c)
-
-    # step 1: basis of the C-relations and paired lifts (d', f')
-    basis_c = solvers.basis(rank_c, list(c_pres.relations), shift_c)
-    targets = [-lift_c.apply(ct) for ct in basis_c]
-    solver_b = solvers.get(b_pres.rank, qa_to_b + list(b_pres.relations),
-                           b_pres.shift_or_zero()) \
-        if any(not t.is_zero() for t in targets) else None
-    pairs_c = list(zip(basis_c, _cofactor_heads(
-        solver_b, targets, rank_d + rank_f,
-        "pairing a C-relation into the middle kernel")))
-
-    # step 2: F-shifts from the paired lifts
-    shift_f = _bound_shifts(rank_f, [(p.components[rank_d:rank_d + rank_f],
-                                      ct.v_degree(shift_c)) for ct, p in pairs_c])
-
-    # step 3: basis of the F-relations and paired lifts d
-    basis_f = solvers.basis(rank_f, list(f_pres.relations), shift_f)
-    targets = [-lift_f.apply(fu) for fu in basis_f]
-    gens_a = list(map_da.rows) + list(a_pres.relations)
-    solver_a = solvers.get(a_pres.rank, gens_a, a_pres.shift_or_zero()) \
-        if any(not t.is_zero() for t in targets) else None
-    pairs_f = list(zip(basis_f, _cofactor_heads(
-        solver_a, targets, rank_d, "pairing an F-relation into the A kernel")))
-
-    # step 4: D-shifts from both families
-    constraints = [(p.components[:rank_d], ct.v_degree(shift_c))
-                   for ct, p in pairs_c]
-    constraints += [(p.components, fu.v_degree(shift_f)) for fu, p in pairs_f]
-    shift_d = _bound_shifts(rank_d, constraints)
-
-    return _RewriteResult(shift_d=shift_d, shift_f=shift_f, rels_qa=rels_qa,
-                          qb_rows=qb_rows, rels_qb=rels_qb, basis_c=basis_c,
-                          basis_f=basis_f)
-
-
 def _bound_shifts(rank, constraints):
     """Componentwise largest shifts with vdeg(witness) <= vdeg(bound)."""
     shift = [0] * rank
@@ -290,15 +194,13 @@ def free_cover_ses(cover_a: ResolutionStep, gens_b, shift_b, gens_c, shift_c,
     # against the B-side degrees: one solver for every C-basis element
     solver = solvers.get(rank_c, proj_b, shift_c, obvious_shift(gb_b, shift_b)) \
         if gb_c else None
+    combine = OperatorMatrix(n, rank_b, gb_b)
     for c in gb_c:
         w = solver.min_degree_witness(c)
         if w is None:
             raise InconsistencyError(
                 "lifting a C-basis element through B -> C: no preimage exists")
-        psi = ModuleElement.zero(n, rank_b)
-        for wi, b in zip(w.components, gb_b):
-            if not wi.is_zero():
-                psi = psi + b.left_mul(wi)
+        psi = combine.apply(w)
         need = c.v_degree(shift_c)
         got = psi.v_degree(shift_b)
         if got != NEG_INF and need != NEG_INF and got > need:
@@ -453,13 +355,11 @@ class _LevelData:
 
 
 class _SpotResolution:
-    __slots__ = ("spot", "levels", "realization", "complete")
+    __slots__ = ("levels", "realization")
 
-    def __init__(self, spot, levels, realization, complete):
-        self.spot = spot
+    def __init__(self, levels, realization):
         self.levels = levels
         self.realization = realization
-        self.complete = complete
 
 
 class StrictDoubleComplex:
@@ -506,62 +406,115 @@ class StrictificationResult:
         self.complete = complete
 
 
+class _PhaseOneSpot:
+    """Phase one's rewrite of C^i over P_B + P_H + P_Bnext: the block
+    ranks, the three shift vectors, the relations of the covers of Z~ and
+    of C^i, the bases of the H- and B_next-relations under their shifts,
+    and the realization rows of the cover generators in C^i."""
+
+    __slots__ = ("ranks", "shift_b", "shift_h", "shift_bn", "rels_qz", "rels_qc",
+                 "basis_h", "basis_bn", "realization")
+
+    def __init__(self, ranks, shift_b, shift_h, shift_bn, rels_qz, rels_qc,
+                 basis_h, basis_bn, realization):
+        self.ranks = ranks            # (boundary, homology, next-boundary)
+        self.shift_b, self.shift_h, self.shift_bn = shift_b, shift_h, shift_bn
+        self.rels_qz, self.rels_qc = rels_qz, rels_qc
+        self.basis_h, self.basis_bn = basis_h, basis_bn
+        self.realization = realization
+
+
 def _phase_one(c: ChainComplexPres, solvers: SolverCache):
     """Rewrites every C^i over boundary/homology/next-boundary covers,
-    choosing shift vectors top-down; returns per-spot data."""
+    choosing shift vectors top-down; returns {spot: _PhaseOneSpot}.
+
+    At spot i, Z~ is the cycle module on the cycle generators, B the
+    boundary inside it, H = Z~/B and B_next = C^i/Z~, so 0 -> B -> Z~ ->
+    H -> 0 and 0 -> Z~ -> C^i -> B_next -> 0 are the spot's two short exact
+    sequences.  Z~ -> H and C^i -> B_next are identities on generators, so
+    a lift of a generator is the cofactor of a unit vector over the units
+    and the relations.  Z~ is rewritten over P_B + P_H and C^i over P_B +
+    P_H + P_Bnext.  The shifts follow a four-step recipe: bound the
+    H-shifts against a basis of the B_next-relations through paired lifts,
+    then bound the B-shifts against bases of both the H-relations and the
+    B_next-relations.  The B_next-shift is the B-shift of the spot above.
+    """
     n = c.n
     ztilde = {k: cycle_generators(c, k, solvers) for k in c.degrees()}
-    data = {}
-    shift_next = ()
+    spots = {}
+    shift_bn = ()
     for i in range(c.hi, c.lo - 1, -1):
         orig = c.module(i)
+        rank, shift_c, rels_c = orig.rank, orig.shift_or_zero(), list(orig.relations)
         zgens = ztilde[i]
         p = len(zgens)
         prev = c.differential(i - 1)
-        rank_d = prev.source_rank if prev is not None else 0
-        rels_d = ztilde[i - 1] if i - 1 >= c.lo else []
+        rank_b = prev.source_rank if prev is not None else 0
+        rank_bn = rank if i < c.hi else 0
+        rels_bn = zgens if rank_bn else []
 
         # presentation of the cycles on zgens, and the boundary map into it,
         # both from one solver over the cycle generators
-        gens_z = zgens + list(orig.relations)
-        rows_d = list(prev.rows) if prev is not None else []
-        zsolver = solvers.get(orig.rank, gens_z, orig.shift_or_zero()) \
-            if gens_z or any(not r.is_zero() for r in rows_d) else None
-        rels_zin = _heads(zsolver.syzygy_basis, p) if zsolver is not None else []
-        map_da_rows = _cofactor_heads(zsolver, rows_d, p, "boundary row is not a cycle")
+        gens_z = zgens + rels_c
+        rows_b = list(prev.rows) if prev is not None else []
+        zsolver = solvers.get(rank, gens_z, shift_c) \
+            if gens_z or any(not r.is_zero() for r in rows_b) else None
+        rels_z = _heads(zsolver.syzygy_basis, p) if zsolver is not None else []
+        rows_bz = _cofactor_heads(zsolver, rows_b, p, "boundary row is not a cycle")
+        rels_h = rels_z + [r for r in rows_bz if not r.is_zero()]
 
-        d_pres = DModPresentation(n, rank_d, rels_d)
-        a_pres = DModPresentation(n, p, rels_zin)
-        f_pres = DModPresentation(n, p, list(rels_zin) + map_da_rows)
-        if i == c.hi:
-            rank_c = 0
-            c_pres = DModPresentation.zero(n)
-            map_bc = OperatorMatrix.zero(n, orig.rank, 0)
-        else:
-            rank_c = orig.rank
-            c_pres = DModPresentation(n, rank_c, ztilde[i])
-            map_bc = OperatorMatrix.identity(n, orig.rank)
+        # lift the H-generators through Z~ -> H; P_B + P_H covers Z~
+        units_h = [ModuleElement.unit(n, p, j) for j in range(p)]
+        lift_h = _cofactor_heads(solvers.get(p, units_h + rels_h) if p else None,
+                                 units_h, p, "lifting a generator through Z~ -> H")
+        rows_qz = rows_bz + lift_h
+        rels_qz = _heads(solvers.syzygies(p, rows_qz + rels_z, (0,) * p), rank_b + p)
 
-        res = _rewrite_pair(
-            solvers, d_pres, a_pres, f_pres, c_pres, orig,
-            OperatorMatrix(n, p, map_da_rows),
-            OperatorMatrix.identity(n, p),
-            OperatorMatrix(n, orig.rank, zgens),
-            map_bc, shift_next)
+        # lift the B_next-generators through C^i -> B_next; P_B + P_H +
+        # P_Bnext covers C^i
+        units_bn = [ModuleElement.unit(n, rank_bn, j) for j in range(rank_bn)]
+        lift_bn = _cofactor_heads(
+            solvers.get(rank_bn, units_bn + rels_bn) if rank_bn else None,
+            units_bn, rank, "lifting a generator through C -> B_next")
+        into_c = OperatorMatrix(n, rank, zgens)
+        qz_in_c = [into_c.apply(r) for r in rows_qz]
+        realization = qz_in_c + lift_bn
+        rels_qc = _heads(solvers.syzygies(rank, realization + rels_c, shift_c),
+                         rank_b + p + rank_bn)
 
-        data[i] = {
-            "ranks": (rank_d, p, rank_c),
-            "shift_d": res.shift_d,
-            "shift_f": res.shift_f,
-            "shift_bnext": tuple(shift_next),
-            "rels_qz": res.rels_qa,
-            "rels_qc": res.rels_qb,
-            "basis_f": res.basis_f,
-            "basis_c": res.basis_c,
-            "realization": res.qb_rows,
-        }
-        shift_next = res.shift_d
-    return data
+        # step 1: basis of the B_next-relations and paired lifts (b', h')
+        basis_bn = solvers.basis(rank_bn, rels_bn, shift_bn)
+        lift = OperatorMatrix(n, rank, lift_bn)
+        targets = [-lift.apply(r) for r in basis_bn]
+        solver = solvers.get(rank, qz_in_c + rels_c, shift_c) \
+            if any(not t.is_zero() for t in targets) else None
+        pairs_bn = list(zip(basis_bn, _cofactor_heads(
+            solver, targets, rank_b + p,
+            "pairing a B_next-relation into the middle kernel")))
+
+        # step 2: H-shifts from the paired lifts
+        shift_h = _bound_shifts(p, [(w.components[rank_b:], r.v_degree(shift_bn))
+                                    for r, w in pairs_bn])
+
+        # step 3: basis of the H-relations and paired lifts b
+        basis_h = solvers.basis(p, rels_h, shift_h)
+        lift = OperatorMatrix(n, p, lift_h)
+        targets = [-lift.apply(r) for r in basis_h]
+        solver = solvers.get(p, rows_bz + rels_z, (0,) * p) \
+            if any(not t.is_zero() for t in targets) else None
+        pairs_h = zip(basis_h, _cofactor_heads(
+            solver, targets, rank_b, "pairing an H-relation into the Z~ kernel"))
+
+        # step 4: B-shifts from both families
+        constraints = [(w.components[:rank_b], r.v_degree(shift_bn))
+                       for r, w in pairs_bn]
+        constraints += [(w.components, r.v_degree(shift_h)) for r, w in pairs_h]
+        shift_b = _bound_shifts(rank_b, constraints)
+
+        spots[i] = _PhaseOneSpot((rank_b, p, rank_bn), shift_b, shift_h, shift_bn,
+                                 rels_qz, rels_qc, basis_h, basis_bn, realization)
+        shift_bn = shift_b
+    return spots
 
 
 def _phase_two(c: ChainComplexPres, solvers: SolverCache, phase1: dict, edge: int):
@@ -570,24 +523,21 @@ def _phase_two(c: ChainComplexPres, solvers: SolverCache, phase1: dict, edge: in
     res_b: list = []
     complete_all = True
     for i in range(c.lo, c.hi + 1):
-        d1 = phase1[i]
-        rank_d, rank_f, rank_c = d1["ranks"]
-        shift_d, shift_f, shift_bn = d1["shift_d"], d1["shift_f"], d1["shift_bnext"]
-        shift0 = shift_d + shift_f + shift_bn
+        sp = phase1[i]
+        rank_b, rank_h, rank_bn = sp.ranks
+        shift0 = sp.shift_b + sp.shift_h + sp.shift_bn
         depth = i - edge
 
-        # phase one passed this spot's shift_d down as the C-shift of spot
-        # i - 1, so that spot's C-basis is the boundary basis here
-        gb_ib = phase1[i - 1]["basis_c"] if i > c.lo else []
-        gb_iz = solvers.basis(rank_d + rank_f, d1["rels_qz"], shift_d + shift_f)
-        gb_ih = d1["basis_f"]
-        gb_ic = solvers.basis(rank_d + rank_f + rank_c, d1["rels_qc"], shift0)
-        gb_ibn = d1["basis_c"]
+        # phase one passed this spot's B-shift down as the B_next-shift of
+        # spot i - 1, so that spot's B_next-basis is the boundary basis here
+        gb_ib = phase1[i - 1].basis_bn if i > c.lo else []
+        gb_iz = solvers.basis(rank_b + rank_h, sp.rels_qz, sp.shift_b + sp.shift_h)
+        gb_ic = solvers.basis(rank_b + rank_h + rank_bn, sp.rels_qc, shift0)
 
         # extend the carried boundary resolution to the needed depth
         while len(res_b) < depth:
             if not res_b:
-                prev_rank, prev_shift, prev_kernel = rank_d, shift_d, gb_ib
+                prev_rank, prev_shift, prev_kernel = rank_b, sp.shift_b, gb_ib
             else:
                 st = res_b[-1]
                 prev_rank, prev_shift, prev_kernel = st.rank, st.shift, st.kernel
@@ -595,9 +545,9 @@ def _phase_two(c: ChainComplexPres, solvers: SolverCache, phase1: dict, edge: in
             ker = solvers.syzygies(prev_rank, prev_kernel, prev_shift, sh)
             res_b.append(ResolutionStep(sh, prev_kernel, ker))
 
-        levels = [_LevelData((rank_d, rank_f, rank_c), shift0, None)]
-        kb, kz, kh, kc, kbn = gb_ib, gb_iz, gb_ih, gb_ic, gb_ibn
-        prb, prh, prbn = rank_d, rank_f, rank_c
+        levels = [_LevelData(sp.ranks, shift0, None)]
+        kb, kz, kh, kc, kbn = gb_ib, gb_iz, sp.basis_h, gb_ic, sp.basis_bn
+        prb, prh, prbn = sp.ranks
         psh = shift0
         res_bnext = []
         complete = False
@@ -607,7 +557,7 @@ def _phase_two(c: ChainComplexPres, solvers: SolverCache, phase1: dict, edge: in
                 break
             d_step = res_b[k - 1]
             # 0 -> B -> Z -> H -> 0, then 0 -> Z -> C -> B_next -> 0: the
-            # Z-cover P_D + P_H built over the first is the A-side cover of
+            # Z-cover P_B + P_H built over the first is the A-side cover of
             # the second
             cover_z, cover_h = free_cover_ses(d_step, kz, psh[:prb + prh], kh,
                                               psh[prb:prb + prh], solvers)
@@ -627,7 +577,7 @@ def _phase_two(c: ChainComplexPres, solvers: SolverCache, phase1: dict, edge: in
         else:
             complete = not (kb or kz or kh or kc or kbn)
         complete_all = complete_all and complete
-        spots[i] = _SpotResolution(i, levels, d1["realization"], complete)
+        spots[i] = _SpotResolution(levels, sp.realization)
         res_b = res_bnext
     return spots, complete_all
 

@@ -38,6 +38,13 @@ def random_module_element(rng: random.Random, n: int, rank: int,
     return ModuleElement(n, [random_weyl(rng, n, **kw) for _ in range(rank)])
 
 
+def relations_contain(pres, v, solvers) -> bool:
+    """v lies in the relation submodule of pres, always when pres has rank 0;
+    the solver over the relations comes from `solvers`."""
+    return pres.rank == 0 or solvers.get(pres.rank, pres.relations,
+                                         pres.shift_or_zero()).contains(v)
+
+
 def cohomology_vanishes(c, k) -> bool:
     """H^k(c) = 0: every cycle generator of C^k lies in the submodule of
     the boundary rows and the relations of C^k."""

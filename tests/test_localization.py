@@ -83,11 +83,11 @@ def test_annihilator_substitution():
 
 
 def test_exponent_request():
-    mod = localize(parse_polynomial("x1", 1), exponent=-3)
+    mod = localize(parse_polynomial("x1", 1)).at_exponent(-3)
     for r in (rr.components[0] for rr in mod.presentation.relations):
         assert formal_action_is_zero(r, parse_polynomial("x1", 1), -3)
-    with pytest.raises(InvalidInputError):
-        localize(parse_polynomial("x1", 1), exponent=0)
+    with pytest.raises(InvalidInputError, match="above the minimal integer root"):
+        localize(parse_polynomial("x1", 1)).at_exponent(0)
 
 
 def test_family_common_exponent_and_multipliers():

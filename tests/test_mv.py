@@ -4,7 +4,7 @@ from math import comb
 
 import pytest
 
-from derham import (InvalidInputError, MVIndex, family_for_mv, family_for_support,
+from derham import (InvalidInputError, family_for_mv, family_for_support,
                     mv_complex, mv_tensor_cech, parse_polynomial)
 
 # sha256 of to_json() of MV(F), MV(F) (x) C(G) and C(G) = MV({1}) (x) C(G)
@@ -35,17 +35,6 @@ def cech(n, *texts):
     """C(G) as MV({1}) (x) C(G): the block of the constant 1 is R."""
     return mv_tensor_cech(family_for_support(n, polys(n, "1"), polys(n, *texts)),
                           1, len(texts))
-
-
-def test_sign_bookkeeping():
-    idx = MVIndex((1, 3))
-    assert idx.sgn(0) == 2
-    assert idx.sgn(2) == 1
-    assert idx.sgn(5) == 0
-    with pytest.raises(InvalidInputError):
-        idx.sgn(3)
-    with pytest.raises(InvalidInputError):
-        MVIndex((2, 1))
 
 
 def test_mv_degenerates_for_one_polynomial():

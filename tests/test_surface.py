@@ -29,7 +29,9 @@ REMOVED = ["TermOrder", "GroebnerBasis", "groebner_basis", "normal_form",
            "CohomologyData", "v_strict_resolution",
            "DModPresentation.is_zero_module", "ChainComplexPres.from_json",
            "apply_to_laurent", "euler_characteristic", "v_strict_complex",
-           "SubmoduleSES", "FreeCoverDiagram"]
+           "SubmoduleSES", "FreeCoverDiagram", "MVIndex",
+           "DModPresentation.solver", "DModPresentation.contains_relation",
+           "_rewrite_pair", "_RewriteResult"]
 
 # kept in derham.strictify for phase two and the SES oracle, but not
 # exported from the package
