@@ -111,9 +111,13 @@ class ModuleElement:
         return all(c.is_zero() for c in self.components)
 
     def __add__(self, other):
+        if self.rank != other.rank:
+            raise DimensionMismatchError("sum of module elements of different ranks")
         return ModuleElement(self.n, [a + b for a, b in zip(self.components, other.components)])
 
     def __sub__(self, other):
+        if self.rank != other.rank:
+            raise DimensionMismatchError("difference of module elements of different ranks")
         return ModuleElement(self.n, [a - b for a, b in zip(self.components, other.components)])
 
     def __neg__(self):
@@ -743,17 +747,19 @@ class SubmoduleSolver:
 
 
 class SolverCache:
-    """One SubmoduleSolver per distinct submodule, for the length of one call.
+    """One SubmoduleSolver per key, for the length of one call.
 
     The key is (spec, rank, gens in order, ambient shift, cofactor shift),
     the spec holding only n, after the defaults are filled in: a missing
     ambient shift is zero and a missing cofactor shift is the obvious shift
-    of the generators, exactly as SubmoduleSolver fills them.  A solver is
-    a deterministic function of its key and is never changed after
-    construction, so a hit hands back the solver the caller would have
-    built.  Callers create one cache per call and drop it when the call
-    returns; `builds` and `hits` count what it did, `spairs_reduced` and
-    `spairs_skipped` sum the S-pair counts of the solvers it built.
+    of the generators, exactly as SubmoduleSolver fills them.  The same
+    submodule under another generator order or cofactor shift is another
+    key and is built again.  A solver is a deterministic function of its
+    key and is never changed after construction, so a hit hands back the
+    solver the caller would have built.  Callers create one cache per call
+    and drop it when the call returns; `builds` and `hits` count what it
+    did, `spairs_reduced` and `spairs_skipped` sum the S-pair counts of the
+    solvers it built.
     """
 
     __slots__ = ("spec", "builds", "hits", "spairs_reduced", "spairs_skipped",

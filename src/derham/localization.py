@@ -112,22 +112,12 @@ def _to_dns(p: WeylElement, n: int) -> WeylElement:
         k = e[n]
         if e[big + n] != k:
             raise InternalError("weight-zero element with unbalanced t, dt")
-        # falling factorial of theta = -s-1: product of (-s - 1 - j)
-        poly = [Fraction(1)]
-        for j in range(k):
-            # multiply by (-1 - j) - s
-            nxt = [Fraction(0)] * (len(poly) + 1)
-            for deg, coef in enumerate(poly):
-                nxt[deg] += coef * Fraction(-1 - j)
-                nxt[deg + 1] -= coef
-            poly = nxt
+        # falling factorial of theta = -s-1: product of (-s - 1 - j), j < k
+        falling = ThetaPolynomial.from_roots(range(-1, -k - 1, -1))
+        sign = (-1) ** k
         base = WeylElement(ns, {a + (0,) + b + (0,): c})
-        sacc = WeylElement.zero(ns)
-        for deg, coef in enumerate(poly):
-            if coef:
-                mono = [0] * (2 * ns)
-                mono[n] = deg
-                sacc = sacc + WeylElement(ns, {tuple(mono): coef})
+        sacc = WeylElement(ns, {(0,) * n + (deg,) + (0,) * ns: sign * coef
+                                for deg, coef in enumerate(falling.coeffs)})
         out = out + base * sacc
     return out
 
@@ -161,7 +151,7 @@ def bernstein_sato(f: WeylElement, ann: Optional[list] = None) -> ThetaPolynomia
     if ann is None:
         ann = annihilator_of_fs(f)
     ns = n + 1
-    gens = list(ann) + [_lift_poly(f)]
+    gens = list(ann) + [_extend(f, ns)]
     # eliminate everything except s
     block = tuple(range(n)) + tuple(range(ns, ns + n))
     engine = GBEngine(ns, block_elim_key(block), h_step=0)
@@ -185,16 +175,6 @@ def bernstein_sato(f: WeylElement, ann: Optional[list] = None) -> ThetaPolynomia
     if best is None:
         raise InternalError(f"no Bernstein-Sato polynomial found for {format_operator(f)}")
     return best
-
-
-def _lift_poly(f: WeylElement) -> WeylElement:
-    """View a polynomial of D_n inside D_n[s]."""
-    n = f.n
-    ns = n + 1
-    terms = {}
-    for e, c in f.terms.items():
-        terms[e[:n] + (0,) + e[n:] + (0,)] = c
-    return WeylElement(ns, terms)
 
 
 # ---------------------------------------------------------------------------

@@ -25,22 +25,18 @@ _TOKEN = re.compile(r"\s*(?:(?P<num>[0-9]+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
 
 
 def tokenize(text: str):
-    pos = 0
     out = []
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos and not text[pos:].strip():
-            break
-        if not m:
-            raise InvalidInputError(f"unexpected character {text[pos]!r} at position {pos}")
-        if m.lastgroup is None:
-            break
+    pos = 0
+    m = _TOKEN.match(text)
+    while m:
         kind = m.lastgroup
         out.append((kind, m.group(kind), m.start(kind)))
         pos = m.end()
-    rest = text[pos:].strip()
+        m = _TOKEN.match(text, pos)
+    rest = text[pos:].lstrip()
     if rest:
-        raise InvalidInputError(f"unexpected character {rest[0]!r} at position {pos}")
+        raise InvalidInputError(
+            f"unexpected character {rest[0]!r} at position {len(text) - len(rest)}")
     out.append(("end", "", len(text)))
     return out
 

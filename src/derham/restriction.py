@@ -55,10 +55,6 @@ class ThetaPolynomial:
         return cls([1])
 
     @classmethod
-    def variable(cls) -> "ThetaPolynomial":
-        return cls([0, 1])
-
-    @classmethod
     def from_roots(cls, roots) -> "ThetaPolynomial":
         out = cls.one()
         for r in roots:
@@ -259,50 +255,31 @@ def _minimal_b_for_generator(kappa: ModuleElement, lam: int,
 
     Undetermined-coefficients search by increasing degree: reduce the
     theta-power images to normal form, then demand that every term of
-    shifted V-degree >= lam cancels.  Soundness of the normal-form test
-    rests on V-refining division realizing the minimal coset degree.
+    shifted V-degree >= lam cancels.  Each degree adds one image and the
+    monomials it brings; every lower degree failed, so the columns are
+    independent and the solution is unique.  Soundness of the normal-form
+    test rests on V-refining division realizing the minimal coset degree.
     """
     n = kappa.n
     th = theta(n)
-
-    def nf(e: ModuleElement) -> ModuleElement:
-        if boundary_solver is None:
-            return e
-        return boundary_solver.normal_form(e)
-
-    reduced = [nf(kappa)]
-    high_monos: list = []      # (pos, exps) with shifted degree >= lam, in order
-    mono_index = {}
-
-    def high_terms(e: ModuleElement):
-        for pos, comp in enumerate(e.components):
-            for exps, c in comp.terms.items():
-                if term_v_degree(exps, n) + shift[pos] >= lam:
-                    yield (pos, exps), c
-
+    image = kappa
+    highs = []   # per lower theta power: {(pos, exps): coeff} at shifted degree >= lam
+    monos = {}   # the rows' (pos, exps) keys, in order of first appearance
     for t in range(max_degree + 1):
-        while len(reduced) <= t:
-            nxt = nf(reduced[-1].left_mul(th))
-            reduced.append(nxt)
-        for k in range(len(reduced)):
-            for mono, _ in high_terms(reduced[k]):
-                if mono not in mono_index:
-                    mono_index[mono] = len(high_monos)
-                    high_monos.append(mono)
-        rows = []
-        rhs = []
-        coef_maps = []
-        for k in range(t + 1):
-            cm = {}
-            for mono, c in high_terms(reduced[k]):
-                cm[mono] = c
-            coef_maps.append(cm)
-        for mono in high_monos:
-            rows.append([coef_maps[k].get(mono, Fraction(0)) for k in range(t)])
-            rhs.append(-coef_maps[t].get(mono, Fraction(0)))
+        if t:
+            image = image.left_mul(th)
+        if boundary_solver is not None:
+            image = boundary_solver.normal_form(image)
+        high = {(pos, exps): c for pos, comp in enumerate(image.components)
+                for exps, c in comp.terms.items()
+                if term_v_degree(exps, n) + shift[pos] >= lam}
+        monos.update(dict.fromkeys(high))
+        rows = [[h.get(mono, Fraction(0)) for h in highs] for mono in monos]
+        rhs = [-high.get(mono, Fraction(0)) for mono in monos]
         sol = linalg.solve(rows, rhs) if rows else [Fraction(0)] * t
         if sol is not None:
             return ThetaPolynomial(list(sol) + [Fraction(1)])
+        highs.append(high)
     raise BBoundExceededError(
         f"no b-function of degree <= {max_degree}; the module may not be "
         "specializable or the bound is too low")
@@ -310,29 +287,27 @@ def _minimal_b_for_generator(kappa: ModuleElement, lam: int,
 
 def restriction_b_function_module(pres: DModPresentation,
                                   max_degree: int = DEFAULT_MAX_B_DEGREE) -> ThetaPolynomial:
-    """Minimal monic b with b(theta + j) F^j contained in F^(j-1) for all j."""
-    shift = pres.shift_or_zero()
-    solver = SolverCache(FiltrationSpec(pres.n)).get(pres.rank, pres.relations, shift) \
-        if pres.relations else None
-    out = ThetaPolynomial.one()
-    for i in range(pres.rank):
-        gen = ModuleElement.unit(pres.n, pres.rank, i)
-        lam = shift[i]
-        q = _minimal_b_for_generator(gen, lam, solver, shift, max_degree)
-        out = out.lcm(q.taylor_shift(-lam))
-    return out
+    """Minimal monic b with b(theta + j) F^j contained in F^(j-1) for all j.
+
+    The module is the cohomology at degree 0 of its free presentation
+    D^#relations -> D^rank, where no differential leaves, so this is the
+    complex case at that one position."""
+    n = pres.n
+    free = [DModPresentation.free(n, len(pres.relations)),
+            DModPresentation.free(n, pres.rank, pres.shift_or_zero())]
+    c = ChainComplexPres(n, -1, free, [OperatorMatrix(n, pres.rank, pres.relations)])
+    return b_function_of_complex(c, max_degree, positions=[0])
 
 
 class BFunctionDetail:
     """Per-generator certificate data for a complex-level b-function."""
 
-    __slots__ = ("position", "kappa", "lam", "factor")
+    __slots__ = ("position", "kappa", "lam")
 
-    def __init__(self, position, kappa, lam, factor):
+    def __init__(self, position, kappa, lam):
         self.position = position
         self.kappa = kappa
         self.lam = lam
-        self.factor = factor
 
 
 def _boundary_solver(c: ChainComplexPres, k: int, solvers: SolverCache):
@@ -349,8 +324,8 @@ def b_function_of_complex(c: ChainComplexPres,
     """lcm over cycle generators of their minimal polynomials, shifted by
     the generators' V-degrees; kills gr H at every requested position.
 
-    Each distinct submodule is solved once per call, through one
-    SolverCache that the call drops when it returns."""
+    The call builds one solver per key of its own SolverCache, which it
+    drops when it returns."""
     if not c.is_free():
         raise InvalidInputError("b_function_of_complex needs a free complex")
     if positions is None:
@@ -373,10 +348,9 @@ def b_function_of_complex(c: ChainComplexPres,
             lam = kappa.v_degree(shift)
             if lam == NEG_INF:
                 continue
-            lam = int(lam)
             q = _minimal_b_for_generator(kappa, lam, bsolver, shift, max_degree)
             if details is not None:
-                details.append(BFunctionDetail(k, kappa, lam, q))
+                details.append(BFunctionDetail(k, kappa, lam))
             out = out.lcm(q.taylor_shift(-lam))
     log.debug("b-function: %d solver builds, %d cache hits",
               solvers.builds, solvers.hits)

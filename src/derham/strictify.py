@@ -16,16 +16,18 @@ trailing ones, and the projection M -> Q keeps the trailing components.  The tot
 complex of the resulting double complex is V-strict and quasi-isomorphic
 to the input; the comparison map reads off the level-zero block.
 
-Each distinct submodule is solved once per strictify_complex call: every
-solver comes from one SolverCache that the call creates, passes down
-through both phases and drops when it returns.  Its key is (n, rank,
-generators in order, ambient shift, cofactor shift), with a missing
-ambient shift read as zero and a missing cofactor shift as the obvious
-shift of the generators, so a basis, a syzygy module and a cofactor query
-over the same submodule share one Groebner computation.  Each loop asks
-its solver for every target, and a loop whose targets are all zero asks
-for none.  Phase two takes the boundary, homology and next-boundary bases
-of each spot from phase one instead of recomputing them.
+A strictify_complex call builds one solver per cache key: every solver
+comes from one SolverCache that the call creates, passes down through
+both phases and drops when it returns.  Its key is (n, rank, generators
+in order, ambient shift, cofactor shift), with a missing ambient shift
+read as zero and a missing cofactor shift as the obvious shift of the
+generators, so a basis, a syzygy module and a cofactor query over the
+same generating list share one Groebner computation; the same submodule
+under another generator order or cofactor shift is solved again.  Each
+loop asks its solver for every target, and a loop whose targets are all
+zero asks for none.  Phase two takes the boundary, homology and
+next-boundary bases of each spot from phase one instead of recomputing
+them.
 
 minimize_complex then shrinks the total complex: it cancels every
 constant entry between generators of equal shift, which keeps the complex

@@ -1,8 +1,11 @@
 import random
 
+import pytest
+
 from conftest import random_module_element
-from derham import (FiltrationSpec, ModuleElement, OperatorMatrix, WeylElement,
-                    obvious_shift, parse_operator, weyl_mul)
+from derham import (DimensionMismatchError, FiltrationSpec, ModuleElement,
+                    OperatorMatrix, WeylElement, obvious_shift, parse_operator,
+                    weyl_mul)
 from derham.groebner import SolverCache, SubmoduleSolver
 
 SPEC1 = FiltrationSpec(1)
@@ -11,6 +14,16 @@ SPEC1 = FiltrationSpec(1)
 def me(n, *ops):
     return ModuleElement(n, [parse_operator(o, n) if isinstance(o, str) else o
                              for o in ops])
+
+
+def test_module_elements_of_different_ranks_do_not_combine():
+    e0 = ModuleElement.unit(1, 2, 0)
+    e2 = ModuleElement.unit(1, 3, 2)
+    with pytest.raises(DimensionMismatchError):
+        e0 + e2
+    with pytest.raises(DimensionMismatchError):
+        e0 - e2
+    assert e0 + ModuleElement.unit(1, 2, 1) == me(1, "1", "1")
 
 
 def test_single_generator_basis():

@@ -6,7 +6,7 @@ from derham import (FiltrationSpec, InvalidInputError, LocalizationFamily,
                     ModuleElement, SubmoduleSolver, WeylElement,
                     annihilator_of_fs, bernstein_sato, formal_action_is_zero,
                     localize, parse_operator, parse_polynomial)
-from derham.localization import substitute_s
+from derham.localization import _to_dns, substitute_s
 
 
 def same_ideal(ops_a, ops_b, n):
@@ -80,6 +80,46 @@ def test_annihilator_substitution():
     # D/<x d + 2> is R_x on the generator x^(-2)
     for g in at_minus_two:
         assert formal_action_is_zero(g, f, -2)
+
+
+def reference_to_dns(p, n):
+    """_to_dns with the falling factorial multiplied out by hand."""
+    big, ns = n + 3, n + 1
+    out = WeylElement.zero(ns)
+    for e, c in p.terms.items():
+        k = e[n]
+        poly = [Fraction(1)]
+        for j in range(k):  # multiply by (-1 - j) - s
+            nxt = [Fraction(0)] * (len(poly) + 1)
+            for deg, coef in enumerate(poly):
+                nxt[deg] += coef * Fraction(-1 - j)
+                nxt[deg + 1] -= coef
+            poly = nxt
+        base = WeylElement(ns, {e[:n] + (0,) + e[big:big + n] + (0,): c})
+        sacc = WeylElement.zero(ns)
+        for deg, coef in enumerate(poly):
+            if coef:
+                mono = [0] * (2 * ns)
+                mono[n] = deg
+                sacc = sacc + WeylElement(ns, {tuple(mono): coef})
+        out = out + base * sacc
+    return out
+
+
+def test_to_dns_matches_reference():
+    # t^k dt^k in the algebra of x1, t, u, v is the k-th falling factorial
+    # of theta = t dt, rewritten through theta = -s - 1
+    n, big = 1, 4
+    total = WeylElement.zero(big)
+    for k in range(7):
+        exps = [0] * (2 * big)
+        exps[n] = exps[big + n] = k
+        mono = WeylElement(big, {tuple(exps): Fraction(k + 1, 2)})
+        assert _to_dns(mono, n) == reference_to_dns(mono, n)
+        total = total + mono
+    # equal, and in the same term order
+    assert list(_to_dns(total, n).terms.items()) == \
+        list(reference_to_dns(total, n).terms.items())
 
 
 def test_exponent_request():

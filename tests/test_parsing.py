@@ -47,6 +47,13 @@ def test_parse_errors():
         parse_operator("x1 ^ d1", 1)
 
 
+def test_parse_error_positions_point_at_the_character():
+    with pytest.raises(InvalidInputError, match=r"'\$' at position 5"):
+        parse_operator("x1 + $", 1)
+    with pytest.raises(InvalidInputError, match="'@' at position 3"):
+        parse_operator("x1 @ d1", 1)
+
+
 def test_duplicate_variable_names_rejected():
     from derham.parsing import variable_table
     with pytest.raises(InvalidInputError, match="declared twice"):

@@ -1,14 +1,22 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from derham import (BBoundExceededError, ChainComplexPres, DModPresentation,
-                    GradedVectorComplex, InvalidInputError, ModuleElement,
-                    OperatorMatrix, ThetaPolynomial, TruncationWindow,
-                    WeylElement, b_function_of_complex, certify_b_function,
-                    cohomology_dims, fourier_complex, graded_koszul,
-                    integer_root_window, omega_tensor_truncate, parse_operator,
-                    restriction_b_function_module)
+                    FiltrationSpec, GradedVectorComplex, InvalidInputError,
+                    ModuleElement, OperatorMatrix, ThetaPolynomial,
+                    TruncationWindow, WeylElement, b_function_of_complex,
+                    certify_b_function, cohomology_dims, family_for_mv,
+                    fourier_complex, graded_koszul, integer_root_window,
+                    mv_complex, omega_tensor_truncate, parse_operator,
+                    parse_polynomial, restriction_b_function_module,
+                    strictify_complex)
+from derham import groebner, linalg
+from derham.errors import ReductionLimitError
+from derham.groebner import SolverCache
+from derham.restriction import _boundary_solver, _minimal_b_for_generator
+from derham.weyl import term_v_degree, theta
 
 
 def me(n, *ops):
@@ -106,6 +114,149 @@ def test_b_function_error_path():
     c = ChainComplexPres(1, 0, [free], [])
     with pytest.raises(BBoundExceededError):
         b_function_of_complex(c, max_degree=4)
+
+
+# -- reference copies of the searches before they shared one routine -----
+
+def reference_minimal_b(kappa, lam, boundary_solver, shift, max_degree):
+    """The undetermined-coefficients search that rebuilt every row of its
+    linear system from all theta-power images at each degree."""
+    n = kappa.n
+    th = theta(n)
+
+    def nf(e):
+        return e if boundary_solver is None else boundary_solver.normal_form(e)
+
+    def high_terms(e):
+        for pos, comp in enumerate(e.components):
+            for exps, c in comp.terms.items():
+                if term_v_degree(exps, n) + shift[pos] >= lam:
+                    yield (pos, exps), c
+
+    reduced = [nf(kappa)]
+    high_monos, mono_index = [], {}
+    for t in range(max_degree + 1):
+        while len(reduced) <= t:
+            reduced.append(nf(reduced[-1].left_mul(th)))
+        for k in range(len(reduced)):
+            for mono, _ in high_terms(reduced[k]):
+                if mono not in mono_index:
+                    mono_index[mono] = len(high_monos)
+                    high_monos.append(mono)
+        coef_maps = [dict(high_terms(reduced[k])) for k in range(t + 1)]
+        rows = [[coef_maps[k].get(mono, Fraction(0)) for k in range(t)]
+                for mono in high_monos]
+        rhs = [-coef_maps[t].get(mono, Fraction(0)) for mono in high_monos]
+        sol = linalg.solve(rows, rhs) if rows else [Fraction(0)] * t
+        if sol is not None:
+            return ThetaPolynomial(list(sol) + [Fraction(1)])
+    raise BBoundExceededError(f"no b-function of degree <= {max_degree}")
+
+
+def reference_module_b(pres, max_degree):
+    """The module b-function as its own loop over the unit vectors."""
+    shift = pres.shift_or_zero()
+    solver = SolverCache(FiltrationSpec(pres.n)).get(pres.rank, pres.relations, shift) \
+        if pres.relations else None
+    out = ThetaPolynomial.one()
+    for i in range(pres.rank):
+        gen = ModuleElement.unit(pres.n, pres.rank, i)
+        q = reference_minimal_b(gen, shift[i], solver, shift, max_degree)
+        out = out.lcm(q.taylor_shift(-shift[i]))
+    return out
+
+
+def outcome(fn, *args):
+    """The polynomial, or which of the two expected errors ended the search."""
+    try:
+        return fn(*args)
+    except BBoundExceededError:
+        return "bound exceeded"
+    except ReductionLimitError:
+        return "division budget exhausted"
+
+
+def operator_in(rng, n, i, max_deg):
+    """A random operator in x_i and d_i alone."""
+    terms = {}
+    for _ in range(2):
+        exps = [0] * (2 * n)
+        exps[i], exps[n + i] = rng.randint(0, max_deg), rng.randint(0, max_deg)
+        terms[tuple(exps)] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+    return WeylElement(n, terms)
+
+
+def random_presentations():
+    """Seeded cyclic and rank-2 presentations with shifts, n = 1 and 2.
+
+    Each unit vector is killed by one operator per variable, so the module
+    is holonomic unless a drawn operator vanishes; the rank-2 draws add one
+    random relation coupling the two generators, and in two variables they
+    keep to degree 1 so that their solver builds stay short."""
+    rng = random.Random(13)
+    draws = []
+    for n, rank in ((1, 1), (1, 2), (2, 1), (2, 2)):
+        max_deg = 1 if n * rank == 4 else 2
+        for _ in range(5):
+            rels = [ModuleElement(n, [operator_in(rng, n, i, max_deg) if j == pos
+                                      else WeylElement.zero(n) for j in range(rank)])
+                    for pos in range(rank) for i in range(n)]
+            if rank == 2:
+                rels.append(ModuleElement(
+                    n, [operator_in(rng, n, rng.randrange(n), max_deg) for _ in range(rank)]))
+            shift = tuple(rng.randint(-2, 2) for _ in range(rank))
+            draws.append(DModPresentation(n, rank, rels, shift))
+    return draws
+
+
+@pytest.fixture
+def small_division_budget(monkeypatch):
+    # V-order division need not terminate on these draws (a coset may have
+    # no V-minimal member); a small budget ends such a search in both
+    # routines with the same error instead of after a million steps
+    monkeypatch.setattr(groebner, "DEFAULT_REDUCTION_LIMIT", 200)
+
+
+def strict_complex_kappas():
+    """(kappa, lam, boundary solver, shift) of every cycle generator of the
+    strict complex of x*y in C^2."""
+    family = family_for_mv(2, [parse_polynomial("x1*x2", 2)], {})
+    c = strictify_complex(fourier_complex(mv_complex(family, 1))).total
+    details = []
+    b_function_of_complex(c, details=details)
+    solvers = SolverCache(FiltrationSpec(c.n))
+    return [(d.kappa, d.lam, _boundary_solver(c, d.position, solvers),
+             c.module(d.position).shift_or_zero()) for d in details]
+
+
+def test_minimal_b_matches_reference(small_division_budget):
+    cases = []
+    for pres in random_presentations():
+        shift = pres.shift_or_zero()
+        solver = outcome(SolverCache(FiltrationSpec(pres.n)).get, pres.rank,
+                         pres.relations, shift) if pres.relations else None
+        if solver != "division budget exhausted":  # no search without a basis
+            cases += [(ModuleElement.unit(pres.n, pres.rank, i), shift[i], solver, shift)
+                      for i in range(pres.rank)]
+    cases += strict_complex_kappas()
+    found = set()
+    for kappa, lam, solver, shift in cases:
+        for max_degree in range(4):
+            new = outcome(_minimal_b_for_generator, kappa, lam, solver, shift, max_degree)
+            assert new == outcome(reference_minimal_b, kappa, lam, solver, shift,
+                                  max_degree)
+            found.add(new if isinstance(new, str) else "polynomial")
+    assert found == {"polynomial", "bound exceeded", "division budget exhausted"}
+
+
+def test_module_b_function_matches_reference(small_division_budget):
+    found = set()
+    for pres in random_presentations():
+        for max_degree in range(4):
+            new = outcome(restriction_b_function_module, pres, max_degree)
+            assert new == outcome(reference_module_b, pres, max_degree)
+            found.add(new if isinstance(new, str) else "polynomial")
+    assert found == {"polynomial", "bound exceeded", "division budget exhausted"}
 
 
 # -- Fourier transform of complexes -------------------------------------

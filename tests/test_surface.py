@@ -20,7 +20,7 @@ README = ROOT / "README.md"
 # mv_tensor_cech builds MV(F) and C(G) as its cases, the strict complex is
 # strictify_complex(c).total, strictify_complex alone rewrites short exact
 # sequences, phase two's are block offsets, and what no stage called is
-# gone; a dotted name is a method of a class that stays
+# gone; a dotted name is a method or field of a class that stays
 REMOVED = ["TermOrder", "GroebnerBasis", "groebner_basis", "normal_form",
            "submodule_membership", "syzygies", "kernel_of_map",
            "cech_complex", "family_for_cech", "strictify_ses",
@@ -31,7 +31,8 @@ REMOVED = ["TermOrder", "GroebnerBasis", "groebner_basis", "normal_form",
            "apply_to_laurent", "euler_characteristic", "v_strict_complex",
            "SubmoduleSES", "FreeCoverDiagram", "MVIndex",
            "DModPresentation.solver", "DModPresentation.contains_relation",
-           "_rewrite_pair", "_RewriteResult"]
+           "_rewrite_pair", "_RewriteResult", "_lift_poly",
+           "ThetaPolynomial.variable", "BFunctionDetail.factor"]
 
 # kept in derham.strictify for phase two and the SES oracle, but not
 # exported from the package
