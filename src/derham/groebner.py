@@ -7,19 +7,38 @@ the result is dehomogenized.  Division against a finished basis happens
 directly in D_n with a step budget guarding the (pathological) inputs
 whose cosets have no V-minimal member.
 
-The flat internal format keys a term by (position, exponents, h-power);
-the public surface speaks ModuleElement / OperatorMatrix.  Every product
-of a monomial and a flat vector runs through mono_mul_flat in weyl.py,
-the one multiplication kernel, which weyl_mul shares.
+The flat internal format keys a term by one int, its packed monomial
+(MonomialCodec in weyl.py), and maps it to a coefficient; the public
+surface speaks ModuleElement / OperatorMatrix, and tuples (position,
+exponents, h-power) appear only where the two meet: me_to_flat,
+flat_to_me and the codec's pack and unpack.  Every product of a monomial
+and a flat vector runs through mono_mul_flat in weyl.py, the one
+multiplication kernel, which weyl_mul shares.
+
+A monomial order here is a codec: v_order_codec and block_elim_codec lay
+out the fields of the int so that integer order is the monomial order.
+The order's weights are the top fields, then the exponents in grevlex
+order, h and the position, each exponent stored as wmax - e so that a
+larger exponent ranks lower among monomials of equal weights.  Two
+monomials compare as their tuples (weights, -e[2n-1], ..., -e[0], -h,
+-pos) do, because every field holds a value in [0, 2^width) below its own
+guard bit and the fields are compared most significant first.  The low
+fields alone determine the monomial, so distinct monomials get distinct
+ints: the order is total and no two terms tie.
+
+Divisibility is one subtraction.  With G the guard bits of all fields,
+(L | G) - M holds 2^w + L_f - M_f in each field f, which is positive, so
+no field borrows from the next.  The guard bit survives exactly where L_f
+>= M_f, that is, where L's exponent (or h-power) is at most M's; and the
+position field is exactly its guard bit iff the positions agree.  L
+divides M iff the difference, masked to those bits, is codec.dtarget.
 
 All division runs through one kernel, GBEngine.reduce:
 
-- Heap order.  Each monomial's order key is computed once, when it enters
-  the working vector, in its descending form (every order key function
-  here attaches one as ``key.descending``).  A heapq min-heap over those
-  keys, with lazy deletion of cancelled monomials, pops terms in exactly
-  the order of ``max(work, key=key)``: the keys are injective on the
-  monomials that occur.  The reducer is the first whose lead divides.
+- Heap order.  A packed monomial is its own order key, so a heapq min-heap
+  over the negated ints, with lazy deletion of cancelled monomials, pops
+  terms in exactly the order of ``max(work)``.  The reducer is the first
+  whose lead divides; the quotient monomial is m - lead.
 - Integer pseudo-division.  Reducer lists hold primitive integer
   coefficients (primitive_entry).  The working vector is kept as integers
   times 1/scale: a step with lead coefficient c against a reducer with
@@ -41,19 +60,19 @@ are tail terms, below lead(g).  So the reduced basis is unique too, and:
 
 - _interreduce walks the minimal leads in ascending order.  An entry with
   no tail term divisible by another lead is reduced already and passes
-  through, its terms in descending key order as reduce emits them.  Any
+  through, its terms in descending order as reduce emits them.  Any
   other entry is reduced against the current list (the entries below it
   reduced, those above not yet), a Groebner basis with the same leads, so
   the remainder is the one all-pairs reduction gives.
 - A saturation round in SubmoduleSolver divides some entries of the
   reduced basis by their h-content h^c and restarts Buchberger from the
-  stripped list.  h is central and lead(h^c g) = h^c lead(g) under
-  v_order_key, so a standard representation of an S-pair of two
-  unchanged entries with respect to the old basis is one with respect to
-  the stripped list.  Buchberger is told which entries changed, forms only
-  the pairs that touch one of them, and counts every other pair as
-  treated for the chain criterion.  The round returns the reduced basis,
-  which a restart from scratch returns too.
+  stripped list.  h is central and the V-order's weights do not see h,
+  so lead(h^c g) = h^c lead(g), and a standard representation of an
+  S-pair of two unchanged entries with respect to the old basis is one
+  with respect to the stripped list.  Buchberger is told which entries
+  changed, forms only the pairs that touch one of them, and counts every
+  other pair as treated for the chain criterion.  The round returns the
+  reduced basis, which a restart from scratch returns too.
 """
 
 from __future__ import annotations
@@ -61,19 +80,18 @@ from __future__ import annotations
 import heapq
 from fractions import Fraction
 from math import gcd
-from operator import le, neg, sub
-from typing import Callable, Optional, Sequence
+from operator import itemgetter
+from typing import Optional, Sequence
 
 from .errors import (DimensionMismatchError, InternalError, InvalidInputError,
                      ReductionLimitError)
-from .weyl import (NEG_INF, FiltrationSpec, WeylElement, mono_mul_flat,
-                   term_v_degree, weyl_mul)
+from .weyl import (NEG_INF, FiltrationSpec, MonomialCodec, WeylElement,
+                   mono_mul_flat, term_v_degree, weyl_mul)
 
 
 DEFAULT_REDUCTION_LIMIT = 1_000_000
 
-Mono = tuple  # (pos, exps, h)
-FlatVec = dict
+FlatVec = dict  # packed monomial (MonomialCodec) -> coefficient
 
 
 # ---------------------------------------------------------------------------
@@ -204,72 +222,62 @@ class OperatorMatrix:
 
 
 # ---------------------------------------------------------------------------
-# order keys on flat monomials
+# monomial orders as packed codecs
 # ---------------------------------------------------------------------------
 
-# Each key function here returns `key` (larger is higher) with `key.descending`
-# attached: a flat tuple with every component negated, so that ascending
-# order of `descending` is descending order of `key`.  Both are injective
-# on the monomials that occur, which makes heap order equal max order.
-
-def v_order_key(n: int, shifts: Sequence[int], block_start: int) -> Callable:
+def v_order_codec(n: int, shifts: Sequence[int], block_start: int,
+                  degree: int) -> MonomialCodec:
     """Two-block module order: positions < block_start dominate; inside a
-    block, shifted V-degree, total degree, grevlex, h, position."""
+    block, shifted V-degree, total degree, grevlex, h, position.  The
+    block weight is the top field, 1 on the first block, so a monomial
+    lies in the first block iff it is at least 1 << codec.top."""
     shifts = tuple(shifts)
-
-    def key(mono: Mono):
-        pos, e, h = mono
-        blk = 1 if pos < block_start else 0
-        vd = sum(e[n:]) - sum(e[:n]) + shifts[pos]
-        return (blk, vd, sum(e), tuple(map(neg, reversed(e))), -h, -pos)
-
-    def descending(mono: Mono):
-        pos, e, h = mono
-        return ((-1 if pos < block_start else 0),
-                sum(e[:n]) - sum(e[n:]) - shifts[pos], -sum(e), *e[::-1], h, pos)
-
-    key.descending = descending
-    return key
+    positions = range(len(shifts))
+    return MonomialCodec(n, len(shifts), degree, (
+        ("block", (0,) * (2 * n), tuple(int(p < block_start) for p in positions)),
+        ("V-degree", (-1,) * n + (1,) * n, shifts),
+        ("degree", (1,) * (2 * n), (0,) * len(shifts))))
 
 
-def block_elim_key(block: Sequence[int]) -> Callable:
-    """Term order whose first block is total degree over `block` indices.
+def block_elim_codec(n: int, block: Sequence[int], degree: int) -> MonomialCodec:
+    """Term order on D_n itself (one position) whose first weight is the
+    total degree over the `block` exponent indices, then the rest of the
+    degree, grevlex, h."""
+    inside = tuple(int(j in block) for j in range(2 * n))
+    return MonomialCodec(n, 1, degree, (
+        ("block degree", inside, (0,)),
+        ("rest degree", tuple(1 - a for a in inside), (0,))))
 
-    It ignores h, so it is injective only where h is always 0 (h_step=0).
-    """
-    block = tuple(block)
 
-    def key(mono: Mono):
-        pos, e, h = mono
-        bd = sum(e[i] for i in block)
-        return (bd, sum(e) - bd, tuple(map(neg, reversed(e))), -pos)
-
-    def descending(mono: Mono):
-        pos, e, h = mono
-        bd = sum(e[i] for i in block)
-        return (-bd, bd - sum(e), *e[::-1], pos)
-
-    key.descending = descending
-    return key
+def elements_degree(elements: Sequence[ModuleElement]) -> int:
+    """Largest total degree of a term of the elements; 0 if there is none."""
+    return max((sum(e) for v in elements for c in v.components for e in c.terms),
+               default=0)
 
 
 # ---------------------------------------------------------------------------
 # flat arithmetic
 # ---------------------------------------------------------------------------
 
-def me_to_flat(v: ModuleElement, offset: int = 0) -> FlatVec:
+def me_to_flat(v: ModuleElement, codec: MonomialCodec, offset: int = 0) -> FlatVec:
+    pack = codec.pack
     out = {}
     for j, comp in enumerate(v.components):
         for e, c in comp.terms.items():
-            out[(offset + j, e, 0)] = c
+            out[pack(offset + j, e)] = c
     return out
 
 
-def flat_to_me(vec: FlatVec, n: int, rank: int, offset: int = 0) -> ModuleElement:
+def flat_to_me(vec: FlatVec, codec: MonomialCodec, rank: int,
+               offset: int = 0) -> ModuleElement:
+    n = codec.n
+    unpack = codec.unpack
     comps = [dict() for _ in range(rank)]
-    for (pos, e, h), c in vec.items():
+    for m, c in vec.items():
+        pos, e, h = unpack(m)
         if h:
-            raise InvalidInputError("dehomogenize before converting to ModuleElement")
+            raise InternalError("an h-power is left on a vector leaving the "
+                                "engine; it must be dehomogenized first")
         comps[pos - offset][e] = c
     zero = WeylElement.zero(n)
     return ModuleElement(n, [WeylElement(n, t) if t else zero for t in comps])
@@ -284,19 +292,14 @@ def flat_add_into(acc: FlatVec, other: FlatVec, scale=1):
             del acc[k]
 
 
-def _lead(vec: FlatVec, key: Callable) -> Mono:
-    """The largest monomial of a nonzero vec under key."""
-    return min(vec, key=key.descending)
-
-
-def primitive_entry(vec: FlatVec, key: Callable) -> tuple:
+def primitive_entry(vec: FlatVec) -> tuple:
     """The reducer entry (lead, lc, vec) of a nonzero vec scaled to
     primitive int coefficients with positive lead coefficient."""
     den = 1
     for c in vec.values():
         den = den * c.denominator // gcd(den, c.denominator)
     num = {m: c.numerator * (den // c.denominator) for m, c in vec.items()}
-    lead = _lead(num, key)
+    lead = max(num)
     g = gcd(*num.values())
     if num[lead] < 0:
         g = -g
@@ -304,13 +307,18 @@ def primitive_entry(vec: FlatVec, key: Callable) -> tuple:
     return lead, num[lead], num
 
 
-def homogenize_flat(vec: FlatVec) -> FlatVec:
+def homogenize_flat(vec: FlatVec, codec: MonomialCodec) -> FlatVec:
+    """Raise every term's h-power to the vector's largest degree."""
     if not vec:
         return vec
-    deg = max(sum(e) + h for (_, e, h) in vec)
+    hunit, guard = codec.hunit, codec.guard
+    degrees = list(map(codec.degree, vec))
+    deg = max(degrees)
     out: FlatVec = {}
-    for (pos, e, _h), c in vec.items():
-        key = (pos, e, deg - sum(e))
+    for (m, c), d in zip(vec.items(), degrees):
+        key = m - (deg - d) * hunit
+        if key & guard:
+            codec.overflow(key)
         old = out.get(key)
         s = c if old is None else old + c
         if s:
@@ -320,10 +328,12 @@ def homogenize_flat(vec: FlatVec) -> FlatVec:
     return out
 
 
-def dehomogenize_flat(vec: FlatVec) -> FlatVec:
+def dehomogenize_flat(vec: FlatVec, codec: MonomialCodec) -> FlatVec:
+    """Set h = 1: every h field to its value for h^0."""
+    hfield = codec.hfield
     out: FlatVec = {}
-    for (pos, e, _h), c in vec.items():
-        key = (pos, e, 0)
+    for m, c in vec.items():
+        key = m | hfield
         old = out.get(key)
         s = c if old is None else old + c
         if s:
@@ -333,38 +343,39 @@ def dehomogenize_flat(vec: FlatVec) -> FlatVec:
     return out
 
 
-def _mono_divides(m1: Mono, m2: Mono) -> bool:
-    if m1[0] != m2[0] or m1[2] > m2[2]:
-        return False
-    return all(map(le, m1[1], m2[1]))
-
-
-def _minimalize_entries(entries: list) -> list:
+def _minimalize_entries(entries: list, codec: MonomialCodec) -> list:
     """Drop entries whose lead is properly divisible by another lead, and
     all but the first copy of a duplicated lead.  Preserves the basis
     property; used after dehomogenizing."""
     first = {}
     for i, (lead, _, _) in enumerate(entries):
         first.setdefault(lead, i)
+    guard, dmask, dtarget = codec.guard, codec.dmask, codec.dtarget
+    guarded = [lead | guard for lead in first]
     out = []
     for i, (lead, lc, vec) in enumerate(entries):
         if first[lead] != i:
             continue
-        if any(_mono_divides(l2, lead) and l2 != lead for l2, _, _ in entries):
-            continue
-        out.append((lead, lc, vec))
+        own = lead | guard
+        for lg in guarded:
+            if lg != own and (lg - lead) & dmask == dtarget:
+                break  # a proper divisor
+        else:
+            out.append((lead, lc, vec))
     return out
 
 
-def _tail_reducible(lead: Mono, vec: FlatVec, leads_at: dict) -> bool:
-    """Whether a lead in leads_at (leads by position) other than `lead`
-    divides a term of vec other than `lead`."""
+def _tail_reducible(lead: int, vec: FlatVec, leads_at: dict,
+                    codec: MonomialCodec) -> bool:
+    """Whether a lead other than `lead` divides a term of vec other than
+    `lead`.  leads_at maps a position field to its leads | codec.guard."""
+    guard, dmask, dtarget, pmax = codec.guard, codec.dmask, codec.dtarget, codec.pmax
+    own = lead | guard
     for m in vec:
         if m == lead:
             continue
-        mexp, mh = m[1], m[2]
-        for l in leads_at.get(m[0], ()):
-            if l != lead and l[2] <= mh and all(map(le, l[1], mexp)):
+        for lg in leads_at.get(m & pmax, ()):
+            if lg != own and (lg - m) & dmask == dtarget:
                 return True
     return False
 
@@ -374,15 +385,15 @@ def _tail_reducible(lead: Mono, vec: FlatVec, leads_at: dict) -> bool:
 # ---------------------------------------------------------------------------
 
 class GBEngine:
-    """Buchberger machinery over one flat monomial order.
+    """Buchberger machinery over one packed monomial order.
 
     h_step = 2 gives the homogenized Weyl algebra; h_step = 0 the plain
     algebra (for genuine term orders that need no homogenization).
     """
 
-    def __init__(self, n: int, key: Callable, h_step: int):
-        self.n = n
-        self.key = key
+    def __init__(self, codec: MonomialCodec, h_step: int):
+        self.codec = codec
+        self.n = codec.n
         self.h_step = h_step
         self.limit = DEFAULT_REDUCTION_LIMIT
         # S-pairs that went through reduce, and those the chain criterion
@@ -393,40 +404,40 @@ class GBEngine:
     # division ---------------------------------------------------------
 
     def reduce(self, vec: FlatVec, reducers, mode: str = "full",
-               pred: Optional[Callable] = None) -> FlatVec:
+               floor: int = 0) -> FlatVec:
         """Division remainder, with Fraction coefficients, of vec by
         reducers: a list of (lead, lc, vec) entries with int coefficients.
 
         mode "full": every term gets reduced; "top": stop at the first
-        irreducible lead.  pred filters which monomials are reduction
-        candidates (others pass through to the remainder untouched).
+        irreducible lead.  Terms below floor are no reduction candidates:
+        they pass through to the remainder untouched.
         The module docstring states the kernel's contract.
         """
-        n, h_step, desc = self.n, self.h_step, self.key.descending
+        codec, h_step = self.codec, self.h_step
+        guard, dmask, dtarget = codec.guard, codec.dmask, codec.dtarget
         heappush, heappop = heapq.heappush, heapq.heappop
         # work holds scale * (the rational working vector) in ints
         scale = 1
         for c in vec.values():
             scale = scale * c.denominator // gcd(scale, c.denominator)
         work = {m: c.numerator * (scale // c.denominator) for m, c in vec.items()}
-        heap = [(desc(m), m) for m in work]
+        heap = [-m for m in work]
         heapq.heapify(heap)
+        divisors = [(lead | guard, lead, lc, rvec) for lead, lc, rvec in reducers]
         remainder: FlatVec = {}
         steps = 0
         while work:
-            m = heappop(heap)[1]
+            m = -heappop(heap)
             c = work.get(m)
             if c is None:
                 continue  # cancelled after it was pushed
-            if pred is not None and not pred(m):
-                # everything at or below m in this block passes through
-                del work[m]
-                remainder[m] = Fraction(c, scale)
-                continue
-            mpos, mexp, mh = m
-            for lead, lc, rvec in reducers:
-                # _mono_divides(lead, m), inlined: this scan is the hot path
-                if lead[0] == mpos and lead[2] <= mh and all(map(le, lead[1], mexp)):
+            if m < floor:
+                # every term left lies below floor too: all pass through
+                for m2 in sorted(work, reverse=True):
+                    remainder[m2] = Fraction(work[m2], scale)
+                return remainder
+            for lg, lead, lc, rvec in divisors:
+                if (lg - m) & dmask == dtarget:  # lead divides m
                     break
             else:
                 del work[m]
@@ -442,13 +453,12 @@ class GBEngine:
                 for k in work:
                     work[k] *= f
                 scale *= f
-            q = tuple(map(sub, mexp, lead[1]))
-            prod = mono_mul_flat(n, c // g, q, mh - lead[2], rvec, h_step)
+            prod = mono_mul_flat(codec, c // g, m - lead, rvec, h_step)
             for k, v in prod.items():
                 old = work.get(k)
                 if old is None:
                     work[k] = -v
-                    heappush(heap, (desc(k), k))
+                    heappush(heap, -k)
                 elif old == v:
                     del work[k]
                 else:
@@ -472,29 +482,27 @@ class GBEngine:
         that holds).  Only pairs that touch a changed index are formed.
         The gens must then be nonzero, so that indices name entries.
         """
-        key = self.key
+        codec, h_step = self.codec, self.h_step
+        guard, dmask, dtarget, pmax = codec.guard, codec.dmask, codec.dtarget, codec.pmax
+        lcm, lcm_degree = codec.lcm, codec.lcm_degree
         entries = []  # (lead, lc, vec)
         for g in gens:
-            if self.h_step:
-                g = homogenize_flat(g)
+            if h_step:
+                g = homogenize_flat(g, codec)
             if g:
-                entries.append(primitive_entry(g, key))
+                entries.append(primitive_entry(g))
+        guarded = [lead | guard for lead, _, _ in entries]
 
         pending = []
         in_queue = set()
         counter = 0
 
-        def lcm_mono(m1: Mono, m2: Mono) -> Mono:
-            return (m1[0], tuple(map(max, m1[1], m2[1])),
-                    max(m1[2], m2[2]))
-
         def push(i, j):
             nonlocal counter
             li, lj = entries[i][0], entries[j][0]
-            if li[0] != lj[0]:
-                return
-            l = lcm_mono(li, lj)
-            heapq.heappush(pending, (sum(l[1]) + l[2], counter, i, j))
+            if (li ^ lj) & pmax:
+                return  # different positions
+            heapq.heappush(pending, (lcm_degree(li, lj), counter, i, j))
             in_queue.add((i, j))
             counter += 1
 
@@ -512,11 +520,11 @@ class GBEngine:
             treated.add((i, j))
             li, lci, vi = entries[i]
             lj, lcj, vj = entries[j]
-            l = lcm_mono(li, lj)
+            l = lcm(li, lj)
             # chain criterion
             skip = False
-            for k in range(len(entries)):
-                if k in (i, j) or not _mono_divides(entries[k][0], l):
+            for k, lg in enumerate(guarded):
+                if k == i or k == j or (lg - l) & dmask != dtarget:
                     continue
                 pik = (min(i, k), max(i, k))
                 pjk = (min(j, k), max(j, k))
@@ -528,15 +536,13 @@ class GBEngine:
                 self.spairs_skipped += 1
                 continue
             self.spairs_reduced += 1
-            qi = tuple(map(sub, l[1], li[1]))
-            qj = tuple(map(sub, l[1], lj[1]))
-            s = mono_mul_flat(self.n, lcj, qi, l[2] - li[2], vi, self.h_step)
-            flat_add_into(s, mono_mul_flat(self.n, lci, qj, l[2] - lj[2],
-                                           vj, self.h_step), -1)
+            s = mono_mul_flat(codec, lcj, l - li, vi, h_step)
+            flat_add_into(s, mono_mul_flat(codec, lci, l - lj, vj, h_step), -1)
             r = self.reduce(s, entries, mode="top")
             if not r:
                 continue
-            entries.append(primitive_entry(r, key))
+            entries.append(primitive_entry(r))
+            guarded.append(entries[-1][0] | guard)
             new = len(entries) - 1
             for k in range(new):
                 push(k, new)
@@ -544,22 +550,22 @@ class GBEngine:
         return self._interreduce(entries)
 
     def _interreduce(self, entries) -> list:
-        # one entry per minimal lead; the key is injective, so sorting fixes
-        # the order.  Walking up it, out[:i] is reduced and out[i + 1:] not
-        # yet; only an entry with a reducible tail term is divided (the
+        # one entry per minimal lead; leads are distinct ints, so sorting
+        # fixes the order.  Walking up it, out[:i] is reduced and out[i + 1:]
+        # not yet; only an entry with a reducible tail term is divided (the
         # module docstring says why the result does not depend on the list)
-        key = self.key
-        kept = sorted(_minimalize_entries(entries), key=lambda t: key(t[0]))
+        codec = self.codec
+        kept = sorted(_minimalize_entries(entries, codec), key=itemgetter(0))
         leads_at = {}
         for lead, _, _ in kept:
-            leads_at.setdefault(lead[0], []).append(lead)
+            leads_at.setdefault(lead & codec.pmax, []).append(lead | codec.guard)
         out = list(kept)
         for i, (lead, lc, vec) in enumerate(kept):
-            if _tail_reducible(lead, vec, leads_at):
+            if _tail_reducible(lead, vec, leads_at, codec):
                 others = out[:i] + out[i + 1:]
-                out[i] = primitive_entry(self.reduce(vec, others, mode="full"), key)
+                out[i] = primitive_entry(self.reduce(vec, others, mode="full"))
             else:
-                out[i] = (lead, lc, {m: vec[m] for m in sorted(vec, key=key.descending)})
+                out[i] = (lead, lc, {m: vec[m] for m in sorted(vec, reverse=True)})
         return out
 
 
@@ -597,14 +603,16 @@ class SubmoduleSolver:
 
         p = len(self.gens)
         shifts = self.ambient_shift + self.cofactor_shift
-        self.key = v_order_key(n, shifts, rank)
-        self.engine = GBEngine(n, self.key, h_step=2)
+        self.codec = codec = v_order_codec(n, shifts, rank, elements_degree(self.gens))
+        # the main block: monomials whose block weight (the top field) is 1
+        self.floor = 1 << codec.top
+        self.engine = GBEngine(codec, h_step=2)
         aug = []
         for i, g in enumerate(self.gens):
             if g.rank != rank:
                 raise DimensionMismatchError("generator rank mismatch")
-            flat = me_to_flat(g)
-            flat[(rank + i, (0,) * (2 * n), 0)] = Fraction(1)
+            flat = me_to_flat(g, codec)
+            flat[codec.pack(rank + i, (0,) * (2 * n))] = Fraction(1)
             aug.append(flat)
 
         # saturate with respect to h: orders refining the V-degree are not
@@ -613,15 +621,16 @@ class SubmoduleSolver:
         # A round strips the h-content of some entries of a reduced basis;
         # pairs of two unstripped entries keep their standard representations
         # (module docstring), so Buchberger resumes from the stripped ones
+        hunit = codec.hunit
         reduced = self.engine.buchberger(aug)
         for _ in range(64):
             stripped = []
             changed = set()
             for i, (_lead, _lc, vec) in enumerate(reduced):
-                content = min(h for (_, _, h) in vec)
+                content = min(map(codec.h, vec))
                 if content:
                     changed.add(i)
-                    vec = {(pos, e, h - content): c for (pos, e, h), c in vec.items()}
+                    vec = {m + content * hunit: c for m, c in vec.items()}
                 stripped.append(vec)
             if not changed:
                 break
@@ -633,32 +642,34 @@ class SubmoduleSolver:
         main_entries = []      # main-block leads, dehomogenized, with tails
         syz_entries = []       # cofactor-block leads, dehomogenized
         for lead, lc, vec in reduced:
-            d = dehomogenize_flat(vec)
+            d = dehomogenize_flat(vec, codec)
             if not d:
                 continue
-            entry = primitive_entry(d, self.key)
-            if entry[0][0] < rank:
+            entry = primitive_entry(d)
+            if entry[0] >= self.floor:
                 main_entries.append(entry)
             else:
                 syz_entries.append(entry)
-        self._deh_entries = _minimalize_entries(main_entries)
-        self._syz_entries = _minimalize_entries(syz_entries)
+        self._deh_entries = _minimalize_entries(main_entries, codec)
+        self._syz_entries = _minimalize_entries(syz_entries, codec)
 
         # divider engine for D_n (h never appears after dehomogenization)
-        self.divider = GBEngine(n, self.key, h_step=0)
+        self.divider = GBEngine(codec, h_step=0)
 
     # -- derived data ---------------------------------------------------
 
+    def _split(self, vec: FlatVec, sign=1):
+        """The main block of vec as a ModuleElement over rank and its
+        cofactor block, times sign, as a ModuleElement over the gens."""
+        floor = self.floor
+        main = {m: c for m, c in vec.items() if m >= floor}
+        cof = {m: sign * c for m, c in vec.items() if m < floor}
+        return (flat_to_me(main, self.codec, self.rank),
+                flat_to_me(cof, self.codec, len(self.gens), self.rank))
+
     def basis_with_cofactors(self):
         """[(basis element over rank, cofactor vector over gens)] pairs."""
-        out = []
-        for _, _, vec in self._deh_entries:
-            main = {k: c for k, c in vec.items() if k[0] < self.rank}
-            cof = {(k[0] - self.rank, k[1], k[2]): c
-                   for k, c in vec.items() if k[0] >= self.rank}
-            out.append((flat_to_me(main, self.n, self.rank),
-                        flat_to_me(cof, self.n, len(self.gens))))
-        return out
+        return [self._split(vec) for _, _, vec in self._deh_entries]
 
     @property
     def basis(self):
@@ -667,11 +678,8 @@ class SubmoduleSolver:
     @property
     def syzygy_basis(self):
         """V-adapted basis of {w : w . gens = 0} under the cofactor shift."""
-        out = []
-        for _, _, vec in self._syz_entries:
-            shifted = {(k[0] - self.rank, k[1], k[2]): c for k, c in vec.items()}
-            out.append(flat_to_me(shifted, self.n, len(self.gens)))
-        return out
+        return [flat_to_me(vec, self.codec, len(self.gens), self.rank)
+                for _, _, vec in self._syz_entries]
 
     # -- queries ---------------------------------------------------------
 
@@ -686,13 +694,11 @@ class SubmoduleSolver:
         x^2 and 3/4 x^2 - x d the basis is [8], with lead 8 h^2 over a
         cofactor tail free of h, and the main block of -1 stays -1.
         """
-        rank = self.rank
-        flat = homogenize_flat(me_to_flat(e))
-        rem = self.engine.reduce(flat, self._h_entries, mode="full",
-                                 pred=lambda m: m[0] < rank)
-        main = {k: c for k, c in rem.items() if k[0] < rank}
-        cof = {(k[0] - rank, k[1], k[2]): -c
-               for k, c in rem.items() if k[0] >= rank}
+        codec, floor = self.codec, self.floor
+        flat = homogenize_flat(me_to_flat(e, codec), codec)
+        rem = self.engine.reduce(flat, self._h_entries, mode="full", floor=floor)
+        main = {m: c for m, c in rem.items() if m >= floor}
+        cof = {m: -c for m, c in rem.items() if m < floor}
         return main, cof
 
     def normal_form_with_cofactor(self, e: ModuleElement):
@@ -705,19 +711,17 @@ class SubmoduleSolver:
         """
         if e.rank != self.rank:
             raise DimensionMismatchError("element rank mismatch")
-        rank = self.rank
+        codec = self.codec
         main_h, cof_h = self._homogeneous_remainder(e)
-        cof = flat_to_me(dehomogenize_flat(cof_h), self.n, len(self.gens))
+        cof = flat_to_me(dehomogenize_flat(cof_h, codec), codec, len(self.gens),
+                         self.rank)
         if not main_h:
-            return ModuleElement.zero(self.n, rank), cof
-        start = dehomogenize_flat(main_h)
+            return ModuleElement.zero(self.n, self.rank), cof
+        start = dehomogenize_flat(main_h, codec)
         rem = self.divider.reduce(start, self._deh_entries, mode="full",
-                                  pred=lambda m: m[0] < rank)
-        main = {k: c for k, c in rem.items() if k[0] < rank}
-        extra = {(k[0] - rank, k[1], k[2]): -c
-                 for k, c in rem.items() if k[0] >= rank}
-        cof = cof + flat_to_me(extra, self.n, len(self.gens))
-        return flat_to_me(main, self.n, rank), cof
+                                  floor=self.floor)
+        main, extra = self._split(rem, -1)
+        return main, cof + extra
 
     def normal_form(self, e: ModuleElement) -> ModuleElement:
         return self.normal_form_with_cofactor(e)[0]
@@ -734,9 +738,10 @@ class SubmoduleSolver:
         w sits in the cofactor block of the solver's own order, which ranks
         that block exactly as an order on the cofactor shift alone would.
         """
-        rem = self.divider.reduce(me_to_flat(w, self.rank), self._syz_entries,
-                                  mode="full")
-        return flat_to_me(rem, self.n, len(self.gens), self.rank)
+        codec = self.codec
+        rem = self.divider.reduce(me_to_flat(w, codec, self.rank),
+                                  self._syz_entries, mode="full")
+        return flat_to_me(rem, codec, len(self.gens), self.rank)
 
     def min_degree_witness(self, target: ModuleElement):
         """A w with w . gens = target of minimal shifted V-degree, or None."""

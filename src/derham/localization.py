@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import InternalError, InvalidInputError
-from .groebner import GBEngine, block_elim_key, me_to_flat
+from .groebner import GBEngine, block_elim_codec, elements_degree, me_to_flat
 from .groebner import ModuleElement
 from .presentations import DModPresentation
 from .restriction import ThetaPolynomial
@@ -74,14 +74,15 @@ def annihilator_of_fs(f: WeylElement) -> list:
     gens.append(u * v - 1)
 
     # eliminate u and v with a genuine term order; no homogenization needed
-    key = block_elim_key((n + 1, n + 2, big + n + 1, big + n + 2))
-    engine = GBEngine(big, key, h_step=0)
-    flats = [me_to_flat(ModuleElement(big, [g])) for g in gens]
-    reduced = engine.buchberger(flats)
+    elems = [ModuleElement(big, [g]) for g in gens]
+    codec = block_elim_codec(big, (n + 1, n + 2, big + n + 1, big + n + 2),
+                             elements_degree(elems))
+    engine = GBEngine(codec, h_step=0)
+    reduced = engine.buchberger([me_to_flat(v, codec) for v in elems])
 
     out = []
     for lead, _, vec in reduced:
-        elem = {e: c for (_pos, e, _h), c in vec.items()}
+        elem = {codec.exponents(m): c for m, c in vec.items()}
         if not all(_is_uv_free(e, n) for e in elem):
             continue
         weights = {_weight(e, n) for e in elem}
@@ -154,14 +155,16 @@ def bernstein_sato(f: WeylElement, ann: Optional[list] = None) -> ThetaPolynomia
     gens = list(ann) + [_extend(f, ns)]
     # eliminate everything except s
     block = tuple(range(n)) + tuple(range(ns, ns + n))
-    engine = GBEngine(ns, block_elim_key(block), h_step=0)
-    flats = [me_to_flat(ModuleElement(ns, [g])) for g in gens]
-    reduced = engine.buchberger(flats)
+    elems = [ModuleElement(ns, [g]) for g in gens]
+    codec = block_elim_codec(ns, block, elements_degree(elems))
+    engine = GBEngine(codec, h_step=0)
+    reduced = engine.buchberger([me_to_flat(v, codec) for v in elems])
     best = None
     for lead, _, vec in reduced:
         coeffs = {}
         pure = True
-        for (_pos, e, _h), c in vec.items():
+        for m, c in vec.items():
+            e = codec.exponents(m)
             if any(e[i] for i in block) or e[ns + n]:
                 pure = False
                 break

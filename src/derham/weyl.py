@@ -8,18 +8,18 @@ anywhere in this package.
 
 Every product in the package runs through one kernel, mono_mul_flat: a
 monomial times a flat module vector, built on the one-variable
-contraction _pair_contractions.  weyl_mul applies it once per term.
+contraction _pair_contractions.  A flat vector keys its terms by packed
+monomials, one int each (MonomialCodec).  weyl_mul packs its operands and
+applies the kernel once per term of the left factor.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 from math import comb, factorial
-from operator import add
 
-from .errors import DimensionMismatchError, InvalidInputError
+from .errors import DimensionMismatchError, InternalError, InvalidInputError
 
 NEG_INF = float("-inf")
 
@@ -34,59 +34,267 @@ def _as_fraction(c) -> Fraction:
     raise InvalidInputError(f"non-rational coefficient {c!r}")
 
 
-@lru_cache(maxsize=1024)
-def _pair_contractions(b: int, c: int) -> tuple:
-    """Expansion of d^b x^c in one variable: sum over k of
-    comb(b,k)*comb(c,k)*k! * x^(c-k) d^(b-k), as (k, multiplier) pairs."""
-    top = min(b, c)
-    return tuple((k, comb(b, k) * comb(c, k) * factorial(k)) for k in range(top + 1))
+class MonomialCodec:
+    """One Python int per flat monomial (position, exponents, h-power).
+
+    The fields of the int, from the most significant down:
+
+    - the order's linear weights, each sum(coefs * e) plus a constant per
+      position, biased to be nonnegative (coefs are -1, 0 or 1);
+    - the exponents e[2n-1], ..., e[0], then h, each stored as wmax - e;
+    - the position, stored as pmax - pos.
+
+    Exponent and h fields share one width W and wmax = 2^W - 1, so an
+    exponent is the complement of its field.  Every field has a guard bit
+    above it that no valid monomial sets.  Then:
+
+    - integer order is the order (weights, then grevlex, then h, then
+      position), and packing is injective: the low fields alone fix the
+      monomial;
+    - packing is linear, so for M and L at one position, M - L is the
+      quotient monomial and T + (M - L) the product T * (M / L);
+    - L divides M iff (L | guard) - M keeps the guard bit of every
+      exponent and h field and the position field is its guard bit alone
+      (the groebner module docstring gives the argument).
+
+    W holds total degrees of 128 times the given degree and at least
+    2^16 - 1, as Buchberger raises degrees; a field that overflows all the
+    same sets a guard bit, and overflow() names it in an InternalError.
+    """
+
+    def __init__(self, n: int, positions: int, degree: int, weights=()):
+        """weights: (name, coefs over the 2n exponents, constant per
+        position) triples, the most significant first."""
+        self.n = n
+        width = max(16, degree.bit_length() + 8)
+        self.wmax = wmax = (1 << width) - 1
+        pbits = max(1, (positions - 1).bit_length())
+        self.pmax = (1 << pbits) - 1
+        names = [f"x{i + 1}" for i in range(n)] + [f"d{i + 1}" for i in range(n)]
+        # (name, offset, value width), least significant first
+        fields = [("position", 0, pbits)]
+        off = pbits + 1
+        self.off_h = off
+        for name in ["h"] + names:
+            fields.append((name, off, width))
+            off += width + 1
+        self.off_e = [o for _, o, _ in fields[2:]]
+        eh_values = sum(wmax << o for _, o, _ in fields[1:])
+        # unit[j]: what one more e[j] adds; base[pos]: the monomial 1 at pos
+        unit = [-(1 << o) for o in self.off_e]
+        base = [eh_values + (self.pmax - p) for p in range(max(positions, 1))]
+        self._weights = []  # (offset, coef +1 value mask, coef -1 value mask)
+        for name, coefs, consts in reversed(weights):
+            # a weight's terms sum to at most the degree, itself at most wmax
+            low = min((0, *consts)) + wmax * min((0, *coefs))
+            high = max((0, *consts)) + wmax * max((0, *coefs))
+            wbits = max(1, (high - low).bit_length())
+            fields.append((name, off, wbits))
+            for j, a in enumerate(coefs):
+                unit[j] += a << off
+            for p in range(positions):
+                base[p] += (consts[p] - low) << off
+            plus = sum(wmax << o for o, a in zip(self.off_e, coefs) if a == 1)
+            minus = sum(wmax << o for o, a in zip(self.off_e, coefs) if a == -1)
+            self._weights.append((off, plus, minus))
+            off += wbits + 1
+        self.top = fields[-1][1]
+        self._fields = fields
+        self._unit, self._base = unit, base
+        self.guard = sum(1 << (o + w) for _, o, w in fields)
+        eh_guards = sum(1 << (o + width) for _, o, _ in fields[1:2 + 2 * n])
+        self._eh_guards, self._eh_values, self._width = eh_guards, eh_values, width
+        # the divisibility test: (L | guard) - M & dmask == dtarget
+        self.dmask = eh_guards | ((2 << pbits) - 1)
+        self.dtarget = eh_guards | (1 << pbits)
+        self.hunit = 1 << self.off_h
+        self.hfield = wmax << self.off_h
+        self.dvalues = sum(wmax << o for o in self.off_e[n:])
+        self.one = base[0]
+        # _sum adds the exponent and h fields: pairs of neighbours first,
+        # into fields twice as wide, then every pair by one multiplication;
+        # no partial sum of 2n + 1 fields of at most wmax reaches 2^(2W+2)
+        stride = 2 * (width + 1)
+        pairs = n + 1
+        self._even = sum(wmax << (stride * k) for k in range(pairs))
+        self._mult = sum(1 << (stride * k) for k in range(pairs))
+        self._sum_shift = stride * (pairs - 1)
+        self._sum_mask = (1 << stride) - 1
+        self._contract = {}
+
+    # -- packing ---------------------------------------------------------
+
+    def pack(self, pos: int, exps, h: int = 0) -> int:
+        m = self._base[pos] - h * self.hunit
+        for e, u in zip(exps, self._unit):
+            if e:
+                m += e * u
+        if m & self.guard:
+            self.overflow(m)
+        return m
+
+    def unpack(self, m: int) -> tuple:
+        """(position, exponents, h) of a packed monomial."""
+        nm, wmax = ~m, self.wmax
+        return (nm & self.pmax, tuple([(nm >> o) & wmax for o in self.off_e]),
+                (nm >> self.off_h) & wmax)
+
+    def exponents(self, m: int) -> tuple:
+        nm, wmax = ~m, self.wmax
+        return tuple([(nm >> o) & wmax for o in self.off_e])
+
+    def h(self, m: int) -> int:
+        return (~m >> self.off_h) & self.wmax
+
+    def overflow(self, m: int):
+        """Raise InternalError naming the lowest field whose guard bit m
+        sets: the field that left its range first."""
+        for name, o, w in self._fields:
+            if m >> (o + w) & 1:
+                break
+        raise InternalError(f"monomial overflows its packed {name} field")
+
+    # -- arithmetic on packed monomials -----------------------------------
+
+    def divides(self, lead: int, m: int) -> bool:
+        return ((lead | self.guard) - m) & self.dmask == self.dtarget
+
+    def _sum(self, x: int) -> int:
+        """Sum of the exponent and h fields of x, each at most wmax."""
+        x >>= self.off_h
+        even = self._even
+        y = (x & even) + ((x >> (self._width + 1)) & even)
+        return (y * self._mult >> self._sum_shift) & self._sum_mask
+
+    def degree(self, m: int) -> int:
+        """sum(exponents) + h."""
+        return self._sum(self._eh_values & ~m)
+
+    def _lcm_fields(self, a: int, b: int) -> int:
+        """The exponent and h fields of lcm(a, b): the smaller field of the
+        two, as the larger exponent is."""
+        g = ((a | self.guard) - b) & self._eh_guards
+        take_b = g - (g >> self._width)  # value bits of the fields where a >= b
+        return (b & take_b) | (a & (self._eh_values ^ take_b))
+
+    def lcm_degree(self, a: int, b: int) -> int:
+        """degree(lcm(a, b)), without packing the lcm's weights."""
+        return self._sum(self._eh_values & ~self._lcm_fields(a, b))
+
+    def lcm(self, a: int, b: int) -> int:
+        """Least common multiple of two monomials at one position."""
+        inc = (a & self._eh_values) - self._lcm_fields(a, b)  # exponents gained over a
+        m = a - inc
+        for off, plus, minus in self._weights:
+            if plus:
+                m += self._sum(inc & plus) << off
+            if minus:
+                m -= self._sum(inc & minus) << off
+        if m & self.guard:
+            self.overflow(m)
+        return m
+
+    def contractions(self, h_step: int) -> tuple:
+        """(x_i offset, d_i offset, what one contraction d_i x_i adds) per i."""
+        table = self._contract.get(h_step)
+        if table is None:
+            n, unit = self.n, self._unit
+            table = self._contract[h_step] = tuple(
+                (self.off_e[i], self.off_e[n + i],
+                 -unit[i] - unit[n + i] - h_step * self.hunit) for i in range(n))
+        return table
 
 
-def mono_mul_flat(n: int, coeff, qe: tuple, qh: int, vec: dict,
+@lru_cache(maxsize=64)
+def _product_codec(n: int, degree_bits: int) -> MonomialCodec:
+    """The unweighted codec weyl_mul packs through."""
+    return MonomialCodec(n, 1, (1 << degree_bits) - 1)
+
+
+def mono_mul_flat(codec: MonomialCodec, coeff, q: int, vec: dict,
                   h_step: int) -> dict:
-    """Left-multiply a flat vector by the monomial coeff * x^qa d^qb h^qh.
+    """Left-multiply a flat vector by coeff times the quotient monomial q.
 
     The one multiplication kernel: weyl_mul and every Groebner routine run
-    on it.  A flat vector maps (position, exponents, h-power) to a
-    coefficient.  A term in which k pairs d_i x_i contract gains h^(h_step
-    * k), so h_step = 2 multiplies in the homogenized algebra and h_step =
-    0 in D_n.  Coefficients are ints or Fractions; the output has the type
+    on it.  A flat vector maps packed monomials (MonomialCodec) to
+    coefficients; q = M - L is the difference of two packed monomials at
+    one position, the monomial M / L.  A term T that no d_i of q meets an
+    x_i of gives the one product term T + q.  Otherwise d_i^b x_i^a
+    expands as sum over k of comb(b,k)*comb(a,k)*k! * x_i^(a-k) d_i^(b-k),
+    independently for each such i, and k contractions add k times
+    codec.contractions(h_step)[i], which also multiplies by h^(h_step *
+    k): h_step = 2 multiplies in the homogenized algebra and h_step = 0 in
+    D_n.  Every product term is checked against the guard bits.  Terms
+    come out in the order the expansion meets them, the earlier variable
+    slowest.  Coefficients are ints or Fractions; the output has the type
     of their product.
     """
-    dvars = [i for i in range(n) if qe[n + i]]
     out: dict = {}
+    if not vec:
+        return out
+    guard = codec.guard
+    qd = ~(q + codec.one) & codec.dvalues  # the d-exponents of q, in place
+    if not qd:
+        # no d in q: T -> T + q is injective, so no two terms meet
+        for t, c in vec.items():
+            k = t + q
+            if k & guard:
+                codec.overflow(k)
+            out[k] = coeff * c
+        return out
+    wmax = codec.wmax
+    # (x_i offset, b, contraction) for every d_i^b of q, i ascending, and
+    # the x_i fields they meet
+    dq = []
+    xmask = 0
+    for ox, od, step in codec.contractions(h_step):
+        b = (qd >> od) & wmax
+        if b:
+            dq.append((ox, b, step))
+            xmask |= wmax << ox
     get = out.get
-    for (pos, e, h), c in vec.items():
-        hits = [i for i in dvars if e[i]]
+    for t, c in vec.items():
         base = coeff * c
-        if not hits:
-            # no d of the monomial meets an x of the term: one product term
-            key = (pos, tuple(map(add, qe, e)), qh + h)
-            s = get(key, 0) + base
+        k = t + q
+        if t & xmask == xmask:
+            # every x_i that q's d_i would meet has exponent 0 in t
+            if k & guard:
+                codec.overflow(k)
+            s = get(k, 0) + base
             if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
+                out[k] = s
+            elif k in out:
+                del out[k]
             continue
-        # d_i^b x_i^a contracts k times for every i in hits, independently;
-        # product() runs the earlier variable slowest
-        summed = list(map(add, qe, e))
-        for combo in product(*[_pair_contractions(qe[n + i], e[i]) for i in hits]):
-            exps = summed[:]
-            mult, ks = 1, 0
-            for i, (k, mk) in zip(hits, combo):
-                if k:
-                    exps[i] -= k
-                    exps[n + i] -= k
-                    mult *= mk
-                    ks += k
-            key = (pos, tuple(exps), qh + h + h_step * ks)
+        # (what the contractions add, multiplier) over the choices of k
+        # for every variable t meets, the earlier variable slowest
+        nt = ~t
+        combos = None
+        for ox, b, step in dq:
+            a = (nt >> ox) & wmax
+            if a:
+                ks = _pair_contractions(b, a, step)
+                combos = ks if combos is None else \
+                    [(d1 + d2, m1 * m2) for d1, m1 in combos for d2, m2 in ks]
+        for dk, mult in combos:
+            key = k + dk
+            if key & guard:
+                codec.overflow(key)
             s = get(key, 0) + base * mult
             if s:
                 out[key] = s
             elif key in out:
                 del out[key]
     return out
+
+
+@lru_cache(maxsize=4096)
+def _pair_contractions(b: int, a: int, step: int) -> tuple:
+    """Expansion of d^b x^a in one variable: sum over k of
+    comb(b,k)*comb(a,k)*k! * x^(a-k) d^(b-k), as (k * step, multiplier)
+    pairs, k * step being what k contractions add to a packed monomial."""
+    return tuple((k * step, comb(b, k) * comb(a, k) * factorial(k))
+                 for k in range(min(b, a) + 1))
 
 
 class WeylElement:
@@ -258,22 +466,28 @@ class WeylElement:
 
 def weyl_mul(p: WeylElement, q: WeylElement) -> WeylElement:
     """Normally ordered product in D_n: the kernel mono_mul_flat applied to
-    q once per term of p, in the plain algebra (h_step = 0)."""
+    q once per term of p, in the plain algebra (h_step = 0), through an
+    unweighted codec wide enough for the product's degree."""
     if p.n != q.n:
         raise DimensionMismatchError(f"operands over D_{p.n} and D_{q.n}")
     n = p.n
-    flat = {(0, e, 0): c for e, c in q.terms.items()}
+    degree = max(map(sum, p.terms), default=0) + max(map(sum, q.terms), default=0)
+    # every degree below 2^8 gets the narrowest width, so one codec per n
+    codec = _product_codec(n, max(degree.bit_length(), 8))
+    pack, one = codec.pack, codec.one
+    flat = {pack(0, e): c for e, c in q.terms.items()}
     out: dict = {}
     get = out.get
     for ep, cp in p.terms.items():
-        for (_, e, _), c in mono_mul_flat(n, cp, ep, 0, flat, 0).items():
-            s = get(e, 0) + c
+        for k, c in mono_mul_flat(codec, cp, pack(0, ep) - one, flat, 0).items():
+            s = get(k, 0) + c
             if s:
-                out[e] = s
-            elif e in out:
-                del out[e]
+                out[k] = s
+            elif k in out:
+                del out[k]
     r = WeylElement.__new__(WeylElement)
-    r.n, r.terms = n, out
+    r.n = n
+    r.terms = {codec.exponents(k): c for k, c in out.items()}
     return r
 
 

@@ -270,8 +270,8 @@ def test_internal_error_exit_code(monkeypatch, capsys):
     def with_h_content(self, gens, *args, **kwargs):
         if not self.h_step:
             return original(self, gens, *args, **kwargs)
-        zero = (0,) * (2 * self.n)
-        return [((0, zero, 1), Fraction(1), {(0, zero, 1): Fraction(1)})]
+        lead = self.codec.pack(0, (0,) * (2 * self.n), 1)
+        return [(lead, Fraction(1), {lead: Fraction(1)})]
 
     monkeypatch.setattr(G.GBEngine, "buchberger", with_h_content)
     assert main(["cohomology", "--vars", "x", "--poly", "x"]) == 3

@@ -206,26 +206,233 @@ def test_non_rational_coefficients_rejected():
 
 
 # ---------------------------------------------------------------------------
+# tuple-keyed references: monomials as (position, exponents, h-power)
+# ---------------------------------------------------------------------------
+
+def _tuple_v_order_key(n, shifts, block_start):
+    """The V-order as a tuple key, larger is higher."""
+    def key(mono):
+        pos, e, h = mono
+        blk = 1 if pos < block_start else 0
+        vd = sum(e[n:]) - sum(e[:n]) + shifts[pos]
+        return (blk, vd, sum(e), tuple(-a for a in reversed(e)), -h, -pos)
+    return key
+
+
+def _tuple_block_elim_key(block):
+    """The elimination order as a tuple key; it ignores h, so it is an
+    order only on monomials without h."""
+    def key(mono):
+        pos, e, h = mono
+        bd = sum(e[i] for i in block)
+        return (bd, sum(e) - bd, tuple(-a for a in reversed(e)), -pos)
+    return key
+
+
+def _tuple_mono_mul_flat(n, coeff, qe, qh, vec, h_step):
+    """The multiplication kernel on tuple keys."""
+    from itertools import product
+    from math import comb, factorial
+
+    def contractions(b, c):
+        return [(k, comb(b, k) * comb(c, k) * factorial(k))
+                for k in range(min(b, c) + 1)]
+
+    dvars = [i for i in range(n) if qe[n + i]]
+    out = {}
+    for (pos, e, h), c in vec.items():
+        hits = [i for i in dvars if e[i]]
+        base = coeff * c
+        summed = [a + b for a, b in zip(qe, e)]
+        for combo in product(*[contractions(qe[n + i], e[i]) for i in hits]):
+            exps = summed[:]
+            mult, ks = 1, 0
+            for i, (k, mk) in zip(hits, combo):
+                if k:
+                    exps[i] -= k
+                    exps[n + i] -= k
+                    mult *= mk
+                    ks += k
+            key = (pos, tuple(exps), qh + h + h_step * ks)
+            s = out.get(key, 0) + base * mult
+            if s:
+                out[key] = s
+            elif key in out:
+                del out[key]
+    return out
+
+
+def _tuple_divides(m1, m2):
+    return m1[0] == m2[0] and m1[2] <= m2[2] and \
+        all(a <= b for a, b in zip(m1[1], m2[1]))
+
+
+def _tuple_flat(v, offset=0):
+    return {(offset + j, e, 0): c for j, comp in enumerate(v.components)
+            for e, c in comp.terms.items()}
+
+
+def _tuple_homogenize(vec):
+    deg = max((sum(e) + h for (_, e, h) in vec), default=0)
+    out = {}
+    for (pos, e, _), c in vec.items():
+        key = (pos, e, deg - sum(e))
+        s = out.get(key, 0) + c
+        if s:
+            out[key] = s
+        elif key in out:
+            del out[key]
+    return out
+
+
+def _pack(codec, vec):
+    return {codec.pack(*m): c for m, c in vec.items()}
+
+
+def _unpack(codec, vec):
+    return {codec.unpack(m): c for m, c in vec.items()}
+
+
+def _v_order(n, shifts, block_start, degree=4):
+    import derham.groebner as G
+    return (G.v_order_codec(n, shifts, block_start, degree),
+            _tuple_v_order_key(n, shifts, block_start))
+
+
+def _block_elim(n, block, degree=4):
+    import derham.groebner as G
+    return G.block_elim_codec(n, block, degree), _tuple_block_elim_key(block)
+
+
+def _random_mono(rng, n, positions, max_exp=4, max_h=4):
+    return (rng.randrange(positions),
+            tuple(rng.randint(0, max_exp) for _ in range(2 * n)),
+            rng.randint(0, max_h))
+
+
+# ---------------------------------------------------------------------------
+# the packed codec against the tuple keys
+# ---------------------------------------------------------------------------
+
+def test_packed_order_is_the_tuple_key_order():
+    rng = random.Random(7)
+    orders = 0
+    for n in range(1, 7):
+        for rank in (1, 2, 3):
+            shifts = tuple(rng.randint(-5, 5) for _ in range(rank))
+            block_start = rng.randint(1, rank)  # two blocks when rank > 1
+            block = tuple(sorted(rng.sample(range(2 * n), rng.randint(1, 2 * n))))
+            # an elimination order has one position and no h
+            for (codec, key), positions, max_h in (
+                    (_v_order(n, shifts, block_start), rank, 4),
+                    (_block_elim(n, block), 1, 0)):
+                monos = list({_random_mono(rng, n, positions, max_h=max_h)
+                              for _ in range(60)})
+                packed = {m: codec.pack(*m) for m in monos}
+                assert all(codec.unpack(p) == m for m, p in packed.items())
+                assert sorted(monos, key=packed.get) == sorted(monos, key=key)
+                orders += 1
+    assert orders == 36
+
+
+def test_packed_divides_lcm_and_degree_match_tuples():
+    rng = random.Random(8)
+    divisible = 0
+    for n in (1, 2, 3):
+        for (codec, _), positions in ((_v_order(n, (2, -3), 1), 2),
+                                      (_block_elim(n, (0, n)), 1)):
+            for _ in range(150):
+                a = _random_mono(rng, n, positions, max_exp=2, max_h=2)
+                b = _random_mono(rng, n, positions, max_exp=2, max_h=2)
+                pa, pb = codec.pack(*a), codec.pack(*b)
+                assert codec.divides(pa, pb) == _tuple_divides(a, b)
+                divisible += _tuple_divides(a, b)
+                assert codec.degree(pa) == sum(a[1]) + a[2]
+                if a[0] == b[0]:
+                    want = (a[0], tuple(map(max, a[1], b[1])), max(a[2], b[2]))
+                    assert codec.lcm(pa, pb) == codec.pack(*want)
+                    assert codec.lcm_degree(pa, pb) == sum(want[1]) + want[2]
+    assert divisible >= 20
+
+
+def test_packed_kernel_matches_tuple_kernel():
+    import derham.groebner as G
+    from fractions import Fraction
+    rng = random.Random(9)
+    contracted = 0
+    for n, rank in ((1, 1), (1, 3), (2, 2), (3, 1)):
+        orders = [_v_order(n, (1, -1, 0)[:rank], 1)]
+        if rank == 1:
+            orders.append(_block_elim(n, (0, n)))
+        for codec, _ in orders:
+            for h_step in (0, 2):
+                for _ in range(40):
+                    vec = {}
+                    for _ in range(rng.randint(1, 6)):
+                        vec[_random_mono(rng, n, rank, max_exp=3, max_h=2)] = \
+                            Fraction(rng.randint(-3, 3) or 1, rng.randint(1, 3))
+                    _, qe, qh = _random_mono(rng, n, 1, max_exp=3, max_h=2)
+                    coeff = rng.choice([1, -2, Fraction(3, 4)])
+                    want = _tuple_mono_mul_flat(n, coeff, qe, qh, vec, h_step)
+                    q = codec.pack(0, qe, qh) - codec.one
+                    got = _unpack(codec, G.mono_mul_flat(codec, coeff, q,
+                                                         _pack(codec, vec), h_step))
+                    assert got == want
+                    assert list(got) == list(want)
+                    contracted += len(want) > len(vec)
+    assert contracted >= 50
+
+
+def test_packing_overflow_raises_internal_error():
+    import derham.groebner as G
+    from derham import InternalError
+    codec, _ = _v_order(1, (0,), 1)
+    top = codec.wmax
+    codec.pack(0, (top, 0), 0)
+    with pytest.raises(InternalError, match="packed x1 field"):
+        codec.pack(0, (top + 1, 0), 0)
+    with pytest.raises(InternalError, match="packed h field"):
+        codec.pack(0, (0, 0), top + 1)
+    # a product that crosses the width: x1^wmax times x1
+    vec = {codec.pack(0, (top, 0), 0): 1}
+    with pytest.raises(InternalError, match="packed x1 field"):
+        G.mono_mul_flat(codec, 1, codec.pack(0, (1, 0), 0) - codec.one, vec, 0)
+    # a contraction that crosses it: d1 x1 h^(wmax - 1) gains h^2
+    vec = {codec.pack(0, (1, 0), top - 1): 1}
+    with pytest.raises(InternalError, match="packed h field"):
+        G.mono_mul_flat(codec, 1, codec.pack(0, (0, 1), 0) - codec.one, vec, 2)
+
+
+def test_flat_to_me_rejects_a_leftover_h_as_internal():
+    import derham.groebner as G
+    from derham import InternalError
+    codec, _ = _v_order(1, (0,), 1)
+    with pytest.raises(InternalError, match="dehomogenized"):
+        G.flat_to_me({codec.pack(0, (1, 0), 2): 1}, codec, 1)
+
+
+# ---------------------------------------------------------------------------
 # the division kernel against rational division with a rescan per step
 # ---------------------------------------------------------------------------
 
-def _reference_reduce(engine, vec, reducers, mode="full", pred=None):
-    """Rational division as the kernel's contract states it: the lead is
-    max(work, key=key) at every step and arithmetic is in Fraction."""
-    import derham.groebner as G
+def _reference_reduce(n, key, h_step, limit, vec, reducers, mode="full", pred=None):
+    """Rational division as the kernel's contract states it, on tuple
+    keys: the lead is max(work, key=key) at every step and arithmetic is
+    in Fraction."""
     from fractions import Fraction
     from derham import ReductionLimitError
+    import derham.groebner as G
     work = {m: Fraction(c) for m, c in vec.items()}
     remainder = {}
     steps = 0
     while work:
-        m = max(work, key=engine.key)
+        m = max(work, key=key)
         c = work[m]
         if pred is not None and not pred(m):
             del work[m]
             remainder[m] = c
             continue
-        hit = next((r for r in reducers if G._mono_divides(r[0], m)), None)
+        hit = next((r for r in reducers if _tuple_divides(r[0], m)), None)
         if hit is None:
             del work[m]
             remainder[m] = c
@@ -235,108 +442,114 @@ def _reference_reduce(engine, vec, reducers, mode="full", pred=None):
             continue
         lead, lc, rvec = hit
         q = tuple(a - b for a, b in zip(m[1], lead[1]))
-        prod = G.mono_mul_flat(engine.n, c / lc, q, m[2] - lead[2], rvec, engine.h_step)
+        prod = _tuple_mono_mul_flat(n, c / lc, q, m[2] - lead[2], rvec, h_step)
         G.flat_add_into(work, prod, -1)
         steps += 1
-        if steps > engine.limit:
+        if steps > limit:
             raise ReductionLimitError("reference budget exhausted")
     return remainder
 
 
-def _assert_same_division(engine, vec, reducers, **kw):
+def _assert_same_division(engine, key, vec, reducers, mode="full", floor=0, pred=None):
+    """engine.reduce on packed vec and reducers against the tuple
+    reference on their unpacked copies; pred is floor on tuples."""
     from fractions import Fraction
     from derham import ReductionLimitError
+    codec = engine.codec
+    tuple_reducers = [(codec.unpack(lead), lc, _unpack(codec, rvec))
+                      for lead, lc, rvec in reducers]
     try:
-        want = _reference_reduce(engine, vec, reducers, **kw)
+        want = _reference_reduce(engine.n, key, engine.h_step, engine.limit,
+                                 _unpack(codec, vec), tuple_reducers, mode, pred)
     except ReductionLimitError:
-        import pytest
         with pytest.raises(ReductionLimitError):
-            engine.reduce(vec, reducers, **kw)
+            engine.reduce(vec, reducers, mode, floor)
         return "limit"
-    got = engine.reduce(vec, reducers, **kw)
+    packed = engine.reduce(vec, reducers, mode, floor)
+    got = _unpack(codec, packed)
     # booleans first: pytest's diff of two long term lists can take minutes
     same_terms = got == want
     same_order = list(got) == list(want)
     assert same_terms, "remainders differ"
     assert same_order, "remainder terms come out in another order"
-    assert all(type(c) is Fraction for c in got.values())
+    assert all(type(c) is Fraction for c in packed.values())
     return "remainder"
 
 
-def _random_flat(rng, n, rank, homogeneous, **kw):
-    import derham.groebner as G
-    flat = G.me_to_flat(random_module_element(rng, n, rank, **kw))
-    return G.homogenize_flat(flat) if homogeneous else flat
+def _random_flat(rng, n, rank, homogeneous, codec, **kw):
+    flat = _tuple_flat(random_module_element(rng, n, rank, **kw))
+    return _pack(codec, _tuple_homogenize(flat) if homogeneous else flat)
 
 
-def _check_random_divisions(seed, n, rank, key, h_step, limit, count):
+def _check_random_divisions(seed, n, rank, order, h_step, limit, count):
     """Seeded random reducers and dividends, not built by Buchberger, so a
-    faulty kernel fails here rather than in the construction of a basis."""
+    faulty kernel fails here rather than in the construction of a basis.
+    order is (codec, tuple key); position 0 is the codec's first block."""
     import derham.groebner as G
+    codec, key = order
     rng = random.Random(seed)
-    engine = G.GBEngine(n, key, h_step=h_step)
+    engine = G.GBEngine(codec, h_step=h_step)
     engine.limit = limit
+    # position 0 alone is the first block of a two-block V-order; an
+    # elimination order has one block
+    first_block = 1 << codec.top if rank > 1 else 0
     outcomes = []
     while len(outcomes) < count:
-        reducers = [G.primitive_entry(r, key)
-                    for r in (_random_flat(rng, n, rank, h_step, max_deg=1)
+        reducers = [G.primitive_entry(r)
+                    for r in (_random_flat(rng, n, rank, h_step, codec, max_deg=1)
                               for _ in range(rng.randint(1, 3))) if r]
-        vec = _random_flat(rng, n, rank, h_step, max_deg=3, max_terms=5)
+        vec = _random_flat(rng, n, rank, h_step, codec, max_deg=3, max_terms=5)
         if not reducers or not vec:
             continue
         for mode in ("full", "top"):
-            for pred in (None, lambda m: m[0] == 0):
-                outcomes.append(_assert_same_division(engine, vec, reducers,
-                                                      mode=mode, pred=pred))
+            for floor, pred in ((0, None), (first_block, lambda m: m[0] == 0)):
+                outcomes.append(_assert_same_division(engine, key, vec, reducers,
+                                                      mode, floor, pred))
     return outcomes
 
 
 def test_reduce_matches_reference_v_order_homogenized():
-    import derham.groebner as G
     for seed, n, rank in ((101, 1, 2), (102, 2, 1)):
-        key = G.v_order_key(n, (0, 1)[:rank], 1)
-        outcomes = _check_random_divisions(seed, n, rank, key, 2, 200, 200)
+        order = _v_order(n, (0, 1)[:rank], 1)
+        outcomes = _check_random_divisions(seed, n, rank, order, 2, 200, 200)
         assert set(outcomes) == {"remainder"}
 
 
 def test_reduce_matches_reference_v_order_plain():
-    import derham.groebner as G
     for seed, n, rank in ((103, 1, 2), (104, 2, 1)):
-        key = G.v_order_key(n, (0, -1)[:rank], 1)
-        outcomes = _check_random_divisions(seed, n, rank, key, 0, 60, 200)
+        order = _v_order(n, (0, -1)[:rank], 1)
+        outcomes = _check_random_divisions(seed, n, rank, order, 0, 60, 200)
         assert set(outcomes) == {"remainder", "limit"}
 
 
 def test_reduce_matches_reference_block_elim():
-    import derham.groebner as G
-    key = G.block_elim_key((0, 2))
-    outcomes = _check_random_divisions(105, 2, 1, key, 0, 200, 200)
+    outcomes = _check_random_divisions(105, 2, 1, _block_elim(2, (0, 2)), 0, 200, 200)
     assert set(outcomes) == {"remainder"}
 
 
 def test_reduce_step_budget_matches_reference():
     import derham.groebner as G
-    import pytest
     from derham import ReductionLimitError
-    key = G.v_order_key(1, (0,), 1)
+    codec, key = _v_order(1, (0,), 1)
     # 1 - x under the V-order: its lead is 1, so dividing 1 + d by it never
     # ends; both versions must stop at the same budget
-    reducers = [G.primitive_entry(G.me_to_flat(me(1, "1 - x1")), key)]
-    flat = G.me_to_flat(me(1, "1 + d1"))
+    reducers = [G.primitive_entry(G.me_to_flat(me(1, "1 - x1"), codec))]
+    flat = G.me_to_flat(me(1, "1 + d1"), codec)
     for limit in (1, 5, 40):
-        engine = G.GBEngine(1, key, h_step=0)
+        engine = G.GBEngine(codec, h_step=0)
         engine.limit = limit
-        assert _assert_same_division(engine, flat, reducers) == "limit"
+        assert _assert_same_division(engine, key, flat, reducers) == "limit"
     # a budget of exactly the steps a terminating division takes suffices,
     # and one step less raises in both versions
-    reducers = [G.primitive_entry(G.homogenize_flat(G.me_to_flat(me(1, g))), key)
+    reducers = [G.primitive_entry(G.homogenize_flat(G.me_to_flat(me(1, g), codec), codec))
                 for g in ("2*x1*d1 + 1", "3*d1^2 - x1")]
-    flat = G.homogenize_flat(G.me_to_flat(me(1, "x1^2*d1^3 + 3*x1*d1^2 - d1")))
-    engine = G.GBEngine(1, key, h_step=2)
+    flat = G.homogenize_flat(G.me_to_flat(me(1, "x1^2*d1^3 + 3*x1*d1^2 - d1"), codec),
+                             codec)
+    engine = G.GBEngine(codec, h_step=2)
 
     def outcome(limit):
         engine.limit = limit
-        return _assert_same_division(engine, flat, reducers)
+        return _assert_same_division(engine, key, flat, reducers)
 
     steps = next(k for k in range(200) if outcome(k) == "remainder")
     assert steps > 1
@@ -347,13 +560,12 @@ def test_reduce_step_budget_matches_reference():
 
 def test_h_saturation_failure_raises_internal_error(monkeypatch):
     import derham.groebner as G
-    import pytest
     from fractions import Fraction
     from derham import InternalError
 
     def with_h_content(self, gens, *args, **kwargs):
-        vec = {(0, (0, 0), 1): Fraction(1)}
-        return [((0, (0, 0), 1), Fraction(1), vec)]
+        lead = self.codec.pack(0, (0, 0), 1)
+        return [(lead, Fraction(1), {lead: Fraction(1)})]
 
     monkeypatch.setattr(G.GBEngine, "buchberger", with_h_content)
     with pytest.raises(InternalError, match="h-saturation"):
@@ -404,16 +616,20 @@ def _reference_reduce_cofactor(solver, w, limit):
     given step budget."""
     import derham.groebner as G
     p = len(solver.gens)
-    key = G.v_order_key(solver.n, solver.cofactor_shift, p)
-    eng = G.GBEngine(solver.n, key, h_step=0)
+    codec = G.v_order_codec(solver.n, solver.cofactor_shift, p,
+                            G.elements_degree(solver.gens))
+    eng = G.GBEngine(codec, h_step=0)
     eng.limit = limit
     entries = []
     for _, _, vec in solver._syz_entries:
-        shifted = {(k[0] - solver.rank, k[1], k[2]): c for k, c in vec.items()}
-        lead = G._lead(shifted, key)
+        shifted = {}
+        for m, c in vec.items():
+            pos, e, h = solver.codec.unpack(m)
+            shifted[codec.pack(pos - solver.rank, e, h)] = c
+        lead = max(shifted)
         entries.append((lead, shifted[lead], shifted))
-    rem = eng.reduce(G.me_to_flat(w), entries, mode="full")
-    return G.flat_to_me(rem, solver.n, p)
+    rem = eng.reduce(G.me_to_flat(w, codec), entries, mode="full")
+    return G.flat_to_me(rem, codec, p)
 
 
 def test_reduce_cofactor_matches_reference():
@@ -453,11 +669,10 @@ def _reference_interreduce(engine, entries):
     """All-pairs interreduction: every minimal entry divided by all the
     others, unreduced, then sorted by lead."""
     import derham.groebner as G
-    key = engine.key
-    kept = sorted(G._minimalize_entries(entries), key=lambda t: key(t[0]))
-    final = [G.primitive_entry(engine.reduce(vec, kept[:i] + kept[i + 1:]), key)
+    kept = sorted(G._minimalize_entries(entries, engine.codec), key=lambda t: t[0])
+    final = [G.primitive_entry(engine.reduce(vec, kept[:i] + kept[i + 1:]))
              for i, (_, _, vec) in enumerate(kept)]
-    return sorted(final, key=lambda t: key(t[0]))
+    return sorted(final, key=lambda t: t[0])
 
 
 def _unreduced_basis(engine, gens):
@@ -478,16 +693,16 @@ def _same_entries(got, want):
 def test_interreduce_matches_all_pairs_reference():
     import derham.groebner as G
     cases = (
-        (201, 1, 2, G.v_order_key(1, (0, 1), 2), 2, 2),
-        (202, 2, 1, G.v_order_key(2, (0,), 1), 2, 1),
-        (203, 2, 1, G.block_elim_key((0, 2)), 0, 1),
+        (201, 1, 2, _v_order(1, (0, 1), 2)[0], 2, 2),
+        (202, 2, 1, _v_order(2, (0,), 1)[0], 2, 1),
+        (203, 2, 1, _block_elim(2, (0, 2))[0], 0, 1),
     )
     passed = reduced = 0
-    for seed, n, rank, key, h_step, deg in cases:
+    for seed, n, rank, codec, h_step, deg in cases:
         rng = random.Random(seed)
         for _ in range(8):
-            engine = G.GBEngine(n, key, h_step=h_step)
-            gens = [_random_flat(rng, n, rank, h_step, max_deg=deg, max_terms=2)
+            engine = G.GBEngine(codec, h_step=h_step)
+            gens = [_random_flat(rng, n, rank, h_step, codec, max_deg=deg, max_terms=2)
                     for _ in range(3)]
             raw = _unreduced_basis(engine, [g for g in gens if g])
             want = _reference_interreduce(engine, raw)
@@ -509,22 +724,28 @@ def _saturate_from_scratch(solver):
     interreduced stripped list."""
     import derham.groebner as G
     from fractions import Fraction
-    engine = G.GBEngine(solver.n, solver.key, h_step=2)
+    codec = solver.codec
+    engine = G.GBEngine(codec, h_step=2)
     aug = []
     for i, g in enumerate(solver.gens):
-        flat = G.me_to_flat(g)
-        flat[(solver.rank + i, (0,) * (2 * solver.n), 0)] = Fraction(1)
+        flat = G.me_to_flat(g, codec)
+        flat[codec.pack(solver.rank + i, (0,) * (2 * solver.n), 0)] = Fraction(1)
         aug.append(flat)
     reduced, rounds = engine.buchberger(aug), []
     while True:
         stripped = []
         for _, _, vec in reduced:
-            content = min(h for (_, _, h) in vec)
-            stripped.append({(p, e, h - content): c for (p, e, h), c in vec.items()})
+            content = min(codec.h(m) for m in vec)
+            stripped.append({_strip_h(codec, m, content): c for m, c in vec.items()})
         if stripped == [vec for _, _, vec in reduced]:
             return reduced, rounds
         reduced = engine.buchberger(stripped)
         rounds.append(reduced != engine.buchberger(stripped, changed=()))
+
+
+def _strip_h(codec, m, content):
+    pos, e, h = codec.unpack(m)
+    return codec.pack(pos, e, h - content)
 
 
 def test_saturation_rounds_resume_as_from_scratch():

@@ -19,8 +19,10 @@ README = ROOT / "README.md"
 # one way to do each job: SubmoduleSolver answers every Groebner query,
 # mv_tensor_cech builds MV(F) and C(G) as its cases, the strict complex is
 # strictify_complex(c).total, strictify_complex alone rewrites short exact
-# sequences, phase two's are block offsets, and what no stage called is
-# gone; a dotted name is a method or field of a class that stays
+# sequences, phase two's are block offsets, what no stage called is gone,
+# and packed monomials replaced the tuple order keys (with their
+# `descending` forms), the tuple divisibility and lcm helpers and the lead
+# scan; a dotted name is a method or field of a class that stays
 REMOVED = ["TermOrder", "GroebnerBasis", "groebner_basis", "normal_form",
            "submodule_membership", "syzygies", "kernel_of_map",
            "cech_complex", "family_for_cech", "strictify_ses",
@@ -32,7 +34,9 @@ REMOVED = ["TermOrder", "GroebnerBasis", "groebner_basis", "normal_form",
            "SubmoduleSES", "FreeCoverDiagram", "MVIndex",
            "DModPresentation.solver", "DModPresentation.contains_relation",
            "_rewrite_pair", "_RewriteResult", "_lift_poly",
-           "ThetaPolynomial.variable", "BFunctionDetail.factor"]
+           "ThetaPolynomial.variable", "BFunctionDetail.factor",
+           "v_order_key", "block_elim_key", "_lead", "_mono_divides",
+           "lcm_mono"]
 
 # kept in derham.strictify for phase two and the SES oracle, but not
 # exported from the package
