@@ -117,26 +117,34 @@ class ThetaPolynomial:
         return (self * other).exact_divide(g)
 
     def integer_roots(self):
-        """Sorted integer roots, found by the rational root test."""
-        # strip powers of s
+        """Sorted integer roots, found by the rational root test.
+
+        A nonzero integer root divides the constant term once the
+        denominators are cleared, and Cauchy's bound on the monic
+        coefficients caps it at 1 + max |c_i|, so only divisors up to that
+        bound are tried, each by Horner's rule on the cleared integers.
+        """
         coeffs = list(self.coeffs)
         roots = set()
-        k = 0
+        # strip powers of s
         while not coeffs[0] and len(coeffs) > 1:
             coeffs.pop(0)
-            k += 1
-        if k:
             roots.add(0)
         den = 1
         for c in coeffs:
             den = den * c.denominator // gcd(den, c.denominator)
-        ints = [int(c * den) for c in coeffs]
-        const = ints[0]
-        if const:
-            for cand in _divisors(abs(const)):
-                for r in (cand, -cand):
-                    if not self(r):
-                        roots.add(r)
+        ints = [int(c * den) for c in reversed(coeffs)]
+        const = ints[-1]
+        bound = 1 + int(max((abs(c) for c in coeffs[:-1]), default=0))
+        for cand in range(1, min(bound, abs(const)) + 1):
+            if const % cand:
+                continue
+            for r in (cand, -cand):
+                acc = 0
+                for a in ints:
+                    acc = acc * r + a
+                if not acc:
+                    roots.add(r)
         return sorted(roots)
 
     def __eq__(self, other):
@@ -166,18 +174,6 @@ class ThetaPolynomial:
 
     def __repr__(self):
         return f"ThetaPolynomial({self})"
-
-
-def _divisors(m: int):
-    out = []
-    i = 1
-    while i * i <= m:
-        if m % i == 0:
-            out.append(i)
-            if i != m // i:
-                out.append(m // i)
-        i += 1
-    return sorted(out)
 
 
 def _divmod_poly(a, b):

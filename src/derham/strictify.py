@@ -27,7 +27,9 @@ under another generator order or cofactor shift is solved again.  Each
 loop asks its solver for every target, and a loop whose targets are all
 zero asks for none.  Phase two takes the boundary, homology and
 next-boundary bases of each spot from phase one instead of recomputing
-them.
+them, and hands free_cover_ses bases, not generators: the bases it holds
+at level one and the syzygy bases of the level below after that, which
+free_cover_ses uses without solving them again.
 
 minimize_complex then shrinks the total complex: it cancels every
 constant entry between generators of equal shift, which keeps the complex
@@ -160,24 +162,23 @@ def _proportional(v: ModuleElement, w: ModuleElement) -> bool:
     return True
 
 
-def free_cover_ses(cover_a: ResolutionStep, gens_b, shift_b, gens_c, shift_c,
+def free_cover_ses(cover_a: ResolutionStep, gb_b, shift_b, gb_c, shift_c,
                    solvers: SolverCache):
     """Free covers P_B = P_A + P_C over a strict SES 0 -> A -> B -> C -> 0
     of submodules; returns (cover_b, cover_c).
 
     The maps are blocks: B lies in D^(a+c) under shift_b, A in its leading
     a = len(shift_b) - len(shift_c) components, and B -> C keeps the
-    trailing c components.  The C-cover generators are the nonzero
-    projections of a basis of B at their B-side degrees together with a
-    fresh basis of C; the middle lift of a fresh C-basis element is a
-    minimal-degree preimage, which the strictness of the input keeps at or
-    below the C-side degree.
+    trailing c components.  gb_b and gb_c must already be V-adapted bases
+    of B under shift_b and of C under shift_c; they are used as given.
+    The C-cover generators are the nonzero projections of gb_b at their
+    B-side degrees together with gb_c; the middle lift of an element of
+    gb_c is a minimal-degree preimage, which the strictness of the input
+    keeps at or below the C-side degree.
     """
     n = solvers.spec.n
     rank_b, rank_c = len(shift_b), len(shift_c)
     a = rank_b - rank_c
-    gb_b = solvers.basis(rank_b, gens_b, shift_b)
-    gb_c = solvers.basis(rank_c, gens_c, shift_c)
     proj_b = [ModuleElement(n, b.components[a:]) for b in gb_b]
 
     proj_pairs = []
@@ -560,7 +561,13 @@ def _phase_two(c: ChainComplexPres, solvers: SolverCache, phase1: dict, edge: in
             d_step = res_b[k - 1]
             # 0 -> B -> Z -> H -> 0, then 0 -> Z -> C -> B_next -> 0: the
             # Z-cover P_B + P_H built over the first is the A-side cover of
-            # the second
+            # the second.  free_cover_ses takes bases as given, and each
+            # list here is one under the slice of psh passed with it: at
+            # k = 1, gb_iz and gb_ic were solved above and basis_h and
+            # basis_bn in phase one, each under that very slice of shift0;
+            # at k >= 2, each list is the previous level's kernel, a syzygy
+            # basis under that cover's shift, which is the matching slice
+            # of psh = cover_c.shift.
             cover_z, cover_h = free_cover_ses(d_step, kz, psh[:prb + prh], kh,
                                               psh[prb:prb + prh], solvers)
             cover_c, cover_bn = free_cover_ses(cover_z, kc, psh, kbn,

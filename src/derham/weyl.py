@@ -471,7 +471,9 @@ def weyl_mul(p: WeylElement, q: WeylElement) -> WeylElement:
     if p.n != q.n:
         raise DimensionMismatchError(f"operands over D_{p.n} and D_{q.n}")
     n = p.n
-    degree = max(map(sum, p.terms), default=0) + max(map(sum, q.terms), default=0)
+    if not (p.terms and q.terms):
+        return WeylElement.zero(n)
+    degree = max(map(sum, p.terms)) + max(map(sum, q.terms))
     # every degree below 2^8 gets the narrowest width, so one codec per n
     codec = _product_codec(n, max(degree.bit_length(), 8))
     pack, one = codec.pack, codec.one
@@ -555,42 +557,16 @@ def theta(n: int) -> WeylElement:
     return WeylElement(n, terms)
 
 
-def _falling(g: int, b: int) -> int:
-    """g (g-1) ... (g-b+1); valid for negative g as well."""
-    out = 1
-    for j in range(b):
-        out *= g - j
-    return out
-
-
 def apply_to_polynomial(p: WeylElement, g: WeylElement) -> WeylElement:
-    """Natural action of p on a commutative polynomial g (d_i = d/dx_i)."""
+    """Natural action of p on a commutative polynomial g (d_i = d/dx_i):
+    the d-free part of the normally ordered product p g."""
     if p.n != g.n:
         raise DimensionMismatchError(f"operands over D_{p.n} and D_{g.n}")
     if not g.is_polynomial():
         raise InvalidInputError("apply_to_polynomial needs a polynomial argument")
     n = p.n
-    out: dict = {}
-    for ep, cp in p.terms.items():
-        a, b = ep[:n], ep[n:]
-        for eg, cg in g.terms.items():
-            gam = eg[:n]
-            m = 1
-            for i in range(n):
-                if b[i]:
-                    if gam[i] < b[i]:
-                        m = 0
-                        break
-                    m *= _falling(gam[i], b[i])
-            if not m:
-                continue
-            key = tuple(a[i] + gam[i] - b[i] for i in range(n)) + (0,) * n
-            s = out.get(key, Fraction(0)) + cp * cg * m
-            if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
-    return WeylElement(n, out)
+    return WeylElement(n, {e: c for e, c in weyl_mul(p, g).terms.items()
+                           if not any(e[n:])})
 
 
 # -- canonical text form ----------------------------------------------

@@ -1,4 +1,6 @@
 import json
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -40,6 +42,25 @@ def test_bfunction_subcommand():
                   "--format", "text")
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "s"
+
+
+def _readme_command_lines():
+    """The lines of the README's "Command line" example block."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1]
+    return block.split("```", 1)[0].splitlines()
+
+
+@pytest.mark.parametrize("line", _readme_command_lines())
+def test_readme_command_line_runs(line, capsys):
+    from derham.cli import main
+    argv = shlex.split(line, comments=True)
+    assert argv[0] == "derham"
+    assert main(argv[1:]) == 0
+    out = capsys.readouterr().out
+    expected = re.search(r"#\s*prints:\s*(.*)$", line)
+    if expected:
+        assert out.strip() == expected.group(1).strip()
 
 
 def test_localize_subcommand():
@@ -251,7 +272,7 @@ def test_debug_logging_reports_spair_counts():
     assert bare.returncode == debug.returncode == 0
     lines = [line for line in debug.stderr.splitlines() if "S-pairs" in line]
     assert lines == [
-        "derham.strictify DEBUG strictify: 113 S-pairs reduced, "
+        "derham.strictify DEBUG strictify: 110 S-pairs reduced, "
         "43 skipped by the chain criterion",
         "derham.restriction DEBUG b-function: 2 S-pairs reduced, "
         "0 skipped by the chain criterion"]

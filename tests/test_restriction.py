@@ -84,6 +84,22 @@ def test_b_function_respects_shift():
     assert b.integer_roots() == [1]
 
 
+def test_integer_roots_of_seeded_products():
+    # prod (s - r) over integer, non-integer, repeated and zero roots: the
+    # integer roots are exactly the integers among the r
+    rng = random.Random(7)
+    for _ in range(2000):
+        roots = [Fraction(rng.randint(-8, 8)) for _ in range(rng.randint(0, 3))]
+        roots += [Fraction(rng.randint(-12, 12), rng.randint(2, 5))
+                  for _ in range(rng.randint(0, 3))]
+        roots += rng.sample(roots, min(len(roots), rng.randint(0, 2)))
+        if rng.random() < 0.3:
+            roots.append(Fraction(0))
+        b = ThetaPolynomial.from_roots(roots)
+        expected = sorted({int(r) for r in roots if r.denominator == 1})
+        assert b.integer_roots() == expected, roots
+
+
 def test_b_function_not_specializable():
     free = DModPresentation.free(1, 1, (0,))
     with pytest.raises(BBoundExceededError):

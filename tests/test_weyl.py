@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_polynomial, random_weyl
-from derham import (NEG_INF, DimensionMismatchError, WeylElement,
-                    apply_to_polynomial, format_operator, fourier,
+from derham import (NEG_INF, DimensionMismatchError, InvalidInputError,
+                    WeylElement, apply_to_polynomial, format_operator, fourier,
                     parse_operator, theta, v_degree, weyl_mul)
 
 
@@ -39,6 +39,9 @@ def test_multiply_by_zero():
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         weyl_mul(x(0, 1), x(0, 2))
+    # checked before the shortcut for a zero factor
+    with pytest.raises(DimensionMismatchError):
+        weyl_mul(WeylElement.zero(1), x(0, 2))
 
 
 def test_v_degree_examples():
@@ -72,6 +75,48 @@ def test_apply_to_polynomial():
     for _ in range(20):
         g = random_polynomial(rng, 1)
         assert apply_to_polynomial(comm, g) == g
+
+
+def _reference_apply(p, g):
+    """p applied to g term by term: x^a d^b . x^c = c!/(c-b)! x^(a+c-b),
+    zero when some c_i < b_i, with Fraction accumulation."""
+    n = p.n
+    out = {}
+    for ep, cp in p.terms.items():
+        a, b = ep[:n], ep[n:]
+        for eg, cg in g.terms.items():
+            c = eg[:n]
+            if any(c[i] < b[i] for i in range(n)):
+                continue
+            m = 1
+            for i in range(n):
+                for j in range(b[i]):
+                    m *= c[i] - j
+            key = tuple(a[i] + c[i] - b[i] for i in range(n)) + (0,) * n
+            s = out.get(key, Fraction(0)) + cp * cg * m
+            if s:
+                out[key] = s
+            elif key in out:
+                del out[key]
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_apply_to_polynomial_matches_reference(n):
+    rng = random.Random(50 + n)
+    for _ in range(100):
+        p = random_weyl(rng, n, max_deg=3, max_terms=4)
+        g = random_polynomial(rng, n, max_deg=3, max_terms=4)
+        got = apply_to_polynomial(p, g).terms
+        assert got == _reference_apply(p, g)
+        assert all(type(c) is Fraction for c in got.values())
+
+
+def test_apply_to_polynomial_checks_its_inputs():
+    with pytest.raises(DimensionMismatchError):
+        apply_to_polynomial(d(0, 1), x(0, 2))
+    with pytest.raises(InvalidInputError, match="polynomial argument"):
+        apply_to_polynomial(d(0, 1), d(0, 1))
 
 
 def test_canonical_text_form():
