@@ -3,9 +3,11 @@
 Orders that refine the shifted V-degree are not well-orders on D_n, so
 every Buchberger loop runs in the homogenized Weyl algebra (a central
 variable h with d_i x_i = x_i d_i + h^2) under a genuine term order and
-the result is dehomogenized.  Division against a finished basis happens
-directly in D_n with a step budget guarding the (pathological) inputs
-whose cosets have no V-minimal member.
+the result is dehomogenized.  A normal form first reduces h^N times the
+homogenized element against the h-saturated basis, for a few even N, and
+a zero main block settles membership there.  Otherwise division against
+the finished basis happens directly in D_n, with a step budget guarding
+the (pathological) inputs whose cosets have no V-minimal member.
 
 The flat internal format keys a term by one int, its packed monomial
 (MonomialCodec in weyl.py), and maps it to a coefficient; the public
@@ -684,22 +686,40 @@ class SubmoduleSolver:
     # -- queries ---------------------------------------------------------
 
     def _homogeneous_remainder(self, e: ModuleElement):
-        """Reduce the homogenization of e against the saturated basis.
+        """Reduce h^N times the homogenization of e against the saturated
+        basis, for N = 0, 2, 4, ... up to the largest h-power on a
+        main-block lead, and return the first remainder whose main block is
+        zero, else the one for N = 0.
 
         Always terminates.  A zero main block proves that e lies in the
-        submodule; a nonzero one does not prove the opposite.  Saturation
-        strips only the h-content of a whole augmented entry, so an entry
-        whose cofactor tail has no h keeps an h-power on its main lead,
-        and that lead cannot divide a term of lower h-power: for the gens
-        x^2 and 3/4 x^2 - x d the basis is [8], with lead 8 h^2 over a
-        cofactor tail free of h, and the main block of -1 stays -1.
+        submodule: h is central, so the cofactor block dehomogenizes to a
+        cofactor of e.  A nonzero one does not prove the opposite.
+        Saturation strips only the h-content of a whole augmented entry, so
+        an entry whose cofactor tail has no h keeps an h-power on its main
+        lead, and that lead cannot divide a term of lower h-power: for the
+        gens x^2 and 3/4 x^2 - x d the basis is [8], with lead 8 h^2 over a
+        cofactor tail free of h, so the main block of -1 stays -1 at N = 0
+        and vanishes at N = 2.  The bound on N is empirical; a member it
+        leaves unsettled goes on to division in D_n like a non-member.
         """
         codec, floor = self.codec, self.floor
         flat = homogenize_flat(me_to_flat(e, codec), codec)
-        rem = self.engine.reduce(flat, self._h_entries, mode="full", floor=floor)
-        main = {m: c for m, c in rem.items() if m >= floor}
-        cof = {m: -c for m, c in rem.items() if m < floor}
-        return main, cof
+        top = max((codec.h(lead) for lead, _, _ in self._h_entries if lead >= floor),
+                  default=0)
+        first = None
+        for power in range(0, top + 1, 2):
+            raised = {m - power * codec.hunit: c for m, c in flat.items()}
+            for m in raised:
+                if m & codec.guard:
+                    codec.overflow(m)
+            rem = self.engine.reduce(raised, self._h_entries, mode="full", floor=floor)
+            main = {m: c for m, c in rem.items() if m >= floor}
+            cof = {m: -c for m, c in rem.items() if m < floor}
+            if not main:
+                return main, cof
+            if first is None:
+                first = main, cof
+        return first
 
     def normal_form_with_cofactor(self, e: ModuleElement):
         """(r, w) with e = r + w . gens and no term of r lead-divisible.

@@ -7,14 +7,19 @@ that the short exact sequences of relation submodules become V-strict.
 Both quotient maps of a spot are identities on generators, so a lift is
 the cofactor of a unit vector, and each spot ends as one record that phase
 two reads.  Phase two walks back up, building compatible free covers level
-by level: each level's cover of the cycle column is (B-cover) + (H-cover)
-and the full column is that plus the next boundary cover, with lifts
-chosen of minimal V-degree.  Both short exact sequences of a level,
-0 -> B -> Z -> H -> 0 and 0 -> Z -> C -> B_next -> 0, are blocks: in each
-0 -> A -> M -> Q -> 0, A sits in the leading components of M, Q in the
-trailing ones, and the projection M -> Q keeps the trailing components.  The total
-complex of the resulting double complex is V-strict and quasi-isomorphic
-to the input; the comparison map reads off the level-zero block.
+by level with the horseshoe lemma (Weibel, An Introduction to Homological
+Algebra, Lemma 2.2.8): each level's cover of the cycle column is (B-cover)
++ (H-cover) and the full column is that plus the next boundary cover.
+Both short exact sequences of a level, 0 -> B -> Z -> H -> 0 and 0 -> Z ->
+C -> B_next -> 0, are blocks: in each 0 -> A -> M -> Q -> 0, A sits in the
+leading components of M, Q in the trailing ones, and the projection M -> Q
+keeps the trailing components.  The Q-cover is a V-adapted basis of Q and
+the M-cover is the A-cover followed by one lift of each Q-basis entry, of
+M-degree at most its Q-degree: phase one's pairs at level one, and (-t |
+s) below, for s a syzygy of the Q-basis and t a V-minimal witness of the
+A-part of the combination s of the lifts above.  The total complex of the
+resulting double complex is V-strict and quasi-isomorphic to the input;
+the comparison map reads off the level-zero block.
 
 A strictify_complex call builds one solver per cache key: every solver
 comes from one SolverCache that the call creates, passes down through
@@ -26,10 +31,10 @@ same generating list share one Groebner computation; the same submodule
 under another generator order or cofactor shift is solved again.  Each
 loop asks its solver for every target, and a loop whose targets are all
 zero asks for none.  Phase two takes the boundary, homology and
-next-boundary bases of each spot from phase one instead of recomputing
-them, and hands free_cover_ses bases, not generators: the bases it holds
-at level one and the syzygy bases of the level below after that, which
-free_cover_ses uses without solving them again.
+next-boundary bases of each spot, and their lifts, from phase one.  Its
+only fresh builds are the syzygies of each Q-basis and the witness solver
+over each Z-cover; the witness solver over a boundary cover is the one
+that resolved it.  Nothing resolves an M-cover, and nothing needs to.
 
 minimize_complex then shrinks the total complex: it cancels every
 constant entry between generators of equal shift, which keeps the complex
@@ -76,14 +81,15 @@ class QuotientSES:
 
 class ResolutionStep:
     """One step 0 -> K -> P[shift] -> M -> 0; the rows map the generators
-    of P onto a Groebner basis of M inside its ambient free module."""
+    of P onto generators of M inside its ambient free module, and kernel
+    is a V-adapted basis of K, or None where nothing reads it."""
 
     __slots__ = ("shift", "rows", "kernel")
 
     def __init__(self, shift, rows, kernel):
         self.shift = tuple(shift)
         self.rows = list(rows)
-        self.kernel = list(kernel)
+        self.kernel = kernel
 
     @property
     def rank(self):
@@ -141,84 +147,56 @@ def _bound_shifts(rank, constraints):
 # free covers of strict sequences of submodules
 # ---------------------------------------------------------------------------
 
-def _proportional(v: ModuleElement, w: ModuleElement) -> bool:
-    """True when v = c w for a nonzero rational c."""
-    if v.is_zero() or w.is_zero():
-        return v.is_zero() and w.is_zero()
-    ratio = None
-    for cv, cw in zip(v.components, w.components):
-        if cv.is_zero() != cw.is_zero():
-            return False
-        if cv.is_zero():
-            continue
-        if set(cv.terms) != set(cw.terms):
-            return False
-        for e, c in cv.terms.items():
-            r = c / cw.terms[e]
-            if ratio is None:
-                ratio = r
-            elif r != ratio:
-                return False
-    return True
-
-
-def free_cover_ses(cover_a: ResolutionStep, gb_b, shift_b, gb_c, shift_c,
+def free_cover_ses(cover_a: ResolutionStep, lifts, shift_b, basis_c, shift_c,
                    solvers: SolverCache):
-    """Free covers P_B = P_A + P_C over a strict SES 0 -> A -> B -> C -> 0
-    of submodules; returns (cover_b, cover_c).
+    """One level of the horseshoe lemma over a strict SES 0 -> A -> B -> C
+    -> 0 of submodules; returns (cover_b, cover_c, next_lifts).
 
     The maps are blocks: B lies in D^(a+c) under shift_b, A in its leading
     a = len(shift_b) - len(shift_c) components, and B -> C keeps the
-    trailing c components.  gb_b and gb_c must already be V-adapted bases
-    of B under shift_b and of C under shift_c; they are used as given.
-    The C-cover generators are the nonzero projections of gb_b at their
-    B-side degrees together with gb_c; the middle lift of an element of
-    gb_c is a minimal-degree preimage, which the strictness of the input
-    keeps at or below the C-side degree.
+    trailing c components.  basis_c must already be a V-adapted basis of C
+    under shift_c, and lifts[j] an element of B that projects onto
+    basis_c[j] with B-degree at most its C-degree.  The C-cover is basis_c
+    itself, and the B-cover the A-cover followed by the lifts; the latter
+    has no kernel (None), since nothing reads it.
+
+    next_lifts are the lifts one level down: for s in the kernel of the
+    C-cover, sum s_j lifts[j] has no C-part, so it lies in A, and a
+    V-minimal witness t over the A-cover gives the lift (-t | s) in the
+    kernel of the B-cover.  The witness solver has the key of the A-cover's
+    own resolution, so a resolved A-cover costs a cache hit; none is built
+    for an empty A-cover or for zero targets.
     """
     n = solvers.spec.n
     rank_b, rank_c = len(shift_b), len(shift_c)
     a = rank_b - rank_c
-    proj_b = [ModuleElement(n, b.components[a:]) for b in gb_b]
-
-    proj_pairs = []
-    for b, pb in zip(gb_b, proj_b):
-        if pb.is_zero():
-            continue
-        if any(_proportional(pb, c) for c in gb_c):
-            continue  # the fresh basis copy keeps the tighter shift
-        proj_pairs.append((b, pb))
-
-    c_rows = [pb for _, pb in proj_pairs] + gb_c
-    c_shift = tuple(int(b.v_degree(shift_b)) for b, _ in proj_pairs) \
-        + obvious_shift(gb_c, shift_c)
-    lifts = [b for b, _ in proj_pairs]
-    # minimal-V-degree combinations of the projected B-basis, measured
-    # against the B-side degrees: one solver for every C-basis element
-    solver = solvers.get(rank_c, proj_b, shift_c, obvious_shift(gb_b, shift_b)) \
-        if gb_c else None
-    combine = OperatorMatrix(n, rank_b, gb_b)
-    for c in gb_c:
-        w = solver.min_degree_witness(c)
-        if w is None:
-            raise InconsistencyError(
-                "lifting a C-basis element through B -> C: no preimage exists")
-        psi = combine.apply(w)
-        need = c.v_degree(shift_c)
-        got = psi.v_degree(shift_b)
-        if got != NEG_INF and need != NEG_INF and got > need:
+    c_shift = obvious_shift(basis_c, shift_c)
+    for lift, need in zip(lifts, c_shift):
+        got = lift.v_degree(shift_b)
+        if got != NEG_INF and got > need:
             raise InternalError(
                 "lift of the required V-degree not found; the input sequence "
                 "is not V-strict")
-        lifts.append(psi)
-
-    kernel_c = solvers.syzygies(rank_c, c_rows, shift_c, c_shift)
-    cover_c = ResolutionStep(c_shift, c_rows, kernel_c)
-
+    kernel_c = solvers.syzygies(rank_c, basis_c, shift_c, c_shift)
+    cover_c = ResolutionStep(c_shift, basis_c, kernel_c)
     b_rows = [_embed(r, rank_b, 0, n) for r in cover_a.rows] + lifts
-    b_shift = cover_a.shift + c_shift
-    kernel_b = solvers.syzygies(rank_b, b_rows, shift_b, b_shift)
-    return ResolutionStep(b_shift, b_rows, kernel_b), cover_c
+    cover_b = ResolutionStep(cover_a.shift + c_shift, b_rows, None)
+
+    combine = OperatorMatrix(n, rank_b, lifts)
+    targets = [ModuleElement(n, combine.apply(s).components[:a]) for s in kernel_c]
+    solver = solvers.get(a, cover_a.rows, shift_b[:a], cover_a.shift) \
+        if cover_a.rows and any(not t.is_zero() for t in targets) else None
+    next_lifts = []
+    for s, t in zip(kernel_c, targets):
+        if t.is_zero():
+            w = ModuleElement.zero(n, cover_a.rank)
+        else:
+            w = solver.min_degree_witness(t) if solver is not None else None
+            if w is None:
+                raise InconsistencyError(
+                    "horseshoe lift: the target lies outside the A-cover")
+        next_lifts.append(ModuleElement(n, (-w).components + s.components))
+    return cover_b, cover_c, next_lifts
 
 
 # ---------------------------------------------------------------------------
@@ -411,19 +389,20 @@ class StrictificationResult:
 
 class _PhaseOneSpot:
     """Phase one's rewrite of C^i over P_B + P_H + P_Bnext: the block
-    ranks, the three shift vectors, the relations of the covers of Z~ and
-    of C^i, the bases of the H- and B_next-relations under their shifts,
-    and the realization rows of the cover generators in C^i."""
+    ranks, the three shift vectors, the bases of the H- and
+    B_next-relations under their shifts, their lifts into the relations of
+    the covers of Z~ and of C^i, and the realization rows of the cover
+    generators in C^i."""
 
-    __slots__ = ("ranks", "shift_b", "shift_h", "shift_bn", "rels_qz", "rels_qc",
-                 "basis_h", "basis_bn", "realization")
+    __slots__ = ("ranks", "shift_b", "shift_h", "shift_bn", "basis_h", "basis_bn",
+                 "lifts_h", "lifts_bn", "realization")
 
-    def __init__(self, ranks, shift_b, shift_h, shift_bn, rels_qz, rels_qc,
-                 basis_h, basis_bn, realization):
+    def __init__(self, ranks, shift_b, shift_h, shift_bn, basis_h, basis_bn,
+                 lifts_h, lifts_bn, realization):
         self.ranks = ranks            # (boundary, homology, next-boundary)
         self.shift_b, self.shift_h, self.shift_bn = shift_b, shift_h, shift_bn
-        self.rels_qz, self.rels_qc = rels_qz, rels_qc
         self.basis_h, self.basis_bn = basis_h, basis_bn
+        self.lifts_h, self.lifts_bn = lifts_h, lifts_bn
         self.realization = realization
 
 
@@ -441,6 +420,7 @@ def _phase_one(c: ChainComplexPres, solvers: SolverCache):
     H-shifts against a basis of the B_next-relations through paired lifts,
     then bound the B-shifts against bases of both the H-relations and the
     B_next-relations.  The B_next-shift is the B-shift of the spot above.
+    The paired lifts of the two bases are phase two's lifts at level one.
     """
     n = c.n
     ztilde = {k: cycle_generators(c, k, solvers) for k in c.degrees()}
@@ -471,7 +451,6 @@ def _phase_one(c: ChainComplexPres, solvers: SolverCache):
         lift_h = _cofactor_heads(solvers.get(p, units_h + rels_h) if p else None,
                                  units_h, p, "lifting a generator through Z~ -> H")
         rows_qz = rows_bz + lift_h
-        rels_qz = _heads(solvers.syzygies(p, rows_qz + rels_z, (0,) * p), rank_b + p)
 
         # lift the B_next-generators through C^i -> B_next; P_B + P_H +
         # P_Bnext covers C^i
@@ -482,8 +461,6 @@ def _phase_one(c: ChainComplexPres, solvers: SolverCache):
         into_c = OperatorMatrix(n, rank, zgens)
         qz_in_c = [into_c.apply(r) for r in rows_qz]
         realization = qz_in_c + lift_bn
-        rels_qc = _heads(solvers.syzygies(rank, realization + rels_c, shift_c),
-                         rank_b + p + rank_bn)
 
         # step 1: basis of the B_next-relations and paired lifts (b', h')
         basis_bn = solvers.basis(rank_bn, rels_bn, shift_bn)
@@ -505,8 +482,8 @@ def _phase_one(c: ChainComplexPres, solvers: SolverCache):
         targets = [-lift.apply(r) for r in basis_h]
         solver = solvers.get(p, rows_bz + rels_z, (0,) * p) \
             if any(not t.is_zero() for t in targets) else None
-        pairs_h = zip(basis_h, _cofactor_heads(
-            solver, targets, rank_b, "pairing an H-relation into the Z~ kernel"))
+        pairs_h = list(zip(basis_h, _cofactor_heads(
+            solver, targets, rank_b, "pairing an H-relation into the Z~ kernel")))
 
         # step 4: B-shifts from both families
         constraints = [(w.components[:rank_b], r.v_degree(shift_bn))
@@ -514,8 +491,12 @@ def _phase_one(c: ChainComplexPres, solvers: SolverCache):
         constraints += [(w.components, r.v_degree(shift_h)) for r, w in pairs_h]
         shift_b = _bound_shifts(rank_b, constraints)
 
+        # each pair (r, w) concatenates to a relation (w | r) of the cover,
+        # which step 4 keeps at or below r's own degree
+        lifts_h = [ModuleElement(n, w.components + r.components) for r, w in pairs_h]
+        lifts_bn = [ModuleElement(n, w.components + r.components) for r, w in pairs_bn]
         spots[i] = _PhaseOneSpot((rank_b, p, rank_bn), shift_b, shift_h, shift_bn,
-                                 rels_qz, rels_qc, basis_h, basis_bn, realization)
+                                 basis_h, basis_bn, lifts_h, lifts_bn, realization)
         shift_bn = shift_b
     return spots
 
@@ -527,20 +508,17 @@ def _phase_two(c: ChainComplexPres, solvers: SolverCache, phase1: dict, edge: in
     complete_all = True
     for i in range(c.lo, c.hi + 1):
         sp = phase1[i]
-        rank_b, rank_h, rank_bn = sp.ranks
         shift0 = sp.shift_b + sp.shift_h + sp.shift_bn
         depth = i - edge
 
         # phase one passed this spot's B-shift down as the B_next-shift of
         # spot i - 1, so that spot's B_next-basis is the boundary basis here
         gb_ib = phase1[i - 1].basis_bn if i > c.lo else []
-        gb_iz = solvers.basis(rank_b + rank_h, sp.rels_qz, sp.shift_b + sp.shift_h)
-        gb_ic = solvers.basis(rank_b + rank_h + rank_bn, sp.rels_qc, shift0)
 
         # extend the carried boundary resolution to the needed depth
         while len(res_b) < depth:
             if not res_b:
-                prev_rank, prev_shift, prev_kernel = rank_b, sp.shift_b, gb_ib
+                prev_rank, prev_shift, prev_kernel = sp.ranks[0], sp.shift_b, gb_ib
             else:
                 st = res_b[-1]
                 prev_rank, prev_shift, prev_kernel = st.rank, st.shift, st.kernel
@@ -549,42 +527,39 @@ def _phase_two(c: ChainComplexPres, solvers: SolverCache, phase1: dict, edge: in
             res_b.append(ResolutionStep(sh, prev_kernel, ker))
 
         levels = [_LevelData(sp.ranks, shift0, None)]
-        kb, kz, kh, kc, kbn = gb_ib, gb_iz, sp.basis_h, gb_ic, sp.basis_bn
+        kb, kh, kbn = gb_ib, sp.basis_h, sp.basis_bn
+        lifts_h, lifts_bn = sp.lifts_h, sp.lifts_bn
         prb, prh, prbn = sp.ranks
         psh = shift0
         res_bnext = []
         complete = False
         for k in range(1, depth + 1):
-            if not (kb or kz or kh or kc or kbn):
+            # by the snake lemma the Z- and C-columns are resolved once the
+            # B-, H- and B_next-columns are
+            if not (kb or kh or kbn):
                 complete = True
                 break
             d_step = res_b[k - 1]
             # 0 -> B -> Z -> H -> 0, then 0 -> Z -> C -> B_next -> 0: the
             # Z-cover P_B + P_H built over the first is the A-side cover of
-            # the second.  free_cover_ses takes bases as given, and each
-            # list here is one under the slice of psh passed with it: at
-            # k = 1, gb_iz and gb_ic were solved above and basis_h and
-            # basis_bn in phase one, each under that very slice of shift0;
-            # at k >= 2, each list is the previous level's kernel, a syzygy
-            # basis under that cover's shift, which is the matching slice
-            # of psh = cover_c.shift.
-            cover_z, cover_h = free_cover_ses(d_step, kz, psh[:prb + prh], kh,
-                                              psh[prb:prb + prh], solvers)
-            cover_c, cover_bn = free_cover_ses(cover_z, kc, psh, kbn,
-                                               psh[prb + prh:], solvers)
+            # the second.  kh and kbn are bases under the slices of psh
+            # passed with them: basis_h and basis_bn from phase one at k = 1,
+            # and after that the previous level's kernels, syzygy bases under
+            # the matching slices of psh = cover_c.shift.  Phase one lifted
+            # them at k = 1, and each free_cover_ses call lifts the next.
+            cover_z, cover_h, lifts_h = free_cover_ses(
+                d_step, lifts_h, psh[:prb + prh], kh, psh[prb:prb + prh], solvers)
+            cover_c, cover_bn, lifts_bn = free_cover_ses(
+                cover_z, lifts_bn, psh, kbn, psh[prb + prh:], solvers)
             ranks_k = (d_step.rank, cover_h.rank, cover_bn.rank)
             _assert_triangular(cover_c.rows, ranks_k, (prb, prh, prbn))
             levels.append(_LevelData(ranks_k, cover_c.shift, cover_c.rows))
             res_bnext.append(cover_bn)
-            kb = d_step.kernel
-            kz = cover_z.kernel
-            kh = cover_h.kernel
-            kc = cover_c.kernel
-            kbn = cover_bn.kernel
+            kb, kh, kbn = d_step.kernel, cover_h.kernel, cover_bn.kernel
             prb, prh, prbn = ranks_k
             psh = cover_c.shift
         else:
-            complete = not (kb or kz or kh or kc or kbn)
+            complete = not (kb or kh or kbn)
         complete_all = complete_all and complete
         spots[i] = _SpotResolution(levels, sp.realization)
         res_b = res_bnext

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -105,12 +106,23 @@ def test_membership_examples():
 def test_membership_needs_more_than_the_homogenized_remainder():
     # <x^2, 3/4 x^2 - x d> is all of D (d . x^2 - x . (x d) = 2x), but the
     # h-saturated basis entry 8 carries h^2 on its lead, so the
-    # homogenized remainder of -1 keeps a main block; contains must not
-    # stop there
-    solver = SubmoduleSolver(SPEC1, 1, [me(1, "x1^2"), me(1, "3/4*x1^2 - x1*d1")])
+    # homogenized remainder of -1 keeps a main block at N = 0; h^2 times
+    # it reduces to zero, and the cofactor dehomogenizes to one of -1
+    gens = [me(1, "x1^2"), me(1, "3/4*x1^2 - x1*d1")]
+    solver = SubmoduleSolver(SPEC1, 1, gens)
     assert [str(b.components[0]) for b in solver.basis] == ["8"]
+
+    def main_block(power):
+        flat = {solver.codec.pack(0, (0, 0), power): Fraction(-1)}
+        rem = solver.engine.reduce(flat, solver._h_entries, floor=solver.floor)
+        return [m for m in rem if m >= solver.floor]
+
+    assert main_block(0) and not main_block(2)
     main, _ = solver._homogeneous_remainder(me(1, "-1"))
-    assert main
+    assert not main
+    nf, cof = solver.normal_form_with_cofactor(me(1, "-1"))
+    assert nf.is_zero()
+    assert OperatorMatrix(1, 1, gens).apply(cof) == me(1, "-1")
     assert solver.contains(me(1, "-1"))
 
 

@@ -14,6 +14,7 @@ from derham import (ChainComplexPres, DModPresentation, FiltrationSpec,
                     strictify_complex, verify_strict_ses, verify_v_strict)
 from derham import pipeline
 from derham.groebner import SolverCache
+from derham.presentations import _heads
 from derham.strictify import (QuotientSES, ResolutionStep, _phase_one,
                               free_cover_ses)
 
@@ -72,18 +73,29 @@ def phase_one_sequences(c):
     phase one of strictify_complex rewrites them, with its shifts.
 
     B's relations are the B_next-basis of the spot below, which phase one
-    computed under this spot's B-shift.
+    computed under this spot's B-shift.  The relations of Z~ and of C^i are
+    those of the realization rows of P_B + P_H and of all of P_B + P_H +
+    P_Bnext in C^i, which phase one itself never needs.
     """
     n = c.n
-    spots = _phase_one(c, SolverCache(FiltrationSpec(n)))
+    solvers = SolverCache(FiltrationSpec(n))
+    spots = _phase_one(c, solvers)
     out = {}
     for i, sp in spots.items():
         rank_b, rank_h, rank_bn = sp.ranks
         sb, sh, sbn = sp.shift_b, sp.shift_h, sp.shift_bn
+        orig = c.module(i)
+
+        def relations(rows):
+            return _heads(solvers.syzygies(orig.rank, rows + list(orig.relations),
+                                           orig.shift_or_zero()), len(rows))
+
         b = DModPresentation(n, rank_b, spots[i - 1].basis_bn if i > c.lo else (), sb)
-        z = DModPresentation(n, rank_b + rank_h, sp.rels_qz, sb + sh)
+        z = DModPresentation(n, rank_b + rank_h,
+                             relations(sp.realization[:rank_b + rank_h]), sb + sh)
         h = DModPresentation(n, rank_h, sp.basis_h, sh)
-        mid = DModPresentation(n, rank_b + rank_h + rank_bn, sp.rels_qc, sb + sh + sbn)
+        mid = DModPresentation(n, rank_b + rank_h + rank_bn, relations(sp.realization),
+                               sb + sh + sbn)
         bn = DModPresentation(n, rank_bn, sp.basis_bn, sbn)
         out[i] = (_block_ses(b, z, h), _block_ses(z, mid, bn))
     return out
@@ -168,31 +180,37 @@ def test_strictify_two_ses_genuine_instance():
 def test_free_cover_ses_collapse():
     # A = 0: the diagram collapses to a free cover of B = C
     gens = [me(1, "x1*d1")]
-    cover_b, cover_c = free_cover_ses(ResolutionStep((), [], []), gens, (0,),
-                                      gens, (0,), SolverCache(SPEC1))
+    cover_b, cover_c, lifts = free_cover_ses(ResolutionStep((), [], []), gens, (0,),
+                                             gens, (0,), SolverCache(SPEC1))
     assert cover_b.rank == cover_c.rank == 1
     assert cover_b.rows[0] == gens[0]
+    assert lifts == []
+
+
+def _horseshoe_instance(rows_a):
+    """A in the first component of D^2 covered by rows_a, C = <d, x d> in
+    the second, and lifts (1, d), (0, x d) of the C-basis: its syzygy
+    (x, -1) makes the A-target x . (1, d) - (0, x d) = (x, 0)."""
+    solvers = SolverCache(SPEC1)
+    shift_a = obvious_shift(rows_a, (0,))
+    cover_a = ResolutionStep(shift_a, rows_a,
+                             solvers.syzygies(1, rows_a, (0,), shift_a))
+    lifts = [me(1, "1", "d1"), me(1, "0", "x1*d1")]
+    basis_c = [me(1, "d1"), me(1, "x1*d1")]
+    return (cover_a, lifts, (0, 0), basis_c, (0,), solvers)
 
 
 def test_free_cover_ses_small_instance():
-    # B = <x, xd> inside D, C = image under identity mod x: exact strict row
-    gens_a = [me(1, "x1")]
-    gens_c = [me(1, "x1*d1")]
-    # use a direct-sum ambient: A -> A + C -> C with block maps
-    gens_mid = [ModuleElement(1, [parse_operator("x1", 1), WeylElement.zero(1)]),
-                ModuleElement(1, [WeylElement.zero(1), parse_operator("x1*d1", 1)])]
-    solvers = SolverCache(SPEC1)
-    basis_a = solvers.basis(1, gens_a, (0,))
-    shift_a = obvious_shift(basis_a, (0,))
-    cover_a = ResolutionStep(shift_a, basis_a,
-                             solvers.syzygies(1, basis_a, (0,), shift_a))
-    cover_b, _ = free_cover_ses(cover_a, gens_mid, (0, 0), gens_c, (0,), solvers)
-    # kernel rows compose to zero through the covers
-    for kb in cover_b.kernel:
-        img = ModuleElement.zero(1, 2)
-        for ci, row in zip(kb.components, cover_b.rows):
-            img = img + row.left_mul(ci)
-        assert img.is_zero()
+    cover_b, cover_c, lifts = free_cover_ses(*_horseshoe_instance([me(1, "x1")]))
+    assert cover_c.rows == [me(1, "d1"), me(1, "x1*d1")]
+    assert cover_b.rows == [me(1, "x1", "0"), me(1, "1", "d1"), me(1, "0", "x1*d1")]
+    # the lift of each C-syzygy s is (-t | s) with t . x = the A-target
+    assert cover_c.kernel and len(lifts) == len(cover_c.kernel)
+    rows = OperatorMatrix(1, 2, cover_b.rows)
+    for lift, s in zip(lifts, cover_c.kernel):
+        assert lift.components[1:] == s.components
+        assert lift.components[0] != WeylElement.zero(1)
+        assert rows.apply(lift).is_zero()
 
 
 def test_free_cover_two_ses_pass_through():
@@ -200,18 +218,16 @@ def test_free_cover_two_ses_pass_through():
     gens_d = [me(1, "x1*d1")]
     step = ResolutionStep((0,), gens_d, [])
     solvers = SolverCache(SPEC1)
-    cover_a, _ = free_cover_ses(step, gens_d, (0,), [], (), solvers)
-    cover_b, _ = free_cover_ses(cover_a, gens_d, (0,), [], (), solvers)
-    assert cover_a.rank == step.rank
-    assert cover_b.rank == step.rank
+    cover_a, _, lifts_a = free_cover_ses(step, [], (0,), [], (), solvers)
+    cover_b, _, lifts_b = free_cover_ses(cover_a, [], (0,), [], (), solvers)
+    assert cover_a.rows == cover_b.rows == gens_d
+    assert lifts_a == lifts_b == []
 
 
-def test_free_cover_ses_rejects_c_outside_the_projection():
-    # B = <(x, 0)> projects to zero, so C = <d> has no preimage in B
-    with pytest.raises(InconsistencyError, match="no preimage exists"):
-        free_cover_ses(ResolutionStep((0,), [me(1, "x1")], []),
-                       [me(1, "x1", "0")], (0, 0), [me(1, "d1")], (0,),
-                       SolverCache(SPEC1))
+def test_free_cover_ses_rejects_a_target_outside_the_a_cover():
+    # the same lifts over A = <d>: the A-target x is not a multiple of d
+    with pytest.raises(InconsistencyError, match="outside the A-cover"):
+        free_cover_ses(*_horseshoe_instance([me(1, "d1")]))
 
 
 def test_v_strict_complex_free_input():
@@ -301,33 +317,58 @@ def test_strictify_builds_one_solver_per_generating_set(monkeypatch):
     strictify_complex(c)
     # one solver per distinct submodule; 78 when each target had its own,
     # 54 with one solver per generating set and loop but no shared cache,
-    # 33 while free_cover_ses still solved the bases it was handed
-    assert builds <= 32
+    # 33 while free_cover_ses still solved the bases it was handed, 32
+    # while it searched for minimal preimages
+    assert builds <= 17
 
 
-def test_phase_two_hands_free_cover_ses_bases(monkeypatch):
-    # free_cover_ses uses its two lists as given, so each must already be a
-    # V-adapted basis under the shift passed with it.  On x, x phase one's
-    # Z~- and C-relations are not bases, so passing them on in place of
-    # phase two's bases shows here.
+def test_phase_two_lifts_are_horseshoe_lifts(monkeypatch):
+    # every free_cover_ses call gets a V-adapted C-basis and one lift per
+    # entry: an element of the B-module that projects onto the entry at no
+    # higher V-degree.  At level 1 the B-module is the relation module of
+    # the cover of Z~ or of C^i; below that it is the kernel of the same
+    # sequence's B-cover one level up.
     calls = []
 
-    def recording(cover_a, gb_b, shift_b, gb_c, shift_c, solvers):
-        calls.append(((gb_b, shift_b), (gb_c, shift_c)))
-        return free_cover_ses(cover_a, gb_b, shift_b, gb_c, shift_c, solvers)
+    def recording(*args):
+        out = free_cover_ses(*args)
+        calls.append((args, out))
+        return out
 
     monkeypatch.setattr("derham.strictify.free_cover_ses", recording)
+    deep = 0
     for names, polys in [(n, p) for n, p, _ in PINNED_STRICT] + [(["x"], ["x", "x"])]:
         c = fourier_mv(names, polys)
         start = len(calls)
-        strictify_complex(c)
+        res = strictify_complex(c)
+        sequences = phase_one_sequences(c)
         solvers = SolverCache(FiltrationSpec(c.n))
-        for pair in calls[start:]:
-            for gens, shift in pair:
-                assert set(solvers.basis(len(shift), gens, shift)) == set(gens), polys
+        pos = start
+        # phase two walks the spots upwards and makes two calls per level
+        for i in sorted(res.double.spots):
+            above = [None, None]
+            for k in range(1, len(res.double.spots[i].levels)):
+                for ses in (0, 1):
+                    (_, lifts, shift_b, basis_c, shift_c, _), (cover_b, _, _) = calls[pos]
+                    pos += 1
+                    rank_b = len(shift_b)
+                    a = rank_b - len(shift_c)
+                    assert set(solvers.basis(len(shift_c), basis_c, shift_c)) == \
+                        set(basis_c), polys
+                    assert len(lifts) == len(basis_c)
+                    for lift, entry in zip(lifts, basis_c):
+                        assert lift.components[a:] == entry.components
+                        assert lift.v_degree(shift_b) <= entry.v_degree(shift_c)
+                        if k == 1:
+                            rels = sequences[i][ses].b.relations
+                            assert solvers.get(rank_b, rels, shift_b).contains(lift)
+                        else:
+                            assert above[ses].apply(lift).is_zero(), (polys, i, k)
+                            deep += not ModuleElement(c.n, lift.components[:a]).is_zero()
+                    above[ses] = OperatorMatrix(c.n, rank_b, cover_b.rows)
+        assert pos == len(calls), polys
     assert len(calls) == 40
-
-
+    assert deep > 0
 def _record_solver_keys(monkeypatch):
     """Normalized keys of every SubmoduleSolver built from now on."""
     keys = []
@@ -369,14 +410,14 @@ def test_stages_log_their_cache_counts(caplog):
     compute_derham(ProblemSpec(["x", "y"], ["x", "y"]))
     lines = {r.name: r.getMessage() for r in caplog.records
              if "solver builds" in r.getMessage()}
-    assert lines == {"derham.strictify": "strictify: 32 solver builds, 8 cache hits",
+    assert lines == {"derham.strictify": "strictify: 17 solver builds, 3 cache hits",
                      "derham.restriction": "b-function: 2 solver builds, 1 cache hits"}
 
 
 # (solver builds, cache hits, S-pairs reduced, S-pairs skipped by the chain
 # criterion) of strictify_complex on each PINNED_STRICT input
-PINNED_WORK = [(3, 9, 2, 0), (4, 12, 7, 2), (32, 8, 110, 43), (4, 12, 12, 9),
-               (62, 13, 860, 236)]
+PINNED_WORK = [(3, 2, 2, 0), (4, 2, 7, 2), (17, 3, 64, 26), (4, 2, 12, 9),
+               (32, 6, 478, 163)]
 
 
 @pytest.mark.parametrize("names,polys,work",
