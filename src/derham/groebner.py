@@ -15,7 +15,8 @@ surface speaks ModuleElement / OperatorMatrix, and tuples (position,
 exponents, h-power) appear only where the two meet: me_to_flat,
 flat_to_me and the codec's pack and unpack.  Every product of a monomial
 and a flat vector runs through mono_mul_flat in weyl.py, the one
-multiplication kernel, which weyl_mul shares.
+multiplication kernel, which weyl_mul shares; it adds the product into a
+vector the caller passes.
 
 A monomial order here is a codec: v_order_codec and block_elim_codec lay
 out the fields of the int so that integer order is the monomial order.
@@ -40,7 +41,11 @@ All division runs through one kernel, GBEngine.reduce:
 - Heap order.  A packed monomial is its own order key, so a heapq min-heap
   over the negated ints, with lazy deletion of cancelled monomials, pops
   terms in exactly the order of ``max(work)``.  The reducer is the first
-  whose lead divides; the quotient monomial is m - lead.
+  whose lead divides; the quotient monomial is m - lead.  Each step hands
+  mono_mul_flat the working vector and the heap: the kernel adds every
+  product term into work in place and pushes the negated key of every
+  term it inserts.  A key that cancels and comes back is pushed again;
+  its stale copy pops after the live one has left work, and is skipped.
 - Integer pseudo-division.  Reducer lists hold primitive integer
   coefficients (primitive_entry).  The working vector is kept as integers
   times 1/scale: a step with lead coefficient c against a reducer with
@@ -285,15 +290,6 @@ def flat_to_me(vec: FlatVec, codec: MonomialCodec, rank: int,
     return ModuleElement(n, [WeylElement(n, t) if t else zero for t in comps])
 
 
-def flat_add_into(acc: FlatVec, other: FlatVec, scale=1):
-    for k, c in other.items():
-        s = acc.get(k, 0) + scale * c
-        if s:
-            acc[k] = s
-        elif k in acc:
-            del acc[k]
-
-
 def primitive_entry(vec: FlatVec) -> tuple:
     """The reducer entry (lead, lc, vec) of a nonzero vec scaled to
     primitive int coefficients with positive lead coefficient."""
@@ -417,7 +413,7 @@ class GBEngine:
         """
         codec, h_step = self.codec, self.h_step
         guard, dmask, dtarget = codec.guard, codec.dmask, codec.dtarget
-        heappush, heappop = heapq.heappush, heapq.heappop
+        heappop = heapq.heappop
         # work holds scale * (the rational working vector) in ints
         scale = 1
         for c in vec.values():
@@ -455,16 +451,7 @@ class GBEngine:
                 for k in work:
                     work[k] *= f
                 scale *= f
-            prod = mono_mul_flat(codec, c // g, m - lead, rvec, h_step)
-            for k, v in prod.items():
-                old = work.get(k)
-                if old is None:
-                    work[k] = -v
-                    heappush(heap, -k)
-                elif old == v:
-                    del work[k]
-                else:
-                    work[k] = old - v
+            mono_mul_flat(codec, -(c // g), m - lead, rvec, h_step, work, heap)
             steps += 1
             if steps > self.limit:
                 raise ReductionLimitError(
@@ -538,8 +525,8 @@ class GBEngine:
                 self.spairs_skipped += 1
                 continue
             self.spairs_reduced += 1
-            s = mono_mul_flat(codec, lcj, l - li, vi, h_step)
-            flat_add_into(s, mono_mul_flat(codec, lci, l - lj, vj, h_step), -1)
+            s = mono_mul_flat(codec, lcj, l - li, vi, h_step, {})
+            mono_mul_flat(codec, -lci, l - lj, vj, h_step, s)
             r = self.reduce(s, entries, mode="top")
             if not r:
                 continue

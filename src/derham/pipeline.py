@@ -16,7 +16,7 @@ import json
 import logging
 import os
 import time
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import __version__ as _pkg_version
 from .errors import DerhamError, InconsistencyError, InvalidInputError
@@ -144,13 +144,15 @@ class _Stage:
         return out
 
 
-def _dump(spec: ProblemSpec, name: str, payload: dict):
+def _dump(spec: ProblemSpec, name: str, payload: Callable[[], dict]):
+    """Write payload(), a JSON-ready dict, to name in spec.dump_dir; without
+    a dump_dir nothing is serialized."""
     if not spec.dump_dir:
         return
     os.makedirs(spec.dump_dir, exist_ok=True)
     path = os.path.join(spec.dump_dir, name)
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload(), fh, indent=2, sort_keys=True)
 
 
 def _run(spec: ProblemSpec, kind: str) -> ResultReport:
@@ -169,32 +171,32 @@ def _run(spec: ProblemSpec, kind: str) -> ResultReport:
         family = stage.run("localize", family_for_mv, n, spec.polys,
                            spec.presentations)
         complex_ = stage.run("mayer-vietoris", mv_complex, family, r)
-    _dump(spec, "mv_complex.json", complex_.to_json())
+    _dump(spec, "mv_complex.json", complex_.to_json)
 
     transformed = stage.run("fourier", fourier_complex, complex_)
-    _dump(spec, "fourier_complex.json", transformed.to_json())
+    _dump(spec, "fourier_complex.json", transformed.to_json)
 
     strict = stage.run("strictify", strictify_complex, transformed)
     if not strict.complete:
         warnings.append("vertical resolutions were cut at the working depth; "
                         "positions at the edge are not read")
-    _dump(spec, "strict_complex.json", strict.total.to_json())
-    _dump(spec, "double_complex.json", strict.double.to_json())
+    _dump(spec, "strict_complex.json", strict.total.to_json)
+    _dump(spec, "double_complex.json", strict.double.to_json)
 
     minimal = stage.run("minimize", minimize_complex, strict.total)
-    _dump(spec, "minimal_complex.json", minimal.to_json())
+    _dump(spec, "minimal_complex.json", minimal.to_json)
 
     positions = list(range(transformed.lo, transformed.hi + 1))
     b = stage.run("b-function", b_function_of_complex, minimal,
                   spec.max_b_degree, positions)
     window = stage.run("window", integer_root_window, b)
-    _dump(spec, "b_function.json",
-          {"b_function": str(b),
-           "integer_roots": b.integer_roots(),
-           "window": None if window.is_empty() else [window.k0, window.k1]})
+    _dump(spec, "b_function.json", lambda: {
+        "b_function": str(b),
+        "integer_roots": b.integer_roots(),
+        "window": None if window.is_empty() else [window.k0, window.k1]})
 
     truncated = stage.run("truncate", omega_tensor_truncate, minimal, window)
-    _dump(spec, "truncated_complex.json", truncated.to_json())
+    _dump(spec, "truncated_complex.json", truncated.to_json)
 
     raw = stage.run("ranks", cohomology_dims, truncated)
     dims = [raw.get(i - n, 0) for i in range(0, 2 * n + 1)]
@@ -224,7 +226,7 @@ def _run(spec: ProblemSpec, kind: str) -> ResultReport:
                 for m in minimal.degrees()},
         gb_sizes=gb_sizes, timings=timings, warnings=warnings,
         family_exponent=family.exponent)
-    _dump(spec, "report.json", report.to_json())
+    _dump(spec, "report.json", report.to_json)
     return report
 
 

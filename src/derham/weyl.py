@@ -9,14 +9,19 @@ anywhere in this package.
 Every product in the package runs through one kernel, mono_mul_flat: a
 monomial times a flat module vector, built on the one-variable
 contraction _pair_contractions.  A flat vector keys its terms by packed
-monomials, one int each (MonomialCodec).  weyl_mul packs its operands and
-applies the kernel once per term of the left factor.
+monomials, one int each (MonomialCodec).  The kernel adds its product
+into a vector the caller passes, in place, and pushes every key it
+inserts onto the caller's heap if there is one; so division adds each
+product term straight into its working vector.  weyl_mul packs its
+operands and accumulates the kernel's products for every term of the
+left factor into one vector.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from heapq import heappush
 from math import comb, factorial
 
 from .errors import DimensionMismatchError, InternalError, InvalidInputError
@@ -212,8 +217,9 @@ def _product_codec(n: int, degree_bits: int) -> MonomialCodec:
 
 
 def mono_mul_flat(codec: MonomialCodec, coeff, q: int, vec: dict,
-                  h_step: int) -> dict:
-    """Left-multiply a flat vector by coeff times the quotient monomial q.
+                  h_step: int, out: dict, heap: list | None = None) -> dict:
+    """Add coeff times the quotient monomial q times the flat vector vec
+    into the flat vector out, in place, and return out.
 
     The one multiplication kernel: weyl_mul and every Groebner routine run
     on it.  A flat vector maps packed monomials (MonomialCodec) to
@@ -224,35 +230,28 @@ def mono_mul_flat(codec: MonomialCodec, coeff, q: int, vec: dict,
     independently for each such i, and k contractions add k times
     codec.contractions(h_step)[i], which also multiplies by h^(h_step *
     k): h_step = 2 multiplies in the homogenized algebra and h_step = 0 in
-    D_n.  Every product term is checked against the guard bits.  Terms
-    come out in the order the expansion meets them, the earlier variable
-    slowest.  Coefficients are ints or Fractions; the output has the type
-    of their product.
+    D_n.  Every product term is checked against the guard bits.
+
+    Each product term is added into out as the expansion meets it, the
+    earlier variable slowest: a sum that cancels deletes its key, and a
+    key not in out is inserted at the end.  With a heap given, -key is
+    pushed onto it for every key inserted, so a key that cancels and comes
+    back within one call is pushed again.  coeff is nonzero; coefficients
+    are ints or Fractions, and a new term has the type of their product.
     """
-    out: dict = {}
-    if not vec:
-        return out
-    guard = codec.guard
+    guard, wmax, get = codec.guard, codec.wmax, out.get
     qd = ~(q + codec.one) & codec.dvalues  # the d-exponents of q, in place
-    if not qd:
-        # no d in q: T -> T + q is injective, so no two terms meet
-        for t, c in vec.items():
-            k = t + q
-            if k & guard:
-                codec.overflow(k)
-            out[k] = coeff * c
-        return out
-    wmax = codec.wmax
     # (x_i offset, b, contraction) for every d_i^b of q, i ascending, and
-    # the x_i fields they meet
+    # the x_i fields they meet; with no d in q, xmask is 0 and every term
+    # gives one product term
     dq = []
     xmask = 0
-    for ox, od, step in codec.contractions(h_step):
-        b = (qd >> od) & wmax
-        if b:
-            dq.append((ox, b, step))
-            xmask |= wmax << ox
-    get = out.get
+    if qd:
+        for ox, od, step in codec.contractions(h_step):
+            b = (qd >> od) & wmax
+            if b:
+                dq.append((ox, b, step))
+                xmask |= wmax << ox
     for t, c in vec.items():
         base = coeff * c
         k = t + q
@@ -260,11 +259,17 @@ def mono_mul_flat(codec: MonomialCodec, coeff, q: int, vec: dict,
             # every x_i that q's d_i would meet has exponent 0 in t
             if k & guard:
                 codec.overflow(k)
-            s = get(k, 0) + base
-            if s:
-                out[k] = s
-            elif k in out:
-                del out[k]
+            old = get(k)
+            if old is None:
+                out[k] = base
+                if heap is not None:
+                    heappush(heap, -k)
+            else:
+                s = old + base
+                if s:
+                    out[k] = s
+                else:
+                    del out[k]
             continue
         # (what the contractions add, multiplier) over the choices of k
         # for every variable t meets, the earlier variable slowest
@@ -280,11 +285,17 @@ def mono_mul_flat(codec: MonomialCodec, coeff, q: int, vec: dict,
             key = k + dk
             if key & guard:
                 codec.overflow(key)
-            s = get(key, 0) + base * mult
-            if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
+            old = get(key)
+            if old is None:
+                out[key] = base * mult
+                if heap is not None:
+                    heappush(heap, -key)
+            else:
+                s = old + base * mult
+                if s:
+                    out[key] = s
+                else:
+                    del out[key]
     return out
 
 
@@ -465,9 +476,10 @@ class WeylElement:
 
 
 def weyl_mul(p: WeylElement, q: WeylElement) -> WeylElement:
-    """Normally ordered product in D_n: the kernel mono_mul_flat applied to
-    q once per term of p, in the plain algebra (h_step = 0), through an
-    unweighted codec wide enough for the product's degree."""
+    """Normally ordered product in D_n: the kernel mono_mul_flat adds the
+    product of each term of p with q into one vector, in the plain algebra
+    (h_step = 0), through an unweighted codec wide enough for the
+    product's degree."""
     if p.n != q.n:
         raise DimensionMismatchError(f"operands over D_{p.n} and D_{q.n}")
     n = p.n
@@ -479,14 +491,8 @@ def weyl_mul(p: WeylElement, q: WeylElement) -> WeylElement:
     pack, one = codec.pack, codec.one
     flat = {pack(0, e): c for e, c in q.terms.items()}
     out: dict = {}
-    get = out.get
     for ep, cp in p.terms.items():
-        for k, c in mono_mul_flat(codec, cp, pack(0, ep) - one, flat, 0).items():
-            s = get(k, 0) + c
-            if s:
-                out[k] = s
-            elif k in out:
-                del out[k]
+        mono_mul_flat(codec, cp, pack(0, ep) - one, flat, 0, out)
     r = WeylElement.__new__(WeylElement)
     r.n = n
     r.terms = {codec.exponents(k): c for k, c in out.items()}

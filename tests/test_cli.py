@@ -122,6 +122,25 @@ def test_dump_intermediate(tmp_path):
     assert set(sizes) == {"strict_ranks", "minimal_ranks", "truncated_dims"}
 
 
+def test_intermediates_are_serialized_only_when_dumped(tmp_path, monkeypatch):
+    from derham import ProblemSpec, compute_derham
+    from derham.presentations import ChainComplexPres
+    from derham.strictify import StrictDoubleComplex
+    calls = []
+    for cls in (ChainComplexPres, StrictDoubleComplex):
+        original = cls.to_json
+
+        def spy(self, original=original):
+            calls.append(type(self).__name__)
+            return original(self)
+        monkeypatch.setattr(cls, "to_json", spy)
+    compute_derham(ProblemSpec(["x"], ["x"]))
+    assert calls == []
+    # the spies do see the dumps
+    compute_derham(ProblemSpec(["x"], ["x"], dump_dir=str(tmp_path)))
+    assert sorted(set(calls)) == ["ChainComplexPres", "StrictDoubleComplex"]
+
+
 def test_presentation_override(tmp_path):
     pres = tmp_path / "rx.json"
     pres.write_text(json.dumps([{"poly": "x", "exponent": -1,

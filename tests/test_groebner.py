@@ -241,8 +241,10 @@ def _tuple_block_elim_key(block):
     return key
 
 
-def _tuple_mono_mul_flat(n, coeff, qe, qh, vec, h_step):
-    """The multiplication kernel on tuple keys."""
+def _tuple_product_terms(n, coeff, qe, qh, vec, h_step):
+    """The terms of coeff * q * vec on tuple keys, one (key, value) per
+    choice of contractions, in the order the kernel meets them: vec's
+    order, then the earlier variable slowest, fewer contractions first."""
     from itertools import product
     from math import comb, factorial
 
@@ -251,7 +253,6 @@ def _tuple_mono_mul_flat(n, coeff, qe, qh, vec, h_step):
                 for k in range(min(b, c) + 1)]
 
     dvars = [i for i in range(n) if qe[n + i]]
-    out = {}
     for (pos, e, h), c in vec.items():
         hits = [i for i in dvars if e[i]]
         base = coeff * c
@@ -265,13 +266,28 @@ def _tuple_mono_mul_flat(n, coeff, qe, qh, vec, h_step):
                     exps[n + i] -= k
                     mult *= mk
                     ks += k
-            key = (pos, tuple(exps), qh + h + h_step * ks)
-            s = out.get(key, 0) + base * mult
-            if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
-    return out
+            yield (pos, tuple(exps), qh + h + h_step * ks), base * mult
+
+
+def _merge_into(acc, terms, inserted=None):
+    """Add (key, value) terms into acc one by one, deleting a key whose sum
+    cancels; every key added while absent goes onto `inserted`."""
+    for key, c in terms:
+        old = acc.get(key)
+        if old is None:
+            acc[key] = c
+            if inserted is not None:
+                inserted.append(key)
+        elif old + c:
+            acc[key] = old + c
+        else:
+            del acc[key]
+    return acc
+
+
+def _tuple_mono_mul_flat(n, coeff, qe, qh, vec, h_step):
+    """The multiplication kernel on tuple keys, into a fresh vector."""
+    return _merge_into({}, _tuple_product_terms(n, coeff, qe, qh, vec, h_step))
 
 
 def _tuple_divides(m1, m2):
@@ -388,11 +404,72 @@ def test_packed_kernel_matches_tuple_kernel():
                     want = _tuple_mono_mul_flat(n, coeff, qe, qh, vec, h_step)
                     q = codec.pack(0, qe, qh) - codec.one
                     got = _unpack(codec, G.mono_mul_flat(codec, coeff, q,
-                                                         _pack(codec, vec), h_step))
+                                                         _pack(codec, vec), h_step, {}))
                     assert got == want
                     assert list(got) == list(want)
                     contracted += len(want) > len(vec)
     assert contracted >= 50
+
+
+def test_kernel_accumulates_into_the_given_vector():
+    """Adding into a nonempty vector equals merging a fresh product into
+    it, term for term in expansion order, and the heap gets -key for
+    exactly the keys the call inserted."""
+    import derham.groebner as G
+    rng = random.Random(10)
+    cancelled = 0
+    for n, rank in ((1, 1), (2, 2), (3, 1)):
+        codec, _ = _v_order(n, (1, -1)[:rank], 1)
+        for h_step in (0, 2):
+            for _ in range(60):
+                vec = {_random_mono(rng, n, rank, max_exp=2, max_h=2):
+                       Fraction(rng.randint(-3, 3) or 1, rng.randint(1, 3))
+                       for _ in range(rng.randint(1, 5))}
+                _, qe, qh = _random_mono(rng, n, 1, max_exp=2, max_h=2)
+                coeff = rng.choice([1, -2, Fraction(3, 4)])
+                terms = list(_tuple_product_terms(n, coeff, qe, qh, vec, h_step))
+                # the vector to add into shares some keys with the product,
+                # with values that cancel some of them
+                start = {_random_mono(rng, n, rank, max_exp=2, max_h=2): Fraction(1)
+                         for _ in range(rng.randint(1, 4))}
+                for key, c in rng.sample(terms, min(3, len(terms))):
+                    start[key] = rng.choice([-c, Fraction(rng.randint(1, 5))])
+                inserted = []
+                want = _merge_into(dict(start), terms, inserted)
+                out, heap = _pack(codec, start), []
+                got = G.mono_mul_flat(codec, coeff, codec.pack(0, qe, qh) - codec.one,
+                                      _pack(codec, vec), h_step, out, heap)
+                assert got is out
+                assert _unpack(codec, got) == want
+                assert list(_unpack(codec, got)) == list(want)
+                fresh = _tuple_mono_mul_flat(n, coeff, qe, qh, vec, h_step)
+                assert want == _merge_into(dict(start), fresh.items())
+                assert sorted(heap) == sorted(-codec.pack(*m) for m in inserted)
+                cancelled += any(m not in want for m in start)
+    assert cancelled >= 100
+
+
+@pytest.mark.parametrize("h_step", [0, 2])
+def test_kernel_cancels_and_recreates_a_key_within_one_call(h_step):
+    """d1 times (x1 d1 + h^h_step) into {h^h_step d1: -1}: the first
+    term's contraction h^h_step d1 cancels the key and the second term
+    inserts it again, at the end of the vector and pushed onto the heap."""
+    import derham.groebner as G
+    codec, _ = _v_order(1, (0,), 1)
+    key = codec.pack(0, (0, 1), h_step)
+    vec = {codec.pack(0, (1, 1), 0): 1, codec.pack(0, (0, 0), h_step): 1}
+    out, heap = {key: -1}, []
+    G.mono_mul_flat(codec, 1, codec.pack(0, (0, 1), 0) - codec.one, vec, h_step,
+                    out, heap)
+    top = codec.pack(0, (1, 2), 0)
+    assert out == {top: 1, key: 1}
+    assert list(out) == [top, key]  # the re-created key went to the end
+    assert sorted(heap) == sorted([-top, -key])
+    # merging the fresh product instead keeps the key in its place
+    fresh = G.mono_mul_flat(codec, 1, codec.pack(0, (0, 1), 0) - codec.one, vec,
+                            h_step, {})
+    assert fresh == {top: 1, key: 2}
+    assert list(_merge_into({key: -1}, fresh.items())) == [key, top]
 
 
 def test_packing_overflow_raises_internal_error():
@@ -408,11 +485,11 @@ def test_packing_overflow_raises_internal_error():
     # a product that crosses the width: x1^wmax times x1
     vec = {codec.pack(0, (top, 0), 0): 1}
     with pytest.raises(InternalError, match="packed x1 field"):
-        G.mono_mul_flat(codec, 1, codec.pack(0, (1, 0), 0) - codec.one, vec, 0)
+        G.mono_mul_flat(codec, 1, codec.pack(0, (1, 0), 0) - codec.one, vec, 0, {})
     # a contraction that crosses it: d1 x1 h^(wmax - 1) gains h^2
     vec = {codec.pack(0, (1, 0), top - 1): 1}
     with pytest.raises(InternalError, match="packed h field"):
-        G.mono_mul_flat(codec, 1, codec.pack(0, (0, 1), 0) - codec.one, vec, 2)
+        G.mono_mul_flat(codec, 1, codec.pack(0, (0, 1), 0) - codec.one, vec, 2, {})
 
 
 def test_flat_to_me_rejects_a_leftover_h_as_internal():
@@ -433,7 +510,6 @@ def _reference_reduce(n, key, h_step, limit, vec, reducers, mode="full", pred=No
     in Fraction."""
     from fractions import Fraction
     from derham import ReductionLimitError
-    import derham.groebner as G
     work = {m: Fraction(c) for m, c in vec.items()}
     remainder = {}
     steps = 0
@@ -449,13 +525,13 @@ def _reference_reduce(n, key, h_step, limit, vec, reducers, mode="full", pred=No
             del work[m]
             remainder[m] = c
             if mode == "top":
-                G.flat_add_into(remainder, work)
+                _merge_into(remainder, work.items())
                 return remainder
             continue
         lead, lc, rvec = hit
         q = tuple(a - b for a, b in zip(m[1], lead[1]))
-        prod = _tuple_mono_mul_flat(n, c / lc, q, m[2] - lead[2], rvec, h_step)
-        G.flat_add_into(work, prod, -1)
+        prod = _tuple_mono_mul_flat(n, -c / lc, q, m[2] - lead[2], rvec, h_step)
+        _merge_into(work, prod.items())
         steps += 1
         if steps > limit:
             raise ReductionLimitError("reference budget exhausted")

@@ -2,7 +2,8 @@
 
 - Kunneth: the complement of V(f(x) g(y)) is the product of the two
   complements, so its Poincare polynomial is the product of the
-  pipeline's own answers for f and for g.
+  pipeline's own answers for f and for g, or of the golden dims of f and
+  g for seeded draws from the one-polynomial goldens.
 - Gysin: for a smooth closed Z of codimension c, H^i_Z(U) = H^(i-2c)(Z cap U).
 - Orlik-Solomon for affine plane arrangements in C^3: b_k is the sum of
   |mu(X)| over the flats X of codimension k (Orlik-Solomon, Invent. Math.
@@ -12,11 +13,13 @@
 """
 
 import itertools
+import random
 
 import pytest
 
 from derham import ProblemSpec, compute_derham, compute_derham_support
 from derham.linalg import rank
+from test_examples import GOLDEN
 
 
 def dims(names, polys, support=None):
@@ -50,6 +53,37 @@ def test_kunneth(left, right, product, expected):
     got = dims(names_f + names_g, [product])
     assert got == expected
     assert got == poincare_product(dims(names_f, [f]), dims(names_g, [g]))
+
+
+def one_polynomial_goldens(names):
+    """(poly, dims) of the goldens over exactly `names` with one poly."""
+    cases = [getattr(case, "values", case) for case in GOLDEN]
+    return [(polys[0], expected) for case_names, polys, expected in cases
+            if case_names == names and len(polys) == 1]
+
+
+def kunneth_draws(seed):
+    """Four distinct products f(x) g(y) of one-variable goldens and one
+    f(x, y) g(z) of a two-variable and a one-variable golden, each with
+    the golden dims of its two factors."""
+    rng = random.Random(seed)
+    one = one_polynomial_goldens(["x"])
+    two = one_polynomial_goldens(["x", "y"])
+    pairs = rng.sample([(f, g) for f in one for g in one], 4)
+    draws = [(["x", "y"], f"({f})*({g.replace('x', 'y')})", df, dg)
+             for (f, df), (g, dg) in pairs]
+    (f, df), (g, dg) = rng.choice(two), rng.choice(one)
+    draws.append((["x", "y", "z"], f"({f})*({g.replace('x', 'z')})", df, dg))
+    return draws
+
+
+KUNNETH_DRAWS = kunneth_draws(17)
+
+
+@pytest.mark.parametrize("names,product,left,right", KUNNETH_DRAWS,
+                         ids=[draw[1] for draw in KUNNETH_DRAWS])
+def test_seeded_kunneth_pairs(names, product, left, right):
+    assert dims(names, [product]) == poincare_product(left, right)
 
 
 def test_gysin_for_a_smooth_curve():
