@@ -11,8 +11,7 @@ ranks are the cohomology dimensions.
 __version__ = "0.1.0"
 
 from .errors import (BBoundExceededError, DerhamError, DimensionMismatchError,
-                     InconsistencyError, InternalError, InvalidInputError,
-                     ReductionLimitError)
+                     InconsistencyError, InternalError, InvalidInputError)
 from .weyl import (NEG_INF, FiltrationSpec, WeylElement, apply_to_polynomial,
                    format_operator, fourier, theta, v_degree, weyl_mul)
 from .parsing import parse_operator, parse_polynomial

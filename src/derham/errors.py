@@ -2,6 +2,7 @@
 
 Exit-code mapping used by the CLI: InvalidInputError -> 1,
 BBoundExceededError -> 2, InconsistencyError / InternalError -> 3.
+Every division ends by construction, so no error stands for a budget.
 """
 
 
@@ -34,12 +35,3 @@ class InconsistencyError(DerhamError):
 
 class InternalError(DerhamError):
     """A contract the construction guarantees was violated; a bug."""
-
-
-class ReductionLimitError(InternalError):
-    """Division did not terminate within the step budget.
-
-    Normal forms under an order refining the V-degree need not exist for
-    arbitrary submodules (the coset may have no V-minimal member); the
-    budget turns a potential hang into a diagnosable error.
-    """

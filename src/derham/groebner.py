@@ -3,11 +3,12 @@
 Orders that refine the shifted V-degree are not well-orders on D_n, so
 every Buchberger loop runs in the homogenized Weyl algebra (a central
 variable h with d_i x_i = x_i d_i + h^2) under a genuine term order and
-the result is dehomogenized.  A normal form first reduces h^N times the
-homogenized element against the h-saturated basis, for a few even N, and
-a zero main block settles membership there.  Otherwise division against
-the finished basis happens directly in D_n, with a step budget guarding
-the (pathological) inputs whose cosets have no V-minimal member.
+the result is dehomogenized.  Every division ends by construction:
+membership reduces h^N times the homogenized element against the
+h-saturated basis, or else by a term order on D_n, and division in D_n
+under a V-order is floored at a V-degree, as inside one V-degree of a
+block the order ranks by total degree and finitely many V-degrees lie
+between the lead and the floor.
 
 The flat internal format keys a term by one int, its packed monomial
 (MonomialCodec in weyl.py), and maps it to a coefficient; the public
@@ -53,7 +54,6 @@ All division runs through one kernel, GBEngine.reduce:
   and subtracts (c/gcd(c, lc)) * q * reducer.  Division by scale happens
   once per remainder term, so the Fraction remainder equals that of
   rational division step for step.
-- The step budget counts the same division steps as rational division.
 
 Buchberger skips finished work in two places without changing its output,
 because the tail of a reduced basis entry is unique.  Take an entry g of a
@@ -86,17 +86,15 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
+from itertools import count
 from math import gcd
 from operator import itemgetter
 from typing import Optional, Sequence
 
-from .errors import (DimensionMismatchError, InternalError, InvalidInputError,
-                     ReductionLimitError)
+from .errors import DimensionMismatchError, InternalError, InvalidInputError
 from .weyl import (NEG_INF, FiltrationSpec, MonomialCodec, WeylElement,
                    mono_mul_flat, term_v_degree, weyl_mul)
 
-
-DEFAULT_REDUCTION_LIMIT = 1_000_000
 
 FlatVec = dict  # packed monomial (MonomialCodec) -> coefficient
 
@@ -393,7 +391,6 @@ class GBEngine:
         self.codec = codec
         self.n = codec.n
         self.h_step = h_step
-        self.limit = DEFAULT_REDUCTION_LIMIT
         # S-pairs that went through reduce, and those the chain criterion
         # skipped, over every buchberger call of this engine
         self.spairs_reduced = 0
@@ -423,7 +420,6 @@ class GBEngine:
         heapq.heapify(heap)
         divisors = [(lead | guard, lead, lc, rvec) for lead, lc, rvec in reducers]
         remainder: FlatVec = {}
-        steps = 0
         while work:
             m = -heappop(heap)
             c = work.get(m)
@@ -452,11 +448,6 @@ class GBEngine:
                     work[k] *= f
                 scale *= f
             mono_mul_flat(codec, -(c // g), m - lead, rvec, h_step, work, heap)
-            steps += 1
-            if steps > self.limit:
-                raise ReductionLimitError(
-                    "division step budget exhausted; the coset may have no "
-                    "V-minimal representative")
         return remainder
 
     # Buchberger ---------------------------------------------------------
@@ -594,7 +585,7 @@ class SubmoduleSolver:
         shifts = self.ambient_shift + self.cofactor_shift
         self.codec = codec = v_order_codec(n, shifts, rank, elements_degree(self.gens))
         # the main block: monomials whose block weight (the top field) is 1
-        self.floor = 1 << codec.top
+        self.floor = codec.weight_floor(1)
         self.engine = GBEngine(codec, h_step=2)
         aug = []
         for i, g in enumerate(self.gens):
@@ -627,6 +618,11 @@ class SubmoduleSolver:
         else:
             raise InternalError("h-saturation did not stabilize")
         self._h_entries = reduced
+        # the h-powers N a query tries before a term order decides
+        top = max((codec.h(lead) for lead, _, _ in reduced if lead >= self.floor),
+                  default=0)
+        self._powers = range(0, top + 2, 2)
+        self._term_basis = None  # (engine, basis) under a degree term order
 
         main_entries = []      # main-block leads, dehomogenized, with tails
         syz_entries = []       # cofactor-block leads, dehomogenized
@@ -642,23 +638,20 @@ class SubmoduleSolver:
         self._deh_entries = _minimalize_entries(main_entries, codec)
         self._syz_entries = _minimalize_entries(syz_entries, codec)
 
-        # divider engine for D_n (h never appears after dehomogenization)
+        # division in D_n, always floored at a V-degree
         self.divider = GBEngine(codec, h_step=0)
 
     # -- derived data ---------------------------------------------------
 
-    def _split(self, vec: FlatVec, sign=1):
-        """The main block of vec as a ModuleElement over rank and its
-        cofactor block, times sign, as a ModuleElement over the gens."""
-        floor = self.floor
-        main = {m: c for m, c in vec.items() if m >= floor}
-        cof = {m: sign * c for m, c in vec.items() if m < floor}
-        return (flat_to_me(main, self.codec, self.rank),
-                flat_to_me(cof, self.codec, len(self.gens), self.rank))
-
     def basis_with_cofactors(self):
         """[(basis element over rank, cofactor vector over gens)] pairs."""
-        return [self._split(vec) for _, _, vec in self._deh_entries]
+        codec, floor, out = self.codec, self.floor, []
+        for _, _, vec in self._deh_entries:
+            main = {m: c for m, c in vec.items() if m >= floor}
+            cof = {m: c for m, c in vec.items() if m < floor}
+            out.append((flat_to_me(main, codec, self.rank),
+                        flat_to_me(cof, codec, len(self.gens), self.rank)))
+        return out
 
     @property
     def basis(self):
@@ -672,90 +665,85 @@ class SubmoduleSolver:
 
     # -- queries ---------------------------------------------------------
 
-    def _homogeneous_remainder(self, e: ModuleElement):
-        """Reduce h^N times the homogenization of e against the saturated
-        basis, for N = 0, 2, 4, ... up to the largest h-power on a
-        main-block lead, and return the first remainder whose main block is
-        zero, else the one for N = 0.
-
-        Always terminates.  A zero main block proves that e lies in the
-        submodule: h is central, so the cofactor block dehomogenizes to a
-        cofactor of e.  A nonzero one does not prove the opposite.
-        Saturation strips only the h-content of a whole augmented entry, so
-        an entry whose cofactor tail has no h keeps an h-power on its main
-        lead, and that lead cannot divide a term of lower h-power: for the
+    def _homogeneous_remainder(self, flat: FlatVec, powers):
+        """The dehomogenized cofactor of the first N in powers for which
+        h^N flat, a homogenized main-block vector, reduces against the
+        saturated basis to a zero main block, which proves membership as h
+        is central; None if no N does.  A lead can keep an h-power: for the
         gens x^2 and 3/4 x^2 - x d the basis is [8], with lead 8 h^2 over a
-        cofactor tail free of h, so the main block of -1 stays -1 at N = 0
-        and vanishes at N = 2.  The bound on N is empirical; a member it
-        leaves unsettled goes on to division in D_n like a non-member.
-        """
+        cofactor tail free of h, and -1 clears at N = 2, not at N = 0."""
         codec, floor = self.codec, self.floor
-        flat = homogenize_flat(me_to_flat(e, codec), codec)
-        top = max((codec.h(lead) for lead, _, _ in self._h_entries if lead >= floor),
-                  default=0)
-        first = None
-        for power in range(0, top + 1, 2):
+        for power in powers:
             raised = {m - power * codec.hunit: c for m, c in flat.items()}
             for m in raised:
                 if m & codec.guard:
                     codec.overflow(m)
             rem = self.engine.reduce(raised, self._h_entries, mode="full", floor=floor)
-            main = {m: c for m, c in rem.items() if m >= floor}
-            cof = {m: -c for m, c in rem.items() if m < floor}
-            if not main:
-                return main, cof
-            if first is None:
-                first = main, cof
-        return first
+            if max(rem, default=0) < floor:
+                return {m: -c for m, c in dehomogenize_flat(rem, codec).items()}
+        return None
 
-    def normal_form_with_cofactor(self, e: ModuleElement):
-        """(r, w) with e = r + w . gens and no term of r lead-divisible.
+    def cofactor(self, e: ModuleElement):
+        """A w with w . gens = e, or None when e is not in the submodule.
 
-        The homogenized reduction settles members whose main block it
-        clears; everything else, members included, continues with direct
-        division in D_n, which decides membership and may need the step
-        budget to reach the V-minimal representative.
-        """
+        N runs over 0, 2, ..., one past the largest h-power of a main-block
+        lead.  If none clears, a basis under a degree term order in D_n,
+        built on first use, decides, and a member goes on to larger N: h^N
+        e^h lies in the homogenized module for large N."""
         if e.rank != self.rank:
             raise DimensionMismatchError("element rank mismatch")
         codec = self.codec
-        main_h, cof_h = self._homogeneous_remainder(e)
-        cof = flat_to_me(dehomogenize_flat(cof_h, codec), codec, len(self.gens),
-                         self.rank)
-        if not main_h:
-            return ModuleElement.zero(self.n, self.rank), cof
-        start = dehomogenize_flat(main_h, codec)
-        rem = self.divider.reduce(start, self._deh_entries, mode="full",
-                                  floor=self.floor)
-        main, extra = self._split(rem, -1)
-        return main, cof + extra
-
-    def normal_form(self, e: ModuleElement) -> ModuleElement:
-        return self.normal_form_with_cofactor(e)[0]
+        flat = homogenize_flat(me_to_flat(e, codec), codec)
+        w = self._homogeneous_remainder(flat, self._powers)
+        if w is None:
+            if self._term_basis is None:
+                term = MonomialCodec(self.n, self.rank, elements_degree(self.gens), (
+                    ("degree", (1,) * (2 * self.n), (0,) * self.rank),))
+                engine = GBEngine(term, h_step=0)
+                self._term_basis = engine, engine.buchberger(
+                    [me_to_flat(g, term) for g in self.gens])
+            engine, basis = self._term_basis
+            if engine.reduce(me_to_flat(e, engine.codec), basis):
+                return None
+            w = self._homogeneous_remainder(flat, count(self._powers[-1] + 2, 2))
+        return flat_to_me(w, codec, len(self.gens), self.rank)
 
     def contains(self, e: ModuleElement) -> bool:
-        """Exact membership: the fully reduced remainder is zero exactly for
-        members."""
-        return self.normal_form(e).is_zero()
+        return self.cofactor(e) is not None
 
-    def reduce_cofactor(self, w: ModuleElement) -> ModuleElement:
-        """Normal form of w against the syzygy basis: the V-minimal element
-        of the coset w + Syz(gens) under the cofactor shift.
+    def normal_form(self, e: ModuleElement, degree) -> ModuleElement:
+        """The terms of shifted V-degree >= degree of a remainder of e whose
+        terms there are not lead-divisible: zero for members and linear in
+        e, since two such remainders differ by a member whose lead would be
+        one of those terms.  The floored division ends."""
+        if e.rank != self.rank:
+            raise DimensionMismatchError("element rank mismatch")
+        floor = self.codec.weight_floor(1, degree)
+        rem = self.divider.reduce(me_to_flat(e, self.codec), self._deh_entries,
+                                  floor=floor)
+        return flat_to_me({m: c for m, c in rem.items() if m >= floor}, self.codec,
+                          self.rank)
 
-        w sits in the cofactor block of the solver's own order, which ranks
-        that block exactly as an order on the cofactor shift alone would.
-        """
+    def reduce_cofactor(self, w: ModuleElement, degree) -> ModuleElement:
+        """w minus syzygies, with no lead-divisible term of shifted V-degree
+        >= degree under the cofactor shift.  The floored division ends, and
+        a remainder that reaches degree has the least degree in w + Syz:
+        the difference to a lower member would be a syzygy with an
+        irreducible lead."""
         codec = self.codec
-        rem = self.divider.reduce(me_to_flat(w, codec, self.rank),
-                                  self._syz_entries, mode="full")
+        rem = self.divider.reduce(me_to_flat(w, codec, self.rank), self._syz_entries,
+                                  floor=codec.weight_floor(0, degree))
         return flat_to_me(rem, codec, len(self.gens), self.rank)
 
     def min_degree_witness(self, target: ModuleElement):
-        """A w with w . gens = target of minimal shifted V-degree, or None."""
-        nf, w = self.normal_form_with_cofactor(target)
-        if not nf.is_zero():
+        """A w with w . gens = target, or None.  w exceeds the target's
+        V-degree exactly when the minimal witness does, and then has its
+        degree; if the cofactor shift bounds each generator's degree, w is
+        minimal."""
+        w = self.cofactor(target)
+        if w is None:
             return None
-        return self.reduce_cofactor(w)
+        return self.reduce_cofactor(w, target.v_degree(self.ambient_shift))
 
 
 class SolverCache:

@@ -102,25 +102,23 @@ def _to_dns(p: WeylElement, n: int) -> WeylElement:
     """Rewrite a weight-zero, uv-free element as an element of D_n[s].
 
     Every term is x^a d^b t^k dt^k; t^k dt^k is the falling factorial
-    theta (theta-1) ... (theta-k+1) with theta = t dt, and theta = -s - 1.
+    theta (theta-1) ... (theta-k+1) with theta = t dt, and theta = -s - 1,
+    so it is (-1)^k (s + 1) (s + 2) ... (s + k).  s is central, so the term
+    is the sum over j of that polynomial's s^j coefficient times x^a s^j d^b.
     """
     big = n + 3
-    ns = n + 1  # pairs: x_1..x_n, s
-    out = WeylElement.zero(ns)
+    falling = [[1]]  # [k]: ascending coefficients of (-1)^k (s + 1) ... (s + k)
+    terms = []
     for e, c in p.terms.items():
-        a = e[:n]
-        b = e[big:big + n]
         k = e[n]
         if e[big + n] != k:
             raise InternalError("weight-zero element with unbalanced t, dt")
-        # falling factorial of theta = -s-1: product of (-s - 1 - j), j < k
-        falling = ThetaPolynomial.from_roots(range(-1, -k - 1, -1))
-        sign = (-1) ** k
-        base = WeylElement(ns, {a + (0,) + b + (0,): c})
-        sacc = WeylElement(ns, {(0,) * n + (deg,) + (0,) * ns: sign * coef
-                                for deg, coef in enumerate(falling.coeffs)})
-        out = out + base * sacc
-    return out
+        while len(falling) <= k:  # the last one times -(s + j)
+            j, last = len(falling), falling[-1]
+            falling.append([-(u * j + v) for u, v in zip(last + [0], [0] + last)])
+        a, b = e[:n], e[big:big + n] + (0,)
+        terms += [(a + (j,) + b, c * coef) for j, coef in enumerate(falling[k])]
+    return WeylElement(n + 1, terms)
 
 
 def substitute_s(p: WeylElement, value) -> WeylElement:

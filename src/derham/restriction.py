@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import logging
 from fractions import Fraction
-from math import gcd
+from math import ceil, gcd
 from typing import Optional, Sequence
 
 from . import linalg
@@ -120,9 +120,10 @@ class ThetaPolynomial:
         """Sorted integer roots, found by the rational root test.
 
         A nonzero integer root divides the constant term once the
-        denominators are cleared, and Cauchy's bound on the monic
-        coefficients caps it at 1 + max |c_i|, so only divisors up to that
-        bound are tried, each by Horner's rule on the cleared integers.
+        denominators are cleared, and Fujiwara's bound on the monic
+        coefficients, 2 max_k |c_(d-k)|^(1/k) with exact integer k-th roots
+        rounded up, caps it; each divisor up to that bound is tried by
+        Horner's rule on the cleared integers.
         """
         coeffs = list(self.coeffs)
         roots = set()
@@ -135,7 +136,8 @@ class ThetaPolynomial:
             den = den * c.denominator // gcd(den, c.denominator)
         ints = [int(c * den) for c in reversed(coeffs)]
         const = ints[-1]
-        bound = 1 + int(max((abs(c) for c in coeffs[:-1]), default=0))
+        bound = 2 * max((_root_ceil(ceil(abs(c)), k)
+                         for k, c in enumerate(reversed(coeffs[:-1]), 1)), default=0)
         for cand in range(1, min(bound, abs(const)) + 1):
             if const % cand:
                 continue
@@ -174,6 +176,15 @@ class ThetaPolynomial:
 
     def __repr__(self):
         return f"ThetaPolynomial({self})"
+
+
+def _root_ceil(a: int, k: int) -> int:
+    """The least r >= 0 with r^k >= a, for an int a >= 0."""
+    lo, hi = 0, 1 << -(-a.bit_length() // k)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if mid ** k >= a else (mid + 1, hi)
+    return lo
 
 
 def _divmod_poly(a, b):
@@ -253,8 +264,9 @@ def _minimal_b_for_generator(kappa: ModuleElement, lam: int,
     theta-power images to normal form, then demand that every term of
     shifted V-degree >= lam cancels.  Each degree adds one image and the
     monomials it brings; every lower degree failed, so the columns are
-    independent and the solution is unique.  Soundness of the normal-form
-    test rests on V-refining division realizing the minimal coset degree.
+    independent and the solution is unique.  Normal forms keep only the
+    terms of degree >= lam, which are linear in the coset, and theta
+    preserves F^(lam-1) and the boundaries, so the images carry no more.
     """
     n = kappa.n
     th = theta(n)
@@ -265,7 +277,7 @@ def _minimal_b_for_generator(kappa: ModuleElement, lam: int,
         if t:
             image = image.left_mul(th)
         if boundary_solver is not None:
-            image = boundary_solver.normal_form(image)
+            image = boundary_solver.normal_form(image, lam)
         high = {(pos, exps): c for pos, comp in enumerate(image.components)
                 for exps, c in comp.terms.items()
                 if term_v_degree(exps, n) + shift[pos] >= lam}
@@ -368,7 +380,7 @@ def generator_membership_holds(b: ThetaPolynomial, kappa: ModuleElement, lam: in
         power = weyl_mul(power, th)
     img = kappa.left_mul(op)
     if boundary_solver is not None:
-        img = boundary_solver.normal_form(img)
+        img = boundary_solver.normal_form(img, lam)
     vd = img.v_degree(shift)
     return vd == NEG_INF or vd <= lam - 1
 

@@ -112,8 +112,8 @@ def _cofactor_heads(solver, targets, width, context: str):
         if t.is_zero():
             out.append(ModuleElement.zero(t.n, width))
             continue
-        nf, cof = solver.normal_form_with_cofactor(t)
-        if not nf.is_zero():
+        cof = solver.cofactor(t)
+        if cof is None:
             raise InconsistencyError(f"{context}: element is not in the submodule")
         out.append(ModuleElement(t.n, cof.components[:width]))
     return out

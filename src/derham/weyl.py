@@ -88,7 +88,8 @@ class MonomialCodec:
         # unit[j]: what one more e[j] adds; base[pos]: the monomial 1 at pos
         unit = [-(1 << o) for o in self.off_e]
         base = [eh_values + (self.pmax - p) for p in range(max(positions, 1))]
-        self._weights = []  # (offset, coef +1 value mask, coef -1 value mask)
+        # (offset, coef +1 value mask, coef -1 value mask, bias, width)
+        self._weights = []
         for name, coefs, consts in reversed(weights):
             # a weight's terms sum to at most the degree, itself at most wmax
             low = min((0, *consts)) + wmax * min((0, *coefs))
@@ -101,7 +102,7 @@ class MonomialCodec:
                 base[p] += (consts[p] - low) << off
             plus = sum(wmax << o for o, a in zip(self.off_e, coefs) if a == 1)
             minus = sum(wmax << o for o, a in zip(self.off_e, coefs) if a == -1)
-            self._weights.append((off, plus, minus))
+            self._weights.append((off, plus, minus, low, wbits))
             off += wbits + 1
         self.top = fields[-1][1]
         self._fields = fields
@@ -137,6 +138,15 @@ class MonomialCodec:
         if m & self.guard:
             self.overflow(m)
         return m
+
+    def weight_floor(self, *values) -> int:
+        """The least int at or above which exactly the monomials lie whose
+        leading weights are at least `values` (lexicographically); a value
+        beyond its field's range, NEG_INF too, is clamped to it."""
+        floor = 0
+        for v, (off, _, _, low, wbits) in zip(values, reversed(self._weights)):
+            floor += max(0, min(v - low, 1 << wbits)) << off
+        return floor
 
     def unpack(self, m: int) -> tuple:
         """(position, exponents, h) of a packed monomial."""
@@ -190,7 +200,7 @@ class MonomialCodec:
         """Least common multiple of two monomials at one position."""
         inc = (a & self._eh_values) - self._lcm_fields(a, b)  # exponents gained over a
         m = a - inc
-        for off, plus, minus in self._weights:
+        for off, plus, minus, _, _ in self._weights:
             if plus:
                 m += self._sum(inc & plus) << off
             if minus:

@@ -44,6 +44,21 @@ def test_bfunction_subcommand():
     assert out.stdout.strip() == "s"
 
 
+@pytest.mark.parametrize("module,b", [
+    ("x*d1^2 - 3*d1^2", "s^2 - 5*s + 6"),
+    ("(x - 2)*d1^2", "s^2 - 5*s + 6"),
+    ("x - 2", "1"),
+    ("x*d1 - 2*d1", "s - 2"),
+])
+def test_bfunction_of_a_module_singular_away_from_the_origin(module, b, capsys):
+    # under the V-order the lead of x - 2 is the constant, so unfloored
+    # division would rewrite 1 as a power series in x/2 without end
+    from derham.cli import main
+    assert main(["bfunction", "--vars", "x", "--module", module, "--shift", "2",
+                 "--format", "text"]) == 0
+    assert capsys.readouterr().out.strip() == b
+
+
 def _readme_command_lines():
     """The lines of the README's "Command line" example block."""
     text = (Path(__file__).resolve().parent.parent / "README.md").read_text()

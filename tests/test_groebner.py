@@ -75,16 +75,18 @@ def test_buchberger_criterion_recheck():
             for p in (a.left_mul(WeylElement.d(0, 1)),
                       a.left_mul(WeylElement.x(0, 1)),
                       b.left_mul(WeylElement.d(0, 1))):
-                red = solver.normal_form(p)
+                # floored far below every coset's minimal degree
+                red = solver.normal_form(p, -10)
                 assert solver.contains(p) == red.is_zero()
 
 
 def test_normal_form_examples():
     solver_d = SubmoduleSolver(SPEC1, 1, [me(1, "d1")])
-    assert solver_d.normal_form(me(1, "x1*d1")).is_zero()
-    assert solver_d.normal_form(me(1, "x1")) == me(1, "x1")
+    assert solver_d.normal_form(me(1, "x1*d1"), 0).is_zero()
+    assert solver_d.normal_form(me(1, "x1"), -1) == me(1, "x1")
+    assert solver_d.normal_form(me(1, "x1"), 0).is_zero()  # below the floor
     solver_ring = SubmoduleSolver(SPEC1, 1, [me(1, "x1"), me(1, "d1")])
-    assert solver_ring.normal_form(me(1, "1")).is_zero()
+    assert solver_ring.normal_form(me(1, "1"), 0).is_zero()
 
 
 def test_normal_form_degree_monotone():
@@ -92,9 +94,9 @@ def test_normal_form_degree_monotone():
     solver = SubmoduleSolver(SPEC1, 1, [me(1, "x1*d1 + 1")])
     for _ in range(30):
         e = random_module_element(rng, 1, 1)
-        r = solver.normal_form(e)
+        r = solver.normal_form(e, -4)
         if not e.is_zero() and not r.is_zero():
-            assert r.v_degree((0,)) <= e.v_degree((0,))
+            assert -4 <= r.v_degree((0,)) <= e.v_degree((0,))
 
 
 def test_membership_examples():
@@ -118,10 +120,7 @@ def test_membership_needs_more_than_the_homogenized_remainder():
         return [m for m in rem if m >= solver.floor]
 
     assert main_block(0) and not main_block(2)
-    main, _ = solver._homogeneous_remainder(me(1, "-1"))
-    assert not main
-    nf, cof = solver.normal_form_with_cofactor(me(1, "-1"))
-    assert nf.is_zero()
+    cof = solver.cofactor(me(1, "-1"))
     assert OperatorMatrix(1, 1, gens).apply(cof) == me(1, "-1")
     assert solver.contains(me(1, "-1"))
 
@@ -186,28 +185,61 @@ def test_module_order_with_shifts():
 def test_normal_form_minimal_coset_degree():
     solver = SubmoduleSolver(SPEC1, 1, [me(1, "x1*d1")])
     # 1 mod <x d>: every coset member keeps a constant term, degree 0 minimal
-    nf = solver.normal_form(me(1, "1"))
+    nf = solver.normal_form(me(1, "1"), -5)
     assert nf == me(1, "1")
     # x d + x^2 reduces to x^2, the V-minimal representative
-    nf = solver.normal_form(me(1, "x1*d1 + x1^2"))
+    nf = solver.normal_form(me(1, "x1*d1 + x1^2"), -5)
     assert nf == me(1, "x1^2")
     assert nf.v_degree((0,)) == -2
 
 
-def test_reduction_limit_is_honest():
-    import derham.groebner as G
-    from derham import ReductionLimitError
-    import pytest
-    # D/<1 - x>: the coset of 1 has no V-minimal member; the normal form
-    # must fail loudly instead of hanging
+def test_non_member_without_a_minimal_coset_member():
+    # D/<1 - x> is the delta module at x = 1, so 1 is not a member, yet
+    # 1 = x^k mod 1 - x for every k: the coset of 1 has no V-minimal
+    # member, and unfloored division by the lead 1 would never end
     solver = SubmoduleSolver(SPEC1, 1, [me(1, "1 - x1")])
-    old = solver.divider.limit
-    solver.divider.limit = 2000
-    try:
-        with pytest.raises(ReductionLimitError):
-            solver.normal_form(me(1, "1"))
-    finally:
-        solver.divider.limit = old
+    assert not solver.contains(me(1, "1"))
+    assert solver.cofactor(me(1, "1")) is None
+    assert solver.min_degree_witness(me(1, "1")) is None
+
+
+def test_floored_normal_form_ends():
+    solver = SubmoduleSolver(SPEC1, 1, [me(1, "1 - x1")])
+    # every term pushed below the floor leaves nothing at or above it
+    for degree in (0, -5, -40):
+        assert solver.normal_form(me(1, "1 + d1"), degree).is_zero()
+    # a member's floored remainder vanishes at every floor
+    member = me(1, "d1 - x1*d1 - 1")  # d (1 - x)
+    assert solver.contains(member) and solver.normal_form(member, -3).is_zero()
+
+
+def test_member_clearing_one_past_the_top_power_needs_no_term_order(monkeypatch):
+    import derham.groebner as G
+    # the largest h-power on a main-block lead is 1, so the tried powers
+    # are 0 and 2; 1 = x . d - (x d - 1) clears only at N = 2
+    gens = [me(1, "d1"), me(1, "-d1"), me(1, "x1*d1 - 1")]
+    solver = SubmoduleSolver(SPEC1, 1, gens)
+    assert list(solver._powers) == [0, 2]
+    flat = G.homogenize_flat(G.me_to_flat(me(1, "-1"), solver.codec), solver.codec)
+    assert solver._homogeneous_remainder(flat, [0]) is None
+    built = []
+    buchberger = G.GBEngine.buchberger
+    monkeypatch.setattr(G.GBEngine, "buchberger",
+                        lambda self, *args: built.append(self) or buchberger(self, *args))
+    cof = solver.cofactor(me(1, "-1"))
+    assert OperatorMatrix(1, 1, gens).apply(cof) == me(1, "-1")
+    assert built == [] and solver._term_basis is None
+
+
+def test_term_order_settles_what_the_tried_powers_leave_open():
+    # with N = 0 the only power tried, -1 over <x^2, 3/4 x^2 - x d> = D
+    # stays open; the term order finds it a member, and N = 2 clears it
+    gens = [me(1, "x1^2"), me(1, "3/4*x1^2 - x1*d1")]
+    solver = SubmoduleSolver(SPEC1, 1, gens)
+    solver._powers = range(0, 1)
+    cof = solver.cofactor(me(1, "-1"))
+    assert solver._term_basis is not None
+    assert OperatorMatrix(1, 1, gens).apply(cof) == me(1, "-1")
 
 
 def test_non_rational_coefficients_rejected():
@@ -504,15 +536,13 @@ def test_flat_to_me_rejects_a_leftover_h_as_internal():
 # the division kernel against rational division with a rescan per step
 # ---------------------------------------------------------------------------
 
-def _reference_reduce(n, key, h_step, limit, vec, reducers, mode="full", pred=None):
+def _reference_reduce(n, key, h_step, vec, reducers, mode="full", pred=None):
     """Rational division as the kernel's contract states it, on tuple
     keys: the lead is max(work, key=key) at every step and arithmetic is
     in Fraction."""
     from fractions import Fraction
-    from derham import ReductionLimitError
     work = {m: Fraction(c) for m, c in vec.items()}
     remainder = {}
-    steps = 0
     while work:
         m = max(work, key=key)
         c = work[m]
@@ -532,9 +562,6 @@ def _reference_reduce(n, key, h_step, limit, vec, reducers, mode="full", pred=No
         q = tuple(a - b for a, b in zip(m[1], lead[1]))
         prod = _tuple_mono_mul_flat(n, -c / lc, q, m[2] - lead[2], rvec, h_step)
         _merge_into(work, prod.items())
-        steps += 1
-        if steps > limit:
-            raise ReductionLimitError("reference budget exhausted")
     return remainder
 
 
@@ -542,17 +569,11 @@ def _assert_same_division(engine, key, vec, reducers, mode="full", floor=0, pred
     """engine.reduce on packed vec and reducers against the tuple
     reference on their unpacked copies; pred is floor on tuples."""
     from fractions import Fraction
-    from derham import ReductionLimitError
     codec = engine.codec
     tuple_reducers = [(codec.unpack(lead), lc, _unpack(codec, rvec))
                       for lead, lc, rvec in reducers]
-    try:
-        want = _reference_reduce(engine.n, key, engine.h_step, engine.limit,
-                                 _unpack(codec, vec), tuple_reducers, mode, pred)
-    except ReductionLimitError:
-        with pytest.raises(ReductionLimitError):
-            engine.reduce(vec, reducers, mode, floor)
-        return "limit"
+    want = _reference_reduce(engine.n, key, engine.h_step, _unpack(codec, vec),
+                             tuple_reducers, mode, pred)
     packed = engine.reduce(vec, reducers, mode, floor)
     got = _unpack(codec, packed)
     # booleans first: pytest's diff of two long term lists can take minutes
@@ -561,7 +582,6 @@ def _assert_same_division(engine, key, vec, reducers, mode="full", floor=0, pred
     assert same_terms, "remainders differ"
     assert same_order, "remainder terms come out in another order"
     assert all(type(c) is Fraction for c in packed.values())
-    return "remainder"
 
 
 def _random_flat(rng, n, rank, homogeneous, codec, **kw):
@@ -569,20 +589,19 @@ def _random_flat(rng, n, rank, homogeneous, codec, **kw):
     return _pack(codec, _tuple_homogenize(flat) if homogeneous else flat)
 
 
-def _check_random_divisions(seed, n, rank, order, h_step, limit, count):
+def _check_random_divisions(seed, n, rank, order, h_step, count, floors):
     """Seeded random reducers and dividends, not built by Buchberger, so a
     faulty kernel fails here rather than in the construction of a basis.
-    order is (codec, tuple key); position 0 is the codec's first block."""
+    order is (codec, tuple key); position 0 is the codec's first block.
+    Each division runs once per prefix in floors, floored at
+    codec.weight_floor(*prefix), the reference passing every term whose
+    key starts below the prefix through."""
     import derham.groebner as G
     codec, key = order
     rng = random.Random(seed)
     engine = G.GBEngine(codec, h_step=h_step)
-    engine.limit = limit
-    # position 0 alone is the first block of a two-block V-order; an
-    # elimination order has one block
-    first_block = 1 << codec.top if rank > 1 else 0
-    outcomes = []
-    while len(outcomes) < count:
+    divisions = 0
+    while divisions < count:
         reducers = [G.primitive_entry(r)
                     for r in (_random_flat(rng, n, rank, h_step, codec, max_deg=1)
                               for _ in range(rng.randint(1, 3))) if r]
@@ -590,60 +609,40 @@ def _check_random_divisions(seed, n, rank, order, h_step, limit, count):
         if not reducers or not vec:
             continue
         for mode in ("full", "top"):
-            for floor, pred in ((0, None), (first_block, lambda m: m[0] == 0)):
-                outcomes.append(_assert_same_division(engine, key, vec, reducers,
-                                                      mode, floor, pred))
-    return outcomes
+            for prefix in floors:
+                _assert_same_division(engine, key, vec, reducers, mode,
+                                      codec.weight_floor(*prefix),
+                                      lambda m: key(m)[:len(prefix)] >= prefix)
+                divisions += 1
 
 
 def test_reduce_matches_reference_v_order_homogenized():
     for seed, n, rank in ((101, 1, 2), (102, 2, 1)):
         order = _v_order(n, (0, 1)[:rank], 1)
-        outcomes = _check_random_divisions(seed, n, rank, order, 2, 200, 200)
-        assert set(outcomes) == {"remainder"}
+        # no floor, and the first block
+        _check_random_divisions(seed, n, rank, order, 2, 200, ((), (1,)))
 
 
 def test_reduce_matches_reference_v_order_plain():
+    # not a well-order on D_n: every division is floored at a V-degree of
+    # the first block, which holds position 0
     for seed, n, rank in ((103, 1, 2), (104, 2, 1)):
         order = _v_order(n, (0, -1)[:rank], 1)
-        outcomes = _check_random_divisions(seed, n, rank, order, 0, 60, 200)
-        assert set(outcomes) == {"remainder", "limit"}
+        _check_random_divisions(seed, n, rank, order, 0, 200, ((1, 0), (1, -2)))
 
 
 def test_reduce_matches_reference_block_elim():
-    outcomes = _check_random_divisions(105, 2, 1, _block_elim(2, (0, 2)), 0, 200, 200)
-    assert set(outcomes) == {"remainder"}
+    _check_random_divisions(105, 2, 1, _block_elim(2, (0, 2)), 0, 200, ((),))
 
 
-def test_reduce_step_budget_matches_reference():
-    import derham.groebner as G
-    from derham import ReductionLimitError
-    codec, key = _v_order(1, (0,), 1)
-    # 1 - x under the V-order: its lead is 1, so dividing 1 + d by it never
-    # ends; both versions must stop at the same budget
-    reducers = [G.primitive_entry(G.me_to_flat(me(1, "1 - x1"), codec))]
-    flat = G.me_to_flat(me(1, "1 + d1"), codec)
-    for limit in (1, 5, 40):
-        engine = G.GBEngine(codec, h_step=0)
-        engine.limit = limit
-        assert _assert_same_division(engine, key, flat, reducers) == "limit"
-    # a budget of exactly the steps a terminating division takes suffices,
-    # and one step less raises in both versions
-    reducers = [G.primitive_entry(G.homogenize_flat(G.me_to_flat(me(1, g), codec), codec))
-                for g in ("2*x1*d1 + 1", "3*d1^2 - x1")]
-    flat = G.homogenize_flat(G.me_to_flat(me(1, "x1^2*d1^3 + 3*x1*d1^2 - d1"), codec),
-                             codec)
-    engine = G.GBEngine(codec, h_step=2)
-
-    def outcome(limit):
-        engine.limit = limit
-        return _assert_same_division(engine, key, flat, reducers)
-
-    steps = next(k for k in range(200) if outcome(k) == "remainder")
-    assert steps > 1
-    engine.limit = steps - 1
-    with pytest.raises(ReductionLimitError):
-        engine.reduce(flat, reducers)
+def test_weight_floor_splits_the_v_order_at_a_degree():
+    codec, key = _v_order(1, (0, 2), 1)
+    rng = random.Random(7)
+    monos = [_random_mono(rng, 1, 2, max_h=0) for _ in range(300)]
+    for prefix in ((1,), (0, 1), (1, -3), (1, 0), (0, -10), (1, float("-inf"))):
+        floor = codec.weight_floor(*prefix)
+        for m in monos:
+            assert (codec.pack(*m) >= floor) == (key(m)[:len(prefix)] >= prefix)
 
 
 def test_h_saturation_failure_raises_internal_error(monkeypatch):
@@ -698,16 +697,15 @@ def test_solver_cache_basis_and_syzygies_share_one_solver():
     assert (cache.builds, cache.hits) == (1, 1)
 
 
-def _reference_reduce_cofactor(solver, w, limit):
+def _reference_reduce_cofactor(solver, w, degree):
     """Cofactor reduction on its own engine: an order over the cofactor
-    shift alone, the syzygy entries moved down to position 0, and a
-    given step budget."""
+    shift alone, the syzygy entries moved down to position 0, and a floor
+    at the given V-degree of its one block."""
     import derham.groebner as G
     p = len(solver.gens)
     codec = G.v_order_codec(solver.n, solver.cofactor_shift, p,
                             G.elements_degree(solver.gens))
     eng = G.GBEngine(codec, h_step=0)
-    eng.limit = limit
     entries = []
     for _, _, vec in solver._syz_entries:
         shifted = {}
@@ -716,12 +714,12 @@ def _reference_reduce_cofactor(solver, w, limit):
             shifted[codec.pack(pos - solver.rank, e, h)] = c
         lead = max(shifted)
         entries.append((lead, shifted[lead], shifted))
-    rem = eng.reduce(G.me_to_flat(w, codec), entries, mode="full")
+    rem = eng.reduce(G.me_to_flat(w, codec), entries, mode="full",
+                     floor=codec.weight_floor(1, degree))
     return G.flat_to_me(rem, codec, p)
 
 
 def test_reduce_cofactor_matches_reference():
-    from derham import ReductionLimitError
     rng = random.Random(31)
     spec2 = FiltrationSpec(2)
     outcomes = []
@@ -737,14 +735,10 @@ def test_reduce_cofactor_matches_reference():
             solver = SubmoduleSolver(spec, rank, gens, cofactor_shift=cofactor)
             for _ in range(4):
                 w = random_module_element(rng, n, len(gens), max_deg=2, max_terms=3)
-                # V-orders are not well-orders: skip the cosets whose
-                # division does not end within a small budget
-                try:
-                    want = _reference_reduce_cofactor(solver, w, 200)
-                except ReductionLimitError:
-                    outcomes.append("limit")
-                    continue
-                assert solver.reduce_cofactor(w) == want
+                # V-orders are not well-orders: a floor ends the division
+                degree = w.v_degree(solver.cofactor_shift) - 2
+                want = _reference_reduce_cofactor(solver, w, degree)
+                assert solver.reduce_cofactor(w, degree) == want
                 outcomes.append("moved" if want != w else "kept")
     assert outcomes.count("moved") >= 10
 

@@ -5,7 +5,8 @@ import pytest
 from conftest import cohomology_vanishes, relations_contain
 from derham import (ChainComplexPres, DModPresentation, FiltrationSpec,
                     InconsistencyError, ModuleElement, OperatorMatrix,
-                    SubmoduleSolver, parse_operator)
+                    SubmoduleSolver, WeylElement, family_for_mv, parse_operator,
+                    parse_polynomial)
 from derham.groebner import SolverCache
 from derham.mv import _verify_natural_maps
 from derham.presentations import cycle_generators
@@ -46,6 +47,17 @@ def test_map_well_defined_check():
     with pytest.raises(InconsistencyError, match="not well defined"):
         _verify_natural_maps(family, {(0, 1): parse_operator("x1", 1)})
     _verify_natural_maps(family, {(0, 1): parse_operator("d1", 1)})
+
+
+def test_wrong_natural_map_between_localizations_is_inconsistent():
+    # R_x -> R_(x(x-1)) takes 1/x to (x - 1)/(x(x - 1)); the multiplier 1
+    # sends x d + 1 outside the target relations, which the term order
+    # decides once the homogenized reductions leave it open
+    family = family_for_mv(1, [parse_polynomial("x1", 1),
+                               parse_polynomial("x1 - 1", 1)])
+    with pytest.raises(InconsistencyError, match="not well defined"):
+        _verify_natural_maps(family, {((0,), (0, 1)): WeylElement.one(1)})
+    _verify_natural_maps(family, {((0,), (0, 1)): parse_operator("x1 - 1", 1)})
 
 
 def test_chain_check():

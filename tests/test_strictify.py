@@ -282,6 +282,15 @@ def test_resolution_output_is_strict():
     assert verify_v_strict(total).passed
 
 
+@pytest.mark.slow
+def test_unminimized_two_point_total_is_v_strict():
+    # the r = 4 case: its differential from rank 60 to rank 28 needs
+    # cofactor divisions that only a floor ends
+    total = strictify_complex(fourier_mv(
+        ["x", "y"], ["x*(x - 1)", "x*(y - 1)", "y*(x - 1)", "y*(y - 1)"])).total
+    assert verify_v_strict(total).passed
+
+
 def fourier_mv(names, polys):
     spec = ProblemSpec(names, polys)
     family = family_for_mv(spec.n, spec.polys, spec.presentations)

@@ -22,7 +22,10 @@ README = ROOT / "README.md"
 # sequences, phase two's are block offsets, what no stage called is gone,
 # and packed monomials replaced the tuple order keys (with their
 # `descending` forms), the tuple divisibility and lcm helpers and the lead
-# scan; a dotted name is a method or field of a class that stays
+# scan.  Every division ends by construction, so the step budget and its
+# error are gone, and a solver answers cofactor queries, not
+# normal_form_with_cofactor.  A dotted name is a method or field of a class
+# that stays
 REMOVED = ["TermOrder", "GroebnerBasis", "groebner_basis", "normal_form",
            "submodule_membership", "syzygies", "kernel_of_map",
            "cech_complex", "family_for_cech", "strictify_ses",
@@ -36,7 +39,8 @@ REMOVED = ["TermOrder", "GroebnerBasis", "groebner_basis", "normal_form",
            "_rewrite_pair", "_RewriteResult", "_lift_poly",
            "ThetaPolynomial.variable", "BFunctionDetail.factor",
            "v_order_key", "block_elim_key", "_lead", "_mono_divides",
-           "lcm_mono"]
+           "lcm_mono", "ReductionLimitError", "DEFAULT_REDUCTION_LIMIT",
+           "GBEngine.limit", "SubmoduleSolver.normal_form_with_cofactor"]
 
 # kept in derham.strictify for phase two and the SES oracle, but not
 # exported from the package
