@@ -48,14 +48,16 @@ All division runs through one kernel, GBEngine.reduce:
   term it inserts.  A key that cancels and comes back is pushed again;
   its stale copy pops after the live one has left work, and is skipped.
 - Integer pseudo-division.  Reducer lists hold primitive integer
-  coefficients (primitive_entry).  The working vector is kept as integers
-  times 1/scale: a step with lead coefficient c against a reducer with
-  lead coefficient lc multiplies the vector and scale by lc/gcd(c, lc)
-  and subtracts (c/gcd(c, lc)) * q * reducer.  Division by scale happens
-  once per remainder term, so the Fraction remainder equals that of
-  rational division step for step.
+  coefficients (primitive_entry).  The working vector and the remainder
+  are kept as integers times 1/scale: a step with lead coefficient c
+  against a reducer with lead coefficient lc multiplies both, and scale,
+  by lc/gcd(c, lc) and subtracts (c/gcd(c, lc)) * q * reducer.  The
+  queries divide by scale once per remainder term at the exit, so the
+  Fraction remainder equals that of rational division step for step.
+  Buchberger and _interreduce take the integer exit: they make the int
+  remainder primitive, its first key the lead, and build no Fraction.
 
-Buchberger skips finished work in two places without changing its output,
+Buchberger saves work in three places without changing its output,
 because the tail of a reduced basis entry is unique.  Take an entry g of a
 Groebner basis and two remainders of g modulo the other entries, scaled to
 one lead coefficient.  Their difference lies in the module and has no term
@@ -65,6 +67,13 @@ term would have the degree of lead(g) and equal it; for h_step=0 the order
 is a term order, so that term would be at least lead(g).  But its terms
 are tail terms, below lead(g).  So the reduced basis is unique too, and:
 
+- A new entry is reduced in full against the entries before it, so later
+  steps do not multiply its reducible tail again.  Its lead, and so the
+  pairs it forms, stay; an S-pair may then reduce to zero where it did
+  not, but the entries still form a Groebner basis of the same module,
+  whose reduced basis is unique.  The division ends: for h_step=2 every
+  vector is homogeneous, and for h_step=0 the order is a term order (the
+  V-order divider, whose order is no well-order, never runs Buchberger).
 - _interreduce walks the minimal leads in ascending order.  An entry with
   no tail term divisible by another lead is reduced already and passes
   through, its terms in descending order as reduce emits them.  Any
@@ -295,7 +304,12 @@ def primitive_entry(vec: FlatVec) -> tuple:
     for c in vec.values():
         den = den * c.denominator // gcd(den, c.denominator)
     num = {m: c.numerator * (den // c.denominator) for m, c in vec.items()}
-    lead = max(num)
+    return _primitive(max(num), num)
+
+
+def _primitive(lead: int, num: FlatVec) -> tuple:
+    """primitive_entry of a nonzero int vec whose lead is known: the first
+    key of an integral remainder of reduce."""
     g = gcd(*num.values())
     if num[lead] < 0:
         g = -g
@@ -399,19 +413,21 @@ class GBEngine:
     # division ---------------------------------------------------------
 
     def reduce(self, vec: FlatVec, reducers, mode: str = "full",
-               floor: int = 0) -> FlatVec:
+               floor: int = 0, integral: bool = False) -> FlatVec:
         """Division remainder, with Fraction coefficients, of vec by
         reducers: a list of (lead, lc, vec) entries with int coefficients.
 
         mode "full": every term gets reduced; "top": stop at the first
         irreducible lead.  Terms below floor are no reduction candidates:
-        they pass through to the remainder untouched.
+        they pass through to the remainder untouched.  integral=True is
+        the integer exit: the remainder comes back in ints, scale times
+        the exact one, for a caller that makes it primitive anyway.
         The module docstring states the kernel's contract.
         """
         codec, h_step = self.codec, self.h_step
         guard, dmask, dtarget = codec.guard, codec.dmask, codec.dtarget
         heappop = heapq.heappop
-        # work holds scale * (the rational working vector) in ints
+        # work and remainder hold scale * (the rational vectors) in ints
         scale = 1
         for c in vec.values():
             scale = scale * c.denominator // gcd(scale, c.denominator)
@@ -428,27 +444,30 @@ class GBEngine:
             if m < floor:
                 # every term left lies below floor too: all pass through
                 for m2 in sorted(work, reverse=True):
-                    remainder[m2] = Fraction(work[m2], scale)
-                return remainder
+                    remainder[m2] = work[m2]
+                break
             for lg, lead, lc, rvec in divisors:
                 if (lg - m) & dmask == dtarget:  # lead divides m
                     break
             else:
                 del work[m]
-                remainder[m] = Fraction(c, scale)
+                remainder[m] = c
                 if mode == "top":
-                    for m2, c2 in work.items():
-                        remainder[m2] = Fraction(c2, scale)
-                    return remainder
+                    remainder.update(work)
+                    break
                 continue
             g = gcd(c, lc)
             f = lc // g
             if f != 1:
                 for k in work:
                     work[k] *= f
+                for k in remainder:
+                    remainder[k] *= f
                 scale *= f
             mono_mul_flat(codec, -(c // g), m - lead, rvec, h_step, work, heap)
-        return remainder
+        if integral:
+            return remainder
+        return {m: Fraction(c, scale) for m, c in remainder.items()}
 
     # Buchberger ---------------------------------------------------------
 
@@ -518,10 +537,12 @@ class GBEngine:
             self.spairs_reduced += 1
             s = mono_mul_flat(codec, lcj, l - li, vi, h_step, {})
             mono_mul_flat(codec, -lci, l - lj, vj, h_step, s)
-            r = self.reduce(s, entries, mode="top")
+            r = self.reduce(s, entries, mode="top", integral=True)
             if not r:
                 continue
-            entries.append(primitive_entry(r))
+            # reduce the tail too; the lead comes out first
+            r = self.reduce(r, entries, integral=True)
+            entries.append(_primitive(next(iter(r)), r))
             guarded.append(entries[-1][0] | guard)
             new = len(entries) - 1
             for k in range(new):
@@ -543,7 +564,7 @@ class GBEngine:
         for i, (lead, lc, vec) in enumerate(kept):
             if _tail_reducible(lead, vec, leads_at, codec):
                 others = out[:i] + out[i + 1:]
-                out[i] = primitive_entry(self.reduce(vec, others, mode="full"))
+                out[i] = _primitive(lead, self.reduce(vec, others, integral=True))
             else:
                 out[i] = (lead, lc, {m: vec[m] for m in sorted(vec, reverse=True)})
         return out

@@ -567,7 +567,9 @@ def _reference_reduce(n, key, h_step, vec, reducers, mode="full", pred=None):
 
 def _assert_same_division(engine, key, vec, reducers, mode="full", floor=0, pred=None):
     """engine.reduce on packed vec and reducers against the tuple
-    reference on their unpacked copies; pred is floor on tuples."""
+    reference on their unpacked copies; pred is floor on tuples.  The
+    integer exit must give the exact remainder times one positive int, its
+    scale, which is returned (None for a zero remainder)."""
     from fractions import Fraction
     codec = engine.codec
     tuple_reducers = [(codec.unpack(lead), lc, _unpack(codec, rvec))
@@ -582,6 +584,20 @@ def _assert_same_division(engine, key, vec, reducers, mode="full", floor=0, pred
     assert same_terms, "remainders differ"
     assert same_order, "remainder terms come out in another order"
     assert all(type(c) is Fraction for c in packed.values())
+    ints = engine.reduce(vec, reducers, mode, floor, integral=True)
+    assert type(ints) is dict and all(type(c) is int for c in ints.values())
+    if not packed:
+        assert ints == {}
+        return None
+    scale = Fraction(next(iter(ints.values()))) / next(iter(packed.values()))
+    assert scale.denominator == 1 and scale > 0
+    exact = [(m, c / scale) for m, c in ints.items()]
+    assert exact == list(packed.items()), "the integer exit is not scale * remainder"
+    return scale
+
+
+# seeded draws per test in which "full" rescales after emitting a term
+MIN_LATE_RESCALES = 5
 
 
 def _random_flat(rng, n, rank, homogeneous, codec, **kw):
@@ -595,12 +611,13 @@ def _check_random_divisions(seed, n, rank, order, h_step, count, floors):
     order is (codec, tuple key); position 0 is the codec's first block.
     Each division runs once per prefix in floors, floored at
     codec.weight_floor(*prefix), the reference passing every term whose
-    key starts below the prefix through."""
+    key starts below the prefix through.  Returns how many "full"
+    divisions rescaled after emitting a remainder term."""
     import derham.groebner as G
     codec, key = order
     rng = random.Random(seed)
     engine = G.GBEngine(codec, h_step=h_step)
-    divisions = 0
+    divisions = late_rescales = 0
     while divisions < count:
         reducers = [G.primitive_entry(r)
                     for r in (_random_flat(rng, n, rank, h_step, codec, max_deg=1)
@@ -608,31 +625,53 @@ def _check_random_divisions(seed, n, rank, order, h_step, count, floors):
         vec = _random_flat(rng, n, rank, h_step, codec, max_deg=3, max_terms=5)
         if not reducers or not vec:
             continue
-        for mode in ("full", "top"):
-            for prefix in floors:
-                _assert_same_division(engine, key, vec, reducers, mode,
-                                      codec.weight_floor(*prefix),
-                                      lambda m: key(m)[:len(prefix)] >= prefix)
-                divisions += 1
+        for prefix in floors:
+            scales = {mode: _assert_same_division(
+                engine, key, vec, reducers, mode, codec.weight_floor(*prefix),
+                lambda m: key(m)[:len(prefix)] >= prefix) for mode in ("full", "top")}
+            divisions += 2
+            # both modes agree up to the first remainder term, where "top"
+            # stops: a larger "full" scale is a rescale after that term
+            late_rescales += scales["full"] != scales["top"]
+    return late_rescales
 
 
 def test_reduce_matches_reference_v_order_homogenized():
+    late = 0
     for seed, n, rank in ((101, 1, 2), (102, 2, 1)):
         order = _v_order(n, (0, 1)[:rank], 1)
         # no floor, and the first block
-        _check_random_divisions(seed, n, rank, order, 2, 200, ((), (1,)))
+        late += _check_random_divisions(seed, n, rank, order, 2, 200, ((), (1,)))
+    # the integer exit must rescale the remainder terms already emitted
+    assert late >= MIN_LATE_RESCALES
 
 
 def test_reduce_matches_reference_v_order_plain():
     # not a well-order on D_n: every division is floored at a V-degree of
     # the first block, which holds position 0
+    late = 0
     for seed, n, rank in ((103, 1, 2), (104, 2, 1)):
         order = _v_order(n, (0, -1)[:rank], 1)
-        _check_random_divisions(seed, n, rank, order, 0, 200, ((1, 0), (1, -2)))
+        late += _check_random_divisions(seed, n, rank, order, 0, 200, ((1, 0), (1, -2)))
+    assert late >= MIN_LATE_RESCALES
 
 
 def test_reduce_matches_reference_block_elim():
-    _check_random_divisions(105, 2, 1, _block_elim(2, (0, 2)), 0, 200, ((),))
+    late = _check_random_divisions(105, 2, 1, _block_elim(2, (0, 2)), 0, 200, ((),))
+    assert late >= MIN_LATE_RESCALES
+
+
+def test_top_reduction_to_zero_is_an_empty_dict():
+    import derham.groebner as G
+    codec, _ = _v_order(1, (0,), 1)
+    engine = G.GBEngine(codec, h_step=2)
+    entry = G.primitive_entry({codec.pack(0, (1, 1), 0): Fraction(2),
+                               codec.pack(0, (0, 0), 2): Fraction(-3)})
+    q = codec.pack(0, (2, 0), 0) - codec.one
+    vec = G.mono_mul_flat(codec, Fraction(5, 7), q, entry[2], 2, {})
+    for integral in (False, True):
+        out = engine.reduce(vec, [entry], mode="top", integral=integral)
+        assert type(out) is dict and out == {}
 
 
 def test_weight_floor_splits_the_v_order_at_a_degree():
@@ -797,6 +836,87 @@ def test_interreduce_matches_all_pairs_reference():
                     reduced += 1
     # both branches ran: entries that pass through and entries that reduce
     assert passed >= 10 and reduced >= 10
+
+
+def _top_only_basis(engine, gens):
+    """Buchberger as it ran before new entries were tail-reduced, on a
+    fresh engine: every same-position pair, in order of lcm degree, the
+    chain criterion left out, each S-polynomial top-reduced only; then
+    all-pairs interreduction."""
+    import heapq
+    import derham.groebner as G
+    codec, h_step = engine.codec, engine.h_step
+    engine = G.GBEngine(codec, h_step)
+    entries = [G.primitive_entry(G.homogenize_flat(g, codec) if h_step else g)
+               for g in gens]
+    pending = []
+
+    def push(i, j):
+        li, lj = entries[i][0], entries[j][0]
+        if not (li ^ lj) & codec.pmax:
+            heapq.heappush(pending, (codec.lcm_degree(li, lj), i, j))
+
+    for j in range(len(entries)):
+        for i in range(j):
+            push(i, j)
+    while pending:
+        _, i, j = heapq.heappop(pending)
+        (li, lci, vi), (lj, lcj, vj) = entries[i], entries[j]
+        lcm = codec.lcm(li, lj)
+        s = G.mono_mul_flat(codec, lcj, lcm - li, vi, h_step, {})
+        G.mono_mul_flat(codec, -lci, lcm - lj, vj, h_step, s)
+        r = engine.reduce(s, entries, mode="top")
+        if r:
+            entries.append(G.primitive_entry(r))
+            for k in range(len(entries) - 1):
+                push(k, len(entries) - 1)
+    return _reference_interreduce(engine, entries)
+
+
+def _seeded_gens(rng, n, rank, codec, h_step, deg):
+    gens = [_random_flat(rng, n, rank, h_step, codec, max_deg=deg, max_terms=2)
+            for _ in range(3)]
+    return [g for g in gens if g]
+
+
+# (seed, n, rank, codec, h_step, degree of the generators)
+TAIL_CASES = (
+    (211, 1, 2, _v_order(1, (0, 1), 2)[0], 2, 2),
+    (212, 2, 1, _v_order(2, (0,), 1)[0], 2, 1),
+    (213, 2, 1, _block_elim(2, (0, 2))[0], 0, 1),
+)
+
+
+def test_buchberger_matches_the_top_only_loop():
+    import derham.groebner as G
+    for seed, n, rank, codec, h_step, deg in TAIL_CASES:
+        rng = random.Random(seed)
+        for _ in range(6):
+            gens = _seeded_gens(rng, n, rank, codec, h_step, deg)
+            if gens:
+                engine = G.GBEngine(codec, h_step=h_step)
+                _same_entries(engine.buchberger(gens), _top_only_basis(engine, gens))
+
+
+def test_new_buchberger_entries_have_reduced_tails():
+    # the gens enter as given; every entry Buchberger adds has no tail
+    # term divisible by the lead of an entry before it
+    import derham.groebner as G
+    checked = 0
+    for seed, n, rank, codec, h_step, deg in TAIL_CASES:
+        rng = random.Random(seed)
+        for _ in range(6):
+            gens = _seeded_gens(rng, n, rank, codec, h_step, deg)
+            raw = _unreduced_basis(G.GBEngine(codec, h_step=h_step), gens)
+            for k in range(len(gens), len(raw)):
+                lead, _, vec = raw[k]
+                tail = [codec.unpack(m) for m in vec if m != lead]
+                for earlier, _, _ in raw[:k]:
+                    divisor = codec.unpack(earlier)
+                    assert not any(_tuple_divides(divisor, m) for m in tail), \
+                        "a new entry keeps a reducible tail term"
+                checked += bool(tail)
+    assert checked >= 20
 
 
 def _saturate_from_scratch(solver):

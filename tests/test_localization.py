@@ -52,6 +52,23 @@ def test_localize_constant():
     assert same_ideal(rels, [WeylElement.d(0, 2), WeylElement.d(1, 2)], 2)
 
 
+def test_localize_groebner_work_is_pinned(monkeypatch):
+    # products of a monomial and a vector inside the Groebner engine for
+    # one localization (weyl_mul has its own binding of the kernel); any
+    # change in Buchberger's or the division's work moves this count
+    import derham.groebner as G
+    calls = []
+    kernel = G.mono_mul_flat
+
+    def spy(*args):
+        calls.append(None)
+        return kernel(*args)
+
+    monkeypatch.setattr(G, "mono_mul_flat", spy)
+    localize(parse_polynomial("y^3 - x^5", 2, ("x", "y")))
+    assert len(calls) == 1218
+
+
 def test_localize_rejects_zero():
     with pytest.raises(InvalidInputError):
         localize(WeylElement.zero(1))
