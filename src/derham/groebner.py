@@ -57,15 +57,30 @@ All division runs through one kernel, GBEngine.reduce:
   Buchberger and _interreduce take the integer exit: they make the int
   remainder primitive, its first key the lead, and build no Fraction.
 
-Buchberger saves work in three places without changing its output,
-because the tail of a reduced basis entry is unique.  Take an entry g of a
-Groebner basis and two remainders of g modulo the other entries, scaled to
-one lead coefficient.  Their difference lies in the module and has no term
-divisible by another lead, so if it were nonzero its lead would be
-divisible by lead(g).  For h_step=2 every vector is homogeneous, so that
-term would have the degree of lead(g) and equal it; for h_step=0 the order
-is a term order, so that term would be at least lead(g).  But its terms
-are tail terms, below lead(g).  So the reduced basis is unique too, and:
+Buchberger saves work in four places without changing its output.  The
+first is the S-pair update of Gebauer and Moeller (JSC 6, 1988).  A new
+entry k drops each pending pair (i, j) whose lcm lead(k) divides and
+differs from both lcm(i, k) and lcm(j, k) (B_k).  Of the new pairs (i, k)
+at k's position it keeps one per lcm, the lowest i (F), and none whose lcm
+another new lcm divides properly (M).  Each drop is the chain criterion:
+S(i, j) needs no reduction if lead(k) divides lcm(i, j) and S(i, k) and
+S(j, k) are treated.  That holds in the (homogenized) Weyl algebra as in
+a polynomial ring, because lead monomials are multiplicative there:
+lead(m g) is m lead(g) up to a coefficient.  The product criterion does
+not: it fails for modules, and for ideals it needs the two operators to
+commute.  A pending pair lives in a dict, (i, j) to its lcm key
+(codec.lcm_key), and in a heap by lcm degree with FIFO ties; only a
+popped pair still in the dict is reduced.
+
+The other three hold because the tail of a reduced basis entry is unique.
+Take an entry g of a Groebner basis and two remainders of g modulo the
+other entries, scaled to one lead coefficient.  Their difference lies in
+the module and has no term divisible by another lead, so if it were
+nonzero its lead would be divisible by lead(g).  For h_step=2 every
+vector is homogeneous, so that term would have the degree of lead(g) and
+equal it; for h_step=0 the order is a term order, so that term would be
+at least lead(g).  But its terms are tail terms, below lead(g).  So the
+reduced basis is unique too, and:
 
 - A new entry is reduced in full against the entries before it, so later
   steps do not multiply its reducible tail again.  Its lead, and so the
@@ -86,9 +101,10 @@ are tail terms, below lead(g).  So the reduced basis is unique too, and:
   so lead(h^c g) = h^c lead(g), and a standard representation of an
   S-pair of two unchanged entries with respect to the old basis is one
   with respect to the stripped list.  Buchberger is told which entries
-  changed, forms only the pairs that touch one of them, and counts every
-  other pair as treated for the chain criterion.  The round returns the
-  reduced basis, which a restart from scratch returns too.
+  changed and updates with each changed entry in ascending order, against
+  the unchanged ones and the changed ones before it; it never forms a pair
+  of two unchanged entries.  The round returns the reduced basis, which a
+  restart from scratch returns too.
 """
 
 from __future__ import annotations
@@ -356,7 +372,8 @@ def dehomogenize_flat(vec: FlatVec, codec: MonomialCodec) -> FlatVec:
 def _minimalize_entries(entries: list, codec: MonomialCodec) -> list:
     """Drop entries whose lead is properly divisible by another lead, and
     all but the first copy of a duplicated lead.  Preserves the basis
-    property; used after dehomogenizing."""
+    property; used after dehomogenizing, and by Buchberger's criteria F
+    and M on (lcm key, k, None) candidates."""
     first = {}
     for i, (lead, _, _) in enumerate(entries):
         first.setdefault(lead, i)
@@ -405,8 +422,8 @@ class GBEngine:
         self.codec = codec
         self.n = codec.n
         self.h_step = h_step
-        # S-pairs that went through reduce, and those the chain criterion
-        # skipped, over every buchberger call of this engine
+        # S-pairs that went through reduce, and those skipped: dropped by
+        # M, F or B_k (module docstring), over every buchberger call
         self.spairs_reduced = 0
         self.spairs_skipped = 0
 
@@ -483,58 +500,46 @@ class GBEngine:
         """
         codec, h_step = self.codec, self.h_step
         guard, dmask, dtarget, pmax = codec.guard, codec.dmask, codec.dtarget, codec.pmax
-        lcm, lcm_degree = codec.lcm, codec.lcm_degree
+        lcm_key, degree = codec.lcm_key, codec.degree
         entries = []  # (lead, lc, vec)
         for g in gens:
             if h_step:
                 g = homogenize_flat(g, codec)
             if g:
                 entries.append(primitive_entry(g))
-        guarded = [lead | guard for lead, _, _ in entries]
+        pairs = {}  # pending (i, j) -> lcm key; the heap holds (degree, counter, i, j)
+        heap, counter = [], count()
 
-        pending = []
-        in_queue = set()
-        counter = 0
+        def update(new, olds):
+            # B_k drops pending pairs, F and M the new ones (module docstring)
+            lead = entries[new][0]
+            cand = {k: lcm_key(entries[k][0], lead) for k in olds
+                    if not (entries[k][0] ^ lead) & pmax}
+            if not cand:
+                return  # no pair, pending or new, at the position of lead
+            lg = lead | guard
+            drop = [p for p, key in pairs.items() if (lg - key) & dmask == dtarget
+                    and key != cand[p[0]] and key != cand[p[1]]]
+            for p in drop:
+                del pairs[p]
+            kept = _minimalize_entries([(key, k, None) for k, key in cand.items()], codec)
+            for key, k, _ in kept:
+                pairs[k, new] = key
+                heapq.heappush(heap, (degree(key), next(counter), k, new))
+            self.spairs_skipped += len(drop) + len(cand) - len(kept)
 
-        def push(i, j):
-            nonlocal counter
-            li, lj = entries[i][0], entries[j][0]
-            if (li ^ lj) & pmax:
-                return  # different positions
-            heapq.heappush(pending, (lcm_degree(li, lj), counter, i, j))
-            in_queue.add((i, j))
-            counter += 1
+        changed = range(len(entries)) if changed is None else changed
+        for new in sorted(changed):
+            update(new, [k for k in range(len(entries)) if k < new or k not in changed])
 
-        treated = set()
-        for i in range(len(entries)):
-            for j in range(i + 1, len(entries)):
-                if changed is None or i in changed or j in changed:
-                    push(i, j)
-                else:
-                    treated.add((i, j))  # a standard representation exists
-
-        while pending:
-            _, _, i, j = heapq.heappop(pending)
-            in_queue.discard((i, j))
-            treated.add((i, j))
+        while heap:
+            _, _, i, j = heapq.heappop(heap)
+            if pairs.pop((i, j), None) is None:
+                continue  # dropped by B_k
+            self.spairs_reduced += 1
             li, lci, vi = entries[i]
             lj, lcj, vj = entries[j]
-            l = lcm(li, lj)
-            # chain criterion
-            skip = False
-            for k, lg in enumerate(guarded):
-                if k == i or k == j or (lg - l) & dmask != dtarget:
-                    continue
-                pik = (min(i, k), max(i, k))
-                pjk = (min(j, k), max(j, k))
-                if pik not in in_queue and pjk not in in_queue and \
-                        pik in treated and pjk in treated:
-                    skip = True
-                    break
-            if skip:
-                self.spairs_skipped += 1
-                continue
-            self.spairs_reduced += 1
+            l = codec.lcm(li, lj)
             s = mono_mul_flat(codec, lcj, l - li, vi, h_step, {})
             mono_mul_flat(codec, -lci, l - lj, vj, h_step, s)
             r = self.reduce(s, entries, mode="top", integral=True)
@@ -543,10 +548,7 @@ class GBEngine:
             # reduce the tail too; the lead comes out first
             r = self.reduce(r, entries, integral=True)
             entries.append(_primitive(next(iter(r)), r))
-            guarded.append(entries[-1][0] | guard)
-            new = len(entries) - 1
-            for k in range(new):
-                push(k, new)
+            update(len(entries) - 1, range(len(entries) - 1))
 
         return self._interreduce(entries)
 
@@ -780,7 +782,8 @@ class SolverCache:
     solver the caller would have built.  Callers create one cache per call
     and drop it when the call returns; `builds` and `hits` count what it
     did, `spairs_reduced` and `spairs_skipped` sum the S-pair counts of the
-    solvers it built.
+    solvers it built; a skipped pair is one that Buchberger's criteria M, F
+    or B_k dropped.
     """
 
     __slots__ = ("spec", "builds", "hits", "spairs_reduced", "spairs_skipped",

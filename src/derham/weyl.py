@@ -192,9 +192,11 @@ class MonomialCodec:
         take_b = g - (g >> self._width)  # value bits of the fields where a >= b
         return (b & take_b) | (a & (self._eh_values ^ take_b))
 
-    def lcm_degree(self, a: int, b: int) -> int:
-        """degree(lcm(a, b)), without packing the lcm's weights."""
-        return self._sum(self._eh_values & ~self._lcm_fields(a, b))
+    def lcm_key(self, a: int, b: int) -> int:
+        """lcm(a, b) of two monomials at one position without its weight
+        fields, which are costly to pack: the divisibility test, equality
+        and degree() work on it unchanged."""
+        return self._lcm_fields(a, b) | (a & self.pmax)
 
     def lcm(self, a: int, b: int) -> int:
         """Least common multiple of two monomials at one position."""

@@ -411,7 +411,19 @@ def test_packed_divides_lcm_and_degree_match_tuples():
                 if a[0] == b[0]:
                     want = (a[0], tuple(map(max, a[1], b[1])), max(a[2], b[2]))
                     assert codec.lcm(pa, pb) == codec.pack(*want)
-                    assert codec.lcm_degree(pa, pb) == sum(want[1]) + want[2]
+                    # the lcm key: same degree, divisors and equalities
+                    key = codec.lcm_key(pa, pb)
+                    assert codec.degree(key) == sum(want[1]) + want[2]
+                    assert codec.divides(pa, key) and codec.divides(pb, key)
+                    c = _random_mono(rng, n, positions, max_exp=3, max_h=3)
+                    pc = codec.pack(*c)
+                    assert codec.divides(pc, key) == _tuple_divides(c, want)
+                    if c[0] == a[0]:
+                        other = codec.lcm_key(pa, pc)
+                        assert codec.divides(other, key) == \
+                            _tuple_divides((c[0], tuple(map(max, a[1], c[1])),
+                                            max(a[2], c[2])), want)
+                        assert (other == key) == (codec.lcm(pa, pc) == codec.lcm(pa, pb))
     assert divisible >= 20
 
 
@@ -854,7 +866,7 @@ def _top_only_basis(engine, gens):
     def push(i, j):
         li, lj = entries[i][0], entries[j][0]
         if not (li ^ lj) & codec.pmax:
-            heapq.heappush(pending, (codec.lcm_degree(li, lj), i, j))
+            heapq.heappush(pending, (codec.degree(codec.lcm_key(li, lj)), i, j))
 
     for j in range(len(entries)):
         for i in range(j):
@@ -896,6 +908,100 @@ def test_buchberger_matches_the_top_only_loop():
             if gens:
                 engine = G.GBEngine(codec, h_step=h_step)
                 _same_entries(engine.buchberger(gens), _top_only_basis(engine, gens))
+
+
+# leads x1*x2, x2*x3, x1*x3: the three lcms are all x1*x2*x3, so the third
+# lead divides the lcm of the first pair.  B_k must keep that pair, as its
+# lcm equals those of the new pairs, of which F keeps the first.  A B_k that
+# drops it reduces only S(g0, g2), which is zero, and never
+# S(g0, g1) = x2*x3 - x1*d1, which is no combination of the gens
+TRIANGLE = ("x1*x2 + x2", "x2*x3 + d1", "x1*x3 + x3")
+# the triangle at both positions, with a tail at position 0 in the second
+TRIANGLE_MODULE = tuple((t, "0") for t in TRIANGLE) + tuple(("x1", t) for t in TRIANGLE)
+
+
+# every monomial of degree 2 in x1, x2, x3: its own reduced basis
+QUADRICS = ("x1^2", "x1*x2", "x1*x3", "x2^2", "x2*x3", "x3^2")
+
+
+def _flats_in_d3(rows, h_step):
+    """The rows over D_3 and a codec for them: a V-order for h_step = 2, a
+    degree order for h_step = 0."""
+    import derham.groebner as G
+    rank = len(rows[0])
+    codec = _v_order(3, (0,) * rank, rank)[0] if h_step else \
+        G.MonomialCodec(3, rank, 4, (("degree", (1,) * 6, (0,) * rank),))
+    return [G.me_to_flat(me(3, *r), codec) for r in rows], codec
+
+
+@pytest.mark.parametrize("h_step", [0, 2])
+def test_buchberger_criteria_keep_the_triangle(h_step):
+    import derham.groebner as G
+    for rows in ([(t,) for t in TRIANGLE], TRIANGLE_MODULE):
+        gens, codec = _flats_in_d3(rows, h_step)
+        engine = G.GBEngine(codec, h_step=h_step)
+        _same_entries(engine.buchberger(gens), _top_only_basis(engine, gens))
+        assert engine.spairs_skipped > 0
+
+
+def _nonzero_flats(rng, count, n, rank, h_step, codec, deg):
+    gens = []
+    while len(gens) < count:
+        g = _random_flat(rng, n, rank, h_step, codec, max_deg=deg, max_terms=2)
+        if g:
+            gens.append(g)
+    return gens
+
+
+@pytest.mark.parametrize("h_step", [0, 2])
+def test_buchberger_criteria_match_the_loop_without_them(h_step):
+    # four and five generators, so that M, F and B_k get pairs to drop
+    import derham.groebner as G
+    cases = ((221, 1, 2, _v_order(1, (0, 1), 2)[0], 2),
+             (222, 2, 1, _v_order(2, (0,), 1)[0], 1)) if h_step else \
+        ((223, 2, 1, _block_elim(2, (0, 2))[0], 1),
+         (224, 1, 2, G.MonomialCodec(1, 2, 4, (("degree", (1, 1), (0, 0)),)), 2))
+    skipped = 0
+    for seed, n, rank, codec, deg in cases:
+        rng = random.Random(seed)
+        for count in (4, 5) * 3:
+            gens = _nonzero_flats(rng, count, n, rank, h_step, codec, deg)
+            engine = G.GBEngine(codec, h_step=h_step)
+            _same_entries(engine.buchberger(gens), _top_only_basis(engine, gens))
+            skipped += engine.spairs_skipped > 0
+    assert skipped >= 8
+
+
+def _same_position_pairs(codec, entries):
+    positions = [lead & codec.pmax for lead, _, _ in entries]
+    return sum(a == b for i, a in enumerate(positions) for b in positions[i + 1:])
+
+
+@pytest.mark.parametrize("h_step", [0, 2])
+def test_buchberger_treats_or_skips_every_pair_once(h_step):
+    # on a reduced basis no S-pair adds an entry, so every same-position
+    # pair is formed once and either reduced or skipped; changed=() forms none
+    import derham.groebner as G
+    inputs = [_flats_in_d3(rows, h_step) for rows in
+              ([(t,) for t in TRIANGLE], TRIANGLE_MODULE, [(q,) for q in QUADRICS])]
+    if h_step:
+        codec = _v_order(2, (0, 1), 2)[0]
+        rng = random.Random(225)
+        inputs += [(_nonzero_flats(rng, 4, 2, 2, h_step, codec, 1), codec)
+                   for _ in range(3)]
+    skipped = 0
+    for gens, codec in inputs:
+        basis = G.GBEngine(codec, h_step=h_step).buchberger(gens)
+        vecs = [vec for _, _, vec in basis]
+        engine = G.GBEngine(codec, h_step=h_step)
+        _same_entries(engine.buchberger(vecs), basis)
+        assert engine.spairs_reduced + engine.spairs_skipped == \
+            _same_position_pairs(codec, basis)
+        untouched = G.GBEngine(codec, h_step=h_step)
+        _same_entries(untouched.buchberger(vecs, changed=()), basis)
+        assert untouched.spairs_reduced == untouched.spairs_skipped == 0
+        skipped += engine.spairs_skipped > 0
+    assert skipped, "no criterion dropped a pair"
 
 
 def test_new_buchberger_entries_have_reduced_tails():
