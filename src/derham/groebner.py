@@ -666,19 +666,14 @@ class SubmoduleSolver:
 
     # -- derived data ---------------------------------------------------
 
-    def basis_with_cofactors(self):
-        """[(basis element over rank, cofactor vector over gens)] pairs."""
-        codec, floor, out = self.codec, self.floor, []
-        for _, _, vec in self._deh_entries:
-            main = {m: c for m, c in vec.items() if m >= floor}
-            cof = {m: c for m, c in vec.items() if m < floor}
-            out.append((flat_to_me(main, codec, self.rank),
-                        flat_to_me(cof, codec, len(self.gens), self.rank)))
-        return out
-
     @property
     def basis(self):
-        return [b for b, _ in self.basis_with_cofactors()]
+        """The reduced V-adapted basis of <gens>: the main parts of the
+        main-block entries."""
+        floor = self.floor
+        return [flat_to_me({m: c for m, c in vec.items() if m >= floor},
+                           self.codec, self.rank)
+                for _, _, vec in self._deh_entries]
 
     @property
     def syzygy_basis(self):

@@ -4,9 +4,11 @@ The construction runs in two phases.  Phase one walks the complex from the
 top degree down, rewriting each C^i over the direct sum of covers of the
 boundary, homology and next-boundary modules and choosing shift vectors so
 that the short exact sequences of relation submodules become V-strict.
-Both quotient maps of a spot are identities on generators, so a lift is
-the cofactor of a unit vector, and each spot ends as one record that phase
-two reads.  Phase two walks back up, building compatible free covers level
+Both quotient maps of a spot, Z~ -> H and C^i -> B_next, are identities
+on generators, so each generator lifts to its own unit vector and no
+solver is needed to lift it; one solver gives both the H-basis and the
+pairs of its entries, and each spot ends as one record that phase two
+reads.  Phase two walks back up, building compatible free covers level
 by level with the horseshoe lemma (Weibel, An Introduction to Homological
 Algebra, Lemma 2.2.8): each level's cover of the cycle column is (B-cover)
 + (H-cover) and the full column is that plus the next boundary cover.
@@ -414,13 +416,17 @@ def _phase_one(c: ChainComplexPres, solvers: SolverCache):
     boundary inside it, H = Z~/B and B_next = C^i/Z~, so 0 -> B -> Z~ ->
     H -> 0 and 0 -> Z~ -> C^i -> B_next -> 0 are the spot's two short exact
     sequences.  Z~ -> H and C^i -> B_next are identities on generators, so
-    a lift of a generator is the cofactor of a unit vector over the units
-    and the relations.  Z~ is rewritten over P_B + P_H and C^i over P_B +
-    P_H + P_Bnext.  The shifts follow a four-step recipe: bound the
-    H-shifts against a basis of the B_next-relations through paired lifts,
-    then bound the B-shifts against bases of both the H-relations and the
+    each generator lifts to its own unit vector: Z~ is rewritten over P_B +
+    P_H by the boundary rows and the units, and C^i over P_B + P_H +
+    P_Bnext by their images, the cycle generators, followed by the first
+    rank_bn units of D^rank.  A relation r of H or B_next then lifts to r
+    itself.  The shifts follow a four-step recipe: bound the H-shifts
+    against a basis of the B_next-relations through paired lifts, then
+    bound the B-shifts against bases of both the H-relations and the
     B_next-relations.  The B_next-shift is the B-shift of the spot above.
-    The paired lifts of the two bases are phase two's lifts at level one.
+    One solver over the boundary rows and the cycle relations, under the
+    H-shift, gives the H-basis and its pairs.  The paired lifts of the two
+    bases are phase two's lifts at level one.
     """
     n = c.n
     ztilde = {k: cycle_generators(c, k, solvers) for k in c.degrees()}
@@ -446,26 +452,16 @@ def _phase_one(c: ChainComplexPres, solvers: SolverCache):
         rows_bz = _cofactor_heads(zsolver, rows_b, p, "boundary row is not a cycle")
         rels_h = rels_z + [r for r in rows_bz if not r.is_zero()]
 
-        # lift the H-generators through Z~ -> H; P_B + P_H covers Z~
-        units_h = [ModuleElement.unit(n, p, j) for j in range(p)]
-        lift_h = _cofactor_heads(solvers.get(p, units_h + rels_h) if p else None,
-                                 units_h, p, "lifting a generator through Z~ -> H")
-        rows_qz = rows_bz + lift_h
-
-        # lift the B_next-generators through C^i -> B_next; P_B + P_H +
-        # P_Bnext covers C^i
-        units_bn = [ModuleElement.unit(n, rank_bn, j) for j in range(rank_bn)]
-        lift_bn = _cofactor_heads(
-            solvers.get(rank_bn, units_bn + rels_bn) if rank_bn else None,
-            units_bn, rank, "lifting a generator through C -> B_next")
+        # each H- and B_next-generator lifts to its own unit vector: P_B + P_H
+        # covers Z~ by rows_bz and the units, and P_B + P_H + P_Bnext covers
+        # C^i by their images and the first rank_bn units of D^rank
         into_c = OperatorMatrix(n, rank, zgens)
-        qz_in_c = [into_c.apply(r) for r in rows_qz]
-        realization = qz_in_c + lift_bn
+        qz_in_c = [into_c.apply(r) for r in rows_bz] + zgens
+        realization = qz_in_c + [ModuleElement.unit(n, rank, j) for j in range(rank_bn)]
 
         # step 1: basis of the B_next-relations and paired lifts (b', h')
         basis_bn = solvers.basis(rank_bn, rels_bn, shift_bn)
-        lift = OperatorMatrix(n, rank, lift_bn)
-        targets = [-lift.apply(r) for r in basis_bn]
+        targets = [-r for r in basis_bn]
         solver = solvers.get(rank, qz_in_c + rels_c, shift_c) \
             if any(not t.is_zero() for t in targets) else None
         pairs_bn = list(zip(basis_bn, _cofactor_heads(
@@ -476,14 +472,13 @@ def _phase_one(c: ChainComplexPres, solvers: SolverCache):
         shift_h = _bound_shifts(p, [(w.components[rank_b:], r.v_degree(shift_bn))
                                     for r, w in pairs_bn])
 
-        # step 3: basis of the H-relations and paired lifts b
-        basis_h = solvers.basis(p, rels_h, shift_h)
-        lift = OperatorMatrix(n, p, lift_h)
-        targets = [-lift.apply(r) for r in basis_h]
-        solver = solvers.get(p, rows_bz + rels_z, (0,) * p) \
-            if any(not t.is_zero() for t in targets) else None
+        # step 3: basis of the H-relations and paired lifts b, from one
+        # solver: its generators start with the boundary rows
+        solver = solvers.get(p, rows_bz + rels_z, shift_h) if p and rels_h else None
+        basis_h = solver.basis if solver is not None else []
         pairs_h = list(zip(basis_h, _cofactor_heads(
-            solver, targets, rank_b, "pairing an H-relation into the Z~ kernel")))
+            solver, [-r for r in basis_h], rank_b,
+            "pairing an H-relation into the Z~ kernel")))
 
         # step 4: B-shifts from both families
         constraints = [(w.components[:rank_b], r.v_degree(shift_bn))

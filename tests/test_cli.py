@@ -306,8 +306,8 @@ def test_debug_logging_reports_spair_counts():
     assert bare.returncode == debug.returncode == 0
     lines = [line for line in debug.stderr.splitlines() if "S-pairs" in line]
     assert lines == [
-        "derham.strictify DEBUG strictify: 64 S-pairs reduced, "
-        "26 skipped by the chain criterion",
+        "derham.strictify DEBUG strictify: 30 S-pairs reduced, "
+        "13 skipped by the chain criterion",
         "derham.restriction DEBUG b-function: 2 S-pairs reduced, "
         "0 skipped by the chain criterion"]
     assert "S-pairs" not in bare.stderr

@@ -46,7 +46,8 @@ def test_empty_input():
 def test_cofactors_multiply_out():
     gens = [me(1, "x1"), me(1, "d1")]
     solver = SubmoduleSolver(SPEC1, 1, gens)
-    for elem, cof in solver.basis_with_cofactors():
+    for elem in solver.basis:
+        cof = solver.cofactor(elem)
         acc = ModuleElement.zero(1, 1)
         for ci, gi in zip(cof.components, gens):
             acc = acc + gi.left_mul(ci)

@@ -14,7 +14,7 @@ from derham import (ChainComplexPres, DModPresentation, FiltrationSpec,
                     strictify_complex, verify_strict_ses, verify_v_strict)
 from derham import pipeline
 from derham.groebner import SolverCache
-from derham.presentations import _heads
+from derham.presentations import _heads, cycle_generators
 from derham.strictify import (QuotientSES, ResolutionStep, _phase_one,
                               free_cover_ses)
 
@@ -29,11 +29,11 @@ PINNED_STRICT = [
     (["x", "y"], ["x*y"],
      "ff6c0ab739037bf3231f0e2d426932255e6238e7ba59458505039bbb1ed7281b"),
     (["x", "y"], ["x", "y"],
-     "86cac5fce27070a1021ce632204d9875a58c4f726b8057b1aa18391ad1c78f87"),
+     "a8dff6baf7873005e40ab0c439a0d0180b6fa75bcc399a84032a0d96a72a1f94"),
     (["x", "y"], ["x*y*(x + y)"],
      "6f8ec9320880df741652fc532731ddb1703d1bf3382283c31953ebfca8e7034a"),
     (["x", "y", "z"], ["x", "y", "z"],
-     "6c3b0e82675a6b5c28d129ad24b06693c2f23d60323cc94bea9d27f3f130955c"),
+     "2eb8df0d58913f6837dc42275684d7717ca3c2e76265708fa05615df7cc3bcbc"),
 ]
 
 # sha256 of the JSON of minimize_complex on the total complexes above
@@ -130,6 +130,22 @@ def test_strictify_ses_passes_checker():
             assert verify_strict_ses(seq2), (polys, i)
             spots += 1
     assert spots == 8
+
+
+def test_phase_one_lifts_generators_to_unit_vectors():
+    # Z~ -> H and C^i -> B_next are identities on generators: each P_H
+    # generator is realized by its own cycle generator, and each P_Bnext
+    # generator by its own unit vector of C^i
+    for names, polys, _ in PINNED_STRICT:
+        c = fourier_mv(names, polys)
+        solvers = SolverCache(FiltrationSpec(c.n))
+        for i, sp in _phase_one(c, solvers).items():
+            rank_b, rank_h, rank_bn = sp.ranks
+            rank = c.module(i).rank
+            assert sp.realization[rank_b:rank_b + rank_h] == \
+                cycle_generators(c, i, solvers), (polys, i)
+            assert sp.realization[rank_b + rank_h:] == \
+                [ModuleElement.unit(c.n, rank, j) for j in range(rank_bn)], (polys, i)
 
 
 def test_raised_boundary_shift_fails_the_ses_check():
@@ -419,14 +435,14 @@ def test_stages_log_their_cache_counts(caplog):
     compute_derham(ProblemSpec(["x", "y"], ["x", "y"]))
     lines = {r.name: r.getMessage() for r in caplog.records
              if "solver builds" in r.getMessage()}
-    assert lines == {"derham.strictify": "strictify: 17 solver builds, 3 cache hits",
+    assert lines == {"derham.strictify": "strictify: 11 solver builds, 4 cache hits",
                      "derham.restriction": "b-function: 2 solver builds, 1 cache hits"}
 
 
 # (solver builds, cache hits, S-pairs reduced, S-pairs skipped by the chain
 # criterion) of strictify_complex on each PINNED_STRICT input
-PINNED_WORK = [(3, 2, 2, 0), (4, 2, 7, 2), (17, 3, 64, 26), (4, 2, 12, 9),
-               (32, 6, 478, 163)]
+PINNED_WORK = [(2, 1, 1, 0), (3, 1, 4, 1), (11, 4, 30, 13), (3, 1, 7, 5),
+               (24, 7, 317, 143)]
 
 
 @pytest.mark.parametrize("names,polys,work",
