@@ -812,12 +812,6 @@ class SolverCache:
             self.hits += 1
         return solver
 
-    def basis(self, rank: int, gens: Sequence[ModuleElement], shift):
-        """V-adapted basis of <gens> under `shift`; [] for no generators."""
-        if rank == 0 or not gens:
-            return []
-        return self.get(rank, gens, shift).basis
-
     def syzygies(self, rank: int, rows: Sequence[ModuleElement], ambient_shift,
                  cofactor_shift=None):
         """V-adapted basis of the syzygies of `rows`; [] for no rows."""

@@ -165,8 +165,9 @@ def cycle_generators(c: ChainComplexPres, k: int, solvers: SolverCache):
     """Generators of the preimage in the cover of ker(C^k -> C^k+1).
 
     These are vectors v in D^rank(k) with v . d_k inside the relations of
-    C^k+1; they include the relations of C^k.  The solver comes from
-    `solvers`.
+    C^k+1; they include the relations of C^k when d_k is defined on C^k,
+    which strictify's phase one relies on and checks.  The solver comes
+    from `solvers`.
     """
     mod = c.module(k)
     dmat = c.differential(k)

@@ -5,10 +5,11 @@ top degree down, rewriting each C^i over the direct sum of covers of the
 boundary, homology and next-boundary modules and choosing shift vectors so
 that the short exact sequences of relation submodules become V-strict.
 Both quotient maps of a spot, Z~ -> H and C^i -> B_next, are identities
-on generators, so each generator lifts to its own unit vector and no
-solver is needed to lift it; one solver gives both the H-basis and the
-pairs of its entries, and each spot ends as one record that phase two
-reads.  Phase two walks back up, building compatible free covers level
+on generators, so each generator lifts to its own unit vector.  One
+solver over the cycle generators does for the cycle module Z~, as the
+relations of C^i lie in Z~ and the B_next-relations are Z~ itself; one
+more gives the H-basis and its pairs.  Each spot ends as one record that
+phase two reads.  Phase two walks back up, building compatible free covers level
 by level with the horseshoe lemma (Weibel, An Introduction to Homological
 Algebra, Lemma 2.2.8): each level's cover of the cycle column is (B-cover)
 + (H-cover) and the full column is that plus the next boundary cover.
@@ -32,7 +33,8 @@ generators, so a basis, a syzygy module and a cofactor query over the
 same generating list share one Groebner computation; the same submodule
 under another generator order or cofactor shift is solved again.  Each
 loop asks its solver for every target, and a loop whose targets are all
-zero asks for none.  Phase two takes the boundary, homology and
+zero asks for none.  Phase one builds at most three solvers per spot,
+each over another submodule.  Phase two takes the boundary, homology and
 next-boundary bases of each spot, and their lifts, from phase one.  Its
 only fresh builds are the syzygies of each Q-basis and the witness solver
 over each Z-cover; the witness solver over a boundary cover is the one
@@ -184,8 +186,9 @@ def free_cover_ses(cover_a: ResolutionStep, lifts, shift_b, basis_c, shift_c,
     b_rows = [_embed(r, rank_b, 0, n) for r in cover_a.rows] + lifts
     cover_b = ResolutionStep(cover_a.shift + c_shift, b_rows, None)
 
-    combine = OperatorMatrix(n, rank_b, lifts)
-    targets = [ModuleElement(n, combine.apply(s).components[:a]) for s in kernel_c]
+    # products act componentwise, so only the A-parts of the lifts matter
+    combine = OperatorMatrix(n, a, [ModuleElement(n, v.components[:a]) for v in lifts])
+    targets = [combine.apply(s) for s in kernel_c]
     solver = solvers.get(a, cover_a.rows, shift_b[:a], cover_a.shift) \
         if cover_a.rows and any(not t.is_zero() for t in targets) else None
     next_lifts = []
@@ -420,13 +423,15 @@ def _phase_one(c: ChainComplexPres, solvers: SolverCache):
     P_H by the boundary rows and the units, and C^i over P_B + P_H +
     P_Bnext by their images, the cycle generators, followed by the first
     rank_bn units of D^rank.  A relation r of H or B_next then lifts to r
-    itself.  The shifts follow a four-step recipe: bound the H-shifts
-    against a basis of the B_next-relations through paired lifts, then
-    bound the B-shifts against bases of both the H-relations and the
-    B_next-relations.  The B_next-shift is the B-shift of the spot above.
-    One solver over the boundary rows and the cycle relations, under the
-    H-shift, gives the H-basis and its pairs.  The paired lifts of the two
-    bases are phase two's lifts at level one.
+    itself.  One solver over zgens alone, under the B_next-shift (the
+    C^i-shift at the top spot), solves all of Z~: the relations of C^i lie
+    in Z~, so the cycle relations are its syzygies and the cofactors of
+    rels_c, and the B_next-relations are Z~ itself, so its basis is the
+    B_next-basis, each entry r paired with (0 | h' | r) for h' the
+    cofactor of -r.  Then bound the H-shifts by those pairs, take the
+    H-basis and its pairs from one solver under the H-shift, and bound the
+    B-shifts by the H-pairs; the B_next-shift is the B-shift of the spot
+    above.  The paired lifts are phase two's lifts at level one.
     """
     n = c.n
     ztilde = {k: cycle_generators(c, k, solvers) for k in c.degrees()}
@@ -440,15 +445,16 @@ def _phase_one(c: ChainComplexPres, solvers: SolverCache):
         prev = c.differential(i - 1)
         rank_b = prev.source_rank if prev is not None else 0
         rank_bn = rank if i < c.hi else 0
-        rels_bn = zgens if rank_bn else []
 
-        # presentation of the cycles on zgens, and the boundary map into it,
-        # both from one solver over the cycle generators
-        gens_z = zgens + rels_c
+        # one solver over the cycle generators: the cycle relations are its
+        # syzygies and its cofactors of rels_c, and rows_bz its cofactors of
+        # the boundary rows
         rows_b = list(prev.rows) if prev is not None else []
-        zsolver = solvers.get(rank, gens_z, shift_c) \
-            if gens_z or any(not r.is_zero() for r in rows_b) else None
-        rels_z = _heads(zsolver.syzygy_basis, p) if zsolver is not None else []
+        zsolver = solvers.get(rank, zgens, shift_bn if rank_bn else shift_c) \
+            if zgens or any(not r.is_zero() for r in rels_c + rows_b) else None
+        syz = zsolver.syzygy_basis if zsolver is not None else []
+        rels_z = _heads(syz + _cofactor_heads(zsolver, rels_c, p,
+                                              "relation is not a cycle"), p)
         rows_bz = _cofactor_heads(zsolver, rows_b, p, "boundary row is not a cycle")
         rels_h = rels_z + [r for r in rows_bz if not r.is_zero()]
 
@@ -456,20 +462,18 @@ def _phase_one(c: ChainComplexPres, solvers: SolverCache):
         # covers Z~ by rows_bz and the units, and P_B + P_H + P_Bnext covers
         # C^i by their images and the first rank_bn units of D^rank
         into_c = OperatorMatrix(n, rank, zgens)
-        qz_in_c = [into_c.apply(r) for r in rows_bz] + zgens
-        realization = qz_in_c + [ModuleElement.unit(n, rank, j) for j in range(rank_bn)]
+        realization = [into_c.apply(r) for r in rows_bz] + zgens + \
+            [ModuleElement.unit(n, rank, j) for j in range(rank_bn)]
 
-        # step 1: basis of the B_next-relations and paired lifts (b', h')
-        basis_bn = solvers.basis(rank_bn, rels_bn, shift_bn)
-        targets = [-r for r in basis_bn]
-        solver = solvers.get(rank, qz_in_c + rels_c, shift_c) \
-            if any(not t.is_zero() for t in targets) else None
+        # step 1: the B_next-relations are Z~ itself, so their basis is the
+        # solver's own, and each entry r pairs with its cofactor h' over zgens
+        basis_bn = zsolver.basis if rank_bn and zgens else []
         pairs_bn = list(zip(basis_bn, _cofactor_heads(
-            solver, targets, rank_b + p,
-            "pairing a B_next-relation into the middle kernel")))
+            zsolver, [-r for r in basis_bn], p,
+            "pairing a B_next-relation into the cycles")))
 
         # step 2: H-shifts from the paired lifts
-        shift_h = _bound_shifts(p, [(w.components[rank_b:], r.v_degree(shift_bn))
+        shift_h = _bound_shifts(p, [(w.components, r.v_degree(shift_bn))
                                     for r, w in pairs_bn])
 
         # step 3: basis of the H-relations and paired lifts b, from one
@@ -480,16 +484,16 @@ def _phase_one(c: ChainComplexPres, solvers: SolverCache):
             solver, [-r for r in basis_h], rank_b,
             "pairing an H-relation into the Z~ kernel")))
 
-        # step 4: B-shifts from both families
-        constraints = [(w.components[:rank_b], r.v_degree(shift_bn))
-                       for r, w in pairs_bn]
-        constraints += [(w.components, r.v_degree(shift_h)) for r, w in pairs_h]
-        shift_b = _bound_shifts(rank_b, constraints)
+        # step 4: B-shifts from the H-pairs; the B_next-pairs have no B-part
+        shift_b = _bound_shifts(rank_b, [(w.components, r.v_degree(shift_h))
+                                         for r, w in pairs_h])
 
         # each pair (r, w) concatenates to a relation (w | r) of the cover,
-        # which step 4 keeps at or below r's own degree
+        # which steps 2 and 4 keep at or below r's own degree
+        zero_b = ModuleElement.zero(n, rank_b).components
         lifts_h = [ModuleElement(n, w.components + r.components) for r, w in pairs_h]
-        lifts_bn = [ModuleElement(n, w.components + r.components) for r, w in pairs_bn]
+        lifts_bn = [ModuleElement(n, zero_b + w.components + r.components)
+                    for r, w in pairs_bn]
         spots[i] = _PhaseOneSpot((rank_b, p, rank_bn), shift_b, shift_h, shift_bn,
                                  basis_h, basis_bn, lifts_h, lifts_bn, realization)
         shift_bn = shift_b

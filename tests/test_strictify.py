@@ -29,11 +29,11 @@ PINNED_STRICT = [
     (["x", "y"], ["x*y"],
      "ff6c0ab739037bf3231f0e2d426932255e6238e7ba59458505039bbb1ed7281b"),
     (["x", "y"], ["x", "y"],
-     "a8dff6baf7873005e40ab0c439a0d0180b6fa75bcc399a84032a0d96a72a1f94"),
+     "9d65d1cbaa322089c480b41db530c75fea3620424f53655788a9d75bf8303af5"),
     (["x", "y"], ["x*y*(x + y)"],
      "6f8ec9320880df741652fc532731ddb1703d1bf3382283c31953ebfca8e7034a"),
     (["x", "y", "z"], ["x", "y", "z"],
-     "2eb8df0d58913f6837dc42275684d7717ca3c2e76265708fa05615df7cc3bcbc"),
+     "138fb7ba2f88676499d78abbbe1cf7006bdc6ba9f35b2d8a81c8767a4b92f4cf"),
 ]
 
 # sha256 of the JSON of minimize_complex on the total complexes above
@@ -43,11 +43,11 @@ PINNED_MINIMAL = [
     (["x", "y"], ["x*y"],
      "7e2557254325fba663fb3bd4e65622c620742a2e3cede40b4620df54dea0ec9b"),
     (["x", "y"], ["x", "y"],
-     "e03e774dde63882a0f76774500fbb40ae251078f4bc8352f8c7f407881b7f0a3"),
+     "cef9cf072a0b3943dd76652e18b79246762140403fdd117d094f78cb09d3f551"),
     (["x", "y"], ["x*y*(x + y)"],
      "e73571dddcc1f7dc658efd0031e1e309c7e691f9276350dddd3bed08b33e2798"),
     (["x", "y", "z"], ["x", "y", "z"],
-     "f378b8b41826e74e860f3813477be66ed4c2b193204932d99005f1de873b04b9"),
+     "6e579aec448f85154ce69b63fa0725f415eb9087e64aadae3ec00217dc75ac7c"),
 ]
 
 
@@ -148,6 +148,31 @@ def test_phase_one_lifts_generators_to_unit_vectors():
                 [ModuleElement.unit(c.n, rank, j) for j in range(rank_bn)], (polys, i)
 
 
+def test_phase_one_solves_each_cycle_module_once():
+    # one solver over the cycle generators, under the B_next-shift, gives
+    # the B_next-basis, and each of its entries r pairs with (0 | h' | r)
+    # for h' the cofactor of -r over the cycle generators
+    for names, polys, _ in PINNED_STRICT:
+        c = fourier_mv(names, polys)
+        solvers = SolverCache(FiltrationSpec(c.n))
+        spots = _phase_one(c, solvers)
+        assert solvers.builds <= 3 * len(spots), polys
+        for i, sp in spots.items():
+            rank_b, p, rank_bn = sp.ranks
+            rank = c.module(i).rank
+            zgens = cycle_generators(c, i, solvers)
+            if rank_bn:
+                assert sp.basis_bn == solvers.get(rank, zgens, sp.shift_bn).basis
+            else:
+                assert sp.basis_bn == []
+            into_c = OperatorMatrix(c.n, rank, zgens)
+            for lift, r in zip(sp.lifts_bn, sp.basis_bn, strict=True):
+                comps = lift.components
+                assert ModuleElement(c.n, comps[:rank_b]).is_zero(), (polys, i)
+                assert into_c.apply(ModuleElement(c.n, comps[rank_b:rank_b + p])) == -r
+                assert comps[rank_b + p:] == r.components
+
+
 def test_raised_boundary_shift_fails_the_ses_check():
     # negative control: one B-shift above phase one's choice breaks
     # strictness at spot 1 of x, y
@@ -167,6 +192,16 @@ def test_strictify_ses_detects_non_exactness():
     free = DModPresentation.free(1, 1)
     c = ChainComplexPres(1, 0, [free] * 3, [OperatorMatrix(1, 1, [x])] * 2)
     with pytest.raises(InconsistencyError, match="boundary row is not a cycle"):
+        strictify_complex(c)
+
+
+def test_strictify_rejects_a_differential_undefined_on_the_relations():
+    # D/(d1) -x-> D is no map: d1 . x = x d1 + 1 is not zero in D, so the
+    # relation d1 of the source is not a cycle
+    c = ChainComplexPres(1, 0, [DModPresentation.cyclic(1, [parse_operator("d1", 1)]),
+                                DModPresentation.free(1, 1)],
+                         [OperatorMatrix(1, 1, [me(1, "x1")])])
+    with pytest.raises(InconsistencyError, match="relation is not a cycle"):
         strictify_complex(c)
 
 
@@ -378,7 +413,7 @@ def test_phase_two_lifts_are_horseshoe_lifts(monkeypatch):
                     pos += 1
                     rank_b = len(shift_b)
                     a = rank_b - len(shift_c)
-                    assert set(solvers.basis(len(shift_c), basis_c, shift_c)) == \
+                    assert set(solvers.get(len(shift_c), basis_c, shift_c).basis) == \
                         set(basis_c), polys
                     assert len(lifts) == len(basis_c)
                     for lift, entry in zip(lifts, basis_c):
@@ -435,14 +470,14 @@ def test_stages_log_their_cache_counts(caplog):
     compute_derham(ProblemSpec(["x", "y"], ["x", "y"]))
     lines = {r.name: r.getMessage() for r in caplog.records
              if "solver builds" in r.getMessage()}
-    assert lines == {"derham.strictify": "strictify: 11 solver builds, 4 cache hits",
+    assert lines == {"derham.strictify": "strictify: 9 solver builds, 4 cache hits",
                      "derham.restriction": "b-function: 2 solver builds, 1 cache hits"}
 
 
 # (solver builds, cache hits, S-pairs reduced, S-pairs skipped by the chain
 # criterion) of strictify_complex on each PINNED_STRICT input
-PINNED_WORK = [(2, 1, 1, 0), (3, 1, 4, 1), (11, 4, 30, 13), (3, 1, 7, 5),
-               (24, 7, 317, 143)]
+PINNED_WORK = [(3, 0, 0, 0), (4, 0, 2, 0), (9, 4, 13, 3), (4, 0, 4, 2),
+               (20, 7, 176, 35)]
 
 
 @pytest.mark.parametrize("names,polys,work",

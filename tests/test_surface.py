@@ -40,7 +40,8 @@ REMOVED = ["TermOrder", "GroebnerBasis", "groebner_basis", "normal_form",
            "ThetaPolynomial.variable", "BFunctionDetail.factor",
            "v_order_key", "block_elim_key", "_lead", "_mono_divides",
            "lcm_mono", "ReductionLimitError", "DEFAULT_REDUCTION_LIMIT",
-           "GBEngine.limit", "SubmoduleSolver.normal_form_with_cofactor"]
+           "GBEngine.limit", "SubmoduleSolver.normal_form_with_cofactor",
+           "SolverCache.basis"]
 
 # kept in derham.strictify for phase two and the SES oracle, but not
 # exported from the package
