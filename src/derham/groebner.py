@@ -129,9 +129,10 @@ FlatVec = dict  # packed monomial (MonomialCodec) -> coefficient
 # ---------------------------------------------------------------------------
 
 class ModuleElement:
-    """An element of a free module D_n^rank, one WeylElement per component."""
+    """An element of a free module D_n^rank, one WeylElement per component.
+    Immutable, so its hash is computed once, on first use."""
 
-    __slots__ = ("n", "components")
+    __slots__ = ("n", "components", "_hash")
 
     def __init__(self, n: int, components: Sequence[WeylElement]):
         self.n = n
@@ -140,6 +141,7 @@ class ModuleElement:
             if c.n != n:
                 raise DimensionMismatchError("mixed variable counts in module element")
         self.components = comps
+        self._hash = None
 
     @classmethod
     def zero(cls, n: int, rank: int) -> "ModuleElement":
@@ -195,7 +197,9 @@ class ModuleElement:
                 and self.components == other.components)
 
     def __hash__(self):
-        return hash((self.n, self.components))
+        if self._hash is None:
+            self._hash = hash((self.n, self.components))
+        return self._hash
 
     def __repr__(self):
         return "ModuleElement(" + ", ".join(str(c) for c in self.components) + ")"

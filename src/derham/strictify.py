@@ -9,20 +9,20 @@ on generators, so each generator lifts to its own unit vector.  One
 solver over the cycle generators does for the cycle module Z~, as the
 relations of C^i lie in Z~ and the B_next-relations are Z~ itself; one
 more gives the H-basis and its pairs.  Each spot ends as one record that
-phase two reads.  Phase two walks back up, building compatible free covers level
-by level with the horseshoe lemma (Weibel, An Introduction to Homological
-Algebra, Lemma 2.2.8): each level's cover of the cycle column is (B-cover)
-+ (H-cover) and the full column is that plus the next boundary cover.
-Both short exact sequences of a level, 0 -> B -> Z -> H -> 0 and 0 -> Z ->
-C -> B_next -> 0, are blocks: in each 0 -> A -> M -> Q -> 0, A sits in the
-leading components of M, Q in the trailing ones, and the projection M -> Q
-keeps the trailing components.  The Q-cover is a V-adapted basis of Q and
-the M-cover is the A-cover followed by one lift of each Q-basis entry, of
-M-degree at most its Q-degree: phase one's pairs at level one, and (-t |
-s) below, for s a syzygy of the Q-basis and t a V-minimal witness of the
-A-part of the combination s of the lifts above.  The total complex of the
-resulting double complex is V-strict and quasi-isomorphic to the input;
-the comparison map reads off the level-zero block.
+phase two reads.  Phase two walks back up, building compatible free covers
+level by level with the horseshoe lemma (Weibel, An Introduction to
+Homological Algebra, Lemma 2.2.8) over the flag B < Z < C of each spot,
+with H = Z/B and B_next = C/Z.  The flag is a block one: B sits in the
+leading components of C, H in the middle ones and B_next in the trailing
+ones.  The columns B, H and B_next are resolved on their own, each step
+covering a V-adapted basis by generators of its kernel.  A level's cover
+of C is the B-rows followed by one lift of each H-row into Z and of each
+B_next-row into C, at no higher V-degree than the row: phase one's pairs
+at level one, and (-w | s) below, for s a syzygy of the rows above and w
+a V-minimal witness of the combination s of their lifts, found column by
+column from the top.  The total complex of the resulting double complex
+is V-strict and quasi-isomorphic to the input; the comparison map reads
+off the level-zero block.
 
 A strictify_complex call builds one solver per cache key: every solver
 comes from one SolverCache that the call creates, passes down through
@@ -36,9 +36,9 @@ loop asks its solver for every target, and a loop whose targets are all
 zero asks for none.  Phase one builds at most three solvers per spot,
 each over another submodule.  Phase two takes the boundary, homology and
 next-boundary bases of each spot, and their lifts, from phase one.  Its
-only fresh builds are the syzygies of each Q-basis and the witness solver
-over each Z-cover; the witness solver over a boundary cover is the one
-that resolved it.  Nothing resolves an M-cover, and nothing needs to.
+only fresh builds are the column steps: the one solver over a column's
+basis gives that step's kernel and every witness into the column.
+Nothing resolves the rows of Z or of C, and nothing needs to.
 
 minimize_complex then shrinks the total complex: it cancels every
 constant entry between generators of equal shift, which keeps the complex
@@ -84,20 +84,35 @@ class QuotientSES:
 
 
 class ResolutionStep:
-    """One step 0 -> K -> P[shift] -> M -> 0; the rows map the generators
-    of P onto generators of M inside its ambient free module, and kernel
-    is a V-adapted basis of K, or None where nothing reads it."""
+    """One step 0 -> K -> P[shift] -> M -> 0 of a column resolution: the
+    rows, a V-adapted basis of M under ambient_shift, map the generators
+    of P onto M, and shift is their obvious shift.  solver, the one solver
+    over the rows, gives the kernel K (its syzygy basis) and every witness
+    into the column; there is none over no rows."""
 
-    __slots__ = ("shift", "rows", "kernel")
+    __slots__ = ("n", "shift", "rows", "ambient_shift", "solver", "kernel")
 
-    def __init__(self, shift, rows, kernel):
-        self.shift = tuple(shift)
+    def __init__(self, rows, ambient_shift, solvers: SolverCache):
+        self.n = solvers.spec.n
         self.rows = list(rows)
-        self.kernel = kernel
+        self.ambient_shift = tuple(ambient_shift)
+        self.shift = obvious_shift(self.rows, self.ambient_shift)
+        self.solver = solvers.get(len(self.ambient_shift), self.rows, self.ambient_shift,
+                                  self.shift) if self.rows else None
+        self.kernel = self.solver.syzygy_basis if self.solver is not None else []
 
     @property
     def rank(self):
         return len(self.rows)
+
+    def witness(self, target: ModuleElement) -> ModuleElement:
+        """A V-minimal w with w . rows = target; zero for a zero target."""
+        if target.is_zero():
+            return ModuleElement.zero(self.n, self.rank)
+        w = self.solver.min_degree_witness(target) if self.solver is not None else None
+        if w is None:
+            raise InconsistencyError("horseshoe lift: the target lies outside the cover")
+        return w
 
 
 # ---------------------------------------------------------------------------
@@ -148,60 +163,56 @@ def _bound_shifts(rank, constraints):
 
 
 # ---------------------------------------------------------------------------
-# free covers of strict sequences of submodules
+# the horseshoe lemma over a flag of submodules
 # ---------------------------------------------------------------------------
 
-def free_cover_ses(cover_a: ResolutionStep, lifts, shift_b, basis_c, shift_c,
-                   solvers: SolverCache):
-    """One level of the horseshoe lemma over a strict SES 0 -> A -> B -> C
-    -> 0 of submodules; returns (cover_b, cover_c, next_lifts).
+def horseshoe_step(step_b: ResolutionStep, step_h: ResolutionStep,
+                   step_bn: ResolutionStep, lifts_h, lifts_bn):
+    """One level of the horseshoe lemma over a block flag B < Z < C, with
+    H = Z/B and B_next = C/Z; returns (rows, next_lifts_h, next_lifts_bn).
 
-    The maps are blocks: B lies in D^(a+c) under shift_b, A in its leading
-    a = len(shift_b) - len(shift_c) components, and B -> C keeps the
-    trailing c components.  basis_c must already be a V-adapted basis of C
-    under shift_c, and lifts[j] an element of B that projects onto
-    basis_c[j] with B-degree at most its C-degree.  The C-cover is basis_c
-    itself, and the B-cover the A-cover followed by the lifts; the latter
-    has no kernel (None), since nothing reads it.
+    C lies in the free module of the steps' ambients, in the order B, H,
+    B_next; Z lies in its B- and H-components and B in its B-components.
+    lifts_h[j] in Z and lifts_bn[j] in C project onto H-row j and B_next-row
+    j at no higher V-degree.  The rows are the B-rows, the H-lifts and the
+    B_next-lifts, padded to the width of C.
 
-    next_lifts are the lifts one level down: for s in the kernel of the
-    C-cover, sum s_j lifts[j] has no C-part, so it lies in A, and a
-    V-minimal witness t over the A-cover gives the lift (-t | s) in the
-    kernel of the B-cover.  The witness solver has the key of the A-cover's
-    own resolution, so a resolved A-cover costs a cache hit; none is built
-    for an empty A-cover or for zero targets.
+    For s in the H-kernel, the combination s of the H-lifts lies in B, and
+    its B-witness t gives the next lift (-t | s).  For s in the B_next-kernel
+    the combination lies in Z, and its witness is found column by column
+    from the top: u, the H-witness of its H-part, and v, the B-witness of
+    what is left once the combination u of the H-lifts is subtracted, give
+    (-v | -u | s).  No witness exceeds its target's V-degree and no lift its
+    row's, so no next lift does either: the double complex stays V-strict.
     """
-    n = solvers.spec.n
-    rank_b, rank_c = len(shift_b), len(shift_c)
-    a = rank_b - rank_c
-    c_shift = obvious_shift(basis_c, shift_c)
-    for lift, need in zip(lifts, c_shift):
-        got = lift.v_degree(shift_b)
-        if got != NEG_INF and got > need:
-            raise InternalError(
-                "lift of the required V-degree not found; the input sequence "
-                "is not V-strict")
-    kernel_c = solvers.syzygies(rank_c, basis_c, shift_c, c_shift)
-    cover_c = ResolutionStep(c_shift, basis_c, kernel_c)
-    b_rows = [_embed(r, rank_b, 0, n) for r in cover_a.rows] + lifts
-    cover_b = ResolutionStep(cover_a.shift + c_shift, b_rows, None)
+    n = step_b.n
+    width_b = len(step_b.ambient_shift)
+    shift_z = step_b.ambient_shift + step_h.ambient_shift
+    shift_c = shift_z + step_bn.ambient_shift
+    for lifts, step, shift in ((lifts_h, step_h, shift_z), (lifts_bn, step_bn, shift_c)):
+        # a zero lift has degree -inf
+        if any(lift.v_degree(shift) > need for lift, need in zip(lifts, step.shift)):
+            raise InternalError("lift of the required V-degree not found; the input "
+                                "sequence is not V-strict")
+    rows = [_embed(v, len(shift_c), 0, n) for v in step_b.rows + lifts_h] + lifts_bn
 
-    # products act componentwise, so only the A-parts of the lifts matter
-    combine = OperatorMatrix(n, a, [ModuleElement(n, v.components[:a]) for v in lifts])
-    targets = [combine.apply(s) for s in kernel_c]
-    solver = solvers.get(a, cover_a.rows, shift_b[:a], cover_a.shift) \
-        if cover_a.rows and any(not t.is_zero() for t in targets) else None
-    next_lifts = []
-    for s, t in zip(kernel_c, targets):
-        if t.is_zero():
-            w = ModuleElement.zero(n, cover_a.rank)
-        else:
-            w = solver.min_degree_witness(t) if solver is not None else None
-            if w is None:
-                raise InconsistencyError(
-                    "horseshoe lift: the target lies outside the A-cover")
-        next_lifts.append(ModuleElement(n, (-w).components + s.components))
-    return cover_b, cover_c, next_lifts
+    # products act componentwise, so only the leading parts of the lifts matter
+    def leading(lifts, width):
+        return OperatorMatrix(n, width, [ModuleElement(n, v.components[:width])
+                                         for v in lifts])
+
+    h_into_b, bn_into_z = leading(lifts_h, width_b), leading(lifts_bn, len(shift_z))
+    next_h = []
+    for s in step_h.kernel:
+        t = step_b.witness(h_into_b.apply(s))
+        next_h.append(ModuleElement(n, (-t).components + s.components))
+    next_bn = []
+    for s in step_bn.kernel:
+        z = bn_into_z.apply(s).components
+        u = step_h.witness(ModuleElement(n, z[width_b:]))
+        v = step_b.witness(ModuleElement(n, z[:width_b]) - h_into_b.apply(u))
+        next_bn.append(ModuleElement(n, (-v).components + (-u).components + s.components))
+    return rows, next_h, next_bn
 
 
 # ---------------------------------------------------------------------------
@@ -507,59 +518,42 @@ def _phase_two(c: ChainComplexPres, solvers: SolverCache, phase1: dict, edge: in
     complete_all = True
     for i in range(c.lo, c.hi + 1):
         sp = phase1[i]
-        shift0 = sp.shift_b + sp.shift_h + sp.shift_bn
         depth = i - edge
 
-        # phase one passed this spot's B-shift down as the B_next-shift of
-        # spot i - 1, so that spot's B_next-basis is the boundary basis here
-        gb_ib = phase1[i - 1].basis_bn if i > c.lo else []
-
-        # extend the carried boundary resolution to the needed depth
+        # extend the carried boundary resolution to the needed depth; phase
+        # one passed this spot's B-shift down as the B_next-shift of spot
+        # i - 1, so that spot's B_next-basis is the boundary basis here
+        if not res_b:
+            res_b.append(ResolutionStep(phase1[i - 1].basis_bn if i > c.lo else [],
+                                        sp.shift_b, solvers))
         while len(res_b) < depth:
-            if not res_b:
-                prev_rank, prev_shift, prev_kernel = sp.ranks[0], sp.shift_b, gb_ib
-            else:
-                st = res_b[-1]
-                prev_rank, prev_shift, prev_kernel = st.rank, st.shift, st.kernel
-            sh = obvious_shift(prev_kernel, prev_shift)
-            ker = solvers.syzygies(prev_rank, prev_kernel, prev_shift, sh)
-            res_b.append(ResolutionStep(sh, prev_kernel, ker))
+            res_b.append(ResolutionStep(res_b[-1].kernel, res_b[-1].shift, solvers))
 
-        levels = [_LevelData(sp.ranks, shift0, None)]
-        kb, kh, kbn = gb_ib, sp.basis_h, sp.basis_bn
+        levels = [_LevelData(sp.ranks, sp.shift_b + sp.shift_h + sp.shift_bn, None)]
+        # the rows and ambient shifts of the H- and B_next-steps: phase one's
+        # bases at level one, then the kernels of the steps above
+        rows_h, shift_h = sp.basis_h, sp.shift_h
+        rows_bn, shift_bn = sp.basis_bn, sp.shift_bn
         lifts_h, lifts_bn = sp.lifts_h, sp.lifts_bn
-        prb, prh, prbn = sp.ranks
-        psh = shift0
         res_bnext = []
-        complete = False
-        for k in range(1, depth + 1):
+        for step_b in res_b:
             # by the snake lemma the Z- and C-columns are resolved once the
             # B-, H- and B_next-columns are
-            if not (kb or kh or kbn):
-                complete = True
+            if not (step_b.rows or rows_h or rows_bn):
                 break
-            d_step = res_b[k - 1]
-            # 0 -> B -> Z -> H -> 0, then 0 -> Z -> C -> B_next -> 0: the
-            # Z-cover P_B + P_H built over the first is the A-side cover of
-            # the second.  kh and kbn are bases under the slices of psh
-            # passed with them: basis_h and basis_bn from phase one at k = 1,
-            # and after that the previous level's kernels, syzygy bases under
-            # the matching slices of psh = cover_c.shift.  Phase one lifted
-            # them at k = 1, and each free_cover_ses call lifts the next.
-            cover_z, cover_h, lifts_h = free_cover_ses(
-                d_step, lifts_h, psh[:prb + prh], kh, psh[prb:prb + prh], solvers)
-            cover_c, cover_bn, lifts_bn = free_cover_ses(
-                cover_z, lifts_bn, psh, kbn, psh[prb + prh:], solvers)
-            ranks_k = (d_step.rank, cover_h.rank, cover_bn.rank)
-            _assert_triangular(cover_c.rows, ranks_k, (prb, prh, prbn))
-            levels.append(_LevelData(ranks_k, cover_c.shift, cover_c.rows))
-            res_bnext.append(cover_bn)
-            kb, kh, kbn = d_step.kernel, cover_h.kernel, cover_bn.kernel
-            prb, prh, prbn = ranks_k
-            psh = cover_c.shift
+            step_h = ResolutionStep(rows_h, shift_h, solvers)
+            step_bn = ResolutionStep(rows_bn, shift_bn, solvers)
+            rows, lifts_h, lifts_bn = horseshoe_step(step_b, step_h, step_bn,
+                                                     lifts_h, lifts_bn)
+            ranks = (step_b.rank, step_h.rank, step_bn.rank)
+            _assert_triangular(rows, ranks, levels[-1].ranks)
+            levels.append(_LevelData(ranks, step_b.shift + step_h.shift + step_bn.shift,
+                                     rows))
+            res_bnext.append(step_bn)
+            rows_h, shift_h = step_h.kernel, step_h.shift
+            rows_bn, shift_bn = step_bn.kernel, step_bn.shift
         else:
-            complete = not (kb or kh or kbn)
-        complete_all = complete_all and complete
+            complete_all = complete_all and not (res_b[-1].kernel or rows_h or rows_bn)
         spots[i] = _SpotResolution(levels, sp.realization)
         res_b = res_bnext
     return spots, complete_all

@@ -10,13 +10,13 @@ from derham import (ChainComplexPres, DModPresentation, FiltrationSpec,
                     ProblemSpec, SubmoduleSolver, WeylElement,
                     compute_derham, compute_derham_support, family_for_mv,
                     format_operator, fourier_complex, minimize_complex,
-                    mv_complex, obvious_shift, parse_operator,
+                    mv_complex, parse_operator,
                     strictify_complex, verify_strict_ses, verify_v_strict)
-from derham import pipeline
+from derham import pipeline, strictify
 from derham.groebner import SolverCache
 from derham.presentations import _heads, cycle_generators
 from derham.strictify import (QuotientSES, ResolutionStep, _phase_one,
-                              free_cover_ses)
+                              horseshoe_step)
 
 SPEC1 = FiltrationSpec(1)
 
@@ -228,57 +228,58 @@ def test_strictify_two_ses_genuine_instance():
         assert verify_strict_ses(seq1) and verify_strict_ses(seq2)
 
 
+def _steps(solvers, *columns):
+    """A ResolutionStep per (rows, ambient shift)."""
+    return [ResolutionStep(rows, shift, solvers) for rows, shift in columns]
+
+
 def test_free_cover_ses_collapse():
-    # A = 0: the diagram collapses to a free cover of B = C
+    # B = B_next = 0: the flag collapses to a free cover of Z = H
     gens = [me(1, "x1*d1")]
-    cover_b, cover_c, lifts = free_cover_ses(ResolutionStep((), [], []), gens, (0,),
-                                             gens, (0,), SolverCache(SPEC1))
-    assert cover_b.rank == cover_c.rank == 1
-    assert cover_b.rows[0] == gens[0]
-    assert lifts == []
+    steps = _steps(SolverCache(SPEC1), ([], ()), (gens, (0,)), ([], ()))
+    rows, lifts_h, lifts_bn = horseshoe_step(*steps, gens, [])
+    assert steps[1].rank == 1
+    assert rows == gens
+    assert lifts_h == lifts_bn == []
 
 
-def _horseshoe_instance(rows_a):
-    """A in the first component of D^2 covered by rows_a, C = <d, x d> in
-    the second, and lifts (1, d), (0, x d) of the C-basis: its syzygy
-    (x, -1) makes the A-target x . (1, d) - (0, x d) = (x, 0)."""
-    solvers = SolverCache(SPEC1)
-    shift_a = obvious_shift(rows_a, (0,))
-    cover_a = ResolutionStep(shift_a, rows_a,
-                             solvers.syzygies(1, rows_a, (0,), shift_a))
-    lifts = [me(1, "1", "d1"), me(1, "0", "x1*d1")]
-    basis_c = [me(1, "d1"), me(1, "x1*d1")]
-    return (cover_a, lifts, (0, 0), basis_c, (0,), solvers)
+def _horseshoe_instance(rows_b):
+    """B in the first component of D^2 covered by rows_b, H = <d, x d> in
+    the second, B_next = 0, and lifts (1, d), (0, x d) of the H-basis: its
+    syzygy (x, -1) makes the B-target x . (1, d) - (0, x d) = (x, 0)."""
+    steps = _steps(SolverCache(SPEC1), (rows_b, (0,)),
+                   ([me(1, "d1"), me(1, "x1*d1")], (0,)), ([], ()))
+    return (*steps, [me(1, "1", "d1"), me(1, "0", "x1*d1")], [])
 
 
 def test_free_cover_ses_small_instance():
-    cover_b, cover_c, lifts = free_cover_ses(*_horseshoe_instance([me(1, "x1")]))
-    assert cover_c.rows == [me(1, "d1"), me(1, "x1*d1")]
-    assert cover_b.rows == [me(1, "x1", "0"), me(1, "1", "d1"), me(1, "0", "x1*d1")]
-    # the lift of each C-syzygy s is (-t | s) with t . x = the A-target
-    assert cover_c.kernel and len(lifts) == len(cover_c.kernel)
-    rows = OperatorMatrix(1, 2, cover_b.rows)
-    for lift, s in zip(lifts, cover_c.kernel):
+    step_b, step_h, step_bn, lifts_h, lifts_bn = _horseshoe_instance([me(1, "x1")])
+    rows, next_h, next_bn = horseshoe_step(step_b, step_h, step_bn, lifts_h, lifts_bn)
+    assert step_h.rows == [me(1, "d1"), me(1, "x1*d1")]
+    assert rows == [me(1, "x1", "0"), me(1, "1", "d1"), me(1, "0", "x1*d1")]
+    # the lift of each H-syzygy s is (-t | s) with t . x = the B-target
+    assert step_h.kernel and len(next_h) == len(step_h.kernel)
+    assert next_bn == []
+    cover = OperatorMatrix(1, 2, rows)
+    for lift, s in zip(next_h, step_h.kernel):
         assert lift.components[1:] == s.components
         assert lift.components[0] != WeylElement.zero(1)
-        assert rows.apply(lift).is_zero()
+        assert cover.apply(lift).is_zero()
 
 
 def test_free_cover_two_ses_pass_through():
-    # F = 0: P_A = P_D
-    gens_d = [me(1, "x1*d1")]
-    step = ResolutionStep((0,), gens_d, [])
-    solvers = SolverCache(SPEC1)
-    cover_a, _, lifts_a = free_cover_ses(step, [], (0,), [], (), solvers)
-    cover_b, _, lifts_b = free_cover_ses(cover_a, [], (0,), [], (), solvers)
-    assert cover_a.rows == cover_b.rows == gens_d
-    assert lifts_a == lifts_b == []
+    # H = B_next = 0: the B-rows are the rows of the level
+    gens_b = [me(1, "x1*d1")]
+    steps = _steps(SolverCache(SPEC1), (gens_b, (0,)), ([], ()), ([], ()))
+    rows, lifts_h, lifts_bn = horseshoe_step(*steps, [], [])
+    assert rows == gens_b
+    assert lifts_h == lifts_bn == []
 
 
 def test_free_cover_ses_rejects_a_target_outside_the_a_cover():
-    # the same lifts over A = <d>: the A-target x is not a multiple of d
-    with pytest.raises(InconsistencyError, match="outside the A-cover"):
-        free_cover_ses(*_horseshoe_instance([me(1, "d1")]))
+    # the same lifts over B = <d>: the B-target x is not a multiple of d
+    with pytest.raises(InconsistencyError, match="outside the cover"):
+        horseshoe_step(*_horseshoe_instance([me(1, "d1")]))
 
 
 def test_v_strict_complex_free_input():
@@ -375,28 +376,24 @@ def test_strictify_builds_one_solver_per_generating_set(monkeypatch):
 
     monkeypatch.setattr(SubmoduleSolver, "__init__", counting_init)
     strictify_complex(c)
-    # one solver per distinct submodule; 78 when each target had its own,
-    # 54 with one solver per generating set and loop but no shared cache,
-    # 33 while free_cover_ses still solved the bases it was handed, 32
-    # while it searched for minimal preimages
-    assert builds <= 17
+    assert builds <= 9
 
 
 def test_phase_two_lifts_are_horseshoe_lifts(monkeypatch):
-    # every free_cover_ses call gets a V-adapted C-basis and one lift per
-    # entry: an element of the B-module that projects onto the entry at no
-    # higher V-degree.  At level 1 the B-module is the relation module of
-    # the cover of Z~ or of C^i; below that it is the kernel of the same
-    # sequence's B-cover one level up.
+    # every horseshoe step gets V-adapted column bases and one lift per H-
+    # and B_next-row: an element of Z or of C that projects onto the row
+    # at no higher V-degree.  At level 1, Z and C are the relation modules
+    # of the covers of Z~ and of C^i; below that they are the kernels of
+    # the Z- and C-rows one level up.
     calls = []
 
     def recording(*args):
-        out = free_cover_ses(*args)
+        out = horseshoe_step(*args)
         calls.append((args, out))
         return out
 
-    monkeypatch.setattr("derham.strictify.free_cover_ses", recording)
-    deep = 0
+    monkeypatch.setattr("derham.strictify.horseshoe_step", recording)
+    deep = mixed = 0
     for names, polys in [(n, p) for n, p, _ in PINNED_STRICT] + [(["x"], ["x", "x"])]:
         c = fourier_mv(names, polys)
         start = len(calls)
@@ -404,31 +401,83 @@ def test_phase_two_lifts_are_horseshoe_lifts(monkeypatch):
         sequences = phase_one_sequences(c)
         solvers = SolverCache(FiltrationSpec(c.n))
         pos = start
-        # phase two walks the spots upwards and makes two calls per level
+        # phase two walks the spots upwards and makes one step per level
         for i in sorted(res.double.spots):
             above = [None, None]
             for k in range(1, len(res.double.spots[i].levels)):
-                for ses in (0, 1):
-                    (_, lifts, shift_b, basis_c, shift_c, _), (cover_b, _, _) = calls[pos]
-                    pos += 1
-                    rank_b = len(shift_b)
-                    a = rank_b - len(shift_c)
-                    assert set(solvers.get(len(shift_c), basis_c, shift_c).basis) == \
-                        set(basis_c), polys
-                    assert len(lifts) == len(basis_c)
-                    for lift, entry in zip(lifts, basis_c):
+                (step_b, step_h, step_bn, lifts_h, lifts_bn), (rows, _, _) = calls[pos]
+                pos += 1
+                width_b = len(step_b.ambient_shift)
+                shift_z = step_b.ambient_shift + step_h.ambient_shift
+                shift_c = shift_z + step_bn.ambient_shift
+                for ses, (step, lifts, shift) in enumerate(
+                        [(step_h, lifts_h, shift_z), (step_bn, lifts_bn, shift_c)]):
+                    a = len(shift) - len(step.ambient_shift)
+                    assert set(solvers.get(len(step.ambient_shift), step.rows,
+                                           step.ambient_shift).basis) == \
+                        set(step.rows), polys
+                    assert len(lifts) == step.rank
+                    for lift, entry in zip(lifts, step.rows):
                         assert lift.components[a:] == entry.components
-                        assert lift.v_degree(shift_b) <= entry.v_degree(shift_c)
+                        assert lift.v_degree(shift) <= entry.v_degree(step.ambient_shift)
                         if k == 1:
                             rels = sequences[i][ses].b.relations
-                            assert solvers.get(rank_b, rels, shift_b).contains(lift)
-                        else:
-                            assert above[ses].apply(lift).is_zero(), (polys, i, k)
-                            deep += not ModuleElement(c.n, lift.components[:a]).is_zero()
-                    above[ses] = OperatorMatrix(c.n, rank_b, cover_b.rows)
+                            assert solvers.get(len(shift), rels, shift).contains(lift)
+                            continue
+                        assert above[ses].apply(lift).is_zero(), (polys, i, k)
+                        deep += not ModuleElement(c.n, lift.components[:a]).is_zero()
+                        # a B_next-lift (-v | -u | s) whose witness needed
+                        # both columns
+                        mixed += ses == 1 and not any(
+                            ModuleElement(c.n, part).is_zero()
+                            for part in (lift.components[:width_b],
+                                         lift.components[width_b:a]))
+                rank_z = step_b.rank + step_h.rank
+                above = [OperatorMatrix(c.n, len(shift_z),
+                                        [ModuleElement(c.n, r.components[:len(shift_z)])
+                                         for r in rows[:rank_z]]),
+                         OperatorMatrix(c.n, len(shift_c), rows)]
         assert pos == len(calls), polys
-    assert len(calls) == 40
-    assert deep > 0
+    assert len(calls) == 20
+    assert deep > 0 and mixed > 0
+
+
+@pytest.mark.parametrize("names,polys,support", [
+    (["x", "y", "z"], ["x", "y", "z"], None),
+    (["x", "y"], ["x", "y", "x + y"], None),
+    (["x", "y"], ["x", "y"], ["x - 1"]),
+], ids=["x y z", "x y x + y", "x y | x - 1"])
+def test_phase_two_builds_solvers_only_over_column_bases(monkeypatch, names, polys,
+                                                         support):
+    # every witness of a horseshoe step goes into one column, so phase two
+    # needs no solver over rows that are not a basis, like B-rows followed
+    # by H-lifts
+    built = []
+    inside = False
+    init, phase_two = SubmoduleSolver.__init__, strictify._phase_two
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        if inside:
+            built.append(self)
+
+    def recorded(*args):
+        nonlocal inside
+        inside = True
+        try:
+            return phase_two(*args)
+        finally:
+            inside = False
+
+    monkeypatch.setattr(SubmoduleSolver, "__init__", recording_init)
+    monkeypatch.setattr(strictify, "_phase_two", recorded)
+    run = compute_derham_support if support else compute_derham
+    run(ProblemSpec(names, polys, support_polys=support))
+    assert built
+    for solver in built:
+        assert set(solver.basis) == set(solver.gens), solver.gens
+
+
 def _record_solver_keys(monkeypatch):
     """Normalized keys of every SubmoduleSolver built from now on."""
     keys = []
@@ -470,14 +519,14 @@ def test_stages_log_their_cache_counts(caplog):
     compute_derham(ProblemSpec(["x", "y"], ["x", "y"]))
     lines = {r.name: r.getMessage() for r in caplog.records
              if "solver builds" in r.getMessage()}
-    assert lines == {"derham.strictify": "strictify: 9 solver builds, 4 cache hits",
+    assert lines == {"derham.strictify": "strictify: 9 solver builds, 2 cache hits",
                      "derham.restriction": "b-function: 2 solver builds, 1 cache hits"}
 
 
 # (solver builds, cache hits, S-pairs reduced, S-pairs skipped by the chain
 # criterion) of strictify_complex on each PINNED_STRICT input
-PINNED_WORK = [(3, 0, 0, 0), (4, 0, 2, 0), (9, 4, 13, 3), (4, 0, 4, 2),
-               (20, 7, 176, 35)]
+PINNED_WORK = [(3, 0, 0, 0), (4, 0, 2, 0), (9, 2, 13, 3), (4, 0, 4, 2),
+               (18, 3, 149, 26)]
 
 
 @pytest.mark.parametrize("names,polys,work",

@@ -24,7 +24,8 @@ README = ROOT / "README.md"
 # `descending` forms), the tuple divisibility and lcm helpers and the lead
 # scan.  Every division ends by construction, so the step budget and its
 # error are gone, and a solver answers cofactor queries, not
-# normal_form_with_cofactor.  A dotted name is a method or field of a class
+# normal_form_with_cofactor.  Phase two takes one horseshoe step per level,
+# not two nested free covers.  A dotted name is a method or field of a class
 # that stays
 REMOVED = ["TermOrder", "GroebnerBasis", "groebner_basis", "normal_form",
            "submodule_membership", "syzygies", "kernel_of_map",
@@ -41,11 +42,11 @@ REMOVED = ["TermOrder", "GroebnerBasis", "groebner_basis", "normal_form",
            "v_order_key", "block_elim_key", "_lead", "_mono_divides",
            "lcm_mono", "ReductionLimitError", "DEFAULT_REDUCTION_LIMIT",
            "GBEngine.limit", "SubmoduleSolver.normal_form_with_cofactor",
-           "SolverCache.basis"]
+           "SolverCache.basis", "free_cover_ses"]
 
 # kept in derham.strictify for phase two and the SES oracle, but not
 # exported from the package
-UNEXPORTED = ["QuotientSES", "free_cover_ses", "ResolutionStep"]
+UNEXPORTED = ["QuotientSES", "horseshoe_step", "ResolutionStep"]
 
 # public functions that only tests call: the certificates and the graded
 # Koszul exactness oracle
