@@ -42,18 +42,35 @@ All division runs through one kernel, GBEngine.reduce:
 - Heap order.  A packed monomial is its own order key, so a heapq min-heap
   over the negated ints, with lazy deletion of cancelled monomials, pops
   terms in exactly the order of ``max(work)``.  The reducer is the first
-  whose lead divides; the quotient monomial is m - lead.  Each step hands
-  mono_mul_flat the working vector and the heap: the kernel adds every
-  product term into work in place and pushes the negated key of every
-  term it inserts.  A key that cancels and comes back is pushed again;
-  its stale copy pops after the live one has left work, and is skipped.
+  in list order whose lead divides; the quotient monomial is m - lead.
+  Each step hands mono_mul_flat the working vector and the heap: the
+  kernel adds every product term into work in place and pushes the
+  negated key of every term it inserts.  A key that cancels and comes
+  back is pushed again; its stale copy pops after the live one has left
+  work, and is skipped.
+- Divisor index.  A _DivisorIndex finds that reducer.  Per position field
+  it holds the guarded leads in list order; a lead at another position
+  divides nothing there, so the first divisor at m's position is the
+  first in the list.  For every monomial it has met it stores where that
+  monomial's search resumes: the index of its first dividing lead, or the
+  list length if no lead divided it.  Buchberger keeps one index per run
+  and appends each new entry to it.  As the list only grows, a stored
+  answer stays right: the leads before it still do not divide, a stored
+  divisor still does, and a search from the old length meets only the
+  leads appended since.  Each saturation round is a new run with a fresh
+  index, and a reduce against any other list (a query, or _interreduce
+  against the others) builds its own, so no index outlives its list's
+  growth or serves two lists.
 - Integer pseudo-division.  Reducer lists hold primitive integer
   coefficients (primitive_entry).  The working vector and the remainder
   are kept as integers times 1/scale: a step with lead coefficient c
   against a reducer with lead coefficient lc multiplies both, and scale,
-  by lc/gcd(c, lc) and subtracts (c/gcd(c, lc)) * q * reducer.  The
-  queries divide by scale once per remainder term at the exit, so the
-  Fraction remainder equals that of rational division step for step.
+  by lc/gcd(c, lc) and subtracts (c/gcd(c, lc)) * q * reducer.  A
+  vector of ints, such as an S-polynomial, starts with scale 1 and is
+  copied as it is; whether it is all ints is read off its coefficients,
+  not off integral=True.  The queries divide by scale once per remainder
+  term at the exit, so the Fraction remainder equals that of rational
+  division step for step.
   Buchberger and _interreduce take the integer exit: they make the int
   remainder primitive, its first key the lead, and build no Fraction.
 
@@ -91,7 +108,10 @@ reduced basis is unique too, and:
   V-order divider, whose order is no well-order, never runs Buchberger).
 - _interreduce walks the minimal leads in ascending order.  An entry with
   no tail term divisible by another lead is reduced already and passes
-  through, its terms in descending order as reduce emits them.  Any
+  through, its terms in descending order as reduce emits them.  The
+  run's index makes that test: a lead of the run divides a tail term
+  iff a minimal lead other than the entry's own does, as every lead has
+  a minimal divisor and no tail term is a multiple of its own lead.  Any
   other entry is reduced against the current list (the entries below it
   reduced, those above not yet), a Groebner basis with the same leads, so
   the remainder is the one all-pairs reduction gives.
@@ -118,10 +138,12 @@ from typing import Optional, Sequence
 
 from .errors import DimensionMismatchError, InternalError, InvalidInputError
 from .weyl import (NEG_INF, FiltrationSpec, MonomialCodec, WeylElement,
-                   mono_mul_flat, term_v_degree, weyl_mul)
+                   add_terms_into, mono_mul_flat, term_v_degree, weyl_mul)
 
 
 FlatVec = dict  # packed monomial (MonomialCodec) -> coefficient
+_INT = {int}
+_NO_LEADS = ((), ())
 
 
 # ---------------------------------------------------------------------------
@@ -234,12 +256,20 @@ class OperatorMatrix:
         return cls(n, rank, [ModuleElement.unit(n, rank, i) for i in range(rank)])
 
     def apply(self, v: ModuleElement) -> ModuleElement:
-        """v . M for a source row vector v."""
-        out = ModuleElement.zero(self.n, self.target_rank)
+        """v . M for a source row vector v: one terms dict per target
+        component accumulates sum_i v_i * rows[i]."""
+        n = self.n
+        acc = [{} for _ in range(self.target_rank)]
         for vi, row in zip(v.components, self.rows):
-            if not vi.is_zero():
-                out = out + row.left_mul(vi)
-        return out
+            if vi.terms:
+                for out, c in zip(acc, row.components):
+                    add_terms_into(out, weyl_mul(vi, c).terms)
+        comps = []
+        for terms in acc:
+            r = WeylElement.__new__(WeylElement)
+            r.n, r.terms = n, terms
+            comps.append(r)
+        return ModuleElement(n, comps)
 
     def compose(self, other: "OperatorMatrix") -> "OperatorMatrix":
         """self followed by other (source of other = target of self)."""
@@ -375,40 +405,68 @@ def dehomogenize_flat(vec: FlatVec, codec: MonomialCodec) -> FlatVec:
 
 def _minimalize_entries(entries: list, codec: MonomialCodec) -> list:
     """Drop entries whose lead is properly divisible by another lead, and
-    all but the first copy of a duplicated lead.  Preserves the basis
-    property; used after dehomogenizing, and by Buchberger's criteria F
-    and M on (lcm key, k, None) candidates."""
+    all but the first copy of a duplicated lead; the rest keep their list
+    order.  Preserves the basis property; used after dehomogenizing, by
+    _interreduce, and by Buchberger's criteria F and M on (lcm key, k,
+    None) candidates.
+
+    The distinct leads are walked in ascending order of the int their
+    exponents and h-power spell, and each is tested only against the
+    minimal leads kept so far: a proper divisor has no exponent larger
+    and one smaller, so it comes first, and a lead with a proper divisor
+    has a minimal one.  The fields store wmax - e, so the walk descends
+    in codec.ehvalues & lead.  The packed int itself would not do: under
+    the V-order a divisor can be the larger int."""
     first = {}
     for i, (lead, _, _) in enumerate(entries):
         first.setdefault(lead, i)
     guard, dmask, dtarget = codec.guard, codec.dmask, codec.dtarget
-    guarded = [lead | guard for lead in first]
-    out = []
-    for i, (lead, lc, vec) in enumerate(entries):
-        if first[lead] != i:
-            continue
-        own = lead | guard
-        for lg in guarded:
-            if lg != own and (lg - lead) & dmask == dtarget:
-                break  # a proper divisor
+    minimal = []  # guarded
+    for lead in sorted(first, key=codec.ehvalues.__and__, reverse=True):
+        for lg in minimal:
+            if (lg - lead) & dmask == dtarget:
+                del first[lead]
+                break
         else:
-            out.append((lead, lc, vec))
-    return out
+            minimal.append(lead | guard)
+    return [entry for i, entry in enumerate(entries) if first.get(entry[0]) == i]
 
 
-def _tail_reducible(lead: int, vec: FlatVec, leads_at: dict,
-                    codec: MonomialCodec) -> bool:
-    """Whether a lead other than `lead` divides a term of vec other than
-    `lead`.  leads_at maps a position field to its leads | codec.guard."""
-    guard, dmask, dtarget, pmax = codec.guard, codec.dmask, codec.dtarget, codec.pmax
-    own = lead | guard
-    for m in vec:
-        if m == lead:
-            continue
-        for lg in leads_at.get(m & pmax, ()):
-            if lg != own and (lg - m) & dmask == dtarget:
-                return True
-    return False
+class _DivisorIndex:
+    """The reducers of one list that only grows, for finding the first in
+    list order whose lead divides a monomial: per position field, the
+    guarded leads and the entries in list order, and per monomial met, where
+    its search resumes (module docstring)."""
+
+    __slots__ = ("pmax", "guard", "dmask", "dtarget", "at", "seen")
+
+    def __init__(self, reducers, codec: MonomialCodec):
+        self.pmax, self.guard = codec.pmax, codec.guard
+        self.dmask, self.dtarget = codec.dmask, codec.dtarget
+        self.at = {}    # position field -> ([lead | guard], [entry])
+        self.seen = {}  # monomial -> index of its first divisor in at, or len
+        for entry in reducers:
+            self.append(entry)
+
+    def append(self, entry):
+        lgs, entries = self.at.setdefault(entry[0] & self.pmax, ([], []))
+        lgs.append(entry[0] | self.guard)
+        entries.append(entry)
+
+    def find(self, m: int):
+        """The first reducer (lead, lc, vec) whose lead divides m, or None.
+        reduce inlines this search."""
+        lgs, entries = self.at.get(m & self.pmax, _NO_LEADS)
+        dmask, dtarget = self.dmask, self.dtarget
+        i = self.seen.get(m, 0)
+        rest = lgs[i:]
+        for lg in rest:
+            if (lg - m) & dmask == dtarget:
+                i += rest.index(lg)  # the first copy of lg is the first divisor
+                self.seen[m] = i
+                return entries[i]
+        self.seen[m] = len(lgs)
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +492,8 @@ class GBEngine:
     # division ---------------------------------------------------------
 
     def reduce(self, vec: FlatVec, reducers, mode: str = "full",
-               floor: int = 0, integral: bool = False) -> FlatVec:
+               floor: int = 0, integral: bool = False,
+               index: Optional[_DivisorIndex] = None) -> FlatVec:
         """Division remainder, with Fraction coefficients, of vec by
         reducers: a list of (lead, lc, vec) entries with int coefficients.
 
@@ -443,19 +502,26 @@ class GBEngine:
         they pass through to the remainder untouched.  integral=True is
         the integer exit: the remainder comes back in ints, scale times
         the exact one, for a caller that makes it primitive anyway.
-        The module docstring states the kernel's contract.
+        index, if given, is a _DivisorIndex of reducers kept from earlier
+        calls on a list that has only grown since.  The module docstring
+        states the kernel's contract.
         """
         codec, h_step = self.codec, self.h_step
-        guard, dmask, dtarget = codec.guard, codec.dmask, codec.dtarget
+        dmask, dtarget, pmax = codec.dmask, codec.dtarget, codec.pmax
         heappop = heapq.heappop
+        if index is None:
+            index = _DivisorIndex(reducers, codec)
+        at, seen = index.at.get, index.seen
         # work and remainder hold scale * (the rational vectors) in ints
         scale = 1
-        for c in vec.values():
-            scale = scale * c.denominator // gcd(scale, c.denominator)
-        work = {m: c.numerator * (scale // c.denominator) for m, c in vec.items()}
+        if set(map(type, vec.values())) <= _INT:
+            work = dict(vec)
+        else:
+            for c in vec.values():
+                scale = scale * c.denominator // gcd(scale, c.denominator)
+            work = {m: c.numerator * (scale // c.denominator) for m, c in vec.items()}
         heap = [-m for m in work]
         heapq.heapify(heap)
-        divisors = [(lead | guard, lead, lc, rvec) for lead, lc, rvec in reducers]
         remainder: FlatVec = {}
         while work:
             m = -heappop(heap)
@@ -467,16 +533,24 @@ class GBEngine:
                 for m2 in sorted(work, reverse=True):
                     remainder[m2] = work[m2]
                 break
-            for lg, lead, lc, rvec in divisors:
-                if (lg - m) & dmask == dtarget:  # lead divides m
+            # _DivisorIndex.find, inlined
+            lgs, entries = at(m & pmax, _NO_LEADS)
+            i = seen.get(m, 0)
+            rest = lgs[i:]
+            for lg in rest:
+                if (lg - m) & dmask == dtarget:
+                    i += rest.index(lg)
                     break
             else:
+                seen[m] = len(lgs)
                 del work[m]
                 remainder[m] = c
                 if mode == "top":
                     remainder.update(work)
                     break
                 continue
+            seen[m] = i
+            lead, lc, rvec = entries[i]
             g = gcd(c, lc)
             f = lc // g
             if f != 1:
@@ -511,6 +585,7 @@ class GBEngine:
                 g = homogenize_flat(g, codec)
             if g:
                 entries.append(primitive_entry(g))
+        index = _DivisorIndex(entries, codec)
         pairs = {}  # pending (i, j) -> lcm key; the heap holds (degree, counter, i, j)
         heap, counter = [], count()
 
@@ -546,29 +621,27 @@ class GBEngine:
             l = codec.lcm(li, lj)
             s = mono_mul_flat(codec, lcj, l - li, vi, h_step, {})
             mono_mul_flat(codec, -lci, l - lj, vj, h_step, s)
-            r = self.reduce(s, entries, mode="top", integral=True)
+            r = self.reduce(s, entries, mode="top", integral=True, index=index)
             if not r:
                 continue
             # reduce the tail too; the lead comes out first
-            r = self.reduce(r, entries, integral=True)
+            r = self.reduce(r, entries, integral=True, index=index)
             entries.append(_primitive(next(iter(r)), r))
+            index.append(entries[-1])
             update(len(entries) - 1, range(len(entries) - 1))
 
-        return self._interreduce(entries)
+        return self._interreduce(entries, index)
 
-    def _interreduce(self, entries) -> list:
+    def _interreduce(self, entries, index: _DivisorIndex) -> list:
         # one entry per minimal lead; leads are distinct ints, so sorting
         # fixes the order.  Walking up it, out[:i] is reduced and out[i + 1:]
         # not yet; only an entry with a reducible tail term is divided (the
-        # module docstring says why the result does not depend on the list)
-        codec = self.codec
-        kept = sorted(_minimalize_entries(entries, codec), key=itemgetter(0))
-        leads_at = {}
-        for lead, _, _ in kept:
-            leads_at.setdefault(lead & codec.pmax, []).append(lead | codec.guard)
+        # module docstring says why the result does not depend on the list,
+        # and why index, one over entries, can test the tails)
+        kept = sorted(_minimalize_entries(entries, self.codec), key=itemgetter(0))
         out = list(kept)
         for i, (lead, lc, vec) in enumerate(kept):
-            if _tail_reducible(lead, vec, leads_at, codec):
+            if any(m != lead and index.find(m) for m in vec):
                 others = out[:i] + out[i + 1:]
                 out[i] = _primitive(lead, self.reduce(vec, others, integral=True))
             else:

@@ -617,6 +617,7 @@ def strictify_complex(c: ChainComplexPres) -> StrictificationResult:
         modules.append(DModPresentation.free(n, total, shift))
 
     diffs = []
+    zero = WeylElement.zero(n)
     for m in range(edge, c.hi):
         tgt_rank = modules[m + 1 - edge].rank
         rows = []
@@ -624,16 +625,16 @@ def strictify_complex(c: ChainComplexPres) -> StrictificationResult:
             lv = spots[i].levels[k]
             rb, rh, rbn = lv.ranks
             for g in range(lv.rank):
-                row = ModuleElement.zero(n, tgt_rank)
+                # place the blocks of the row into its components
+                comps = [zero] * tgt_rank
                 if k >= 1 and (k - 1, i) in offsets[m + 1]:
-                    row = row + _embed(lv.vertical[g], tgt_rank,
-                                       offsets[m + 1][(k - 1, i)], n)
+                    block = lv.vertical[g].components
+                    start = offsets[m + 1][(k - 1, i)]
+                    comps[start:start + len(block)] = block
                 if g >= rb + rh and (k, i + 1) in offsets[m + 1]:
-                    sign = (-1) ** k
-                    unit = ModuleElement.unit(
-                        n, tgt_rank, offsets[m + 1][(k, i + 1)] + (g - rb - rh))
-                    row = row + unit.scale(sign)
-                rows.append(row)
+                    pos = offsets[m + 1][(k, i + 1)] + (g - rb - rh)
+                    comps[pos] = comps[pos] + WeylElement.constant(n, (-1) ** k)
+                rows.append(ModuleElement(n, comps))
         diffs.append(OperatorMatrix(n, tgt_rank, rows))
 
     total = ChainComplexPres(n, edge, modules, diffs)

@@ -32,6 +32,8 @@ Exps = tuple  # length-2n tuple of nonnegative ints: alpha + beta
 
 
 def _as_fraction(c) -> Fraction:
+    if type(c) is Fraction:  # the common case, before isinstance's subclass check
+        return c
     if isinstance(c, Fraction):
         return c
     if isinstance(c, int):
@@ -109,7 +111,7 @@ class MonomialCodec:
         self._unit, self._base = unit, base
         self.guard = sum(1 << (o + w) for _, o, w in fields)
         eh_guards = sum(1 << (o + width) for _, o, _ in fields[1:2 + 2 * n])
-        self._eh_guards, self._eh_values, self._width = eh_guards, eh_values, width
+        self._eh_guards, self.ehvalues, self._width = eh_guards, eh_values, width
         # the divisibility test: (L | guard) - M & dmask == dtarget
         self.dmask = eh_guards | ((2 << pbits) - 1)
         self.dtarget = eh_guards | (1 << pbits)
@@ -183,14 +185,14 @@ class MonomialCodec:
 
     def degree(self, m: int) -> int:
         """sum(exponents) + h."""
-        return self._sum(self._eh_values & ~m)
+        return self._sum(self.ehvalues & ~m)
 
     def _lcm_fields(self, a: int, b: int) -> int:
         """The exponent and h fields of lcm(a, b): the smaller field of the
         two, as the larger exponent is."""
         g = ((a | self.guard) - b) & self._eh_guards
         take_b = g - (g >> self._width)  # value bits of the fields where a >= b
-        return (b & take_b) | (a & (self._eh_values ^ take_b))
+        return (b & take_b) | (a & (self.ehvalues ^ take_b))
 
     def lcm_key(self, a: int, b: int) -> int:
         """lcm(a, b) of two monomials at one position without its weight
@@ -200,7 +202,7 @@ class MonomialCodec:
 
     def lcm(self, a: int, b: int) -> int:
         """Least common multiple of two monomials at one position."""
-        inc = (a & self._eh_values) - self._lcm_fields(a, b)  # exponents gained over a
+        inc = (a & self.ehvalues) - self._lcm_fields(a, b)  # exponents gained over a
         m = a - inc
         for off, plus, minus, _, _ in self._weights:
             if plus:
@@ -339,7 +341,7 @@ class WeylElement:
                 c = _as_fraction(coeff)
                 if not c:
                     continue
-                if len(exps) != 2 * n or any(e < 0 for e in exps):
+                if len(exps) != 2 * n or (exps and min(exps) < 0):
                     raise InvalidInputError(f"bad exponent vector {exps!r} for n={n}")
                 exps = tuple(exps)
                 acc = clean.get(exps)
@@ -419,12 +421,7 @@ class WeylElement:
         if not self.terms:
             return other
         out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, Fraction(0)) + c
-            if s:
-                out[e] = s
-            elif e in out:
-                del out[e]
+        add_terms_into(out, other.terms)
         r = WeylElement.__new__(WeylElement)
         r.n, r.terms = self.n, out
         return r
@@ -485,6 +482,22 @@ class WeylElement:
 
     def __str__(self):
         return format_operator(self)
+
+
+def add_terms_into(acc: dict, terms: dict) -> None:
+    """Add the terms of one element into the terms dict acc, in place: a
+    sum that cancels deletes its key, and a new key goes at the end."""
+    get = acc.get
+    for e, c in terms.items():
+        old = get(e)
+        if old is None:
+            acc[e] = c
+        else:
+            s = old + c
+            if s:
+                acc[e] = s
+            else:
+                del acc[e]
 
 
 def weyl_mul(p: WeylElement, q: WeylElement) -> WeylElement:
@@ -552,14 +565,16 @@ def v_degree(p: WeylElement, shift: int = 0):
 def fourier(p: WeylElement) -> WeylElement:
     """The automorphism sending each x_i to d_i and each d_i to -x_i."""
     n = p.n
-    out = WeylElement.zero(n)
+    out = {}
     for e, c in p.terms.items():
         a, b = e[:n], e[n:]
         # image of x^a d^b is d^a (-x)^b, re-normal-ordered
         left = WeylElement(n, {(0,) * n + a: Fraction(1)})
         right = WeylElement(n, {b + (0,) * n: c * (-1) ** sum(b)})
-        out = out + weyl_mul(left, right)
-    return out
+        add_terms_into(out, weyl_mul(left, right).terms)
+    r = WeylElement.__new__(WeylElement)
+    r.n, r.terms = n, out
+    return r
 
 
 def theta(n: int) -> WeylElement:

@@ -687,6 +687,134 @@ def test_top_reduction_to_zero_is_an_empty_dict():
         assert type(out) is dict and out == {}
 
 
+# ---------------------------------------------------------------------------
+# the divisor index and the minimal leads against searches over every lead
+# ---------------------------------------------------------------------------
+
+def _degree_order(n, rank, degree=4):
+    import derham.groebner as G
+    return G.MonomialCodec(n, rank, degree, (("degree", (1,) * (2 * n), (0,) * rank),))
+
+
+# (seed, n, rank, codec, h_step)
+INDEX_CASES = (
+    (231, 1, 2, _v_order(1, (0, 1), 2)[0], 2),
+    (232, 2, 1, _v_order(2, (0,), 1)[0], 2),
+    (233, 2, 1, _block_elim(2, (0, 2))[0], 0),
+    (234, 1, 3, _degree_order(1, 3), 0),
+)
+
+
+def test_shared_index_divides_as_a_fresh_search(monkeypatch):
+    # one index kept across reduce calls on a reducer list that grows in
+    # between, as in a Buchberger run, against an index built per call:
+    # the same remainders, and the same kernel calls in the same order
+    import derham.groebner as G
+    kernel, calls = G.mono_mul_flat, []
+
+    def recording(codec, coeff, q, vec, *rest):
+        calls.append((coeff, q, max(vec)))
+        return kernel(codec, coeff, q, vec, *rest)
+
+    monkeypatch.setattr(G, "mono_mul_flat", recording)
+    changed = 0
+    for seed, n, rank, codec, h_step in INDEX_CASES:
+        rng = random.Random(seed)
+        engine = G.GBEngine(codec, h_step=h_step)
+        reducers = []
+        # index serves reduce, probe the bare search
+        index, probe = G._DivisorIndex(reducers, codec), G._DivisorIndex(reducers, codec)
+        dividends, last = [], {}
+        for _ in range(10):
+            r = _random_flat(rng, n, rank, h_step, codec, max_deg=2, max_terms=2)
+            if r:
+                reducers.append(G.primitive_entry(r))
+                index.append(reducers[-1])
+                probe.append(reducers[-1])
+            dividends.append(_random_flat(rng, n, rank, h_step, codec,
+                                          max_deg=3, max_terms=4))
+            # the earlier dividends again: their monomials resume their search
+            for k, vec in enumerate(dividends):
+                for m in vec:
+                    first = next((e for e in reducers if codec.divides(e[0], m)), None)
+                    assert probe.find(m) == first, "find skips or misses a reducer"
+                for mode in ("full", "top"):
+                    del calls[:]
+                    shared = engine.reduce(vec, reducers, mode, integral=True,
+                                           index=index)
+                    shared_calls = calls[:]
+                    del calls[:]
+                    fresh = engine.reduce(vec, reducers, mode, integral=True)
+                    assert list(shared.items()) == list(fresh.items()), "remainders differ"
+                    assert shared_calls == calls, "another sequence of kernel calls"
+                    changed += last.get((k, mode), shared) != shared
+                    last[k, mode] = shared
+    # appended reducers divided monomials that earlier searches had met
+    assert changed >= 20
+
+
+def test_reduce_of_ints_is_reduce_of_their_fractions():
+    # reduce skips the scale pass on an all-int vector
+    import derham.groebner as G
+    for seed, n, rank, codec, h_step in INDEX_CASES:
+        rng = random.Random(seed)
+        engine = G.GBEngine(codec, h_step=h_step)
+        for _ in range(30):
+            reducers = [G.primitive_entry(r) for r in
+                        (_random_flat(rng, n, rank, h_step, codec, max_deg=1)
+                         for _ in range(3)) if r]
+            vec = _random_flat(rng, n, rank, h_step, codec, max_deg=3, max_terms=4)
+            ints = G.primitive_entry(vec)[2] if vec else {}
+            # an int first, then halves: not all ints
+            mixed = {m: c if k == 0 else Fraction(c, 2) for k, (m, c) in enumerate(ints.items())}
+            for given in (ints, mixed):
+                fractions = {m: Fraction(c) for m, c in given.items()}
+                for mode in ("full", "top"):
+                    for integral in (False, True):
+                        got = engine.reduce(given, reducers, mode, integral=integral)
+                        want = engine.reduce(fractions, reducers, mode, integral=integral)
+                        assert list(got.items()) == list(want.items())
+                        assert [type(c) for c in got.values()] == \
+                            [type(c) for c in want.values()]
+
+
+def _reference_minimalize(entries, codec):
+    """All pairs: drop every entry whose lead another lead divides
+    properly, and every copy of a lead but the first."""
+    out = []
+    for i, entry in enumerate(entries):
+        lead = entry[0]
+        if any(other == lead for other, _, _ in entries[:i]):
+            continue
+        if any(other != lead and _tuple_divides(codec.unpack(other), codec.unpack(lead))
+               for other, _, _ in entries):
+            continue
+        out.append(entry)
+    return out
+
+
+def test_minimalize_entries_matches_all_pairs_reference():
+    import derham.groebner as G
+    dropped = duplicated = 0
+    for seed, n, rank, codec, _ in INDEX_CASES:
+        rng = random.Random(seed)
+        for _ in range(60):
+            pool = [codec.pack(*_random_mono(rng, n, rank, max_exp=2, max_h=2))
+                    for _ in range(5)]
+            leads = [rng.choice(pool) for _ in range(rng.randint(1, 8))]
+            entries = [(lead, k, None) for k, lead in enumerate(leads)]
+            # Buchberger's F and M take lcm keys, which have no weight fields
+            new = rng.choice(pool)
+            keys = [(codec.lcm_key(lead, new), k, None) for k, lead in enumerate(pool)
+                    if not (lead ^ new) & codec.pmax]
+            for cand in (entries, keys):
+                want = _reference_minimalize(cand, codec)
+                assert G._minimalize_entries(cand, codec) == want
+                dropped += len({lead for lead, _, _ in cand}) > len(want)
+                duplicated += len({lead for lead, _, _ in cand}) < len(cand)
+    assert dropped >= 100 and duplicated >= 100
+
+
 def test_weight_floor_splits_the_v_order_at_a_degree():
     codec, key = _v_order(1, (0, 2), 1)
     rng = random.Random(7)
@@ -810,10 +938,12 @@ def _reference_interreduce(engine, entries):
 
 
 def _unreduced_basis(engine, gens):
-    """Buchberger's entries before interreduction: a Groebner basis."""
-    engine._interreduce = list
+    """Buchberger's entries before interreduction, a Groebner basis, and
+    the run's divisor index over them."""
+    indexes = []
+    engine._interreduce = lambda entries, index: indexes.append(index) or list(entries)
     try:
-        return engine.buchberger(gens)
+        return engine.buchberger(gens), indexes[0]
     finally:
         del engine._interreduce
 
@@ -838,9 +968,11 @@ def test_interreduce_matches_all_pairs_reference():
             engine = G.GBEngine(codec, h_step=h_step)
             gens = [_random_flat(rng, n, rank, h_step, codec, max_deg=deg, max_terms=2)
                     for _ in range(3)]
-            raw = _unreduced_basis(engine, [g for g in gens if g])
+            raw, index = _unreduced_basis(engine, [g for g in gens if g])
             want = _reference_interreduce(engine, raw)
-            _same_entries(engine._interreduce(raw), want)
+            # the run's index, and one built over the entries alone
+            _same_entries(engine._interreduce(raw, index), want)
+            _same_entries(engine._interreduce(raw, G._DivisorIndex(raw, engine.codec)), want)
             before = {lead: vec for lead, _, vec in raw}
             for lead, _, vec in want:
                 if before[lead] == vec:
@@ -1014,7 +1146,7 @@ def test_new_buchberger_entries_have_reduced_tails():
         rng = random.Random(seed)
         for _ in range(6):
             gens = _seeded_gens(rng, n, rank, codec, h_step, deg)
-            raw = _unreduced_basis(G.GBEngine(codec, h_step=h_step), gens)
+            raw, _ = _unreduced_basis(G.GBEngine(codec, h_step=h_step), gens)
             for k in range(len(gens), len(raw)):
                 lead, _, vec = raw[k]
                 tail = [codec.unpack(m) for m in vec if m != lead]
