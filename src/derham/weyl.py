@@ -7,14 +7,19 @@ exponent vector of ``c * x^alpha * d^beta`` is the length-2n tuple
 anywhere in this package.
 
 Every product in the package runs through one kernel, mono_mul_flat: a
-monomial times a flat module vector, built on the one-variable
-contraction _pair_contractions.  A flat vector keys its terms by packed
-monomials, one int each (MonomialCodec).  The kernel adds its product
-into a vector the caller passes, in place, and pushes every key it
-inserts onto the caller's heap if there is one; so division adds each
-product term straight into its working vector.  weyl_mul packs its
-operands and accumulates the kernel's products for every term of the
-left factor into one vector.
+monomial times a flat module vector.  A flat vector keys its terms by
+packed monomials, one int each (MonomialCodec).  A quotient monomial with
+no d shifts every term by itself.  For one with d's, the codec keeps a
+plan (_Plan), built on first use per set of d-exponents and h_step: the
+x fields those d's meet and, per pattern of x-exponents a term has there,
+the expansion of the commutations.  The plans live as long as their
+codec: one elimination in localization, one solver (whose engine and
+divider share its codec), or one of weyl_mul's cached codecs.  The
+kernel adds its product into a vector the caller passes, in place, and
+pushes every key it inserts onto the caller's heap if there is one; so
+division adds each product term straight into its working vector.
+weyl_mul packs its operands and accumulates the kernel's products for
+every term of the left factor into one vector.
 """
 
 from __future__ import annotations
@@ -128,7 +133,8 @@ class MonomialCodec:
         self._mult = sum(1 << (stride * k) for k in range(pairs))
         self._sum_shift = stride * (pairs - 1)
         self._sum_mask = (1 << stride) - 1
-        self._contract = {}
+        # mono_mul_flat's plans, by (d-exponents of the quotient, h_step)
+        self._plans = {}
 
     # -- packing ---------------------------------------------------------
 
@@ -213,16 +219,6 @@ class MonomialCodec:
             self.overflow(m)
         return m
 
-    def contractions(self, h_step: int) -> tuple:
-        """(x_i offset, d_i offset, what one contraction d_i x_i adds) per i."""
-        table = self._contract.get(h_step)
-        if table is None:
-            n, unit = self.n, self._unit
-            table = self._contract[h_step] = tuple(
-                (self.off_e[i], self.off_e[n + i],
-                 -unit[i] - unit[n + i] - h_step * self.hunit) for i in range(n))
-        return table
-
 
 @lru_cache(maxsize=64)
 def _product_codec(n: int, degree_bits: int) -> MonomialCodec:
@@ -238,13 +234,16 @@ def mono_mul_flat(codec: MonomialCodec, coeff, q: int, vec: dict,
     The one multiplication kernel: weyl_mul and every Groebner routine run
     on it.  A flat vector maps packed monomials (MonomialCodec) to
     coefficients; q = M - L is the difference of two packed monomials at
-    one position, the monomial M / L.  A term T that no d_i of q meets an
-    x_i of gives the one product term T + q.  Otherwise d_i^b x_i^a
-    expands as sum over k of comb(b,k)*comb(a,k)*k! * x_i^(a-k) d_i^(b-k),
-    independently for each such i, and k contractions add k times
-    codec.contractions(h_step)[i], which also multiplies by h^(h_step *
-    k): h_step = 2 multiplies in the homogenized algebra and h_step = 0 in
-    D_n.  Every product term is checked against the guard bits.
+    one position, the monomial M / L.  A quotient with no d gives every
+    term T the one product term T + q.  Otherwise d_i^b x_i^a expands as
+    sum over k of comb(b,k)*comb(a,k)*k! * x_i^(a-k) d_i^(b-k),
+    independently for each i, and k contractions lower x_i and d_i by k
+    and multiply by h^(h_step * k): h_step = 2 multiplies in the
+    homogenized algebra and h_step = 0 in D_n.  The codec keeps one _Plan
+    per (d-exponents of q, h_step), built on the first call that needs it,
+    so each expansion is computed once per codec and pattern of the
+    x-exponents that q's d's meet, not once per term.  Every product term
+    is checked against the guard bits.
 
     Each product term is added into out as the expansion meets it, the
     earlier variable slowest: a sum that cancels deletes its key, and a
@@ -253,49 +252,52 @@ def mono_mul_flat(codec: MonomialCodec, coeff, q: int, vec: dict,
     back within one call is pushed again.  coeff is nonzero; coefficients
     are ints or Fractions, and a new term has the type of their product.
     """
-    guard, wmax, get = codec.guard, codec.wmax, out.get
+    guard, get = codec.guard, out.get
     qd = ~(q + codec.one) & codec.dvalues  # the d-exponents of q, in place
-    # (x_i offset, b, contraction) for every d_i^b of q, i ascending, and
-    # the x_i fields they meet; with no d in q, xmask is 0 and every term
-    # gives one product term
-    dq = []
-    xmask = 0
-    if qd:
-        for ox, od, step in codec.contractions(h_step):
-            b = (qd >> od) & wmax
-            if b:
-                dq.append((ox, b, step))
-                xmask |= wmax << ox
-    for t, c in vec.items():
-        base = coeff * c
-        k = t + q
-        if t & xmask == xmask:
-            # every x_i that q's d_i would meet has exponent 0 in t
+    if not qd:
+        # no contraction anywhere: each term gives the one product term t + q
+        for t, c in vec.items():
+            k = t + q
             if k & guard:
                 codec.overflow(k)
             old = get(k)
             if old is None:
-                out[k] = base
+                out[k] = coeff * c
                 if heap is not None:
                     heappush(heap, -k)
             else:
-                s = old + base
+                s = old + coeff * c
                 if s:
                     out[k] = s
                 else:
                     del out[k]
+        return out
+    plan = codec._plans.get((qd, h_step))
+    if plan is None:
+        plan = codec._plans[qd, h_step] = _Plan(codec, qd, h_step)
+    xmask = plan.xmask
+    for t, c in vec.items():
+        # the term with no contraction comes first; it is all there is
+        # when t has none of the x_i that q's d_i meet
+        base = coeff * c
+        k = t + q
+        if k & guard:
+            codec.overflow(k)
+        old = get(k)
+        if old is None:
+            out[k] = base
+            if heap is not None:
+                heappush(heap, -k)
+        else:
+            s = old + base
+            if s:
+                out[k] = s
+            else:
+                del out[k]
+        x = t & xmask
+        if x == xmask:
             continue
-        # (what the contractions add, multiplier) over the choices of k
-        # for every variable t meets, the earlier variable slowest
-        nt = ~t
-        combos = None
-        for ox, b, step in dq:
-            a = (nt >> ox) & wmax
-            if a:
-                ks = _pair_contractions(b, a, step)
-                combos = ks if combos is None else \
-                    [(d1 + d2, m1 * m2) for d1, m1 in combos for d2, m2 in ks]
-        for dk, mult in combos:
+        for dk, mult in plan[x]:
             key = k + dk
             if key & guard:
                 codec.overflow(key)
@@ -313,13 +315,44 @@ def mono_mul_flat(codec: MonomialCodec, coeff, q: int, vec: dict,
     return out
 
 
-@lru_cache(maxsize=4096)
-def _pair_contractions(b: int, a: int, step: int) -> tuple:
-    """Expansion of d^b x^a in one variable: sum over k of
-    comb(b,k)*comb(a,k)*k! * x^(a-k) d^(b-k), as (k * step, multiplier)
-    pairs, k * step being what k contractions add to a packed monomial."""
-    return tuple((k * step, comb(b, k) * comb(a, k) * factorial(k))
-                 for k in range(min(b, a) + 1))
+class _Plan(dict):
+    """mono_mul_flat's plan for the quotients with one set of d-exponents,
+    under one h_step.
+
+    dq holds (x_i offset, b, what one contraction d_i x_i adds) for every
+    d_i^b of the quotient, i ascending, and xmask the x_i fields they
+    meet.  As a dict it maps t & xmask, the fields of a term t there, to
+    the (what the contractions add, multiplier) pairs over the choices of
+    k for every x_i that t holds, the earlier variable slowest and fewer
+    contractions first, but without the first choice, all k = 0, which
+    the kernel adds itself.  An entry is built the first time a term
+    shows its pattern.
+    """
+
+    __slots__ = ("dq", "xmask", "wmax")
+
+    def __init__(self, codec: MonomialCodec, qd: int, h_step: int):
+        n, wmax, unit, off_e = codec.n, codec.wmax, codec._unit, codec.off_e
+        step_h = h_step * codec.hunit
+        dq, xmask = [], 0
+        for i in range(n):
+            b = (qd >> off_e[n + i]) & wmax
+            if b:
+                dq.append((off_e[i], b, -unit[i] - unit[n + i] - step_h))
+                xmask |= wmax << off_e[i]
+        self.dq, self.xmask, self.wmax = dq, xmask, wmax
+
+    def __missing__(self, x: int) -> tuple:
+        nx, wmax = ~x, self.wmax
+        combos = [(0, 1)]
+        for ox, b, step in self.dq:
+            a = (nx >> ox) & wmax
+            if a:
+                ks = [(k * step, comb(b, k) * comb(a, k) * factorial(k))
+                      for k in range(min(b, a) + 1)]
+                combos = [(d1 + d2, m1 * m2) for d1, m1 in combos for d2, m2 in ks]
+        combos = self[x] = tuple(combos[1:])
+        return combos
 
 
 class WeylElement:

@@ -517,6 +517,83 @@ def test_kernel_cancels_and_recreates_a_key_within_one_call(h_step):
     assert list(_merge_into({key: -1}, fresh.items())) == [key, top]
 
 
+def test_planned_kernel_on_one_codec_matches_tuple_kernel():
+    """One codec serves many seeded calls under both h_steps, as a
+    solver's engine (h_step = 2) and its divider (h_step = 0) share one,
+    so later calls meet d-exponents and x-patterns the codec has planned
+    before.  Each call still equals the tuple kernel term for term, in
+    insertion order, with -key pushed for exactly each inserted key."""
+    import derham.groebner as G
+    rng = random.Random(11)
+    for n, rank in ((1, 2), (2, 1), (3, 2)):
+        codec, _ = _v_order(n, (1, -1)[:rank], 1)
+        met, steps = set(), {}  # (d-exponents, h_step, x-pattern); h_steps per d-exponents
+        repeats = dfree = 0
+        for _ in range(250):
+            h_step = rng.choice((0, 2))
+            vec = {_random_mono(rng, n, rank, max_exp=2, max_h=2):
+                   Fraction(rng.randint(-3, 3) or 1, rng.randint(1, 3))
+                   for _ in range(rng.randint(1, 5))}
+            _, qe, qh = _random_mono(rng, n, 1, max_exp=2, max_h=2)
+            if rng.random() < 0.3:
+                qe = qe[:n] + (0,) * n
+            coeff = rng.choice([1, -2, Fraction(3, 4)])
+            terms = list(_tuple_product_terms(n, coeff, qe, qh, vec, h_step))
+            start = {_random_mono(rng, n, rank, max_exp=2, max_h=2): Fraction(1)
+                     for _ in range(rng.randint(0, 3))}
+            for key, c in rng.sample(terms, min(2, len(terms))):
+                start[key] = rng.choice([-c, Fraction(rng.randint(1, 5))])
+            inserted = []
+            want = _merge_into(dict(start), terms, inserted)
+            out, heap = _pack(codec, start), rng.choice([[], None])
+            got = G.mono_mul_flat(codec, coeff, codec.pack(0, qe, qh) - codec.one,
+                                  _pack(codec, vec), h_step, out, heap)
+            assert got is out
+            assert list(_unpack(codec, got).items()) == list(want.items())
+            if heap is not None:
+                assert sorted(heap) == sorted(-codec.pack(*m) for m in inserted)
+            dq = qe[n:]
+            if not any(dq):
+                dfree += 1
+                continue
+            steps.setdefault(dq, set()).add(h_step)
+            for _, e, _ in vec:
+                pattern = tuple(e[i] for i in range(n) if dq[i])
+                if any(pattern):
+                    repeats += (dq, h_step, pattern) in met
+                    met.add((dq, h_step, pattern))
+        assert dfree >= 40 and repeats >= 50
+        assert sum(len(s) == 2 for s in steps.values()) >= 2
+
+
+def test_planned_kernel_overflow_raises_internal_error():
+    """The d-free loop and the contraction path name the field a product
+    leaves, also when the codec already holds the quotient's plan and the
+    term's expansion: d1 times x1 h^(wmax - 1) gains h^2 there."""
+    import derham.groebner as G
+    from derham import InternalError
+    codec, _ = _v_order(1, (0,), 1)
+    top = codec.wmax
+
+    def mul(qe, qh, e, h, h_step):
+        return _unpack(codec, G.mono_mul_flat(codec, 1, codec.pack(0, qe, qh) - codec.one,
+                                              {codec.pack(0, e, h): 1}, h_step, {}))
+
+    with pytest.raises(InternalError, match="packed x1 field"):
+        mul((1, 0), 0, (top, 0), 0, 0)
+    with pytest.raises(InternalError, match="packed h field"):
+        mul((0, 0), 1, (0, 0), top, 2)
+    assert mul((0, 1), 0, (1, 0), 0, 2) == {(0, (1, 1), 0): 1, (0, (0, 0), 2): 1}
+    assert mul((0, 1), 0, (1, 0), top - 2, 2) == {(0, (1, 1), top - 2): 1,
+                                                  (0, (0, 0), top): 1}
+    with pytest.raises(InternalError, match="packed h field"):
+        mul((0, 1), 0, (1, 0), top - 1, 2)
+    # the same expansion, but the term with no contraction, x1 d1^wmax,
+    # leaves the total degree's weight field first
+    with pytest.raises(InternalError, match="packed degree field"):
+        mul((0, 1), 0, (1, top - 1), 0, 2)
+
+
 def test_packing_overflow_raises_internal_error():
     import derham.groebner as G
     from derham import InternalError
