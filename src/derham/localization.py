@@ -1,11 +1,31 @@
 """Localizations R_f as cyclic D_n-modules via the Bernstein-Sato route.
 
-The annihilator of f^s is computed by elimination: adjoin a pair (t, dt)
-and central helpers u, v with u v = 1; the ideal generated by t - u f,
-d_i + u f_i dt and u v - 1 is homogeneous for the weight (t: 1, dt: -1,
-u: 1, v: -1), so eliminating u, v and multiplying each survivor to weight
-zero lands in D_n[t dt].  Rewriting t^a dt^a as a falling factorial and
-substituting t dt = -s - 1 yields generators of Ann(f^s) in D_n[s].
+The annihilator of f^s comes from the elimination of Briancon and
+Maisonobe.  In D_n<s, dt>, where s commutes with x and d and
+dt s = (s - 1) dt, the left ideal <s + f dt, d_i + f_i dt> meets D_n[s]
+in Ann(f^s).  Buchberger runs there under the order (dt-degree, s-degree,
+degree in x and d, grevlex), which eliminates dt; the kernel multiplies
+by the shift rule on the pair (s, dt) (weyl.MonomialCodec.shift_pairs).
+
+The presentation, and so every report, is the one the Oaku-Takayama
+elimination gave: adjoin t, dt and central u, v with u v = 1, and keep
+the u,v-free part J of the reduced basis of <t - u f, d_i + u f_i dt,
+u v - 1> under an order eliminating u, v.  J is the annihilator in
+D_{n+1} of f^s in D_n[s, 1/f] f^s, where t acts by s -> s + 1 and dt by
+g(s) f^s -> -s g(s - 1) f^(s-1).  It is homogeneous for the weight
+(t: 1, dt: -1), and its weight-0 part J_0 is the image of Ann(f^s) under
+s -> -t dt - 1.  J = D_{n+1} J_0: an element of J of weight w is t^w q
+(w >= 0) or dt^(-w) q (w < 0) with q of weight 0, and t and dt act
+injectively, so q annihilates f^s and lies in J_0.  So D_{n+1} times the
+image of the dt-free entries of Briancon-Maisonobe's basis is J, and one
+more Buchberger run, under block_elim_codec(n + 1, (), degree), the old
+order on the u,v-free monomials, gives J's reduced basis.  A reduced
+basis is unique (the groebner module docstring says why), and the u,v-free
+entries of a reduced basis under an order eliminating u, v are the
+reduced basis of J, so both routes give the same entries in the same
+order.  Each entry is homogeneous; multiplying it by dt^w or t^(-w) lands
+in weight zero, that is in D_n[t dt], and rewriting t^a dt^a as a falling
+factorial and t dt = -s - 1 yields a generator of Ann(f^s) in D_n[s].
 
 b_f(s) then generates (Ann(f^s) + D_n[s] f) intersect Q[s]; with s0 the
 minimal integer root, D_n / Ann(f^s)|_{s=s0} presents R_f on f^s0.
@@ -22,13 +42,13 @@ from .groebner import GBEngine, block_elim_codec, elements_degree, me_to_flat
 from .groebner import ModuleElement
 from .presentations import DModPresentation
 from .restriction import ThetaPolynomial
-from .weyl import WeylElement, apply_to_polynomial, format_operator
+from .weyl import MonomialCodec, WeylElement, apply_to_polynomial, format_operator
 
 log = logging.getLogger("derham.localization")
 
 
 # ---------------------------------------------------------------------------
-# ring plumbing: D_n  <->  D_{n+1}<t>[u,v]  <->  D_n[s]
+# ring plumbing: D_n  <->  D_n<s, dt>  ->  D_{n+1}  ->  D_n[s]
 # ---------------------------------------------------------------------------
 
 def _extend(p: WeylElement, big_n: int) -> WeylElement:
@@ -41,17 +61,27 @@ def _extend(p: WeylElement, big_n: int) -> WeylElement:
     return WeylElement(big_n, terms)
 
 
-def _weight(exps, n: int) -> int:
-    """t-weight of a monomial in the extended algebra: t and u count +1,
-    dt and v count -1 (indices n, n+1, n+2 are t, u, v)."""
-    big = n + 3
-    return exps[n] + exps[n + 1] - exps[big + n] - exps[n + 2]
+def _bm_codec(n: int, degree: int) -> MonomialCodec:
+    """D_n<s, dt> on pair n, dt s = (s - 1) dt, under the order (dt-degree,
+    s-degree, degree in x and d, grevlex): an elimination order for dt."""
+    ns = n + 1
+    dt = tuple(int(j == ns + n) for j in range(2 * ns))
+    s = tuple(int(j == n) for j in range(2 * ns))
+    rest = tuple(1 - a - b for a, b in zip(dt, s))
+    return MonomialCodec(ns, 1, degree, (("dt degree", dt, (0,)),
+                                         ("s degree", s, (0,)),
+                                         ("rest degree", rest, (0,))),
+                         shift_pairs=(n,))
 
 
-def _is_uv_free(exps, n: int) -> bool:
-    big = n + 3
-    return exps[n + 1] == 0 and exps[n + 2] == 0 and exps[big + n + 1] == 0 \
-        and exps[big + n + 2] == 0
+def _reduced_basis(n: int, gens: Sequence[WeylElement], codec_for) -> list:
+    """The reduced basis of the left ideal of D_n the gens generate, in the
+    plain algebra under the codec codec_for(degree of the gens), as dicts
+    from exponents to primitive int coefficients, leads ascending."""
+    elems = [ModuleElement(n, [g]) for g in gens]
+    codec = codec_for(elements_degree(elems))
+    reduced = GBEngine(codec, h_step=0).buchberger([me_to_flat(v, codec) for v in elems])
+    return [{codec.exponents(m): c for m, c in vec.items()} for _, _, vec in reduced]
 
 
 def annihilator_of_fs(f: WeylElement) -> list:
@@ -61,64 +91,68 @@ def annihilator_of_fs(f: WeylElement) -> list:
         raise InvalidInputError("cannot localize at the zero polynomial")
     if not f.is_polynomial():
         raise InvalidInputError("localization needs a polynomial")
-    big = n + 3  # pairs: x_1..x_n, t, u, v
-    t = WeylElement.x(n, big)
-    dt = WeylElement.d(n, big)
-    u = WeylElement.x(n + 1, big)
-    v = WeylElement.x(n + 2, big)
-    fe = _extend(f, big)
-    gens = [t - u * fe]
+    ns = n + 1
+    # pair n is (s, dt) in D_n<s, dt> and (t, dt) in D_{n+1}
+    xn, dt = WeylElement.x(n, ns), WeylElement.d(n, ns)
+    gens = [xn + _extend(f, ns) * dt]
     for i in range(n):
-        fi = _extend(apply_to_polynomial(WeylElement.d(i, n), f), big)
-        gens.append(WeylElement.d(i, big) + u * fi * dt)
-    gens.append(u * v - 1)
+        fi = apply_to_polynomial(WeylElement.d(i, n), f)
+        gens.append(WeylElement.d(i, ns) + _extend(fi, ns) * dt)
+    bm = _reduced_basis(ns, gens, lambda degree: _bm_codec(n, degree))
 
-    # eliminate u and v with a genuine term order; no homogenization needed
-    elems = [ModuleElement(big, [g]) for g in gens]
-    codec = block_elim_codec(big, (n + 1, n + 2, big + n + 1, big + n + 2),
-                             elements_degree(elems))
-    engine = GBEngine(codec, h_step=0)
-    reduced = engine.buchberger([me_to_flat(v, codec) for v in elems])
+    # s = -t dt - 1 carries the dt-free entries into J_0
+    s_image = -(xn * dt) - 1
+    powers = [WeylElement.one(ns)]  # [j]: s_image^j
+    j0 = []
+    for elem in bm:
+        if any(e[ns + n] for e in elem):
+            continue
+        terms = []
+        for e, c in elem.items():
+            while len(powers) <= e[n]:
+                powers.append(powers[-1] * s_image)
+            terms += [(e[:n] + (k[n],) + e[ns:ns + n] + (k[ns + n],), c * ck)
+                      for k, ck in powers[e[n]].terms.items()]
+        j0.append(WeylElement(ns, terms))
+    basis = _reduced_basis(ns, j0, lambda degree: block_elim_codec(ns, (), degree))
 
     out = []
-    for lead, _, vec in reduced:
-        elem = {codec.exponents(m): c for m, c in vec.items()}
-        if not all(_is_uv_free(e, n) for e in elem):
-            continue
-        weights = {_weight(e, n) for e in elem}
+    for elem in basis:
+        weights = {e[n] - e[ns + n] for e in elem}
         if len(weights) != 1:
             raise InternalError("elimination produced a non-homogeneous element")
         w = weights.pop()
-        p = WeylElement(big, elem)
+        p = WeylElement(ns, elem)
         if w > 0:
             p = dt ** w * p
         elif w < 0:
-            p = t ** (-w) * p
+            p = xn ** (-w) * p
         out.append(_to_dns(p, n))
     return [g for g in out if not g.is_zero()]
 
 
 def _to_dns(p: WeylElement, n: int) -> WeylElement:
-    """Rewrite a weight-zero, uv-free element as an element of D_n[s].
+    """Rewrite a weight-zero element of D_{n+1} (t, dt on pair n) as an
+    element of D_n[s].
 
-    Every term is x^a d^b t^k dt^k; t^k dt^k is the falling factorial
+    Every term is x^a t^k d^b dt^k; t^k dt^k is the falling factorial
     theta (theta-1) ... (theta-k+1) with theta = t dt, and theta = -s - 1,
     so it is (-1)^k (s + 1) (s + 2) ... (s + k).  s is central, so the term
     is the sum over j of that polynomial's s^j coefficient times x^a s^j d^b.
     """
-    big = n + 3
+    ns = n + 1
     falling = [[1]]  # [k]: ascending coefficients of (-1)^k (s + 1) ... (s + k)
     terms = []
     for e, c in p.terms.items():
         k = e[n]
-        if e[big + n] != k:
+        if e[ns + n] != k:
             raise InternalError("weight-zero element with unbalanced t, dt")
         while len(falling) <= k:  # the last one times -(s + j)
             j, last = len(falling), falling[-1]
             falling.append([-(u * j + v) for u, v in zip(last + [0], [0] + last)])
-        a, b = e[:n], e[big:big + n] + (0,)
+        a, b = e[:n], e[ns:ns + n] + (0,)
         terms += [(a + (j,) + b, c * coef) for j, coef in enumerate(falling[k])]
-    return WeylElement(n + 1, terms)
+    return WeylElement(ns, terms)
 
 
 def substitute_s(p: WeylElement, value) -> WeylElement:
@@ -185,36 +219,59 @@ def bernstein_sato(f: WeylElement, ann: Optional[list] = None) -> ThetaPolynomia
 class LocalizedModule:
     """R_f presented as D_n / Ann(f^s)|_{s=exponent}, cyclic on f^exponent."""
 
-    __slots__ = ("f", "exponent", "b_function", "presentation", "ann_s", "from_user")
+    __slots__ = ("f", "exponent", "b_function", "presentation", "from_user")
 
     def __init__(self, f: WeylElement, exponent: int, b_function,
-                 presentation: DModPresentation, ann_s=None, from_user=False):
+                 presentation: DModPresentation, from_user=False):
         self.f = f
         self.exponent = exponent
         self.b_function = b_function
         self.presentation = presentation
-        self.ann_s = ann_s
         self.from_user = from_user
 
     def at_exponent(self, a: int) -> "LocalizedModule":
-        """Re-present on the generator f^a (a <= the minimal integer root)."""
+        """Re-present on the generator f^a (a <= the minimal integer root);
+        the annihilator of f^s is computed again."""
         if a == self.exponent:
             return self
-        if self.ann_s is None:
+        if self.from_user or self.f.is_constant():
             raise InvalidInputError(
                 "user-supplied presentation cannot be moved to a different exponent")
         s0 = self.b_function.integer_roots()[0]
         if a > s0:
             raise InvalidInputError(f"exponent {a} above the minimal integer root {s0}")
-        return _specialize(self.f, self.ann_s, self.b_function, a)
+        return _specialize(self.f, annihilator_of_fs(self.f), self.b_function, a)
 
 
 def _specialize(f: WeylElement, ann_s, b: ThetaPolynomial, a: int) -> LocalizedModule:
+    """R_f on f^a: a constant f on the relations d_i, any other on the
+    annihilator ann_s of f^s at s = a."""
     n = f.n
-    rels = [substitute_s(g, a) for g in ann_s]
-    rels = [r for r in rels if not r.is_zero()]
-    pres = DModPresentation.cyclic(n, rels)
-    return LocalizedModule(f, a, b, pres, ann_s=ann_s)
+    if f.is_constant():
+        rels = [WeylElement.d(i, n) for i in range(n)]
+    else:
+        rels = [substitute_s(g, a) for g in ann_s]
+        rels = [r for r in rels if not r.is_zero()]
+    return LocalizedModule(f, a, b, DModPresentation.cyclic(n, rels))
+
+
+def _annihilator_and_b(f: WeylElement):
+    """(Ann(f^s), b_f, the minimal integer root of b_f) of a nonconstant
+    polynomial f, and (None, 1, 0) of a nonzero constant."""
+    if f.is_zero():
+        raise InvalidInputError("cannot localize at the zero polynomial")
+    if not f.is_polynomial():
+        raise InvalidInputError("localization needs a polynomial")
+    if f.is_constant():
+        return None, ThetaPolynomial.one(), 0
+    ann = annihilator_of_fs(f)
+    b = bernstein_sato(f, ann)
+    roots = b.integer_roots()
+    if not roots:
+        raise InternalError(
+            f"Bernstein-Sato polynomial {b} of a nonconstant polynomial has "
+            "no integer root")
+    return ann, b, roots[0]
 
 
 def localize(f: WeylElement) -> LocalizedModule:
@@ -224,22 +281,8 @@ def localize(f: WeylElement) -> LocalizedModule:
     at_exponent moves the presentation to a lower exponent.  Nonzero
     constants localize trivially with s0 = 0.
     """
-    n = f.n
-    if f.is_zero():
-        raise InvalidInputError("cannot localize at the zero polynomial")
-    if not f.is_polynomial():
-        raise InvalidInputError("localization needs a polynomial")
-    if f.is_constant():
-        pres = DModPresentation.cyclic(n, [WeylElement.d(i, n) for i in range(n)])
-        return LocalizedModule(f, 0, ThetaPolynomial.one(), pres, ann_s=None)
-    ann = annihilator_of_fs(f)
-    b = bernstein_sato(f, ann)
-    roots = b.integer_roots()
-    if not roots:
-        raise InternalError(
-            f"Bernstein-Sato polynomial {b} of a nonconstant polynomial has "
-            "no integer root")
-    return _specialize(f, ann, b, roots[0])
+    ann, b, s0 = _annihilator_and_b(f)
+    return _specialize(f, ann, b, s0)
 
 
 def formal_action_is_zero(op: WeylElement, f: WeylElement, a: int) -> bool:
@@ -292,7 +335,8 @@ class LocalizationFamily:
     index_sets lists every needed multiset of factor indices; all their
     products get presented on the common exponent a = min over the family
     of the minimal integer roots (user-supplied presentations must already
-    use that exponent).
+    use that exponent).  Index sets with one product share one module, and
+    each distinct product's annihilator is computed once.
     """
 
     def __init__(self, n: int, factors: Sequence[WeylElement], index_sets,
@@ -308,44 +352,38 @@ class LocalizationFamily:
                 raise InvalidInputError("family members must be polynomials")
         overrides = dict(overrides or {})
 
-        products = {}
-        for idxs in index_sets:
-            key = tuple(sorted(idxs))
-            if key not in products:
-                products[key] = self.product(key)
+        keys = sorted({tuple(sorted(idxs)) for idxs in index_sets})
+        polys = {key: self.product(key) for key in keys}
 
-        raw = {}
+        found = {}  # each distinct product: a user module, or (Ann(f^s), b_f)
         exponents = []
-        for key, poly in sorted(products.items()):
+        for poly in polys.values():
+            if poly in found:
+                continue
             text = format_operator(poly)
             if text in overrides:
                 exponent, rels = overrides[text]
                 pres = DModPresentation.cyclic(n, rels)
-                raw[key] = LocalizedModule(poly, exponent, None, pres, from_user=True)
+                found[poly] = LocalizedModule(poly, exponent, None, pres, from_user=True)
                 exponents.append(exponent)
                 log.info("localization of %s supplied by the user", text)
             else:
-                mod = localize(poly)
-                raw[key] = mod
+                ann, b, s0 = _annihilator_and_b(poly)
+                found[poly] = ann, b
                 if not poly.is_constant():
-                    exponents.append(mod.exponent)
+                    exponents.append(s0)
         self.exponent = min(exponents) if exponents else 0
 
-        self.modules = {}
-        for key, mod in raw.items():
-            if mod.from_user:
+        for poly, mod in found.items():
+            if isinstance(mod, LocalizedModule):
                 if mod.exponent != self.exponent:
                     raise InvalidInputError(
                         f"user presentation of {format_operator(mod.f)} uses exponent "
                         f"{mod.exponent}, but the family needs {self.exponent}")
                 self._verify(mod)
-                self.modules[key] = mod
-            elif mod.f.is_constant():
-                self.modules[key] = LocalizedModule(mod.f, self.exponent,
-                                                    mod.b_function, mod.presentation,
-                                                    ann_s=mod.ann_s)
             else:
-                self.modules[key] = mod.at_exponent(self.exponent)
+                found[poly] = _specialize(poly, *mod, self.exponent)
+        self.modules = {key: found[poly] for key, poly in polys.items()}
 
     def product(self, idxs) -> WeylElement:
         out = WeylElement.one(self.n)

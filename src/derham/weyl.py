@@ -8,8 +8,10 @@ anywhere in this package.
 
 Every product in the package runs through one kernel, mono_mul_flat: a
 monomial times a flat module vector.  A flat vector keys its terms by
-packed monomials, one int each (MonomialCodec).  A quotient monomial with
-no d shifts every term by itself.  For one with d's, the codec keeps a
+packed monomials, one int each (MonomialCodec).  A codec may declare a
+pair a shift pair, d_i x_i = (x_i - 1) d_i, for the elimination in
+D_n<s, dt> that finds Ann(f^s).  A quotient monomial with no d shifts
+every term by itself.  For one with d's, the codec keeps a
 plan (_Plan), built on first use per set of d-exponents and h_step: the
 x fields those d's meet and, per pattern of x-exponents a term has there,
 the expansion of the commutations.  The plans live as long as their
@@ -74,10 +76,14 @@ class MonomialCodec:
     same sets a guard bit, and overflow() names it in an InternalError.
     """
 
-    def __init__(self, n: int, positions: int, degree: int, weights=()):
+    def __init__(self, n: int, positions: int, degree: int, weights=(),
+                 shift_pairs=()):
         """weights: (name, coefs over the 2n exponents, constant per
-        position) triples, the most significant first."""
+        position) triples, the most significant first.  shift_pairs: the
+        indices i of the pairs (x_i, d_i) that multiply by the shift rule
+        d_i x_i = (x_i - 1) d_i in place of d_i x_i = x_i d_i + 1."""
         self.n = n
+        self.shift_pairs = frozenset(shift_pairs)
         width = max(16, degree.bit_length() + 8)
         self.wmax = wmax = (1 << width) - 1
         pbits = max(1, (positions - 1).bit_length())
@@ -239,11 +245,15 @@ def mono_mul_flat(codec: MonomialCodec, coeff, q: int, vec: dict,
     sum over k of comb(b,k)*comb(a,k)*k! * x_i^(a-k) d_i^(b-k),
     independently for each i, and k contractions lower x_i and d_i by k
     and multiply by h^(h_step * k): h_step = 2 multiplies in the
-    homogenized algebra and h_step = 0 in D_n.  The codec keeps one _Plan
-    per (d-exponents of q, h_step), built on the first call that needs it,
-    so each expansion is computed once per codec and pattern of the
-    x-exponents that q's d's meet, not once per term.  Every product term
-    is checked against the guard bits.
+    homogenized algebra and h_step = 0 in D_n.  A pair the codec declares
+    a shift pair, as (s, dt) in D_n<s, dt>, expands d_i^b x_i^a as
+    (x_i - b)^a d_i^b instead: k contractions lower x_i alone by k and
+    multiply by comb(a,k)*(-b)^k, for h_step = 0 only (_Plan raises for
+    h_step = 2).  The codec keeps one _Plan per (d-exponents of q,
+    h_step), built on the first call that needs it, so each expansion is
+    computed once per codec and pattern of the x-exponents that q's d's
+    meet, not once per term.  Every product term is checked against the
+    guard bits.
 
     Each product term is added into out as the expansion meets it, the
     earlier variable slowest: a sum that cancels deletes its key, and a
@@ -319,14 +329,18 @@ class _Plan(dict):
     """mono_mul_flat's plan for the quotients with one set of d-exponents,
     under one h_step.
 
-    dq holds (x_i offset, b, what one contraction d_i x_i adds) for every
+    dq holds (x_i offset, b, what one contraction adds, shift) for every
     d_i^b of the quotient, i ascending, and xmask the x_i fields they
-    meet.  As a dict it maps t & xmask, the fields of a term t there, to
-    the (what the contractions add, multiplier) pairs over the choices of
-    k for every x_i that t holds, the earlier variable slowest and fewer
-    contractions first, but without the first choice, all k = 0, which
-    the kernel adds itself.  An entry is built the first time a term
-    shows its pattern.
+    meet.  A contraction of a Weyl pair lowers x_i and d_i by one; one of
+    a shift pair (MonomialCodec's shift_pairs) lowers x_i alone, as
+    d_i^b x_i^a = (x_i - b)^a d_i^b = sum over k of comb(a,k)*(-b)^k *
+    x_i^(a-k) d_i^b.  That rule has no homogenized form, so a shift pair
+    multiplies only for h_step = 0.  As a dict the plan maps t & xmask,
+    the fields of a term t there, to the (what the contractions add,
+    multiplier) pairs over the choices of k for every x_i that t holds,
+    the earlier variable slowest and fewer contractions first, but without
+    the first choice, all k = 0, which the kernel adds itself.  An entry is
+    built the first time a term shows its pattern.
     """
 
     __slots__ = ("dq", "xmask", "wmax")
@@ -337,20 +351,30 @@ class _Plan(dict):
         dq, xmask = [], 0
         for i in range(n):
             b = (qd >> off_e[n + i]) & wmax
-            if b:
-                dq.append((off_e[i], b, -unit[i] - unit[n + i] - step_h))
-                xmask |= wmax << off_e[i]
+            if not b:
+                continue
+            if i not in codec.shift_pairs:
+                dq.append((off_e[i], b, -unit[i] - unit[n + i] - step_h, False))
+            elif h_step:
+                raise InternalError("a shift pair multiplies only for h_step = 0")
+            else:
+                dq.append((off_e[i], b, -unit[i], True))
+            xmask |= wmax << off_e[i]
         self.dq, self.xmask, self.wmax = dq, xmask, wmax
 
     def __missing__(self, x: int) -> tuple:
         nx, wmax = ~x, self.wmax
         combos = [(0, 1)]
-        for ox, b, step in self.dq:
+        for ox, b, step, shift in self.dq:
             a = (nx >> ox) & wmax
-            if a:
+            if not a:
+                continue
+            if shift:
+                ks = [(k * step, comb(a, k) * (-b) ** k) for k in range(a + 1)]
+            else:
                 ks = [(k * step, comb(b, k) * comb(a, k) * factorial(k))
                       for k in range(min(b, a) + 1)]
-                combos = [(d1 + d2, m1 * m2) for d1, m1 in combos for d2, m2 in ks]
+            combos = [(d1 + d2, m1 * m2) for d1, m1 in combos for d2, m2 in ks]
         combos = self[x] = tuple(combos[1:])
         return combos
 

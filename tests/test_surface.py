@@ -25,8 +25,10 @@ README = ROOT / "README.md"
 # scan.  Every division ends by construction, so the step budget and its
 # error are gone, and a solver answers cofactor queries, not
 # normal_form_with_cofactor.  Phase two takes one horseshoe step per level,
-# not two nested free covers.  A dotted name is a method or field of a class
-# that stays
+# not two nested free covers.  The annihilator of f^s is eliminated in
+# D_n<s, dt> and re-based in D_{n+1}, with no u, v pairs to weigh or test,
+# and a localized module no longer keeps it.  A dotted name is a method or
+# field of a class that stays
 REMOVED = ["TermOrder", "GroebnerBasis", "groebner_basis", "normal_form",
            "submodule_membership", "syzygies", "kernel_of_map",
            "cech_complex", "family_for_cech", "strictify_ses",
@@ -42,7 +44,8 @@ REMOVED = ["TermOrder", "GroebnerBasis", "groebner_basis", "normal_form",
            "v_order_key", "block_elim_key", "_lead", "_mono_divides",
            "lcm_mono", "ReductionLimitError", "DEFAULT_REDUCTION_LIMIT",
            "GBEngine.limit", "SubmoduleSolver.normal_form_with_cofactor",
-           "SolverCache.basis", "free_cover_ses"]
+           "SolverCache.basis", "free_cover_ses", "_is_uv_free", "_weight",
+           "LocalizedModule.ann_s"]
 
 # kept in derham.strictify for phase two and the SES oracle, but not
 # exported from the package

@@ -7,6 +7,8 @@ from conftest import random_polynomial, random_weyl
 from derham import (NEG_INF, DimensionMismatchError, InvalidInputError,
                     WeylElement, apply_to_polynomial, format_operator, fourier,
                     parse_operator, theta, v_degree, weyl_mul)
+from derham.errors import InternalError
+from derham.weyl import MonomialCodec, mono_mul_flat
 
 
 def x(i, n):
@@ -170,3 +172,109 @@ def test_weyl_mul_matches_reference(n):
         got = weyl_mul(p, q).terms
         assert got == _reference_weyl_mul(p, q)
         assert all(type(c) is Fraction for c in got.values())
+
+
+def _shift_codec(n, shift):
+    return MonomialCodec(n, 1, 16, shift_pairs=(shift,))
+
+
+def _shift_power(a, b):
+    """(s - b)^a as a repeated product of s - b: ascending coefficients."""
+    poly = [1]
+    for _ in range(a):
+        poly = [hi - b * lo for lo, hi in zip(poly + [0], [0] + poly)]
+    return poly
+
+
+def _reference_shift_product(n, shift, qe, vec):
+    """q * vec for the monomial q with exponents qe, pair `shift` a shift
+    pair: d_i^b x_i^a = (x_i - b)^a d_i^b there, the Weyl contraction on
+    every other pair, with terms in the kernel's order (each term of vec
+    in turn, the earlier variable slowest, fewer contractions first)."""
+    from itertools import product
+    from math import comb, factorial
+    out = {}
+    for e, c in vec.items():
+        per_var = []
+        for i in range(n):
+            b, a = qe[n + i], e[i]
+            if not (a and b):
+                continue
+            if i == shift:
+                coeffs = _shift_power(a, b)  # s^(a - k) has coeffs[a - k]
+                per_var.append([(i, k, 0, coeffs[a - k]) for k in range(a + 1)])
+            else:
+                per_var.append([(i, k, k, comb(b, k) * comb(a, k) * factorial(k))
+                                for k in range(min(a, b) + 1)])
+        for choice in product(*per_var):
+            exps = [p + r for p, r in zip(qe, e)]
+            mult = c
+            for i, kx, kd, m in choice:
+                exps[i] -= kx
+                exps[n + i] -= kd
+                mult *= m
+            key = tuple(exps)
+            s = out.get(key, 0) + mult
+            if s:
+                out[key] = s
+            else:
+                del out[key]
+    return out
+
+
+def _random_exps(rng, n, top=3):
+    return tuple(rng.randint(0, top) for _ in range(2 * n))
+
+
+@pytest.mark.parametrize("n, shift", [(1, 0), (2, 1), (3, 0), (3, 2)])
+def test_shift_pair_products_match_reference(n, shift):
+    rng = random.Random(70 + 3 * n + shift)
+    codec = _shift_codec(n, shift)
+    shifted = 0
+    for _ in range(80):
+        qe = _random_exps(rng, n)
+        vec = {_random_exps(rng, n): rng.randint(-3, 3) or 1
+               for _ in range(rng.randint(1, 4))}
+        want = _reference_shift_product(n, shift, qe, vec)
+        flat = {codec.pack(0, e): c for e, c in vec.items()}
+        got = mono_mul_flat(codec, 1, codec.pack(0, qe) - codec.one, flat, 0, {})
+        got = [(codec.exponents(m), c) for m, c in got.items()]
+        assert got == list(want.items())
+        shifted += qe[n + shift] > 0 and any(e[shift] for e in vec)
+    assert shifted >= 20
+
+
+def _shift_mul(codec, p, q):
+    """p * q for flat vectors over a codec with a shift pair."""
+    out = {}
+    for m, c in p.items():
+        mono_mul_flat(codec, c, m - codec.one, q, 0, out)
+    return out
+
+
+def test_shift_pair_product_is_associative():
+    rng = random.Random(77)
+    for n, shift in ((1, 0), (2, 1), (3, 2)):
+        codec = _shift_codec(n, shift)
+        for _ in range(40):
+            a, b, c = ({codec.pack(0, _random_exps(rng, n, 2)): rng.randint(1, 3)}
+                       for _ in range(3))
+            assert _shift_mul(codec, _shift_mul(codec, a, b), c) == \
+                _shift_mul(codec, a, _shift_mul(codec, b, c))
+    # dt s = (s - 1) dt on the one pair: dt^2 s^2 = s^2 dt^2 - 4 s dt^2 + 4 dt^2
+    codec = _shift_codec(1, 0)
+    got = _shift_mul(codec, {codec.pack(0, (0, 2)): 1}, {codec.pack(0, (2, 0)): 1})
+    assert {codec.exponents(m): c for m, c in got.items()} == \
+        {(2, 2): 1, (1, 2): -4, (0, 2): 4}
+
+
+def test_shift_pair_refuses_the_homogenized_product():
+    codec = _shift_codec(2, 1)
+    vec = {codec.pack(0, (0, 1, 0, 0)): 1}
+    with pytest.raises(InternalError, match="shift pair"):
+        mono_mul_flat(codec, 1, codec.pack(0, (0, 0, 0, 1)) - codec.one, vec, 2, {})
+    # the Weyl pair beside it still multiplies under h_step = 2
+    out = mono_mul_flat(codec, 1, codec.pack(0, (0, 0, 1, 0)) - codec.one,
+                        {codec.pack(0, (1, 0, 0, 0)): 1}, 2, {})
+    assert sorted(codec.unpack(m) for m in out) == \
+        [(0, (0, 0, 0, 0), 2), (0, (1, 0, 1, 0), 0)]
