@@ -27,8 +27,27 @@ order.  Each entry is homogeneous; multiplying it by dt^w or t^(-w) lands
 in weight zero, that is in D_n[t dt], and rewriting t^a dt^a as a falling
 factorial and t dt = -s - 1 yields a generator of Ann(f^s) in D_n[s].
 
-b_f(s) then generates (Ann(f^s) + D_n[s] f) intersect Q[s]; with s0 the
-minimal integer root, D_n / Ann(f^s)|_{s=s0} presents R_f on f^s0.
+b_f(s) generates (Ann(f^s) + D_n[s] f) intersect Q[s]; with s0 the
+minimal integer root, D_n / Ann(f^s)|_{s=s0} presents R_f on f^s0.  One
+Briancon-Maisonobe run (_bm_basis) feeds both the annihilator and b_f,
+which is read off its basis by the first linear dependence among the
+normal forms of 1, s, s^2, ... (Noro, ICMS 2002; Levandovskyy and
+Martin-Morales, ISSAC 2008), in exact rationals.  Three facts make that
+exact:
+
+- The dt-free entries of the reduced basis are the reduced basis of
+  Ann(f^s) in D_n[s] under the codec's order restricted there: dt-degree
+  is the top weight, so an element whose lead is dt-free is dt-free, and
+  a product of dt-free elements stays dt-free.
+- Buchberger may start from those entries and f with only f marked
+  changed: an S-pair of two dt-free entries reduces to zero by the
+  dt-free entries alone, as a reducer whose lead divides a dt-free
+  monomial is dt-free.  So the run gives a basis of I = Ann(f^s) +
+  D_n[s] f under the same codec.
+- s is central and I is a left ideal, so s^(k+1) - s NF(s^k) lies in I
+  and NF(s^(k+1)) = NF(s NF(s^k)).  NF is linear and vanishes exactly on
+  I, so sum c_k s^k lies in I iff sum c_k NF(s^k) = 0: the first
+  dependence is the monic b_f.
 """
 
 from __future__ import annotations
@@ -37,12 +56,14 @@ import logging
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from . import linalg
 from .errors import InternalError, InvalidInputError
 from .groebner import GBEngine, block_elim_codec, elements_degree, me_to_flat
-from .groebner import ModuleElement
+from .groebner import ModuleElement, _DivisorIndex
 from .presentations import DModPresentation
 from .restriction import ThetaPolynomial
-from .weyl import MonomialCodec, WeylElement, apply_to_polynomial, format_operator
+from .weyl import (MonomialCodec, WeylElement, apply_to_polynomial, format_operator,
+                   mono_mul_flat)
 
 log = logging.getLogger("derham.localization")
 
@@ -74,50 +95,58 @@ def _bm_codec(n: int, degree: int) -> MonomialCodec:
                          shift_pairs=(n,))
 
 
-def _reduced_basis(n: int, gens: Sequence[WeylElement], codec_for) -> list:
-    """The reduced basis of the left ideal of D_n the gens generate, in the
-    plain algebra under the codec codec_for(degree of the gens), as dicts
-    from exponents to primitive int coefficients, leads ascending."""
-    elems = [ModuleElement(n, [g]) for g in gens]
-    codec = codec_for(elements_degree(elems))
-    reduced = GBEngine(codec, h_step=0).buchberger([me_to_flat(v, codec) for v in elems])
-    return [{codec.exponents(m): c for m, c in vec.items()} for _, _, vec in reduced]
-
-
-def annihilator_of_fs(f: WeylElement) -> list:
-    """Generators of Ann(f^s) as elements of D_n[s] (s = trailing central pair)."""
+def _bm_basis(f: WeylElement) -> tuple:
+    """(codec, entries): the dt-free entries of the reduced basis of
+    Briancon-Maisonobe's ideal under _bm_codec, as (lead, lc, vec) with
+    primitive int coefficients, leads ascending; the reduced basis of
+    Ann(f^s) in D_n[s] (module docstring)."""
     n = f.n
     if f.is_zero():
         raise InvalidInputError("cannot localize at the zero polynomial")
     if not f.is_polynomial():
         raise InvalidInputError("localization needs a polynomial")
     ns = n + 1
-    # pair n is (s, dt) in D_n<s, dt> and (t, dt) in D_{n+1}
-    xn, dt = WeylElement.x(n, ns), WeylElement.d(n, ns)
-    gens = [xn + _extend(f, ns) * dt]
+    s, dt = WeylElement.x(n, ns), WeylElement.d(n, ns)
+    gens = [s + _extend(f, ns) * dt]
     for i in range(n):
         fi = apply_to_polynomial(WeylElement.d(i, n), f)
         gens.append(WeylElement.d(i, ns) + _extend(fi, ns) * dt)
-    bm = _reduced_basis(ns, gens, lambda degree: _bm_codec(n, degree))
+    elems = [ModuleElement(ns, [g]) for g in gens]
+    codec = _bm_codec(n, elements_degree(elems))
+    reduced = GBEngine(codec, h_step=0).buchberger([me_to_flat(v, codec) for v in elems])
+    # dt-degree is the top weight: an entry is dt-free iff its lead is
+    dt_free = codec.weight_floor(1)
+    return codec, [entry for entry in reduced if entry[0] < dt_free]
 
-    # s = -t dt - 1 carries the dt-free entries into J_0
+
+def annihilator_of_fs(f: WeylElement, bm: Optional[tuple] = None) -> list:
+    """Generators of Ann(f^s) as elements of D_n[s] (s = trailing central
+    pair); bm is _bm_basis(f) if the caller has it."""
+    n = f.n
+    if bm is None:
+        bm = _bm_basis(f)
+    codec, entries = bm
+    ns = n + 1
+    # pair n is (t, dt) in D_{n+1}; s = -t dt - 1 carries the entries into J_0
+    xn, dt = WeylElement.x(n, ns), WeylElement.d(n, ns)
     s_image = -(xn * dt) - 1
     powers = [WeylElement.one(ns)]  # [j]: s_image^j
     j0 = []
-    for elem in bm:
-        if any(e[ns + n] for e in elem):
-            continue
+    for _, _, vec in entries:
         terms = []
-        for e, c in elem.items():
+        for m, c in vec.items():
+            e = codec.exponents(m)
             while len(powers) <= e[n]:
                 powers.append(powers[-1] * s_image)
             terms += [(e[:n] + (k[n],) + e[ns:ns + n] + (k[ns + n],), c * ck)
                       for k, ck in powers[e[n]].terms.items()]
-        j0.append(WeylElement(ns, terms))
-    basis = _reduced_basis(ns, j0, lambda degree: block_elim_codec(ns, (), degree))
+        j0.append(ModuleElement(ns, [WeylElement(ns, terms)]))
+    rebase = block_elim_codec(ns, (), elements_degree(j0))
+    basis = GBEngine(rebase, h_step=0).buchberger([me_to_flat(v, rebase) for v in j0])
 
     out = []
-    for elem in basis:
+    for _, _, vec in basis:
+        elem = {rebase.exponents(m): c for m, c in vec.items()}
         weights = {e[n] - e[ns + n] for e in elem}
         if len(weights) != 1:
             raise InternalError("elimination produced a non-homogeneous element")
@@ -177,39 +206,30 @@ def substitute_s(p: WeylElement, value) -> WeylElement:
     return WeylElement(n, terms)
 
 
-def bernstein_sato(f: WeylElement, ann: Optional[list] = None) -> ThetaPolynomial:
+def bernstein_sato(f: WeylElement, bm: Optional[tuple] = None) -> ThetaPolynomial:
     """The Bernstein-Sato polynomial of f, monic generator of
-    (Ann(f^s) + D_n[s] f) intersect Q[s]."""
+    (Ann(f^s) + D_n[s] f) intersect Q[s]: the first linear dependence among
+    the normal forms of 1, s, s^2, ... (module docstring); bm is
+    _bm_basis(f) if the caller has it."""
+    if bm is None:
+        bm = _bm_basis(f)
+    codec, entries = bm
     n = f.n
-    if ann is None:
-        ann = annihilator_of_fs(f)
     ns = n + 1
-    gens = list(ann) + [_extend(f, ns)]
-    # eliminate everything except s
-    block = tuple(range(n)) + tuple(range(ns, ns + n))
-    elems = [ModuleElement(ns, [g]) for g in gens]
-    codec = block_elim_codec(ns, block, elements_degree(elems))
     engine = GBEngine(codec, h_step=0)
-    reduced = engine.buchberger([me_to_flat(v, codec) for v in elems])
-    best = None
-    for lead, _, vec in reduced:
-        coeffs = {}
-        pure = True
-        for m, c in vec.items():
-            e = codec.exponents(m)
-            if any(e[i] for i in block) or e[ns + n]:
-                pure = False
-                break
-            coeffs[e[n]] = c
-        if not pure or not coeffs:
-            continue
-        poly = [coeffs.get(k, Fraction(0)) for k in range(max(coeffs) + 1)]
-        cand = ThetaPolynomial(poly)
-        if best is None or cand.degree < best.degree:
-            best = cand
-    if best is None:
-        raise InternalError(f"no Bernstein-Sato polynomial found for {format_operator(f)}")
-    return best
+    gens = [vec for _, _, vec in entries]
+    gens.append(me_to_flat(ModuleElement(ns, [_extend(f, ns)]), codec))
+    basis = engine.buchberger(gens, changed={len(entries)})
+    index = _DivisorIndex(basis, codec)
+    s = codec.pack(0, tuple(int(j == n) for j in range(2 * ns))) - codec.one
+    deps = linalg.FirstDependence()
+    nf = engine.reduce({codec.one: 1}, basis, index=index)
+    while True:
+        coeffs = deps.add(nf)
+        if coeffs is not None:
+            return ThetaPolynomial(coeffs)
+        # s is central and the ideal a left one: NF(s^(k+1)) = NF(s NF(s^k))
+        nf = engine.reduce(mono_mul_flat(codec, 1, s, nf, 0, {}), basis, index=index)
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +284,9 @@ def _annihilator_and_b(f: WeylElement):
         raise InvalidInputError("localization needs a polynomial")
     if f.is_constant():
         return None, ThetaPolynomial.one(), 0
-    ann = annihilator_of_fs(f)
-    b = bernstein_sato(f, ann)
+    bm = _bm_basis(f)
+    ann = annihilator_of_fs(f, bm)
+    b = bernstein_sato(f, bm)
     roots = b.integer_roots()
     if not roots:
         raise InternalError(

@@ -261,18 +261,16 @@ def _minimal_b_for_generator(kappa: ModuleElement, lam: int,
     """Minimal monic q with q(theta).kappa in F^(lam-1) + boundaries.
 
     Undetermined-coefficients search by increasing degree: reduce the
-    theta-power images to normal form, then demand that every term of
-    shifted V-degree >= lam cancels.  Each degree adds one image and the
-    monomials it brings; every lower degree failed, so the columns are
-    independent and the solution is unique.  Normal forms keep only the
-    terms of degree >= lam, which are linear in the coset, and theta
-    preserves F^(lam-1) and the boundaries, so the images carry no more.
+    theta-power images to normal form; q is the first linear dependence
+    among their terms of shifted V-degree >= lam, which must cancel.
+    Normal forms keep only the terms of degree >= lam, which are linear
+    in the coset, and theta preserves F^(lam-1) and the boundaries, so the
+    images carry no more.
     """
     n = kappa.n
     th = theta(n)
     image = kappa
-    highs = []   # per lower theta power: {(pos, exps): coeff} at shifted degree >= lam
-    monos = {}   # the rows' (pos, exps) keys, in order of first appearance
+    deps = linalg.FirstDependence()
     for t in range(max_degree + 1):
         if t:
             image = image.left_mul(th)
@@ -281,13 +279,9 @@ def _minimal_b_for_generator(kappa: ModuleElement, lam: int,
         high = {(pos, exps): c for pos, comp in enumerate(image.components)
                 for exps, c in comp.terms.items()
                 if term_v_degree(exps, n) + shift[pos] >= lam}
-        monos.update(dict.fromkeys(high))
-        rows = [[h.get(mono, Fraction(0)) for h in highs] for mono in monos]
-        rhs = [-high.get(mono, Fraction(0)) for mono in monos]
-        sol = linalg.solve(rows, rhs) if rows else [Fraction(0)] * t
-        if sol is not None:
-            return ThetaPolynomial(list(sol) + [Fraction(1)])
-        highs.append(high)
+        coeffs = deps.add(high)
+        if coeffs is not None:
+            return ThetaPolynomial(coeffs)
     raise BBoundExceededError(
         f"no b-function of degree <= {max_degree}; the module may not be "
         "specializable or the bound is too low")

@@ -49,6 +49,7 @@ as it is.
 from __future__ import annotations
 
 import logging
+from fractions import Fraction
 
 from .errors import InconsistencyError, InternalError, InvalidInputError
 from .groebner import (ModuleElement, OperatorMatrix, SolverCache,
@@ -693,7 +694,7 @@ def minimize_complex(c: ChainComplexPres) -> ChainComplexPres:
                 break
             a, b = pivot
             row_a = rows.pop(a)
-            inv = 1 / row_a[b].constant_coefficient()
+            inv = Fraction(1, row_a[b].constant_coefficient())
             for r, row in enumerate(rows):
                 if row[b]:
                     f = row[b].scale(inv)

@@ -6,6 +6,14 @@ exponent vector of ``c * x^alpha * d^beta`` is the length-2n tuple
 ``alpha + beta``.  All arithmetic is exact; there is no floating point
 anywhere in this package.
 
+The coefficient contract: an element stores a coefficient as an int when
+it is integral and as a Fraction otherwise, never as a float and never as
+an integral Fraction.  The constructors, +, scale and weyl_mul keep that
+form (_as_rational), so an operator with integer coefficients holds ints,
+which take less memory than Fractions and go into the Groebner engine's
+integer division as they are.  Dividing two coefficients therefore needs
+a Fraction on one side: 1 / c is a float when c is an int.
+
 Every product in the package runs through one kernel, mono_mul_flat: a
 monomial times a flat module vector.  A flat vector keys its terms by
 packed monomials, one int each (MonomialCodec).  A codec may declare a
@@ -38,13 +46,15 @@ NEG_INF = float("-inf")
 Exps = tuple  # length-2n tuple of nonnegative ints: alpha + beta
 
 
-def _as_fraction(c) -> Fraction:
-    if type(c) is Fraction:  # the common case, before isinstance's subclass check
+def _as_rational(c):
+    """c in the coefficient contract: an int if it is integral, a Fraction
+    otherwise."""
+    if type(c) is int:  # the common case, before isinstance's subclass check
         return c
     if isinstance(c, Fraction):
-        return c
+        return c.numerator if c.denominator == 1 else c
     if isinstance(c, int):
-        return Fraction(c)
+        return int(c)
     raise InvalidInputError(f"non-rational coefficient {c!r}")
 
 
@@ -395,14 +405,14 @@ class WeylElement:
         clean = {}
         if terms:
             for exps, coeff in terms.items() if isinstance(terms, dict) else terms:
-                c = _as_fraction(coeff)
+                c = _as_rational(coeff)
                 if not c:
                     continue
                 if len(exps) != 2 * n or (exps and min(exps) < 0):
                     raise InvalidInputError(f"bad exponent vector {exps!r} for n={n}")
                 exps = tuple(exps)
                 acc = clean.get(exps)
-                c = c if acc is None else acc + c
+                c = c if acc is None else _as_rational(acc + c)
                 if c:
                     clean[exps] = c
                 elif acc is not None:
@@ -417,29 +427,29 @@ class WeylElement:
 
     @classmethod
     def one(cls, n: int) -> "WeylElement":
-        return cls(n, {(0,) * (2 * n): Fraction(1)})
+        return cls(n, {(0,) * (2 * n): 1})
 
     @classmethod
     def constant(cls, n: int, c) -> "WeylElement":
-        return cls(n, {(0,) * (2 * n): _as_fraction(c)})
+        return cls(n, {(0,) * (2 * n): c})
 
     @classmethod
     def x(cls, i: int, n: int) -> "WeylElement":
         """The multiplication operator x_i (0-based index)."""
         e = [0] * (2 * n)
         e[i] = 1
-        return cls(n, {tuple(e): Fraction(1)})
+        return cls(n, {tuple(e): 1})
 
     @classmethod
     def d(cls, i: int, n: int) -> "WeylElement":
         """The partial derivative d_i (0-based index)."""
         e = [0] * (2 * n)
         e[n + i] = 1
-        return cls(n, {tuple(e): Fraction(1)})
+        return cls(n, {tuple(e): 1})
 
     @classmethod
     def monomial(cls, n: int, alpha, beta, coeff=1) -> "WeylElement":
-        return cls(n, {tuple(alpha) + tuple(beta): _as_fraction(coeff)})
+        return cls(n, {tuple(alpha) + tuple(beta): coeff})
 
     # -- basic queries ------------------------------------------------
 
@@ -454,8 +464,8 @@ class WeylElement:
     def is_constant(self) -> bool:
         return all(not any(e) for e in self.terms)
 
-    def constant_coefficient(self) -> Fraction:
-        return self.terms.get((0,) * (2 * self.n), Fraction(0))
+    def constant_coefficient(self):
+        return self.terms.get((0,) * (2 * self.n), 0)
 
     def sorted_terms(self) -> list:
         """Terms in the canonical (descending) print order."""
@@ -500,10 +510,10 @@ class WeylElement:
         return (-self) + other
 
     def scale(self, c) -> "WeylElement":
-        c = _as_fraction(c)
+        c = _as_rational(c)
         r = WeylElement.__new__(WeylElement)
         r.n = self.n
-        r.terms = {} if not c else {e: c * v for e, v in self.terms.items()}
+        r.terms = {} if not c else {e: _as_rational(c * v) for e, v in self.terms.items()}
         return r
 
     def __mul__(self, other):
@@ -543,7 +553,8 @@ class WeylElement:
 
 def add_terms_into(acc: dict, terms: dict) -> None:
     """Add the terms of one element into the terms dict acc, in place: a
-    sum that cancels deletes its key, and a new key goes at the end."""
+    sum that cancels deletes its key, a new key goes at the end, and an
+    integral sum of Fractions is stored as an int."""
     get = acc.get
     for e, c in terms.items():
         old = get(e)
@@ -552,7 +563,7 @@ def add_terms_into(acc: dict, terms: dict) -> None:
         else:
             s = old + c
             if s:
-                acc[e] = s
+                acc[e] = s if type(s) is int or s.denominator != 1 else s.numerator
             else:
                 del acc[e]
 
@@ -577,7 +588,9 @@ def weyl_mul(p: WeylElement, q: WeylElement) -> WeylElement:
         mono_mul_flat(codec, cp, pack(0, ep) - one, flat, 0, out)
     r = WeylElement.__new__(WeylElement)
     r.n = n
-    r.terms = {codec.exponents(k): c for k, c in out.items()}
+    exponents = codec.exponents
+    r.terms = {exponents(k): c if type(c) is int or c.denominator != 1 else c.numerator
+               for k, c in out.items()}
     return r
 
 
@@ -626,7 +639,7 @@ def fourier(p: WeylElement) -> WeylElement:
     for e, c in p.terms.items():
         a, b = e[:n], e[n:]
         # image of x^a d^b is d^a (-x)^b, re-normal-ordered
-        left = WeylElement(n, {(0,) * n + a: Fraction(1)})
+        left = WeylElement(n, {(0,) * n + a: 1})
         right = WeylElement(n, {b + (0,) * n: c * (-1) ** sum(b)})
         add_terms_into(out, weyl_mul(left, right).terms)
     r = WeylElement.__new__(WeylElement)
@@ -643,7 +656,7 @@ def theta(n: int) -> WeylElement:
         e = [0] * (2 * n)
         e[i] = 1
         e[n + i] = 1
-        terms[tuple(e)] = Fraction(1)
+        terms[tuple(e)] = 1
     return WeylElement(n, terms)
 
 

@@ -11,6 +11,7 @@ from derham import (FiltrationSpec, InvalidInputError, LocalizationFamily,
                     parse_polynomial)
 from derham.groebner import GBEngine, block_elim_codec, elements_degree, me_to_flat
 from derham.localization import _extend, _to_dns, substitute_s
+from derham.restriction import ThetaPolynomial
 from derham.weyl import apply_to_polynomial
 
 
@@ -71,7 +72,7 @@ def test_localize_groebner_work_is_pinned(monkeypatch):
 
     monkeypatch.setattr(G, "mono_mul_flat", spy)
     localize(parse_polynomial("y^3 - x^5", 2, ("x", "y")))
-    assert len(calls) == 502
+    assert len(calls) == 327
 
 
 def test_localize_rejects_zero():
@@ -232,6 +233,36 @@ def test_annihilator_matches_the_uv_elimination(f):
     assert got == [list(g.terms.items()) for g in uv_annihilator(f)]
 
 
+def elimination_b_function(f):
+    """b_f by elimination: the reduced basis of Ann(f^s) + D_n[s] f under
+    an order eliminating x and d, whose lowest-degree entry in s alone is
+    b_f up to a scalar."""
+    n = f.n
+    ns = n + 1
+    gens = annihilator_of_fs(f) + [_extend(f, ns)]
+    block = tuple(range(n)) + tuple(range(ns, ns + n))
+    elems = [ModuleElement(ns, [g]) for g in gens]
+    codec = block_elim_codec(ns, block, elements_degree(elems))
+    reduced = GBEngine(codec, h_step=0).buchberger([me_to_flat(v, codec) for v in elems])
+    best = None
+    for _, _, vec in reduced:
+        exps = [codec.exponents(m) for m in vec]
+        if any(e[i] for e in exps for i in block) or any(e[ns + n] for e in exps):
+            continue
+        coeffs = {e[n]: c for e, c in zip(exps, vec.values())}
+        cand = ThetaPolynomial([coeffs.get(k, 0) for k in range(max(coeffs) + 1)])
+        if best is None or cand.degree < best.degree:
+            best = cand
+    return best
+
+
+@pytest.mark.parametrize("f", oracle_inputs())
+def test_b_function_matches_the_elimination(f):
+    # the first linear dependence among the normal forms of the powers of
+    # s is the monic generator the elimination finds
+    assert str(bernstein_sato(f)) == str(elimination_b_function(f))
+
+
 def test_exponent_request():
     mod = localize(parse_polynomial("x1", 1)).at_exponent(-3)
     for r in (rr.components[0] for rr in mod.presentation.relations):
@@ -256,19 +287,24 @@ def test_family_rejects_zero_member():
 
 
 def test_family_localizes_each_distinct_product_once(monkeypatch):
-    # (0,) and (1,) are both x: one annihilator for x and one for x^2
+    # (0,) and (1,) are both x: one Briancon-Maisonobe run for x and one
+    # for x^2, each feeding the annihilator and the b-function
     import derham.localization as L
-    calls = []
-    kernel = L.annihilator_of_fs
+    calls = {"bm": [], "ann": [], "b": []}
 
-    def spy(f):
-        calls.append(format_operator(f))
-        return kernel(f)
+    def spy(name, fn):
+        def traced(f, *args):
+            calls[name].append(format_operator(f))
+            return fn(f, *args)
+        return traced
 
-    monkeypatch.setattr(L, "annihilator_of_fs", spy)
+    monkeypatch.setattr(L, "_bm_basis", spy("bm", L._bm_basis))
+    monkeypatch.setattr(L, "annihilator_of_fs", spy("ann", L.annihilator_of_fs))
+    monkeypatch.setattr(L, "bernstein_sato", spy("b", L.bernstein_sato))
     x = parse_polynomial("x1", 1)
     fam = LocalizationFamily(1, [x, x], [(0,), (1,), (0, 1)])
-    assert sorted(calls) == ["x1", "x1^2"]
+    assert {k: sorted(v) for k, v in calls.items()} == \
+        {"bm": ["x1", "x1^2"], "ann": ["x1", "x1^2"], "b": ["x1", "x1^2"]}
     assert fam.module((0,)) is fam.module((1,))
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import logging
+from fractions import Fraction
 
 import pytest
 
@@ -602,6 +603,16 @@ def test_minimize_row_update_multiplies_on_the_left():
     out = minimize_complex(c)
     assert [m.rank for m in out.modules] == [1, 1]
     assert _entries(out) == [[["-x1*d1 - 1"]]]
+
+
+def test_minimize_divides_by_an_integral_unit_exactly():
+    # u = 2 is stored as the int 2, so 1 / u would be the float 0.5:
+    # r - (r_b / u) . row_a = (d1, 0) - (d1 / 2) . (2, x1)
+    c = _free_complex(0, [(0, 0), (0, 0)], [[["2", "x1"], ["d1", "0"]]])
+    out = minimize_complex(c)
+    assert _entries(out) == [[["-1/2*x1*d1 - 1/2"]]]
+    (entry,) = out.differentials[0].rows[0].components
+    assert all(type(v) is Fraction for v in entry.terms.values())
 
 
 def test_minimize_drops_the_pivot_column_and_row_of_the_neighbours():

@@ -45,7 +45,7 @@ REMOVED = ["TermOrder", "GroebnerBasis", "groebner_basis", "normal_form",
            "lcm_mono", "ReductionLimitError", "DEFAULT_REDUCTION_LIMIT",
            "GBEngine.limit", "SubmoduleSolver.normal_form_with_cofactor",
            "SolverCache.basis", "free_cover_ses", "_is_uv_free", "_weight",
-           "LocalizedModule.ann_s"]
+           "LocalizedModule.ann_s", "_as_fraction"]
 
 # kept in derham.strictify for phase two and the SES oracle, but not
 # exported from the package

@@ -15,6 +15,12 @@ def x(i, n):
     return WeylElement.x(i, n)
 
 
+def in_contract(c):
+    """The coefficient contract: an int if c is integral, a Fraction
+    otherwise, never a float."""
+    return type(c) is (int if c.denominator == 1 else Fraction)
+
+
 def d(i, n):
     return WeylElement.d(i, n)
 
@@ -111,7 +117,7 @@ def test_apply_to_polynomial_matches_reference(n):
         g = random_polynomial(rng, n, max_deg=3, max_terms=4)
         got = apply_to_polynomial(p, g).terms
         assert got == _reference_apply(p, g)
-        assert all(type(c) is Fraction for c in got.values())
+        assert all(map(in_contract, got.values()))
 
 
 def test_apply_to_polynomial_checks_its_inputs():
@@ -171,7 +177,7 @@ def test_weyl_mul_matches_reference(n):
         q = random_weyl(rng, n, max_deg=3, max_terms=4)
         got = weyl_mul(p, q).terms
         assert got == _reference_weyl_mul(p, q)
-        assert all(type(c) is Fraction for c in got.values())
+        assert all(map(in_contract, got.values()))
 
 
 def _shift_codec(n, shift):
@@ -278,3 +284,87 @@ def test_shift_pair_refuses_the_homogenized_product():
                         {codec.pack(0, (1, 0, 0, 0)): 1}, 2, {})
     assert sorted(codec.unpack(m) for m in out) == \
         [(0, (0, 0, 0, 0), 2), (0, (1, 0, 1, 0), 0)]
+
+
+# coefficients whose sums and products are often integral, as ints and as
+# Fractions (an integral Fraction among them)
+_MIXED = (1, -1, 2, -3, Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2),
+          Fraction(2, 3), Fraction(4, 2), Fraction(-6, 3))
+
+
+def _mixed_weyl(rng, n, no_d_of=None):
+    """Terms with coefficients drawn from _MIXED; with no_d_of = i, no d_i."""
+    terms = []
+    for _ in range(rng.randint(1, 4)):
+        e = list(_random_exps(rng, n, 2))
+        if no_d_of is not None:
+            e[n + no_d_of] = 0
+        terms.append((tuple(e), rng.choice(_MIXED)))
+    return terms
+
+
+def _fractions(terms):
+    """The reference: the same terms summed over Fractions only."""
+    out = {}
+    for e, c in terms:
+        s = out.get(e, Fraction(0)) + Fraction(c)
+        if s:
+            out[e] = s
+        else:
+            out.pop(e, None)
+    return out
+
+
+def _reference(n, terms):
+    class Ref:  # what _reference_weyl_mul reads of an element
+        pass
+    ref = Ref()
+    ref.n, ref.terms = n, _fractions(terms)
+    return ref
+
+
+def _check(got, want):
+    assert got.terms == want
+    assert all(map(in_contract, got.terms.values()))
+
+
+def test_mixed_coefficients_keep_the_contract():
+    from derham import ModuleElement
+    from derham.localization import substitute_s
+    rng = random.Random(91)
+    integral = 0  # results that came out integral from Fraction operands
+    for _ in range(150):
+        n = rng.randint(1, 2)
+        tp, tq = _mixed_weyl(rng, n), _mixed_weyl(rng, n)
+        p, q = WeylElement(n, tp), WeylElement(n, tq)
+        fp, fq = _fractions(tp), _fractions(tq)
+        _check(p, fp)
+        _check(p + q, _fractions(list(fp.items()) + list(fq.items())))
+        _check(p - q, _fractions(list(fp.items()) + [(e, -c) for e, c in fq.items()]))
+        c = rng.choice(_MIXED)
+        _check(p.scale(c), _fractions([(e, v * Fraction(c)) for e, v in fp.items()]))
+        prod = _reference_weyl_mul(_reference(n, tp), _reference(n, tq))
+        _check(weyl_mul(p, q), prod)
+        moved = ModuleElement(n, [q, p]).left_mul(p)
+        _check(moved.components[0], prod)
+        _check(moved.components[1],
+               _reference_weyl_mul(_reference(n, tp), _reference(n, tp)))
+        # an element of D_(n-1)[s], s the trailing pair, at a mixed value
+        ts = _mixed_weyl(rng, n + 1, no_d_of=n)
+        value = rng.choice(_MIXED)
+        want = _fractions([(e[:n] + e[n + 1:2 * n + 1], c * Fraction(value) ** e[n])
+                           for e, c in _fractions(ts).items()])
+        _check(substitute_s(WeylElement(n + 1, ts), value), want)
+        if any(type(c) is Fraction for c in p.terms.values()):
+            integral += any(type(c) is int for c in weyl_mul(p, q).terms.values())
+    assert integral >= 20
+    half = WeylElement.constant(1, Fraction(1, 2))
+    assert type((half + half).constant_coefficient()) is int
+    assert type(half.scale(2).constant_coefficient()) is int
+    assert (half * 2).terms == {(0, 0): 1}
+    assert type(weyl_mul(x(0, 1).scale(2), d(0, 1).scale(Fraction(1, 2)))
+                .terms[(1, 1)]) is int
+    with pytest.raises(InvalidInputError, match="non-rational"):
+        WeylElement.constant(1, 0.5)
+    with pytest.raises(InvalidInputError, match="non-rational"):
+        half.scale(0.5)
