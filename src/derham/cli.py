@@ -1,9 +1,10 @@
 """Command line interface.
 
 Subcommands: cohomology, support, bfunction, localize, mv.  Results print
-as JSON (default) or aligned text; identical input and configuration give
-byte-identical JSON.  Exit codes: 0 success, 1 invalid input (usage
-errors included), 2 b-function bound exceeded, 3 internal inconsistency.
+as JSON (default) or aligned text, except that mv has JSON only;
+identical input and configuration give byte-identical JSON.  Exit codes:
+0 success, 1 invalid input (usage errors included), 2 b-function bound
+exceeded, 3 internal inconsistency.
 """
 
 from __future__ import annotations
@@ -50,16 +51,14 @@ def _usage_error(message: str):
     raise InvalidInputError(message)
 
 
-def _emit(payload: dict, fmt: str, text: str = None):
-    if fmt == "text" and text is not None:
-        print(text)
-    else:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+def _emit(payload: dict, fmt: str = "json", text: str = None):
+    print(text if fmt == "text" else json.dumps(payload, indent=2, sort_keys=True))
 
 
-def _add_common(p):
+def _add_common(p, formats=True):
     p.add_argument("--vars", required=True, help="comma separated variable names")
-    p.add_argument("--format", choices=("json", "text"), default="json")
+    if formats:
+        p.add_argument("--format", choices=("json", "text"), default="json")
     p.add_argument("--max-b-degree", type=_b_degree, default=DEFAULT_MAX_B_DEGREE,
                    help="nonnegative bound on the b-function degree")
 
@@ -95,8 +94,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--poly", required=True)
 
-    p = sub.add_parser("mv", help="print the Mayer-Vietoris complex")
-    _add_common(p)
+    p = sub.add_parser("mv", help="print the Mayer-Vietoris complex as JSON")
+    _add_common(p, formats=False)
     p.add_argument("--poly", action="append", required=True)
     for parser in (ap, *sub.choices.values()):
         parser.error = _usage_error
@@ -163,7 +162,7 @@ def _cmd_mv(args) -> int:
     polys = [parse_polynomial(p, n, names) for p in args.poly]
     family = family_for_mv(n, polys)
     cplx = mv_complex(family, len(polys))
-    _emit(cplx.to_json(), args.format)
+    _emit(cplx.to_json())
     return 0
 
 

@@ -130,6 +130,7 @@ reduced basis is unique too, and:
 from __future__ import annotations
 
 import heapq
+import logging
 from fractions import Fraction
 from itertools import count
 from math import gcd
@@ -140,6 +141,7 @@ from .errors import DimensionMismatchError, InternalError, InvalidInputError
 from .weyl import (NEG_INF, FiltrationSpec, MonomialCodec, WeylElement,
                    add_terms_into, mono_mul_flat, term_v_degree, weyl_mul)
 
+log = logging.getLogger("derham.groebner")
 
 FlatVec = dict  # packed monomial (MonomialCodec) -> coefficient
 _INT = {int}
@@ -660,7 +662,9 @@ class SubmoduleSolver:
     yields the V-adapted basis of <g_i> with cofactors (elements whose
     lead sits in the main block) and a basis of the syzygy module (elements
     supported entirely in the cofactor block).  The spec names n, which
-    an empty generating set cannot.
+    an empty generating set cannot.  Each build logs its rank, its
+    generator count and its S-pairs, reduced and skipped (dropped by
+    Buchberger's criteria M, F or B_k), at debug level.
     """
 
     def __init__(self, spec: FiltrationSpec, rank: int,
@@ -740,6 +744,8 @@ class SubmoduleSolver:
 
         # division in D_n, always floored at a V-degree
         self.divider = GBEngine(codec, h_step=0)
+        log.debug("solver: rank %d, %d generators, %d S-pairs reduced, %d skipped",
+                  rank, p, self.engine.spairs_reduced, self.engine.spairs_skipped)
 
     # -- derived data ---------------------------------------------------
 
@@ -839,62 +845,6 @@ class SubmoduleSolver:
         if w is None:
             return None
         return self.reduce_cofactor(w, target.v_degree(self.ambient_shift))
-
-
-class SolverCache:
-    """One SubmoduleSolver per key, for the length of one call.
-
-    The key is (spec, rank, gens in order, ambient shift, cofactor shift),
-    the spec holding only n, after the defaults are filled in: a missing
-    ambient shift is zero and a missing cofactor shift is the obvious shift
-    of the generators, exactly as SubmoduleSolver fills them.  The same
-    submodule under another generator order or cofactor shift is another
-    key and is built again.  A solver is a deterministic function of its
-    key and is never changed after construction, so a hit hands back the
-    solver the caller would have built.  Callers create one cache per call
-    and drop it when the call returns; `builds` and `hits` count what it
-    did, `spairs_reduced` and `spairs_skipped` sum the S-pair counts of the
-    solvers it built; a skipped pair is one that Buchberger's criteria M, F
-    or B_k dropped.
-    """
-
-    __slots__ = ("spec", "builds", "hits", "spairs_reduced", "spairs_skipped",
-                 "_solvers")
-
-    def __init__(self, spec: FiltrationSpec):
-        self.spec = spec
-        self.builds = 0
-        self.hits = 0
-        self.spairs_reduced = 0
-        self.spairs_skipped = 0
-        self._solvers = {}
-
-    def get(self, rank: int, gens: Sequence[ModuleElement], ambient_shift=None,
-            cofactor_shift=None) -> SubmoduleSolver:
-        gens = tuple(gens)
-        ambient = tuple(ambient_shift) if ambient_shift is not None else (0,) * rank
-        if len(ambient) != rank:
-            raise InvalidInputError("ambient shift length != rank")
-        cofactor = tuple(cofactor_shift) if cofactor_shift is not None \
-            else obvious_shift(gens, ambient)
-        key = (self.spec, rank, gens, ambient, cofactor)
-        solver = self._solvers.get(key)
-        if solver is None:
-            solver = SubmoduleSolver(self.spec, rank, gens, ambient, cofactor)
-            self._solvers[key] = solver
-            self.builds += 1
-            self.spairs_reduced += solver.engine.spairs_reduced
-            self.spairs_skipped += solver.engine.spairs_skipped
-        else:
-            self.hits += 1
-        return solver
-
-    def syzygies(self, rank: int, rows: Sequence[ModuleElement], ambient_shift,
-                 cofactor_shift=None):
-        """V-adapted basis of the syzygies of `rows`; [] for no rows."""
-        if not rows:
-            return []
-        return self.get(rank, rows, ambient_shift, cofactor_shift).syzygy_basis
 
 
 def obvious_shift(rows: Sequence[ModuleElement], shift: Sequence[int]):

@@ -18,7 +18,7 @@ import logging
 from typing import Sequence
 
 from .errors import InconsistencyError, InvalidInputError
-from .groebner import ModuleElement, OperatorMatrix, SolverCache
+from .groebner import ModuleElement, OperatorMatrix, SubmoduleSolver
 from .localization import LocalizationFamily
 from .presentations import ChainComplexPres, DModPresentation
 from .weyl import FiltrationSpec, WeylElement
@@ -77,15 +77,23 @@ def _assemble(n: int, layers: list, maps: dict,
 
 
 def _verify_natural_maps(family: LocalizationFamily, maps: dict):
-    """Each source relation must land in the target relations."""
-    solvers = SolverCache(FiltrationSpec(family.n))
+    """Each source relation must land in the target relations.
+
+    The maps are grouped by target presentation, which equal products
+    share, and one solver over each target's relations checks its group."""
+    by_target = {}
     for (src, dst), mult in maps.items():
-        source = family.modules[src].presentation
-        target = family.modules[dst].presentation
-        for rel in source.relations:
-            img = ModuleElement(family.n, [rel.components[0] * mult])
-            if target.rank and not solvers.get(target.rank, target.relations,
-                                               target.shift_or_zero()).contains(img):
+        by_target.setdefault(family.modules[dst].presentation, []).extend(
+            (src, dst, ModuleElement(family.n, [rel.components[0] * mult]))
+            for rel in family.modules[src].presentation.relations)
+    spec = FiltrationSpec(family.n)
+    for target, images in by_target.items():
+        if not (target.rank and images):
+            continue
+        solver = SubmoduleSolver(spec, target.rank, target.relations,
+                                 target.shift_or_zero())
+        for src, dst, img in images:
+            if not solver.contains(img):
                 raise InconsistencyError(
                     f"natural localization map {src} -> {dst} is not well defined")
 

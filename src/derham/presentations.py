@@ -12,7 +12,7 @@ import logging
 from typing import Optional, Sequence
 
 from .errors import DimensionMismatchError, InconsistencyError, InvalidInputError
-from .groebner import ModuleElement, OperatorMatrix, SolverCache
+from .groebner import ModuleElement, OperatorMatrix, SubmoduleSolver
 from .weyl import FiltrationSpec, WeylElement, format_operator
 
 log = logging.getLogger("derham.presentations")
@@ -101,18 +101,20 @@ class ChainComplexPres:
         return self.differentials[k - self.lo]
 
     def check_chain(self):
-        """delta о delta = 0, by membership of composite rows in relations."""
-        solvers = SolverCache(FiltrationSpec(self.n))
+        """delta о delta = 0, by membership of composite rows in relations;
+        one solver per target module, built at its first nonzero row."""
+        spec = FiltrationSpec(self.n)
         for k in range(self.lo, self.hi - 1):
-            d1 = self.differential(k)
-            d2 = self.differential(k + 1)
-            comp = d1.compose(d2)
+            comp = self.differential(k).compose(self.differential(k + 1))
             tgt = self.module(k + 2)
+            solver = None
             for i, row in enumerate(comp.rows):
                 if row.is_zero():
                     continue
-                if tgt.rank and not solvers.get(tgt.rank, tgt.relations,
-                                                tgt.shift_or_zero()).contains(row):
+                if solver is None:
+                    solver = SubmoduleSolver(spec, tgt.rank, tgt.relations,
+                                             tgt.shift_or_zero())
+                if not solver.contains(row):
                     raise InconsistencyError(
                         f"composite differential nonzero at degree {k}, row {i}")
 
@@ -161,18 +163,24 @@ def _heads(vectors, count):
     return out
 
 
-def cycle_generators(c: ChainComplexPres, k: int, solvers: SolverCache):
-    """Generators of the preimage in the cover of ker(C^k -> C^k+1).
+def cycle_generators(c: ChainComplexPres, k: int):
+    """Generators of the preimage in the cover of ker(C^k -> C^k+1), and
+    the solver that found them.
 
     These are vectors v in D^rank(k) with v . d_k inside the relations of
     C^k+1; they include the relations of C^k when d_k is defined on C^k,
-    which strictify's phase one relies on and checks.  The solver comes
-    from `solvers`.
+    which strictify's phase one relies on and checks.  The solver is over
+    the rows of d_k followed by the relations of C^k+1, under the shift
+    of C^k+1.  Past the top the generators are the unit vectors and the
+    solver is None; so it is when there are no rows to solve.
     """
     mod = c.module(k)
     dmat = c.differential(k)
     if dmat is None or dmat.target_rank == 0:
-        return [ModuleElement.unit(c.n, mod.rank, i) for i in range(mod.rank)]
+        return [ModuleElement.unit(c.n, mod.rank, i) for i in range(mod.rank)], None
     tgt = c.module(k + 1)
     gens = list(dmat.rows) + list(tgt.relations)
-    return _heads(solvers.syzygies(tgt.rank, gens, tgt.shift_or_zero()), mod.rank)
+    if not gens:
+        return [], None
+    solver = SubmoduleSolver(FiltrationSpec(c.n), tgt.rank, gens, tgt.shift_or_zero())
+    return _heads(solver.syzygy_basis, mod.rank), solver

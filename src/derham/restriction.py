@@ -21,8 +21,7 @@ from typing import Optional, Sequence
 from . import linalg
 from .errors import (BBoundExceededError, InconsistencyError, InvalidInputError,
                      InternalError)
-from .groebner import (ModuleElement, OperatorMatrix, SolverCache,
-                       SubmoduleSolver)
+from .groebner import ModuleElement, OperatorMatrix, SubmoduleSolver
 from .presentations import ChainComplexPres, DModPresentation
 from .weyl import (NEG_INF, FiltrationSpec, WeylElement, fourier, term_v_degree,
                    theta, weyl_mul)
@@ -312,12 +311,19 @@ class BFunctionDetail:
         self.lam = lam
 
 
-def _boundary_solver(c: ChainComplexPres, k: int, solvers: SolverCache):
-    """The solver over the boundary rows in C^k, or None when they vanish."""
+def _differential_solver(c: ChainComplexPres, k: int) -> SubmoduleSolver:
+    """The one solver over the rows of d_k: its ambient shift is that of
+    C^k+1 and its cofactor shift that of C^k.  Its syzygies are the cycles
+    at k, and its normal_form reduces modulo the boundaries in C^k+1,
+    whatever the cofactor shift (SubmoduleSolver.normal_form)."""
+    dmat = c.differential(k)
+    return SubmoduleSolver(FiltrationSpec(c.n), dmat.target_rank, dmat.rows,
+                           c.module(k + 1).shift_or_zero(), c.module(k).shift_or_zero())
+
+
+def _has_boundaries(c: ChainComplexPres, k: int) -> bool:
     prev = c.differential(k - 1)
-    if prev is None or not prev.source_rank or prev.is_zero():
-        return None
-    return solvers.get(c.module(k).rank, prev.rows, c.module(k).shift_or_zero())
+    return prev is not None and not prev.is_zero()
 
 
 def b_function_of_complex(c: ChainComplexPres,
@@ -326,13 +332,19 @@ def b_function_of_complex(c: ChainComplexPres,
     """lcm over cycle generators of their minimal polynomials, shifted by
     the generators' V-degrees; kills gr H at every requested position.
 
-    The call builds one solver per key of its own SolverCache, which it
-    drops when it returns."""
+    One solver per differential d_k gives both the cycles at k and the
+    boundaries at k + 1."""
     if not c.is_free():
         raise InvalidInputError("b_function_of_complex needs a free complex")
     if positions is None:
         positions = list(c.degrees())
-    solvers = SolverCache(FiltrationSpec(c.n))
+    solvers = {}  # k -> the solver of d_k, built on first use
+
+    def solver_of(k):
+        if k not in solvers:
+            solvers[k] = _differential_solver(c, k)
+        return solvers[k]
+
     out = ThetaPolynomial.one()
     for k in positions:
         mod = c.module(k)
@@ -343,9 +355,8 @@ def b_function_of_complex(c: ChainComplexPres,
         if dmat is None or dmat.target_rank == 0:
             kappas = [ModuleElement.unit(c.n, mod.rank, i) for i in range(mod.rank)]
         else:
-            kappas = solvers.syzygies(dmat.target_rank, dmat.rows,
-                                      c.module(k + 1).shift_or_zero(), shift)
-        bsolver = _boundary_solver(c, k, solvers)
+            kappas = solver_of(k).syzygy_basis
+        bsolver = solver_of(k - 1) if _has_boundaries(c, k) else None
         for kappa in kappas:
             lam = kappa.v_degree(shift)
             if lam == NEG_INF:
@@ -354,10 +365,6 @@ def b_function_of_complex(c: ChainComplexPres,
             if details is not None:
                 details.append(BFunctionDetail(k, kappa, lam))
             out = out.lcm(q.taylor_shift(-lam))
-    log.debug("b-function: %d solver builds, %d cache hits",
-              solvers.builds, solvers.hits)
-    log.debug("b-function: %d S-pairs reduced, %d skipped by the chain criterion",
-              solvers.spairs_reduced, solvers.spairs_skipped)
     return out
 
 
@@ -382,11 +389,12 @@ def generator_membership_holds(b: ThetaPolynomial, kappa: ModuleElement, lam: in
 def certify_b_function(b: ThetaPolynomial, details: Sequence[BFunctionDetail],
                        c: ChainComplexPres) -> bool:
     """Memberships hold for b, and every integer-root factor is needed."""
-    solvers = SolverCache(FiltrationSpec(c.n))
+    bsolvers = {k: _differential_solver(c, k - 1) if _has_boundaries(c, k) else None
+                for k in {det.position for det in details}}
 
     def holds(poly):
         return all(generator_membership_holds(
-            poly, det.kappa, det.lam, _boundary_solver(c, det.position, solvers),
+            poly, det.kappa, det.lam, bsolvers[det.position],
             c.module(det.position).shift_or_zero()) for det in details)
 
     if not holds(b):

@@ -24,21 +24,19 @@ column from the top.  The total complex of the resulting double complex
 is V-strict and quasi-isomorphic to the input; the comparison map reads
 off the level-zero block.
 
-A strictify_complex call builds one solver per cache key: every solver
-comes from one SolverCache that the call creates, passes down through
-both phases and drops when it returns.  Its key is (n, rank, generators
-in order, ambient shift, cofactor shift), with a missing ambient shift
-read as zero and a missing cofactor shift as the obvious shift of the
-generators, so a basis, a syzygy module and a cofactor query over the
-same generating list share one Groebner computation; the same submodule
-under another generator order or cofactor shift is solved again.  Each
-loop asks its solver for every target, and a loop whose targets are all
-zero asks for none.  Phase one builds at most three solvers per spot,
-each over another submodule.  Phase two takes the boundary, homology and
-next-boundary bases of each spot, and their lifts, from phase one.  Its
-only fresh builds are the column steps: the one solver over a column's
-basis gives that step's kernel and every witness into the column.
-Nothing resolves the rows of Z or of C, and nothing needs to.
+Each solver belongs to the step whose submodule it solves, and gives its
+basis, syzygies and cofactor queries.  Where two steps solve the same
+submodule, _solver hands the first one's solver to the second: at the
+top spot the H-solver is the one that found the cycles of the spot
+below, and at level one a column whose basis is a spot's cycle
+generators takes its Z~ solver.  Each loop asks its solver for every
+target, and a loop whose targets are all zero asks for none.  Phase one builds at most three solvers per
+spot, each over another submodule.  Phase two takes the boundary,
+homology and next-boundary bases of each spot, and their lifts, from
+phase one.  Its only fresh builds are the column steps: the one solver
+over a column's basis gives that step's kernel and every witness into
+the column.  Nothing resolves the rows of Z or of C, and nothing needs
+to.
 
 minimize_complex then shrinks the total complex: it cancels every
 constant entry between generators of equal shift, which keeps the complex
@@ -52,8 +50,8 @@ import logging
 from fractions import Fraction
 
 from .errors import InconsistencyError, InternalError, InvalidInputError
-from .groebner import (ModuleElement, OperatorMatrix, SolverCache,
-                       SubmoduleSolver, obvious_shift)
+from .groebner import (ModuleElement, OperatorMatrix, SubmoduleSolver,
+                       obvious_shift)
 from .presentations import (ChainComplexPres, DModPresentation, _heads,
                             cycle_generators)
 from .weyl import (NEG_INF, FiltrationSpec, WeylElement, format_operator,
@@ -84,22 +82,33 @@ class QuotientSES:
         self.b_to_c = b_to_c
 
 
+def _solver(n, gens, ambient_shift, known=None) -> SubmoduleSolver:
+    """The solver over gens under ambient_shift, with the obvious cofactor
+    shift: known, a solver built with its obvious cofactor shift too, when
+    it is over the same gens under the same ambient shift, and a new build
+    otherwise."""
+    gens, ambient_shift = list(gens), tuple(ambient_shift)
+    if known is not None and known.gens == gens and known.ambient_shift == ambient_shift:
+        return known
+    return SubmoduleSolver(FiltrationSpec(n), len(ambient_shift), gens, ambient_shift)
+
+
 class ResolutionStep:
     """One step 0 -> K -> P[shift] -> M -> 0 of a column resolution: the
     rows, a V-adapted basis of M under ambient_shift, map the generators
     of P onto M, and shift is their obvious shift.  solver, the one solver
-    over the rows, gives the kernel K (its syzygy basis) and every witness
-    into the column; there is none over no rows."""
+    over the rows (known, if it is that solver), gives the kernel K (its
+    syzygy basis) and every witness into the column; there is none over
+    no rows."""
 
     __slots__ = ("n", "shift", "rows", "ambient_shift", "solver", "kernel")
 
-    def __init__(self, rows, ambient_shift, solvers: SolverCache):
-        self.n = solvers.spec.n
+    def __init__(self, n, rows, ambient_shift, known=None):
+        self.n = n
         self.rows = list(rows)
         self.ambient_shift = tuple(ambient_shift)
-        self.shift = obvious_shift(self.rows, self.ambient_shift)
-        self.solver = solvers.get(len(self.ambient_shift), self.rows, self.ambient_shift,
-                                  self.shift) if self.rows else None
+        self.solver = _solver(n, self.rows, self.ambient_shift, known) if self.rows else None
+        self.shift = self.solver.cofactor_shift if self.solver is not None else ()
         self.kernel = self.solver.syzygy_basis if self.solver is not None else []
 
     @property
@@ -309,10 +318,10 @@ def verify_strict_ses(ses: QuotientSES) -> bool:
         if vd != NEG_INF and vd > sb[i]:
             return False
     # level surjectivity at C: generator e_j needs a preimage of degree <= sc[j]
-    solvers = SolverCache(FiltrationSpec(n))
+    spec = FiltrationSpec(n)
     gens_c = list(ses.b_to_c.rows) + list(ses.c.relations)
-    solver = solvers.get(ses.c.rank, gens_c, sc,
-                         tuple(sb) + obvious_shift(ses.c.relations, sc))
+    solver = SubmoduleSolver(spec, ses.c.rank, gens_c, sc,
+                             tuple(sb) + obvious_shift(ses.c.relations, sc))
     for j in range(ses.c.rank):
         w = solver.min_degree_witness(ModuleElement.unit(n, ses.c.rank, j))
         if w is None:
@@ -321,9 +330,11 @@ def verify_strict_ses(ses: QuotientSES) -> bool:
         if wd != NEG_INF and wd > sc[j]:
             return False
     # strictness at A: kernel generators of B -> C lift at their degree
-    ker_heads = _heads(solvers.syzygies(ses.c.rank, gens_c, sc), ses.b.rank)
-    asolver = solvers.get(ses.b.rank, list(ses.a_to_b.rows) + list(ses.b.relations),
-                          sb, tuple(sa) + obvious_shift(ses.b.relations, sb))
+    ker_heads = _heads(SubmoduleSolver(spec, ses.c.rank, gens_c, sc).syzygy_basis,
+                       ses.b.rank)
+    asolver = SubmoduleSolver(spec, ses.b.rank,
+                              list(ses.a_to_b.rows) + list(ses.b.relations),
+                              sb, tuple(sa) + obvious_shift(ses.b.relations, sb))
     for g in ker_heads:
         w = asolver.min_degree_witness(g)
         if w is None:
@@ -408,22 +419,23 @@ class _PhaseOneSpot:
     """Phase one's rewrite of C^i over P_B + P_H + P_Bnext: the block
     ranks, the three shift vectors, the bases of the H- and
     B_next-relations under their shifts, their lifts into the relations of
-    the covers of Z~ and of C^i, and the realization rows of the cover
-    generators in C^i."""
+    the covers of Z~ and of C^i, the realization rows of the cover
+    generators in C^i, and the solver over the cycle generators, or None."""
 
     __slots__ = ("ranks", "shift_b", "shift_h", "shift_bn", "basis_h", "basis_bn",
-                 "lifts_h", "lifts_bn", "realization")
+                 "lifts_h", "lifts_bn", "realization", "zsolver")
 
     def __init__(self, ranks, shift_b, shift_h, shift_bn, basis_h, basis_bn,
-                 lifts_h, lifts_bn, realization):
+                 lifts_h, lifts_bn, realization, zsolver):
         self.ranks = ranks            # (boundary, homology, next-boundary)
         self.shift_b, self.shift_h, self.shift_bn = shift_b, shift_h, shift_bn
         self.basis_h, self.basis_bn = basis_h, basis_bn
         self.lifts_h, self.lifts_bn = lifts_h, lifts_bn
         self.realization = realization
+        self.zsolver = zsolver
 
 
-def _phase_one(c: ChainComplexPres, solvers: SolverCache):
+def _phase_one(c: ChainComplexPres):
     """Rewrites every C^i over boundary/homology/next-boundary covers,
     choosing shift vectors top-down; returns {spot: _PhaseOneSpot}.
 
@@ -446,13 +458,14 @@ def _phase_one(c: ChainComplexPres, solvers: SolverCache):
     above.  The paired lifts are phase two's lifts at level one.
     """
     n = c.n
-    ztilde = {k: cycle_generators(c, k, solvers) for k in c.degrees()}
     spots = {}
     shift_bn = ()
+    below = cycle_generators(c, c.hi)
     for i in range(c.hi, c.lo - 1, -1):
         orig = c.module(i)
         rank, shift_c, rels_c = orig.rank, orig.shift_or_zero(), list(orig.relations)
-        zgens = ztilde[i]
+        zgens = below[0]
+        below = cycle_generators(c, i - 1)  # the cycles of spot i - 1, and their solver
         p = len(zgens)
         prev = c.differential(i - 1)
         rank_b = prev.source_rank if prev is not None else 0
@@ -462,7 +475,7 @@ def _phase_one(c: ChainComplexPres, solvers: SolverCache):
         # syzygies and its cofactors of rels_c, and rows_bz its cofactors of
         # the boundary rows
         rows_b = list(prev.rows) if prev is not None else []
-        zsolver = solvers.get(rank, zgens, shift_bn if rank_bn else shift_c) \
+        zsolver = _solver(n, zgens, shift_bn if rank_bn else shift_c) \
             if zgens or any(not r.is_zero() for r in rels_c + rows_b) else None
         syz = zsolver.syzygy_basis if zsolver is not None else []
         rels_z = _heads(syz + _cofactor_heads(zsolver, rels_c, p,
@@ -489,8 +502,9 @@ def _phase_one(c: ChainComplexPres, solvers: SolverCache):
                                     for r, w in pairs_bn])
 
         # step 3: basis of the H-relations and paired lifts b, from one
-        # solver: its generators start with the boundary rows
-        solver = solvers.get(p, rows_bz + rels_z, shift_h) if p and rels_h else None
+        # solver: its generators start with the boundary rows.  At the top
+        # spot Z~ is all of C^i, so it is the cycle solver of spot i - 1
+        solver = _solver(n, rows_bz + rels_z, shift_h, below[1]) if p and rels_h else None
         basis_h = solver.basis if solver is not None else []
         pairs_h = list(zip(basis_h, _cofactor_heads(
             solver, [-r for r in basis_h], rank_b,
@@ -507,13 +521,15 @@ def _phase_one(c: ChainComplexPres, solvers: SolverCache):
         lifts_bn = [ModuleElement(n, zero_b + w.components + r.components)
                     for r, w in pairs_bn]
         spots[i] = _PhaseOneSpot((rank_b, p, rank_bn), shift_b, shift_h, shift_bn,
-                                 basis_h, basis_bn, lifts_h, lifts_bn, realization)
+                                 basis_h, basis_bn, lifts_h, lifts_bn, realization,
+                                 zsolver)
         shift_bn = shift_b
     return spots
 
 
-def _phase_two(c: ChainComplexPres, solvers: SolverCache, phase1: dict, edge: int):
+def _phase_two(c: ChainComplexPres, phase1: dict, edge: int):
     """Builds compatible free resolutions spot by spot, level by level."""
+    n = c.n
     spots = {}
     res_b: list = []
     complete_all = True
@@ -525,10 +541,10 @@ def _phase_two(c: ChainComplexPres, solvers: SolverCache, phase1: dict, edge: in
         # one passed this spot's B-shift down as the B_next-shift of spot
         # i - 1, so that spot's B_next-basis is the boundary basis here
         if not res_b:
-            res_b.append(ResolutionStep(phase1[i - 1].basis_bn if i > c.lo else [],
-                                        sp.shift_b, solvers))
+            res_b.append(ResolutionStep(n, phase1[i - 1].basis_bn if i > c.lo else [],
+                                        sp.shift_b))
         while len(res_b) < depth:
-            res_b.append(ResolutionStep(res_b[-1].kernel, res_b[-1].shift, solvers))
+            res_b.append(ResolutionStep(n, res_b[-1].kernel, res_b[-1].shift))
 
         levels = [_LevelData(sp.ranks, sp.shift_b + sp.shift_h + sp.shift_bn, None)]
         # the rows and ambient shifts of the H- and B_next-steps: phase one's
@@ -542,8 +558,11 @@ def _phase_two(c: ChainComplexPres, solvers: SolverCache, phase1: dict, edge: in
             # B-, H- and B_next-columns are
             if not (step_b.rows or rows_h or rows_bn):
                 break
-            step_h = ResolutionStep(rows_h, shift_h, solvers)
-            step_bn = ResolutionStep(rows_bn, shift_bn, solvers)
+            # at level one a column whose basis is the cycle generators
+            # takes phase one's Z~ solver
+            known = sp.zsolver if len(levels) == 1 else None
+            step_h = ResolutionStep(n, rows_h, shift_h, known)
+            step_bn = ResolutionStep(n, rows_bn, shift_bn, known)
             rows, lifts_h, lifts_bn = horseshoe_step(step_b, step_h, step_bn,
                                                      lifts_h, lifts_bn)
             ranks = (step_b.rank, step_h.rank, step_bn.rank)
@@ -585,13 +604,8 @@ def strictify_complex(c: ChainComplexPres) -> StrictificationResult:
     edge = c.lo - (n + DEPTH_MARGIN)
     log.info("strictifying complex over degrees [%d, %d], edge %d",
              c.lo, c.hi, edge)
-    solvers = SolverCache(FiltrationSpec(n))
-    phase1 = _phase_one(c, solvers)
-    spots, complete = _phase_two(c, solvers, phase1, edge)
-    log.debug("strictify: %d solver builds, %d cache hits",
-              solvers.builds, solvers.hits)
-    log.debug("strictify: %d S-pairs reduced, %d skipped by the chain criterion",
-              solvers.spairs_reduced, solvers.spairs_skipped)
+    phase1 = _phase_one(c)
+    spots, complete = _phase_two(c, phase1, edge)
 
     # assemble the total complex
     blocks = {}

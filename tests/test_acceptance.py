@@ -13,7 +13,7 @@ from derham import (ChainComplexPres, DModPresentation, FiltrationSpec, ModuleEl
                     OperatorMatrix, ProblemSpec, ThetaPolynomial, WeylElement,
                     compute_derham, compute_derham_support, parse_operator,
                     restriction_b_function_module, verify_v_strict)
-from derham.groebner import SolverCache
+from derham.groebner import SubmoduleSolver
 from derham.restriction import generator_membership_holds
 
 
@@ -99,7 +99,7 @@ def test_criterion_7_b_function_units(relation, expected):
     ok = str(b) == expected
     # certificate: the membership holds for b and fails for every proper
     # divisor obtained by dropping an integer root
-    solver = SolverCache(FiltrationSpec(1)).get(1, pres.relations, (0,)) \
+    solver = SubmoduleSolver(FiltrationSpec(1), 1, pres.relations, (0,)) \
         if pres.relations else None
     gen = ModuleElement.unit(1, 1, 0)
     ok = ok and generator_membership_holds(b, gen, 0, solver, (0,))

@@ -7,7 +7,7 @@ from conftest import random_module_element
 from derham import (DimensionMismatchError, FiltrationSpec, ModuleElement,
                     OperatorMatrix, WeylElement, obvious_shift, parse_operator,
                     weyl_mul)
-from derham.groebner import SolverCache, SubmoduleSolver
+from derham.groebner import SubmoduleSolver
 
 SPEC1 = FiltrationSpec(1)
 
@@ -192,6 +192,32 @@ def test_normal_form_minimal_coset_degree():
     nf = solver.normal_form(me(1, "x1*d1 + x1^2"), -5)
     assert nf == me(1, "x1^2")
     assert nf.v_degree((0,)) == -2
+
+
+def test_normal_form_does_not_depend_on_the_cofactor_shift():
+    # the remainder above the floor is unique, so the solver of d_k, built
+    # under the shift of C^k, reduces modulo the boundaries at k + 1 as the
+    # solver under the obvious shift does
+    rng = random.Random(61)
+    nonzero = 0
+    for n, rank, deg, count in ((1, 1, 2, 3), (1, 2, 2, 3), (2, 1, 1, 3)) * 2:
+        spec = FiltrationSpec(n)
+        gens = [g for g in (random_module_element(rng, n, rank, max_deg=deg, max_terms=2)
+                            for _ in range(count)) if not g.is_zero()]
+        if not gens:
+            continue
+        ambient = tuple(rng.randint(-1, 1) for _ in range(rank))
+        obvious = SubmoduleSolver(spec, rank, gens, ambient)
+        other = SubmoduleSolver(spec, rank, gens, ambient, tuple(
+            s + rng.choice((-2, -1, 1, 2)) for s in obvious.cofactor_shift))
+        assert other.cofactor_shift != obvious.cofactor_shift
+        for _ in range(4):
+            e = random_module_element(rng, n, rank, max_deg=deg, max_terms=3)
+            for degree in range(-3, 2):
+                nf = obvious.normal_form(e, degree)
+                assert other.normal_form(e, degree) == nf, (gens, e, degree)
+                nonzero += not nf.is_zero()
+    assert nonzero >= 20
 
 
 def test_non_member_without_a_minimal_coset_member():
@@ -916,44 +942,6 @@ def test_h_saturation_failure_raises_internal_error(monkeypatch):
         SubmoduleSolver(SPEC1, 1, [me(1, "d1")])
 
 
-def test_solver_cache_normalizes_defaults_into_one_key():
-    cache = SolverCache(SPEC1)
-    gens = [me(1, "x1*d1"), me(1, "x1^2")]
-    first = cache.get(1, gens)
-    # a missing ambient shift is zero, a missing cofactor shift is obvious
-    assert cache.get(1, gens, (0,)) is first
-    assert cache.get(1, tuple(gens), (0,), obvious_shift(gens, (0,))) is first
-    assert (cache.builds, cache.hits) == (1, 2)
-    assert first.cofactor_shift == SubmoduleSolver(SPEC1, 1, gens).cofactor_shift
-
-
-def test_solver_cache_keeps_distinct_submodules_apart():
-    cache = SolverCache(SPEC1)
-    gens = [me(1, "x1*d1"), me(1, "x1^2")]
-    base = cache.get(1, gens)
-    other_cofactor = cache.get(1, gens, None, (5, 5))
-    reordered = cache.get(1, gens[::-1])
-    other_ambient = cache.get(1, gens, (1,))
-    assert len({id(base), id(other_cofactor), id(reordered), id(other_ambient)}) == 4
-    assert other_cofactor.cofactor_shift == (5, 5)
-    assert reordered.gens == gens[::-1]
-    assert (cache.builds, cache.hits) == (4, 0)
-    assert cache.get(1, gens[::-1]) is reordered
-    assert (cache.builds, cache.hits) == (4, 1)
-
-
-def test_solver_cache_basis_and_syzygies_share_one_solver():
-    cache = SolverCache(SPEC1)
-    gens = [me(1, "x1*d1"), me(1, "x1^2")]
-    fresh = SubmoduleSolver(SPEC1, 1, gens, ambient_shift=(0,))
-    assert cache.get(1, gens, (0,)).basis == fresh.basis
-    assert cache.syzygies(1, gens, (0,)) == fresh.syzygy_basis
-    assert (cache.builds, cache.hits) == (1, 1)
-    # nothing to solve: no build, no hit
-    assert cache.syzygies(1, [], (0,)) == []
-    assert (cache.builds, cache.hits) == (1, 1)
-
-
 def _reference_reduce_cofactor(solver, w, degree):
     """Cofactor reduction on its own engine: an order over the cofactor
     shift alone, the syzygy entries moved down to position 0, and a floor
@@ -1283,13 +1271,3 @@ def test_saturation_rounds_resume_as_from_scratch():
     # generating sets with a second round, some of whose S-pairs add entries
     assert sum(bool(r) for r in rounds) >= 5
     assert sum(any(r) for r in rounds) >= 2
-
-
-def test_solver_cache_sums_the_spair_counts_of_its_builds():
-    cache = SolverCache(SPEC1)
-    first = cache.get(1, [me(1, "x1*d1"), me(1, "x1^2")])
-    second = cache.get(1, [me(1, "x1^2*d1"), me(1, "x1*d1^2 + 1")])
-    cache.get(1, [me(1, "x1*d1"), me(1, "x1^2")])  # a hit adds nothing
-    engines = (first.engine, second.engine)
-    assert cache.spairs_reduced == sum(e.spairs_reduced for e in engines) > 0
-    assert cache.spairs_skipped == sum(e.spairs_skipped for e in engines)

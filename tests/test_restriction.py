@@ -13,8 +13,9 @@ from derham import (BBoundExceededError, ChainComplexPres, DModPresentation,
                     parse_polynomial, restriction_b_function_module,
                     strictify_complex)
 from derham import linalg
-from derham.groebner import SolverCache
-from derham.restriction import _boundary_solver, _minimal_b_for_generator
+from derham.groebner import SubmoduleSolver
+from derham.restriction import (_differential_solver, _has_boundaries,
+                                _minimal_b_for_generator)
 from derham.weyl import term_v_degree, theta
 
 
@@ -197,7 +198,7 @@ def reference_minimal_b(kappa, lam, boundary_solver, shift, max_degree):
 def reference_module_b(pres, max_degree):
     """The module b-function as its own loop over the unit vectors."""
     shift = pres.shift_or_zero()
-    solver = SolverCache(FiltrationSpec(pres.n)).get(pres.rank, pres.relations, shift) \
+    solver = SubmoduleSolver(FiltrationSpec(pres.n), pres.rank, pres.relations, shift) \
         if pres.relations else None
     out = ThetaPolynomial.one()
     for i in range(pres.rank):
@@ -255,17 +256,19 @@ def strict_complex_kappas():
     c = strictify_complex(fourier_complex(mv_complex(family, 1))).total
     details = []
     b_function_of_complex(c, details=details)
-    solvers = SolverCache(FiltrationSpec(c.n))
-    return [(d.kappa, d.lam, _boundary_solver(c, d.position, solvers),
-             c.module(d.position).shift_or_zero()) for d in details]
+    # the boundaries at k are the image of d_(k-1)
+    solvers = {k: _differential_solver(c, k - 1) if _has_boundaries(c, k) else None
+               for k in {d.position for d in details}}
+    return [(d.kappa, d.lam, solvers[d.position], c.module(d.position).shift_or_zero())
+            for d in details]
 
 
 def test_minimal_b_matches_reference():
     cases = []
     for pres in random_presentations():
         shift = pres.shift_or_zero()
-        solver = SolverCache(FiltrationSpec(pres.n)).get(pres.rank, pres.relations, shift) \
-            if pres.relations else None
+        solver = SubmoduleSolver(FiltrationSpec(pres.n), pres.rank, pres.relations,
+                                 shift) if pres.relations else None
         cases += [(ModuleElement.unit(pres.n, pres.rank, i), shift[i], solver, shift)
                   for i in range(pres.rank)]
     cases += strict_complex_kappas()

@@ -27,8 +27,10 @@ README = ROOT / "README.md"
 # normal_form_with_cofactor.  Phase two takes one horseshoe step per level,
 # not two nested free covers.  The annihilator of f^s is eliminated in
 # D_n<s, dt> and re-based in D_{n+1}, with no u, v pairs to weigh or test,
-# and a localized module no longer keeps it.  A dotted name is a method or
-# field of a class that stays
+# and a localized module no longer keeps it.  Each solver belongs to the
+# step whose submodule it solves, with no cache between them, and the
+# b-function's boundary solver is the solver of the differential below.
+# A dotted name is a method or field of a class that stays
 REMOVED = ["TermOrder", "GroebnerBasis", "groebner_basis", "normal_form",
            "submodule_membership", "syzygies", "kernel_of_map",
            "cech_complex", "family_for_cech", "strictify_ses",
@@ -45,7 +47,8 @@ REMOVED = ["TermOrder", "GroebnerBasis", "groebner_basis", "normal_form",
            "lcm_mono", "ReductionLimitError", "DEFAULT_REDUCTION_LIMIT",
            "GBEngine.limit", "SubmoduleSolver.normal_form_with_cofactor",
            "SolverCache.basis", "free_cover_ses", "_is_uv_free", "_weight",
-           "LocalizedModule.ann_s", "_as_fraction"]
+           "LocalizedModule.ann_s", "_as_fraction", "SolverCache",
+           "_boundary_solver"]
 
 # kept in derham.strictify for phase two and the SES oracle, but not
 # exported from the package
@@ -172,8 +175,7 @@ def test_only_solvers_take_a_filtration_spec():
         spec = inspect.signature(fn).parameters.get("spec")
         if spec is not None and spec.annotation != "ProblemSpec":
             takers.append(qual)
-    assert sorted(takers) == ["derham.groebner.SolverCache.__init__",
-                              "derham.groebner.SubmoduleSolver.__init__"]
+    assert takers == ["derham.groebner.SubmoduleSolver.__init__"]
 
 
 def test_operator_matrix_carries_no_shifts():
@@ -181,12 +183,3 @@ def test_operator_matrix_carries_no_shifts():
     params = inspect.signature(derham.OperatorMatrix.__init__).parameters
     assert "source_shift" not in params and "target_shift" not in params
 
-
-def test_solver_caches_are_passed_not_defaulted():
-    # a caller hands its SolverCache down; no callee builds a fresh one
-    defaulted = []
-    for qual, fn in public_callables():
-        solvers = inspect.signature(fn).parameters.get("solvers")
-        if solvers is not None and solvers.default is not solvers.empty:
-            defaulted.append(qual)
-    assert defaulted == []
