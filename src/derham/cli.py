@@ -55,12 +55,13 @@ def _emit(payload: dict, fmt: str = "json", text: str = None):
     print(text if fmt == "text" else json.dumps(payload, indent=2, sort_keys=True))
 
 
-def _add_common(p, formats=True):
+def _add_common(p, formats=True, b_degree=True):
     p.add_argument("--vars", required=True, help="comma separated variable names")
     if formats:
         p.add_argument("--format", choices=("json", "text"), default="json")
-    p.add_argument("--max-b-degree", type=_b_degree, default=DEFAULT_MAX_B_DEGREE,
-                   help="nonnegative bound on the b-function degree")
+    if b_degree:
+        p.add_argument("--max-b-degree", type=_b_degree, default=DEFAULT_MAX_B_DEGREE,
+                       help="nonnegative bound on the b-function degree")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -91,11 +92,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shift", type=int, default=0)
 
     p = sub.add_parser("localize", help="present R_f as a cyclic module")
-    _add_common(p)
+    _add_common(p, b_degree=False)
     p.add_argument("--poly", required=True)
 
     p = sub.add_parser("mv", help="print the Mayer-Vietoris complex as JSON")
-    _add_common(p, formats=False)
+    _add_common(p, formats=False, b_degree=False)
     p.add_argument("--poly", action="append", required=True)
     for parser in (ap, *sub.choices.values()):
         parser.error = _usage_error

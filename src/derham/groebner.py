@@ -153,10 +153,9 @@ _NO_LEADS = ((), ())
 # ---------------------------------------------------------------------------
 
 class ModuleElement:
-    """An element of a free module D_n^rank, one WeylElement per component.
-    Immutable, so its hash is computed once, on first use."""
+    """An element of a free module D_n^rank, one WeylElement per component."""
 
-    __slots__ = ("n", "components", "_hash")
+    __slots__ = ("n", "components")
 
     def __init__(self, n: int, components: Sequence[WeylElement]):
         self.n = n
@@ -165,7 +164,6 @@ class ModuleElement:
             if c.n != n:
                 raise DimensionMismatchError("mixed variable counts in module element")
         self.components = comps
-        self._hash = None
 
     @classmethod
     def zero(cls, n: int, rank: int) -> "ModuleElement":
@@ -221,9 +219,7 @@ class ModuleElement:
                 and self.components == other.components)
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.n, self.components))
-        return self._hash
+        return hash((self.n, self.components))
 
     def __repr__(self):
         return "ModuleElement(" + ", ".join(str(c) for c in self.components) + ")"

@@ -237,30 +237,17 @@ def bernstein_sato(f: WeylElement, bm: Optional[tuple] = None) -> ThetaPolynomia
 # ---------------------------------------------------------------------------
 
 class LocalizedModule:
-    """R_f presented as D_n / Ann(f^s)|_{s=exponent}, cyclic on f^exponent."""
+    """R_f presented as D_n / Ann(f^s)|_{s=exponent}, cyclic on f^exponent;
+    b_function is None on a user-supplied presentation."""
 
-    __slots__ = ("f", "exponent", "b_function", "presentation", "from_user")
+    __slots__ = ("f", "exponent", "b_function", "presentation")
 
     def __init__(self, f: WeylElement, exponent: int, b_function,
-                 presentation: DModPresentation, from_user=False):
+                 presentation: DModPresentation):
         self.f = f
         self.exponent = exponent
         self.b_function = b_function
         self.presentation = presentation
-        self.from_user = from_user
-
-    def at_exponent(self, a: int) -> "LocalizedModule":
-        """Re-present on the generator f^a (a <= the minimal integer root);
-        the annihilator of f^s is computed again."""
-        if a == self.exponent:
-            return self
-        if self.from_user or self.f.is_constant():
-            raise InvalidInputError(
-                "user-supplied presentation cannot be moved to a different exponent")
-        s0 = self.b_function.integer_roots()[0]
-        if a > s0:
-            raise InvalidInputError(f"exponent {a} above the minimal integer root {s0}")
-        return _specialize(self.f, annihilator_of_fs(self.f), self.b_function, a)
 
 
 def _specialize(f: WeylElement, ann_s, b: ThetaPolynomial, a: int) -> LocalizedModule:
@@ -275,35 +262,14 @@ def _specialize(f: WeylElement, ann_s, b: ThetaPolynomial, a: int) -> LocalizedM
     return LocalizedModule(f, a, b, DModPresentation.cyclic(n, rels))
 
 
-def _annihilator_and_b(f: WeylElement):
-    """(Ann(f^s), b_f, the minimal integer root of b_f) of a nonconstant
-    polynomial f, and (None, 1, 0) of a nonzero constant."""
-    if f.is_zero():
-        raise InvalidInputError("cannot localize at the zero polynomial")
-    if not f.is_polynomial():
-        raise InvalidInputError("localization needs a polynomial")
-    if f.is_constant():
-        return None, ThetaPolynomial.one(), 0
-    bm = _bm_basis(f)
-    ann = annihilator_of_fs(f, bm)
-    b = bernstein_sato(f, bm)
-    roots = b.integer_roots()
-    if not roots:
-        raise InternalError(
-            f"Bernstein-Sato polynomial {b} of a nonconstant polynomial has "
-            "no integer root")
-    return ann, b, roots[0]
-
-
 def localize(f: WeylElement) -> LocalizedModule:
-    """A cyclic presentation of R_f on the generator f^s0.
+    """A cyclic presentation of R_f on the generator f^s0: the family of
+    the one factor f.
 
-    s0 is the minimal integer root of the Bernstein-Sato polynomial;
-    at_exponent moves the presentation to a lower exponent.  Nonzero
-    constants localize trivially with s0 = 0.
+    s0 is the minimal integer root of the Bernstein-Sato polynomial.
+    Nonzero constants localize trivially with s0 = 0.
     """
-    ann, b, s0 = _annihilator_and_b(f)
-    return _specialize(f, ann, b, s0)
+    return LocalizationFamily(f.n, [f], [(0,)]).modules[(0,)]
 
 
 def formal_action_is_zero(op: WeylElement, f: WeylElement, a: int) -> bool:
@@ -385,14 +351,21 @@ class LocalizationFamily:
             if text in overrides:
                 exponent, rels = overrides[text]
                 pres = DModPresentation.cyclic(n, rels)
-                found[poly] = LocalizedModule(poly, exponent, None, pres, from_user=True)
+                found[poly] = LocalizedModule(poly, exponent, None, pres)
                 exponents.append(exponent)
                 log.info("localization of %s supplied by the user", text)
+            elif poly.is_constant():
+                found[poly] = None, ThetaPolynomial.one()
             else:
-                ann, b, s0 = _annihilator_and_b(poly)
+                bm = _bm_basis(poly)
+                ann, b = annihilator_of_fs(poly, bm), bernstein_sato(poly, bm)
+                roots = b.integer_roots()
+                if not roots:
+                    raise InternalError(
+                        f"Bernstein-Sato polynomial {b} of a nonconstant polynomial "
+                        "has no integer root")
                 found[poly] = ann, b
-                if not poly.is_constant():
-                    exponents.append(s0)
+                exponents.append(roots[0])
         self.exponent = min(exponents) if exponents else 0
 
         for poly, mod in found.items():
@@ -407,13 +380,14 @@ class LocalizationFamily:
         self.modules = {key: found[poly] for key, poly in polys.items()}
 
     def product(self, idxs) -> WeylElement:
-        out = WeylElement.one(self.n)
-        for i in idxs:
+        """f_I, from its first factor on: one factor is that factor."""
+        idxs = list(idxs)
+        if not idxs:
+            return WeylElement.one(self.n)
+        out = self.factors[idxs[0]]
+        for i in idxs[1:]:
             out = out * self.factors[i]
         return out
-
-    def module(self, idxs) -> LocalizedModule:
-        return self.modules[tuple(sorted(idxs))]
 
     def multiplier(self, src_idxs, dst_idxs) -> WeylElement:
         """The operator carrying the generator of R_(f_src) into R_(f_dst):

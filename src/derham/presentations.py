@@ -101,7 +101,7 @@ class ChainComplexPres:
         return self.differentials[k - self.lo]
 
     def check_chain(self):
-        """delta о delta = 0, by membership of composite rows in relations;
+        """delta o delta = 0, by membership of composite rows in relations;
         one solver per target module, built at its first nonzero row."""
         spec = FiltrationSpec(self.n)
         for k in range(self.lo, self.hi - 1):

@@ -54,6 +54,7 @@ from .groebner import (ModuleElement, OperatorMatrix, SubmoduleSolver,
                        obvious_shift)
 from .presentations import (ChainComplexPres, DModPresentation, _heads,
                             cycle_generators)
+from .restriction import _differential_solver
 from .weyl import (NEG_INF, FiltrationSpec, WeylElement, format_operator,
                    v_degree, weyl_mul)
 
@@ -279,9 +280,7 @@ def verify_v_strict(c: ChainComplexPres) -> VStrictReport:
                                                "not-V-adapted"))
         if dmat.source_rank == 0 or dmat.is_zero():
             continue
-        solver = SubmoduleSolver(FiltrationSpec(c.n), dmat.target_rank,
-                                 list(dmat.rows), ambient_shift=tgt_shift,
-                                 cofactor_shift=src_shift)
+        solver = _differential_solver(c, k)
         for g in solver.basis:
             j = g.v_degree(tgt_shift)
             if j == NEG_INF:
@@ -485,10 +484,10 @@ def _phase_one(c: ChainComplexPres):
 
         # each H- and B_next-generator lifts to its own unit vector: P_B + P_H
         # covers Z~ by rows_bz and the units, and P_B + P_H + P_Bnext covers
-        # C^i by their images and the first rank_bn units of D^rank
-        into_c = OperatorMatrix(n, rank, zgens)
-        realization = [into_c.apply(r) for r in rows_bz] + zgens + \
-            [ModuleElement.unit(n, rank, j) for j in range(rank_bn)]
+        # C^i by their images and the first rank_bn units of D^rank.  Each
+        # entry of rows_bz is a full cofactor over zgens, so its image is
+        # its boundary row
+        realization = rows_b + zgens + [ModuleElement.unit(n, rank, j) for j in range(rank_bn)]
 
         # step 1: the B_next-relations are Z~ itself, so their basis is the
         # solver's own, and each entry r pairs with its cofactor h' over zgens

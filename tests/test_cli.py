@@ -259,9 +259,12 @@ def test_duplicate_variable_names_rejected():
     ("frobnicate", "--vars", "x"),
     (),
     ("mv", "--vars", "x", "--poly", "x", "--format", "text"),
+    ("localize", "--vars", "x", "--poly", "x", "--max-b-degree", "3"),
+    ("mv", "--vars", "x", "--poly", "x", "--max-b-degree", "3"),
 ], ids=["missing vars", "non-integer b-degree", "negative b-degree",
         "negative b-degree bfunction", "unknown subcommand", "no subcommand",
-        "mv has no text format"])
+        "mv has no text format", "localize has no b-degree",
+        "mv has no b-degree"])
 def test_usage_errors_exit_1(args):
     # exit code 2 belongs to the b-function bound, not to argparse
     out = run_cli(*args)

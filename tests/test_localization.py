@@ -10,7 +10,7 @@ from derham import (FiltrationSpec, InvalidInputError, LocalizationFamily,
                     format_operator, localize, parse_operator,
                     parse_polynomial)
 from derham.groebner import GBEngine, block_elim_codec, elements_degree, me_to_flat
-from derham.localization import _extend, _to_dns, substitute_s
+from derham.localization import _extend, _specialize, _to_dns, substitute_s
 from derham.restriction import ThetaPolynomial
 from derham.weyl import apply_to_polynomial
 
@@ -264,11 +264,10 @@ def test_b_function_matches_the_elimination(f):
 
 
 def test_exponent_request():
-    mod = localize(parse_polynomial("x1", 1)).at_exponent(-3)
+    x = parse_polynomial("x1", 1)
+    mod = _specialize(x, annihilator_of_fs(x), bernstein_sato(x), -3)
     for r in (rr.components[0] for rr in mod.presentation.relations):
-        assert formal_action_is_zero(r, parse_polynomial("x1", 1), -3)
-    with pytest.raises(InvalidInputError, match="above the minimal integer root"):
-        localize(parse_polynomial("x1", 1)).at_exponent(0)
+        assert formal_action_is_zero(r, x, -3)
 
 
 def test_family_common_exponent_and_multipliers():
@@ -305,13 +304,13 @@ def test_family_localizes_each_distinct_product_once(monkeypatch):
     fam = LocalizationFamily(1, [x, x], [(0,), (1,), (0, 1)])
     assert {k: sorted(v) for k, v in calls.items()} == \
         {"bm": ["x1", "x1^2"], "ann": ["x1", "x1^2"], "b": ["x1", "x1^2"]}
-    assert fam.module((0,)) is fam.module((1,))
+    assert fam.modules[(0,)] is fam.modules[(1,)]
 
 
 def test_family_duplicates_allowed():
     x = parse_polynomial("x1", 1)
     fam = LocalizationFamily(1, [x, x], [(0,), (1,), (0, 1)])
-    sq = fam.module((0, 1))
+    sq = fam.modules[(0, 1)]
     assert sq.f == x * x
     for r in (rr.components[0] for rr in sq.presentation.relations):
         assert formal_action_is_zero(r, x * x, fam.exponent)
@@ -336,7 +335,7 @@ def test_user_supplied_presentation():
     overrides = {"x1": (-1, [parse_operator("x1*d1 + 1", 1)])}
     fam = LocalizationFamily(1, [x], [(0,)], overrides=overrides)
     assert fam.exponent == -1
-    assert fam.module((0,)).from_user
+    assert fam.modules[(0,)].b_function is None
     bad = {"x1": (-1, [parse_operator("x1*d1", 1)])}
     with pytest.raises(InvalidInputError):
         LocalizationFamily(1, [x], [(0,)], overrides=bad)
