@@ -249,10 +249,6 @@ class OperatorMatrix:
         rows = [ModuleElement.zero(n, target_rank) for _ in range(source_rank)]
         return cls(n, target_rank, rows)
 
-    @classmethod
-    def identity(cls, n: int, rank: int) -> "OperatorMatrix":
-        return cls(n, rank, [ModuleElement.unit(n, rank, i) for i in range(rank)])
-
     def apply(self, v: ModuleElement) -> ModuleElement:
         """v . M for a source row vector v: one terms dict per target
         component accumulates sum_i v_i * rows[i]."""
@@ -655,12 +651,13 @@ class SubmoduleSolver:
     """All Groebner data for one generating set of a submodule of D_n^rank.
 
     The augmented module {(g_i, e_i)} is computed once; its reduced basis
-    yields the V-adapted basis of <g_i> with cofactors (elements whose
-    lead sits in the main block) and a basis of the syzygy module (elements
-    supported entirely in the cofactor block).  The spec names n, which
-    an empty generating set cannot.  Each build logs its rank, its
-    generator count and its S-pairs, reduced and skipped (dropped by
-    Buchberger's criteria M, F or B_k), at debug level.
+    yields the V-adapted basis of <g_i> (elements whose lead sits in the
+    main block), each with its cofactor over the g_i (cofactors), and a
+    basis of the syzygy module (elements supported entirely in the
+    cofactor block).  The spec names n, which an empty generating set
+    cannot.  Each build logs its rank, its generator count and its
+    S-pairs, reduced and skipped (dropped by Buchberger's criteria M, F or
+    B_k), at debug level.
     """
 
     def __init__(self, spec: FiltrationSpec, rank: int,
@@ -752,6 +749,14 @@ class SubmoduleSolver:
         floor = self.floor
         return [flat_to_me({m: c for m, c in vec.items() if m >= floor},
                            self.codec, self.rank)
+                for _, _, vec in self._deh_entries]
+
+    @property
+    def cofactors(self):
+        """The cofactor blocks of those entries: cofactors[i] . gens == basis[i]."""
+        floor = self.floor
+        return [flat_to_me({m: c for m, c in vec.items() if m < floor},
+                           self.codec, len(self.gens), self.rank)
                 for _, _, vec in self._deh_entries]
 
     @property

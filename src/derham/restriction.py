@@ -64,9 +64,6 @@ class ThetaPolynomial:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def is_one(self) -> bool:
-        return self.degree == 0
-
     def __call__(self, s) -> Fraction:
         acc = Fraction(0)
         for c in reversed(self.coeffs):
@@ -228,11 +225,6 @@ class TruncationWindow:
 
     def is_empty(self) -> bool:
         return self.k0 is None
-
-    def widen(self, left: int = 0, right: int = 0) -> "TruncationWindow":
-        if self.is_empty():
-            return self
-        return TruncationWindow(self.k0 - left, self.k1 + right)
 
     def __eq__(self, other):
         return isinstance(other, TruncationWindow) and \
@@ -550,8 +542,8 @@ def omega_tensor_truncate(c: ChainComplexPres, window: TruncationWindow) -> Trun
         dmat = c.differential(k)
         rows = []
         for beta, j in src:
-            mono = WeylElement.monomial(n, (0,) * n, beta)
-            img = dmat.rows[j].left_mul(mono)
+            img = dmat.rows[j].left_mul(WeylElement.monomial(n, (0,) * n, beta)) \
+                if any(beta) else dmat.rows[j]
             row = [Fraction(0)] * len(tgt_index)
             for pos, comp in enumerate(img.components):
                 for exps, coeff in comp.terms.items():

@@ -25,18 +25,20 @@ is V-strict and quasi-isomorphic to the input; the comparison map reads
 off the level-zero block.
 
 Each solver belongs to the step whose submodule it solves, and gives its
-basis, syzygies and cofactor queries.  Where two steps solve the same
+basis with the cofactor of each basis element, its syzygies, and
+cofactors of other targets on request.  Where two steps solve the same
 submodule, _solver hands the first one's solver to the second: at the
 top spot the H-solver is the one that found the cycles of the spot
 below, and at level one a column whose basis is a spot's cycle
-generators takes its Z~ solver.  Each loop asks its solver for every
-target, and a loop whose targets are all zero asks for none.  Phase one builds at most three solvers per
-spot, each over another submodule.  Phase two takes the boundary,
-homology and next-boundary bases of each spot, and their lifts, from
-phase one.  Its only fresh builds are the column steps: the one solver
-over a column's basis gives that step's kernel and every witness into
-the column.  Nothing resolves the rows of Z or of C, and nothing needs
-to.
+generators takes its Z~ solver.  A loop over a solver's own basis reads
+each cofactor off the basis entry; any other loop asks its solver for
+every target, and one whose targets are all zero asks for none.  Phase
+one builds at most three solvers per spot, each over another submodule.
+Phase two takes the boundary, homology and next-boundary bases of each
+spot, and their lifts, from phase one.  Its only fresh builds are the
+column steps: the one solver over a column's basis gives that step's
+kernel and every witness into the column.  Nothing resolves the rows of
+Z or of C, and nothing needs to.
 
 minimize_complex then shrinks the total complex: it cancels every
 constant entry between generators of equal shift, which keeps the complex
@@ -261,9 +263,9 @@ def verify_v_strict(c: ChainComplexPres) -> VStrictReport:
 
     For each differential, every element g of a V-adapted basis of its
     image must admit a preimage of shifted V-degree at most vdeg(g); the
-    normal form of any particular preimage against the syzygies of the
-    rows realizes the minimal degree, so the check is a decision, not a
-    search.
+    normal form of any particular preimage (here the cofactor the solver
+    keeps with g) against the syzygies of the rows realizes the minimal
+    degree, so the check is a decision, not a search.
     """
     if not c.is_free():
         raise InvalidInputError("verify_v_strict needs a free complex with shifts")
@@ -281,15 +283,13 @@ def verify_v_strict(c: ChainComplexPres) -> VStrictReport:
         if dmat.source_rank == 0 or dmat.is_zero():
             continue
         solver = _differential_solver(c, k)
-        for g in solver.basis:
+        for g, cof in zip(solver.basis, solver.cofactors):
             j = g.v_degree(tgt_shift)
             if j == NEG_INF:
                 continue
             j = int(j)
             checked += 1
-            w = solver.min_degree_witness(g)
-            if w is None:
-                raise InternalError("image basis element without preimage")
+            w = solver.reduce_cofactor(cof, j)
             wd = w.v_degree(src_shift)
             wd = int(wd) if wd != NEG_INF else None
             if wd is not None and wd > j:
@@ -450,11 +450,12 @@ def _phase_one(c: ChainComplexPres):
     C^i-shift at the top spot), solves all of Z~: the relations of C^i lie
     in Z~, so the cycle relations are its syzygies and the cofactors of
     rels_c, and the B_next-relations are Z~ itself, so its basis is the
-    B_next-basis, each entry r paired with (0 | h' | r) for h' the
-    cofactor of -r.  Then bound the H-shifts by those pairs, take the
-    H-basis and its pairs from one solver under the H-shift, and bound the
-    B-shifts by the H-pairs; the B_next-shift is the B-shift of the spot
-    above.  The paired lifts are phase two's lifts at level one.
+    B_next-basis, each entry r paired with (0 | h' | r) for h' = -w, w the
+    cofactor of r read off the solver's entry.  Then bound the H-shifts by
+    those pairs, take the H-basis and its pairs, read off the same way,
+    from one solver under the H-shift, and bound the B-shifts by the
+    H-pairs; the B_next-shift is the B-shift of the spot above.  The
+    paired lifts are phase two's lifts at level one.
     """
     n = c.n
     spots = {}
@@ -490,11 +491,9 @@ def _phase_one(c: ChainComplexPres):
         realization = rows_b + zgens + [ModuleElement.unit(n, rank, j) for j in range(rank_bn)]
 
         # step 1: the B_next-relations are Z~ itself, so their basis is the
-        # solver's own, and each entry r pairs with its cofactor h' over zgens
+        # solver's own, and each entry r pairs with h' = -w, w its cofactor
         basis_bn = zsolver.basis if rank_bn and zgens else []
-        pairs_bn = list(zip(basis_bn, _cofactor_heads(
-            zsolver, [-r for r in basis_bn], p,
-            "pairing a B_next-relation into the cycles")))
+        pairs_bn = list(zip(basis_bn, [-w for w in zsolver.cofactors] if basis_bn else ()))
 
         # step 2: H-shifts from the paired lifts
         shift_h = _bound_shifts(p, [(w.components, r.v_degree(shift_bn))
@@ -505,9 +504,8 @@ def _phase_one(c: ChainComplexPres):
         # spot Z~ is all of C^i, so it is the cycle solver of spot i - 1
         solver = _solver(n, rows_bz + rels_z, shift_h, below[1]) if p and rels_h else None
         basis_h = solver.basis if solver is not None else []
-        pairs_h = list(zip(basis_h, _cofactor_heads(
-            solver, [-r for r in basis_h], rank_b,
-            "pairing an H-relation into the Z~ kernel")))
+        pairs_h = [(r, ModuleElement(n, (-w).components[:rank_b]))
+                   for r, w in zip(basis_h, solver.cofactors if basis_h else ())]
 
         # step 4: B-shifts from the H-pairs; the B_next-pairs have no B-part
         shift_b = _bound_shifts(rank_b, [(w.components, r.v_degree(shift_h))

@@ -529,8 +529,10 @@ class WeylElement:
     def __pow__(self, k: int):
         if k < 0:
             raise InvalidInputError("negative operator power")
-        out = WeylElement.one(self.n)
-        for _ in range(k):
+        if k == 0:
+            return WeylElement.one(self.n)
+        out = self
+        for _ in range(k - 1):
             out = weyl_mul(out, self)
         return out
 
@@ -639,9 +641,10 @@ def fourier(p: WeylElement) -> WeylElement:
     for e, c in p.terms.items():
         a, b = e[:n], e[n:]
         # image of x^a d^b is d^a (-x)^b, re-normal-ordered
-        left = WeylElement(n, {(0,) * n + a: 1})
         right = WeylElement(n, {b + (0,) * n: c * (-1) ** sum(b)})
-        add_terms_into(out, weyl_mul(left, right).terms)
+        if any(a):
+            right = weyl_mul(WeylElement(n, {(0,) * n + a: 1}), right)
+        add_terms_into(out, right.terms)
     r = WeylElement.__new__(WeylElement)
     r.n, r.terms = n, out
     return r

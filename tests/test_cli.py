@@ -217,7 +217,7 @@ def test_stage_logging_env():
     assert "stage" in out.stderr  # pipeline stages logged at info level
 
 
-def test_debug_logging_reports_cache_counts_and_keeps_stdout():
+def test_debug_logging_reports_solver_builds_and_keeps_stdout():
     bare = run_cli("cohomology", "--vars", "x,y", "--poly", "x*y")
     debug = run_cli("cohomology", "--vars", "x,y", "--poly", "x*y",
                     env_extra={"DERHAM_LOG": "debug"})

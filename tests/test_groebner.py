@@ -54,6 +54,27 @@ def test_cofactors_multiply_out():
         assert acc == elem
 
 
+def test_basis_entries_carry_their_cofactors():
+    # cofactors[i] is read off the entry whose main part is basis[i]
+    rng = random.Random(37)
+    spec2 = FiltrationSpec(2)
+    solvers = [SubmoduleSolver(SPEC1, 1, [me(1, "d1")])]  # the README's d1 solver
+    for n, spec, rank in ((1, SPEC1, 1), (1, SPEC1, 2), (2, spec2, 1)):
+        for _ in range(6):
+            gens = [random_module_element(rng, n, rank, max_deg=1, max_terms=2)
+                    for _ in range(3)]
+            solvers.append(SubmoduleSolver(spec, rank, [g for g in gens if not g.is_zero()]))
+    checked = 0
+    for solver in solvers:
+        cofactors = solver.cofactors
+        assert len(cofactors) == len(solver.basis)
+        gens = OperatorMatrix(solver.n, solver.rank, solver.gens)
+        for cof, elem in zip(cofactors, solver.basis):
+            assert gens.apply(cof) == elem
+            checked += 1
+    assert checked >= 20
+
+
 def test_ideal_preservation():
     rng = random.Random(11)
     for _ in range(10):

@@ -9,8 +9,8 @@ from fractions import Fraction
 
 from conftest import random_module_element, random_polynomial, random_weyl
 from derham import (ChainComplexPres, DModPresentation, FiltrationSpec,
-                    GradedVectorComplex, OperatorMatrix,
-                    ProblemSpec, SubmoduleSolver, WeylElement,
+                    GradedVectorComplex, ModuleElement, OperatorMatrix,
+                    ProblemSpec, SubmoduleSolver, TruncationWindow, WeylElement,
                     apply_to_polynomial, b_function_of_complex, cohomology_dims,
                     compute_derham, fourier,
                     fourier_complex, graded_koszul, integer_root_window,
@@ -111,7 +111,7 @@ def run_window_widening_suite(cases=200, seed=104):
     while done < cases:
         strict, w, base = corpus[done % len(corpus)]
         left, right = rng.randint(0, 3), rng.randint(0, 3)
-        wide = w.widen(left, right)
+        wide = TruncationWindow(w.k0 - left, w.k1 + right)
         dims = cohomology_dims(omega_tensor_truncate(strict, wide))
         for k in set(base) | set(dims):
             assert dims.get(k, 0) == base.get(k, 0)
@@ -149,7 +149,7 @@ def run_exactness_propagation_suite(cases=200, seed=105):
     while done < cases:
         op = parse_operator(rng.choice(menu), 1)
         pres = DModPresentation.cyclic(1, [op])
-        ident = OperatorMatrix.identity(1, 1)
+        ident = OperatorMatrix(1, 1, [ModuleElement.unit(1, 1, 0)])
         cone = ChainComplexPres(1, 0, [pres, pres], [ident])
         strict = strictify_complex(cone).total
         b = b_function_of_complex(strict, positions=[0, 1])

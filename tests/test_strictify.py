@@ -544,7 +544,7 @@ def test_each_stage_solves_each_submodule_once(monkeypatch, names, polys, suppor
         assert stage_keys and len(set(stage_keys)) == len(stage_keys), name
 
 
-def test_stages_log_their_cache_counts(caplog):
+def test_stages_log_their_solver_work(caplog):
     # every solver build logs one line; summed inside each stage they give
     # the stage's builds and S-pairs
     caplog.set_level(logging.DEBUG, logger="derham")

@@ -52,7 +52,8 @@ REMOVED = ["TermOrder", "GroebnerBasis", "groebner_basis", "normal_form",
            "LocalizedModule.ann_s", "_as_fraction", "SolverCache",
            "_boundary_solver", "LocalizedModule.at_exponent",
            "LocalizedModule.from_user", "LocalizationFamily.module",
-           "_annihilator_and_b"]
+           "_annihilator_and_b", "OperatorMatrix.identity",
+           "TruncationWindow.widen", "ThetaPolynomial.is_one"]
 
 # kept in derham.strictify for phase two and the SES oracle, but not
 # exported from the package
