@@ -61,7 +61,7 @@ def _add_common(p, formats=True, b_degree=True):
         p.add_argument("--format", choices=("json", "text"), default="json")
     if b_degree:
         p.add_argument("--max-b-degree", type=_b_degree, default=DEFAULT_MAX_B_DEGREE,
-                       help="nonnegative bound on the b-function degree")
+                       help="nonnegative bound on the degree of the whole b-function")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,13 +1,13 @@
 """Restriction b-functions, truncation, and the graded Koszul oracle.
 
 Given a V-strict free complex with shifts, the restriction b-function is
-the least common multiple over kernel generators kappa (a V-adapted basis
-of each cycle module) of the minimal monic polynomials q with
-q(theta) . kappa lying in F^(lambda-1) plus the boundaries, shifted by the
-generator degrees lambda.  Its integer roots bound the truncation window;
-clipping the derivative-polynomial fibers of the complex to that window
-yields a finite complex of rational vector spaces whose exact ranks are
-the cohomology dimensions.
+the minimal monic polynomial b with b(theta + lambda) . kappa lying in
+F^(lambda-1) plus the boundaries for every kernel generator kappa (a
+V-adapted basis of each cycle module) of V-degree lambda, the first
+linear dependence of one search.  Its integer roots bound the truncation
+window; clipping the derivative-polynomial fibers of the complex to that
+window yields a finite complex of rational vector spaces whose exact
+ranks are the cohomology dimensions.
 """
 
 from __future__ import annotations
@@ -79,38 +79,15 @@ class ThetaPolynomial:
 
     def exact_divide(self, other: "ThetaPolynomial") -> "ThetaPolynomial":
         """self / other, assuming divisibility."""
-        q, r = _divmod_poly(self.coeffs, other.coeffs)
-        if any(r):
+        rem, d = list(self.coeffs), other.degree
+        quot = [Fraction(0)] * max(0, self.degree - d + 1)
+        for k in reversed(range(len(quot))):
+            quot[k] = rem[k + d]
+            for i, c in enumerate(other.coeffs):
+                rem[k + i] -= quot[k] * c
+        if any(rem[:d]):
             raise InternalError("exact_divide on non-divisor")
-        return ThetaPolynomial(q)
-
-    def taylor_shift(self, c) -> "ThetaPolynomial":
-        """The polynomial s -> self(s + c)."""
-        c = Fraction(c)
-        power = [Fraction(1)]  # coefficients of (s + c)^k, built up
-        acc = [Fraction(0)] * (self.degree + 1)
-        for a in self.coeffs:
-            for i, p in enumerate(power):
-                acc[i] += a * p
-            nxt = [Fraction(0)] * (len(power) + 1)
-            for i, p in enumerate(power):
-                nxt[i] += p * c
-                nxt[i + 1] += p
-            power = nxt
-        return ThetaPolynomial(acc)
-
-    def gcd(self, other: "ThetaPolynomial") -> "ThetaPolynomial":
-        a, b = list(self.coeffs), list(other.coeffs)
-        while any(b):
-            _, r = _divmod_poly(a, b)
-            a, b = b, r
-            while b and not b[-1]:
-                b.pop()
-        return ThetaPolynomial(a)
-
-    def lcm(self, other: "ThetaPolynomial") -> "ThetaPolynomial":
-        g = self.gcd(other)
-        return (self * other).exact_divide(g)
+        return ThetaPolynomial(quot)
 
     def integer_roots(self):
         """Sorted integer roots, found by the rational root test.
@@ -183,29 +160,6 @@ def _root_ceil(a: int, k: int) -> int:
     return lo
 
 
-def _divmod_poly(a, b):
-    """Quotient and remainder of coefficient lists (ascending)."""
-    a = [Fraction(c) for c in a]
-    b = [Fraction(c) for c in b]
-    while b and not b[-1]:
-        b.pop()
-    if not b:
-        raise InvalidInputError("polynomial division by zero")
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    r = a[:]
-    while len(r) >= len(b) and any(r):
-        while r and not r[-1]:
-            r.pop()
-        if len(r) < len(b):
-            break
-        f = r[-1] / b[-1]
-        k = len(r) - len(b)
-        q[k] = f
-        for i, bc in enumerate(b):
-            r[i + k] -= f * bc
-    return q, r
-
-
 class TruncationWindow:
     """Integer bounds [k0, k1] containing every integer root, or empty."""
 
@@ -245,38 +199,6 @@ def integer_root_window(b: ThetaPolynomial) -> TruncationWindow:
 # ---------------------------------------------------------------------------
 # b-function searches
 # ---------------------------------------------------------------------------
-
-def _minimal_b_for_generator(kappa: ModuleElement, lam: int,
-                             boundary_solver: Optional[SubmoduleSolver],
-                             shift, max_degree: int) -> ThetaPolynomial:
-    """Minimal monic q with q(theta).kappa in F^(lam-1) + boundaries.
-
-    Undetermined-coefficients search by increasing degree: reduce the
-    theta-power images to normal form; q is the first linear dependence
-    among their terms of shifted V-degree >= lam, which must cancel.
-    Normal forms keep only the terms of degree >= lam, which are linear
-    in the coset, and theta preserves F^(lam-1) and the boundaries, so the
-    images carry no more.
-    """
-    n = kappa.n
-    th = theta(n)
-    image = kappa
-    deps = linalg.FirstDependence()
-    for t in range(max_degree + 1):
-        if t:
-            image = image.left_mul(th)
-        if boundary_solver is not None:
-            image = boundary_solver.normal_form(image, lam)
-        high = {(pos, exps): c for pos, comp in enumerate(image.components)
-                for exps, c in comp.terms.items()
-                if term_v_degree(exps, n) + shift[pos] >= lam}
-        coeffs = deps.add(high)
-        if coeffs is not None:
-            return ThetaPolynomial(coeffs)
-    raise BBoundExceededError(
-        f"no b-function of degree <= {max_degree}; the module may not be "
-        "specializable or the bound is too low")
-
 
 def restriction_b_function_module(pres: DModPresentation,
                                   max_degree: int = DEFAULT_MAX_B_DEGREE) -> ThetaPolynomial:
@@ -321,8 +243,18 @@ def _has_boundaries(c: ChainComplexPres, k: int) -> bool:
 def b_function_of_complex(c: ChainComplexPres,
                           max_degree: int = DEFAULT_MAX_B_DEGREE,
                           positions=None, details: Optional[list] = None) -> ThetaPolynomial:
-    """lcm over cycle generators of their minimal polynomials, shifted by
-    the generators' V-degrees; kills gr H at every requested position.
+    """Minimal monic b with b(theta + lam) . kappa in F^(lam-1) + boundaries
+    for every cycle generator kappa, of V-degree lam, at the requested
+    positions; it kills gr H there.
+
+    One undetermined-coefficients search by increasing degree over all
+    generators at once: step t reduces each image (theta + lam)^t . kappa
+    to normal form, and b is the first linear dependence among the steps'
+    terms of shifted V-degree >= lam, keyed by generator, which must
+    cancel.  Normal forms keep only the terms of degree >= lam, which are
+    linear in the coset, and theta preserves F^(lam-1) and the boundaries,
+    so the images carry no more.  A polynomial is a dependence iff it is
+    one for each generator, so b is the lcm of their minimal polynomials.
 
     One solver per differential d_k gives both the cycles at k and the
     boundaries at k + 1."""
@@ -337,7 +269,7 @@ def b_function_of_complex(c: ChainComplexPres,
             solvers[k] = _differential_solver(c, k)
         return solvers[k]
 
-    out = ThetaPolynomial.one()
+    gens = []  # [image, lam, shift, boundary solver] per generator
     for k in positions:
         mod = c.module(k)
         if mod.rank == 0:
@@ -353,24 +285,42 @@ def b_function_of_complex(c: ChainComplexPres,
             lam = kappa.v_degree(shift)
             if lam == NEG_INF:
                 continue
-            q = _minimal_b_for_generator(kappa, lam, bsolver, shift, max_degree)
             if details is not None:
                 details.append(BFunctionDetail(k, kappa, lam))
-            out = out.lcm(q.taylor_shift(-lam))
-    return out
+            gens.append([kappa, lam, shift, bsolver])
+    n = c.n
+    th = theta(n) if gens else None
+    deps = linalg.FirstDependence()
+    for t in range(max_degree + 1):
+        high = {}
+        for i, gen in enumerate(gens):
+            image, lam, shift, bsolver = gen
+            if image is None:  # theta + lam keeps a zero image zero
+                continue
+            if t:
+                image = image.left_mul(th) + image.scale(lam)
+            if bsolver is not None:
+                image = bsolver.normal_form(image, lam)
+            gen[0] = None if image.is_zero() else image
+            for pos, comp in enumerate(image.components):
+                for exps, coeff in comp.terms.items():
+                    if term_v_degree(exps, n) + shift[pos] >= lam:
+                        high[i, pos, exps] = coeff
+        coeffs = deps.add(high)
+        if coeffs is not None:
+            return ThetaPolynomial(coeffs)
+    raise BBoundExceededError(
+        f"no b-function of degree <= {max_degree}; the module may not be "
+        "specializable or the bound is too low")
 
 
 def generator_membership_holds(b: ThetaPolynomial, kappa: ModuleElement, lam: int,
                                boundary_solver, shift) -> bool:
     """Does b(theta + lam) . kappa land in F^(lam-1) + boundaries?"""
-    shifted = b.taylor_shift(lam)
-    n = kappa.n
-    op = WeylElement.zero(n)
-    power = WeylElement.one(n)
-    th = theta(n)
-    for c in shifted.coeffs:
-        op = op + power.scale(c)
-        power = weyl_mul(power, th)
+    shifted = theta(kappa.n) + lam
+    op = WeylElement.zero(kappa.n)
+    for c in reversed(b.coeffs):  # Horner's rule
+        op = weyl_mul(op, shifted) + c
     img = kappa.left_mul(op)
     if boundary_solver is not None:
         img = boundary_solver.normal_form(img, lam)

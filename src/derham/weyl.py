@@ -479,7 +479,7 @@ class WeylElement:
                 f"operands over D_{self.n} and D_{other.n}")
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, WeylElement):
             other = WeylElement.constant(self.n, other)
         self._check(other)
         # elements are immutable, so a zero summand can hand back the other
@@ -502,7 +502,7 @@ class WeylElement:
         return r
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, WeylElement):
             other = WeylElement.constant(self.n, other)
         return self + (-other)
 
@@ -517,14 +517,12 @@ class WeylElement:
         return r
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, WeylElement):
             return self.scale(other)
         return weyl_mul(self, other)
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
+        return self.scale(other)
 
     def __pow__(self, k: int):
         if k < 0:

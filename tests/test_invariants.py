@@ -6,8 +6,7 @@ import random
 from conftest import relations_contain
 from derham import (FiltrationSpec, ModuleElement, SubmoduleSolver, WeylElement,
                     b_function_of_complex, fourier_complex,
-                    parse_polynomial, strictify_complex, theta, verify_v_strict,
-                    weyl_mul)
+                    parse_polynomial, strictify_complex, verify_v_strict)
 from derham.mv import family_for_mv, mv_complex
 from derham.restriction import generator_membership_holds
 from derham.weyl import NEG_INF
@@ -89,16 +88,6 @@ def test_b_function_kills_graded_cohomology_samples():
     tot = res.total
     details = []
     b = b_function_of_complex(tot, positions=[0], details=details)
-    th = theta(1)
-
-    def theta_poly(poly, shift_by):
-        shifted = poly.taylor_shift(shift_by)
-        op = WeylElement.zero(1)
-        power = WeylElement.one(1)
-        for coeff in shifted.coeffs:
-            op = op + power.scale(coeff)
-            power = weyl_mul(power, th)
-        return op
 
     for det in details:
         k = det.position

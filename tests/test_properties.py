@@ -196,11 +196,14 @@ def run_koszul_suite(cases=200):
     assert not graded_koszul(L1, 0).is_exact()
     assert not graded_koszul(L2, 0).is_exact()
     done += 2
-    # repeat across scaled variants to reach the case budget
+    # repeat across scaled variants to reach the case budget: a nonzero
+    # multiple of the x-action keeps every slice exact
     scale = 1
     while done < cases:
+        xs = {key: [[Fraction(scale)]] for key in xact}
+        scaled = GradedVectorComplex(0, 0, -10, 14, 1, line, {}, xs)
         for k in (1, 2, -1, -2, 3, -3):
-            assert graded_koszul(L1, k).is_exact()
+            assert graded_koszul(scaled, k).is_exact(), (scale, k)
             done += 1
         scale += 1
     return done

@@ -4,9 +4,10 @@ from fractions import Fraction
 import pytest
 
 from derham import (BBoundExceededError, ChainComplexPres, DModPresentation,
-                    FiltrationSpec, GradedVectorComplex, InvalidInputError,
-                    ModuleElement, OperatorMatrix, ThetaPolynomial,
-                    TruncationWindow, WeylElement, b_function_of_complex,
+                    FiltrationSpec, GradedVectorComplex, InternalError,
+                    InvalidInputError, ModuleElement, OperatorMatrix,
+                    ThetaPolynomial, TruncationWindow, WeylElement,
+                    b_function_of_complex,
                     certify_b_function, cohomology_dims, family_for_mv,
                     fourier_complex, graded_koszul, integer_root_window,
                     mv_complex, omega_tensor_truncate, parse_operator,
@@ -14,8 +15,7 @@ from derham import (BBoundExceededError, ChainComplexPres, DModPresentation,
                     strictify_complex)
 from derham import linalg
 from derham.groebner import SubmoduleSolver
-from derham.restriction import (_differential_solver, _has_boundaries,
-                                _minimal_b_for_generator)
+from derham.restriction import _differential_solver, _has_boundaries
 from derham.weyl import term_v_degree, theta
 
 
@@ -36,13 +36,13 @@ def test_theta_polynomial_algebra():
     b = ThetaPolynomial.from_roots([0, -1])
     assert str(b) == "s^2 + s"
     assert b(0) == 0 and b(-1) == 0 and b(1) == 2
-    assert b.taylor_shift(3)(0) == b(3)
-    one = ThetaPolynomial.one()
-    assert one.lcm(b) == b
-    assert b.lcm(ThetaPolynomial.from_roots([0])) == b
-    c = ThetaPolynomial.from_roots([0, 0, 2])
-    assert b.lcm(c).degree == 4
-    assert b.gcd(c) == ThetaPolynomial.from_roots([0])
+    c = ThetaPolynomial.from_roots([0, 0, Fraction(1, 2), -1])
+    assert c.exact_divide(b) == ThetaPolynomial.from_roots([0, Fraction(1, 2)])
+    assert b.exact_divide(ThetaPolynomial.one()) == b
+    with pytest.raises(InternalError):
+        c.exact_divide(ThetaPolynomial.from_roots([2]))
+    with pytest.raises(InternalError):
+        b.exact_divide(c)
     with pytest.raises(InvalidInputError):
         ThetaPolynomial([])
 
@@ -132,6 +132,16 @@ def test_b_function_not_specializable():
         restriction_b_function_module(free, max_degree=5)
 
 
+def test_b_function_degree_bound_covers_the_lcm():
+    # two deltas at shifts 0 and 2: each generator's own factor has
+    # degree 1 (s + 1 and s - 1), and the bound applies to their lcm
+    pres = DModPresentation(1, 2, [me(1, "x1", "0"), me(1, "0", "x1")], (0, 2))
+    with pytest.raises(BBoundExceededError):
+        restriction_b_function_module(pres, max_degree=1)
+    b = restriction_b_function_module(pres, max_degree=2)
+    assert b == ThetaPolynomial.from_roots([-1, 1])
+
+
 def test_b_function_of_complex_with_certificate():
     c = euler_complex()
     details = []
@@ -195,17 +205,55 @@ def reference_minimal_b(kappa, lam, boundary_solver, shift, max_degree):
     raise BBoundExceededError(f"no b-function of degree <= {max_degree}")
 
 
+def poly_remainder(coeffs, b):
+    """The remainder of an ascending coefficient list by the monic b."""
+    r, d = list(coeffs), b.degree
+    for k in reversed(range(len(r) - d)):
+        f = r[k + d]
+        for i, c in enumerate(b.coeffs):
+            r[k + i] -= f * c
+    return r[:d]
+
+
+def reference_lcm(p, q):
+    """lcm of monic polynomials, through their gcd by Euclid's algorithm."""
+    a, g = p, q
+    r = poly_remainder(a.coeffs, g)
+    while any(r):
+        a, g = g, ThetaPolynomial(r)
+        r = poly_remainder(a.coeffs, g)
+    return (p * q).exact_divide(g)
+
+
+def reference_shift(q, c):
+    """The polynomial s -> q(s + c), by Horner's rule."""
+    out = [Fraction(0)]
+    for a in reversed(q.coeffs):
+        out = [c * hi + lo for hi, lo in zip(out + [0], [0] + out)]
+        out[0] += a
+    return ThetaPolynomial(out)
+
+
+def reference_lcm_b(cases, max_degree):
+    """The lcm of the generators' own minimal polynomials, shifted by their
+    degrees, or "bound exceeded" if one of them or the lcm exceeds
+    max_degree."""
+    out = ThetaPolynomial.one()
+    for kappa, lam, solver, shift in cases:
+        q = outcome(reference_minimal_b, kappa, lam, solver, shift, max_degree)
+        if isinstance(q, str):
+            return q
+        out = reference_lcm(out, reference_shift(q, -lam))
+    return out if out.degree <= max_degree else "bound exceeded"
+
+
 def reference_module_b(pres, max_degree):
     """The module b-function as its own loop over the unit vectors."""
     shift = pres.shift_or_zero()
     solver = SubmoduleSolver(FiltrationSpec(pres.n), pres.rank, pres.relations, shift) \
         if pres.relations else None
-    out = ThetaPolynomial.one()
-    for i in range(pres.rank):
-        gen = ModuleElement.unit(pres.n, pres.rank, i)
-        q = reference_minimal_b(gen, shift[i], solver, shift, max_degree)
-        out = out.lcm(q.taylor_shift(-shift[i]))
-    return out
+    return reference_lcm_b([(ModuleElement.unit(pres.n, pres.rank, i), shift[i],
+                             solver, shift) for i in range(pres.rank)], max_degree)
 
 
 def outcome(fn, *args):
@@ -249,9 +297,9 @@ def random_presentations():
     return draws
 
 
-def strict_complex_kappas():
-    """(kappa, lam, boundary solver, shift) of every cycle generator of the
-    strict complex of x*y in C^2."""
+def strict_complex_cases():
+    """The strict complex of x*y in C^2, with (kappa, lam, boundary solver,
+    shift) of every cycle generator."""
     family = family_for_mv(2, [parse_polynomial("x1*x2", 2)], {})
     c = strictify_complex(fourier_complex(mv_complex(family, 1))).total
     details = []
@@ -259,26 +307,18 @@ def strict_complex_kappas():
     # the boundaries at k are the image of d_(k-1)
     solvers = {k: _differential_solver(c, k - 1) if _has_boundaries(c, k) else None
                for k in {d.position for d in details}}
-    return [(d.kappa, d.lam, solvers[d.position], c.module(d.position).shift_or_zero())
-            for d in details]
+    return c, [(d.kappa, d.lam, solvers[d.position],
+                c.module(d.position).shift_or_zero()) for d in details]
 
 
 def test_minimal_b_matches_reference():
-    cases = []
-    for pres in random_presentations():
-        shift = pres.shift_or_zero()
-        solver = SubmoduleSolver(FiltrationSpec(pres.n), pres.rank, pres.relations,
-                                 shift) if pres.relations else None
-        cases += [(ModuleElement.unit(pres.n, pres.rank, i), shift[i], solver, shift)
-                  for i in range(pres.rank)]
-    cases += strict_complex_kappas()
+    # the presentations' unit vectors are the cases of the module test below
+    c, cases = strict_complex_cases()
     found = set()
-    for kappa, lam, solver, shift in cases:
-        for max_degree in range(4):
-            new = outcome(_minimal_b_for_generator, kappa, lam, solver, shift, max_degree)
-            assert new == outcome(reference_minimal_b, kappa, lam, solver, shift,
-                                  max_degree)
-            found.add(new if isinstance(new, str) else "polynomial")
+    for max_degree in range(4):
+        new = outcome(b_function_of_complex, c, max_degree)
+        assert new == reference_lcm_b(cases, max_degree)
+        found.add(new if isinstance(new, str) else "polynomial")
     assert found == {"polynomial", "bound exceeded"}
 
 
@@ -287,7 +327,7 @@ def test_module_b_function_matches_reference():
     for pres in random_presentations():
         for max_degree in range(4):
             new = outcome(restriction_b_function_module, pres, max_degree)
-            assert new == outcome(reference_module_b, pres, max_degree)
+            assert new == reference_module_b(pres, max_degree)
             found.add(new if isinstance(new, str) else "polynomial")
     assert found == {"polynomial", "bound exceeded"}
 

@@ -53,7 +53,9 @@ REMOVED = ["TermOrder", "GroebnerBasis", "groebner_basis", "normal_form",
            "_boundary_solver", "LocalizedModule.at_exponent",
            "LocalizedModule.from_user", "LocalizationFamily.module",
            "_annihilator_and_b", "OperatorMatrix.identity",
-           "TruncationWindow.widen", "ThetaPolynomial.is_one"]
+           "TruncationWindow.widen", "ThetaPolynomial.is_one",
+           "_minimal_b_for_generator", "_divmod_poly", "ThetaPolynomial.gcd",
+           "ThetaPolynomial.lcm", "ThetaPolynomial.taylor_shift"]
 
 # kept in derham.strictify for phase two and the SES oracle, but not
 # exported from the package

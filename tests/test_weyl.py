@@ -368,3 +368,8 @@ def test_mixed_coefficients_keep_the_contract():
         WeylElement.constant(1, 0.5)
     with pytest.raises(InvalidInputError, match="non-rational"):
         half.scale(0.5)
+    # so does a float operand on either side of +, - and *
+    for operation in (lambda: half + 0.5, lambda: half - 0.5, lambda: half * 0.5,
+                      lambda: 0.5 * half, lambda: 0.5 + half, lambda: 0.5 - half):
+        with pytest.raises(InvalidInputError, match="non-rational"):
+            operation()
