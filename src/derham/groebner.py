@@ -70,9 +70,11 @@ All division runs through one kernel, GBEngine.reduce:
   copied as it is; whether it is all ints is read off its coefficients,
   not off integral=True.  The queries divide by scale once per remainder
   term at the exit, so the Fraction remainder equals that of rational
-  division step for step.
-  Buchberger and _interreduce take the integer exit: they make the int
-  remainder primitive, its first key the lead, and build no Fraction.
+  division step for step.  The integer exit (integral=True) returns the
+  int remainder instead, an IntRemainder carrying its scale.
+  Buchberger and _interreduce take it: they make the int remainder
+  primitive, its first key the lead, and build no Fraction; the
+  Bernstein-Sato search keeps its NF(s^k) in ints by the scale.
 
 Buchberger saves work in four places without changing its output.  The
 first is the S-pair update of Gebauer and Moeller (JSC 6, 1988).  A new
@@ -148,6 +150,14 @@ _INT = {int}
 _NO_LEADS = ((), ())
 
 
+class IntRemainder(dict):
+    """The integer exit of GBEngine.reduce: the remainder's terms in ints,
+    scale times the exact ones, with scale a positive int.  A dict, so a
+    zero remainder tests false as the Fraction exit's does."""
+
+    __slots__ = ("scale",)
+
+
 # ---------------------------------------------------------------------------
 # public element types
 # ---------------------------------------------------------------------------
@@ -182,15 +192,31 @@ class ModuleElement:
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.components)
 
+    def _operand(self, other) -> "ModuleElement":
+        """other as a module element: an operator, or a scalar through
+        WeylElement.constant, is one of rank 1."""
+        if isinstance(other, ModuleElement):
+            return other
+        if not isinstance(other, WeylElement):
+            other = WeylElement.constant(self.n, other)
+        return ModuleElement(self.n, [other])
+
     def __add__(self, other):
+        other = self._operand(other)
         if self.rank != other.rank:
             raise DimensionMismatchError("sum of module elements of different ranks")
         return ModuleElement(self.n, [a + b for a, b in zip(self.components, other.components)])
 
+    __radd__ = __add__
+
     def __sub__(self, other):
+        other = self._operand(other)
         if self.rank != other.rank:
             raise DimensionMismatchError("difference of module elements of different ranks")
         return ModuleElement(self.n, [a - b for a, b in zip(self.components, other.components)])
+
+    def __rsub__(self, other):
+        return (-self) + other
 
     def __neg__(self):
         return ModuleElement(self.n, [-c for c in self.components])
@@ -199,6 +225,10 @@ class ModuleElement:
         return ModuleElement(self.n, [comp.scale(c) for comp in self.components])
 
     def left_mul(self, op: WeylElement) -> "ModuleElement":
+        """op times every component; a scalar op goes through
+        WeylElement.constant."""
+        if not isinstance(op, WeylElement):
+            op = WeylElement.constant(self.n, op)
         return ModuleElement(self.n, [weyl_mul(op, c) for c in self.components])
 
     def v_degree(self, shift: Optional[Sequence[int]] = None):
@@ -495,7 +525,7 @@ class GBEngine:
         irreducible lead.  Terms below floor are no reduction candidates:
         they pass through to the remainder untouched.  integral=True is
         the integer exit: the remainder comes back in ints, scale times
-        the exact one, for a caller that makes it primitive anyway.
+        the exact one, as an IntRemainder that carries scale.
         index, if given, is a _DivisorIndex of reducers kept from earlier
         calls on a list that has only grown since.  The module docstring
         states the kernel's contract.
@@ -555,7 +585,9 @@ class GBEngine:
                 scale *= f
             mono_mul_flat(codec, -(c // g), m - lead, rvec, h_step, work, heap)
         if integral:
-            return remainder
+            out = IntRemainder(remainder)
+            out.scale = scale
+            return out
         return {m: Fraction(c, scale) for m, c in remainder.items()}
 
     # Buchberger ---------------------------------------------------------
@@ -719,7 +751,7 @@ class SubmoduleSolver:
         top = max((codec.h(lead) for lead, _, _ in reduced if lead >= self.floor),
                   default=0)
         self._powers = range(0, top + 2, 2)
-        self._term_basis = None  # (engine, basis) under a degree term order
+        self._term_basis = None  # a DegreeOrderBasis of the gens, on first use
 
         main_entries = []      # main-block leads, dehomogenized, with tails
         syz_entries = []       # cofactor-block leads, dehomogenized
@@ -799,13 +831,8 @@ class SubmoduleSolver:
         w = self._homogeneous_remainder(flat, self._powers)
         if w is None:
             if self._term_basis is None:
-                term = MonomialCodec(self.n, self.rank, elements_degree(self.gens), (
-                    ("degree", (1,) * (2 * self.n), (0,) * self.rank),))
-                engine = GBEngine(term, h_step=0)
-                self._term_basis = engine, engine.buchberger(
-                    [me_to_flat(g, term) for g in self.gens])
-            engine, basis = self._term_basis
-            if engine.reduce(me_to_flat(e, engine.codec), basis):
+                self._term_basis = DegreeOrderBasis(self.n, self.rank, self.gens)
+            if not self._term_basis.contains(e):
                 return None
             w = self._homogeneous_remainder(flat, count(self._powers[-1] + 2, 2))
         return flat_to_me(w, codec, len(self.gens), self.rank)
@@ -846,6 +873,27 @@ class SubmoduleSolver:
         if w is None:
             return None
         return self.reduce_cofactor(w, target.v_degree(self.ambient_shift))
+
+
+class DegreeOrderBasis:
+    """Membership in the submodule <gens> of D_n^rank, decided by a
+    Buchberger basis in the plain algebra (h_step=0) under a degree term
+    order, with no cofactors and no h-saturation.  Whether a remainder is
+    zero does not depend on the order, so the answer is SubmoduleSolver's."""
+
+    __slots__ = ("rank", "engine", "basis")
+
+    def __init__(self, n: int, rank: int, gens: Sequence[ModuleElement]):
+        self.rank = rank
+        codec = MonomialCodec(n, rank, elements_degree(gens), (
+            ("degree", (1,) * (2 * n), (0,) * rank),))
+        self.engine = GBEngine(codec, h_step=0)
+        self.basis = self.engine.buchberger([me_to_flat(g, codec) for g in gens])
+
+    def contains(self, e: ModuleElement) -> bool:
+        if e.rank != self.rank:
+            raise DimensionMismatchError("element rank mismatch")
+        return not self.engine.reduce(me_to_flat(e, self.engine.codec), self.basis)
 
 
 def obvious_shift(rows: Sequence[ModuleElement], shift: Sequence[int]):

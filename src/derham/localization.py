@@ -32,8 +32,8 @@ minimal integer root, D_n / Ann(f^s)|_{s=s0} presents R_f on f^s0.  One
 Briancon-Maisonobe run (_bm_basis) feeds both the annihilator and b_f,
 which is read off its basis by the first linear dependence among the
 normal forms of 1, s, s^2, ... (Noro, ICMS 2002; Levandovskyy and
-Martin-Morales, ISSAC 2008), in exact rationals.  Three facts make that
-exact:
+Martin-Morales, ISSAC 2008), exactly and in integers.  Three facts make
+that exact:
 
 - The dt-free entries of the reduced basis are the reduced basis of
   Ann(f^s) in D_n[s] under the codec's order restricted there: dt-degree
@@ -47,13 +47,19 @@ exact:
 - s is central and I is a left ideal, so s^(k+1) - s NF(s^k) lies in I
   and NF(s^(k+1)) = NF(s NF(s^k)).  NF is linear and vanishes exactly on
   I, so sum c_k s^k lies in I iff sum c_k NF(s^k) = 0: the first
-  dependence is the monic b_f.
+  dependence is the monic b_f.  The walk runs on the primitive int
+  vectors w_k = sigma_k NF(s^k), sigma_k a positive rational: reduce's
+  integer exit turns s w_k into scale sigma_k NF(s^(k+1)), and dividing
+  that by its content g gives w_(k+1) with sigma_(k+1) = scale sigma_k /
+  g.  A dependence sum c'_k w_k = 0 is sum c'_k sigma_k NF(s^k) = 0, so
+  b_f is the monic multiple of sum c'_k sigma_k s^k.
 """
 
 from __future__ import annotations
 
 import logging
 from fractions import Fraction
+from math import gcd
 from typing import Optional, Sequence
 
 from . import linalg
@@ -223,13 +229,20 @@ def bernstein_sato(f: WeylElement, bm: Optional[tuple] = None) -> ThetaPolynomia
     index = _DivisorIndex(basis, codec)
     s = codec.pack(0, tuple(int(j == n) for j in range(2 * ns))) - codec.one
     deps = linalg.FirstDependence()
-    nf = engine.reduce({codec.one: 1}, basis, index=index)
+    sigmas = []  # sigma_k, with w_k = sigma_k NF(s^k) primitive in ints
+    sigma, vec = Fraction(1), {codec.one: 1}
     while True:
-        coeffs = deps.add(nf)
+        # vec is 1, or s w_(k-1), whose remainder is scale sigma_(k-1) NF(s^k)
+        # (module docstring)
+        w = engine.reduce(vec, basis, integral=True, index=index)
+        g = gcd(*w.values()) or 1
+        sigma *= Fraction(w.scale, g)
+        w = {m: c // g for m, c in w.items()}
+        sigmas.append(sigma)
+        coeffs = deps.add(w)
         if coeffs is not None:
-            return ThetaPolynomial(coeffs)
-        # s is central and the ideal a left one: NF(s^(k+1)) = NF(s NF(s^k))
-        nf = engine.reduce(mono_mul_flat(codec, 1, s, nf, 0, {}), basis, index=index)
+            return ThetaPolynomial([c * sk for c, sk in zip(coeffs, sigmas)])
+        vec = mono_mul_flat(codec, 1, s, w, 0, {})
 
 
 # ---------------------------------------------------------------------------

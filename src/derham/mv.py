@@ -18,10 +18,10 @@ import logging
 from typing import Sequence
 
 from .errors import InconsistencyError, InvalidInputError
-from .groebner import ModuleElement, OperatorMatrix, SubmoduleSolver
+from .groebner import DegreeOrderBasis, ModuleElement, OperatorMatrix
 from .localization import LocalizationFamily
 from .presentations import ChainComplexPres, DModPresentation
-from .weyl import FiltrationSpec, WeylElement
+from .weyl import WeylElement
 
 log = logging.getLogger("derham.mv")
 
@@ -80,20 +80,19 @@ def _verify_natural_maps(family: LocalizationFamily, maps: dict):
     """Each source relation must land in the target relations.
 
     The maps are grouped by target presentation, which equal products
-    share, and one solver over each target's relations checks its group."""
+    share, and one degree-order basis of each target's relations checks
+    its group: membership needs no V-order, cofactors or h-saturation."""
     by_target = {}
     for (src, dst), mult in maps.items():
         by_target.setdefault(family.modules[dst].presentation, []).extend(
             (src, dst, ModuleElement(family.n, [rel.components[0] * mult]))
             for rel in family.modules[src].presentation.relations)
-    spec = FiltrationSpec(family.n)
     for target, images in by_target.items():
         if not (target.rank and images):
             continue
-        solver = SubmoduleSolver(spec, target.rank, target.relations,
-                                 target.shift_or_zero())
+        basis = DegreeOrderBasis(family.n, target.rank, target.relations)
         for src, dst, img in images:
-            if not solver.contains(img):
+            if not basis.contains(img):
                 raise InconsistencyError(
                     f"natural localization map {src} -> {dst} is not well defined")
 

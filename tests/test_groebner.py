@@ -27,6 +27,32 @@ def test_module_elements_of_different_ranks_do_not_combine():
     assert e0 + ModuleElement.unit(1, 2, 1) == me(1, "1", "1")
 
 
+def test_module_element_scalar_operands_keep_the_contract():
+    # a scalar or an operator is a rank-1 element, a scalar through
+    # WeylElement.constant; a float is no rational coefficient
+    from derham import InvalidInputError
+    e0, one = ModuleElement.unit(1, 2, 0), ModuleElement.unit(1, 1, 0)
+    x = WeylElement.x(0, 1)
+    assert one + 1 == 1 + one == me(1, "2")
+    assert one - Fraction(1, 2) == me(1, "1/2")
+    assert 1 - one == me(1, "0") and (1 - one).is_zero()
+    assert one + x == me(1, "1 + x1")
+    assert e0.left_mul(2) == me(1, "2", "0")
+    assert e0.left_mul(Fraction(1, 3)) == me(1, "1/3", "0")
+    assert me(1, "d1", "x1").left_mul(x) == me(1, "x1*d1", "x1^2")
+    for operation in (lambda: e0 + 1, lambda: e0 - 1, lambda: 1 + e0, lambda: 1 - e0,
+                      lambda: e0 + x):
+        with pytest.raises(DimensionMismatchError):
+            operation()
+    with pytest.raises(DimensionMismatchError):
+        one + WeylElement.x(0, 2)
+    for operation in (lambda: one + 0.5, lambda: one - 0.5, lambda: 0.5 + one,
+                      lambda: 0.5 - one, lambda: e0 + 0.5, lambda: e0.left_mul(0.5),
+                      lambda: e0.scale(0.5)):
+        with pytest.raises(InvalidInputError, match="non-rational"):
+            operation()
+
+
 def test_single_generator_basis():
     solver = SubmoduleSolver(SPEC1, 1, [me(1, "d1")])
     assert [e.components[0] for e in solver.basis] == [WeylElement.d(0, 1)]
@@ -288,6 +314,32 @@ def test_term_order_settles_what_the_tried_powers_leave_open():
     cof = solver.cofactor(me(1, "-1"))
     assert solver._term_basis is not None
     assert OperatorMatrix(1, 1, gens).apply(cof) == me(1, "-1")
+
+
+def test_degree_order_basis_decides_the_solvers_membership():
+    # membership does not depend on the order: a plain degree-order basis
+    # answers as the h-saturated V-order solver does, on members (random
+    # combinations of the gens) and on random elements
+    from derham.groebner import DegreeOrderBasis
+    rng = random.Random(5)
+    members = others = 0
+    for _ in range(40):
+        n, rank = rng.randint(1, 2), rng.randint(1, 2)
+        gens = [random_module_element(rng, n, rank, max_deg=1, max_terms=2)
+                for _ in range(rng.randint(1, 3))]
+        basis = DegreeOrderBasis(n, rank, gens)
+        solver = SubmoduleSolver(FiltrationSpec(n), rank, gens)
+        for _ in range(3):
+            w = random_module_element(rng, n, len(gens), max_deg=1, max_terms=2)
+            member = OperatorMatrix(n, rank, gens).apply(w)
+            assert basis.contains(member)
+            other = random_module_element(rng, n, rank, max_deg=2, max_terms=2)
+            assert basis.contains(other) == solver.contains(other)
+            members += not member.is_zero()
+            others += not basis.contains(other)
+        with pytest.raises(DimensionMismatchError):
+            basis.contains(ModuleElement.zero(n, rank + 1))
+    assert members >= 60 and others >= 30
 
 
 def test_non_rational_coefficients_rejected():
@@ -722,15 +774,12 @@ def _assert_same_division(engine, key, vec, reducers, mode="full", floor=0, pred
     assert same_order, "remainder terms come out in another order"
     assert all(type(c) is Fraction for c in packed.values())
     ints = engine.reduce(vec, reducers, mode, floor, integral=True)
-    assert type(ints) is dict and all(type(c) is int for c in ints.values())
-    if not packed:
-        assert ints == {}
-        return None
-    scale = Fraction(next(iter(ints.values()))) / next(iter(packed.values()))
-    assert scale.denominator == 1 and scale > 0
-    exact = [(m, c / scale) for m, c in ints.items()]
-    assert exact == list(packed.items()), "the integer exit is not scale * remainder"
-    return scale
+    assert isinstance(ints, dict) and all(type(c) is int for c in ints.values())
+    scale = ints.scale
+    assert type(scale) is int and scale > 0
+    scaled = [(m, scale * c) for m, c in packed.items()]
+    assert list(ints.items()) == scaled, "the integer exit is not scale * remainder"
+    return scale if packed else None
 
 
 # seeded draws per test in which "full" rescales after emitting a term
@@ -808,7 +857,7 @@ def test_top_reduction_to_zero_is_an_empty_dict():
     vec = G.mono_mul_flat(codec, Fraction(5, 7), q, entry[2], 2, {})
     for integral in (False, True):
         out = engine.reduce(vec, [entry], mode="top", integral=integral)
-        assert type(out) is dict and out == {}
+        assert isinstance(out, dict) and out == {} and not out
 
 
 # ---------------------------------------------------------------------------
@@ -900,6 +949,7 @@ def test_reduce_of_ints_is_reduce_of_their_fractions():
                         assert list(got.items()) == list(want.items())
                         assert [type(c) for c in got.values()] == \
                             [type(c) for c in want.values()]
+                        assert getattr(got, "scale", None) == getattr(want, "scale", None)
 
 
 def _reference_minimalize(entries, codec):
