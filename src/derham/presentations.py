@@ -12,7 +12,7 @@ import logging
 from typing import Optional, Sequence
 
 from .errors import DimensionMismatchError, InconsistencyError, InvalidInputError
-from .groebner import ModuleElement, OperatorMatrix, SubmoduleSolver
+from .groebner import DegreeOrderBasis, ModuleElement, OperatorMatrix, SubmoduleSolver
 from .weyl import FiltrationSpec, WeylElement, format_operator
 
 log = logging.getLogger("derham.presentations")
@@ -102,19 +102,19 @@ class ChainComplexPres:
 
     def check_chain(self):
         """delta o delta = 0, by membership of composite rows in relations;
-        one solver per target module, built at its first nonzero row."""
-        spec = FiltrationSpec(self.n)
+        one degree-order basis per target module, built at its first
+        nonzero row: membership needs no V-order, cofactors or
+        h-saturation."""
         for k in range(self.lo, self.hi - 1):
             comp = self.differential(k).compose(self.differential(k + 1))
             tgt = self.module(k + 2)
-            solver = None
+            basis = None
             for i, row in enumerate(comp.rows):
                 if row.is_zero():
                     continue
-                if solver is None:
-                    solver = SubmoduleSolver(spec, tgt.rank, tgt.relations,
-                                             tgt.shift_or_zero())
-                if not solver.contains(row):
+                if basis is None:
+                    basis = DegreeOrderBasis(self.n, tgt.rank, tgt.relations)
+                if not basis.contains(row):
                     raise InconsistencyError(
                         f"composite differential nonzero at degree {k}, row {i}")
 

@@ -214,17 +214,6 @@ def restriction_b_function_module(pres: DModPresentation,
     return b_function_of_complex(c, max_degree, positions=[0])
 
 
-class BFunctionDetail:
-    """Per-generator certificate data for a complex-level b-function."""
-
-    __slots__ = ("position", "kappa", "lam")
-
-    def __init__(self, position, kappa, lam):
-        self.position = position
-        self.kappa = kappa
-        self.lam = lam
-
-
 def _differential_solver(c: ChainComplexPres, k: int) -> SubmoduleSolver:
     """The one solver over the rows of d_k: its ambient shift is that of
     C^k+1 and its cofactor shift that of C^k.  Its syzygies are the cycles
@@ -233,11 +222,6 @@ def _differential_solver(c: ChainComplexPres, k: int) -> SubmoduleSolver:
     dmat = c.differential(k)
     return SubmoduleSolver(FiltrationSpec(c.n), dmat.target_rank, dmat.rows,
                            c.module(k + 1).shift_or_zero(), c.module(k).shift_or_zero())
-
-
-def _has_boundaries(c: ChainComplexPres, k: int) -> bool:
-    prev = c.differential(k - 1)
-    return prev is not None and not prev.is_zero()
 
 
 def b_function_of_complex(c: ChainComplexPres,
@@ -257,7 +241,8 @@ def b_function_of_complex(c: ChainComplexPres,
     one for each generator, so b is the lcm of their minimal polynomials.
 
     One solver per differential d_k gives both the cycles at k and the
-    boundaries at k + 1."""
+    boundaries at k + 1.  details, if given, receives (kappa, lam, shift,
+    boundary solver) for every generator: certify_b_function's input."""
     if not c.is_free():
         raise InvalidInputError("b_function_of_complex needs a free complex")
     if positions is None:
@@ -280,13 +265,14 @@ def b_function_of_complex(c: ChainComplexPres,
             kappas = [ModuleElement.unit(c.n, mod.rank, i) for i in range(mod.rank)]
         else:
             kappas = solver_of(k).syzygy_basis
-        bsolver = solver_of(k - 1) if _has_boundaries(c, k) else None
+        prev = c.differential(k - 1)
+        bsolver = solver_of(k - 1) if prev is not None and not prev.is_zero() else None
         for kappa in kappas:
             lam = kappa.v_degree(shift)
             if lam == NEG_INF:
                 continue
             if details is not None:
-                details.append(BFunctionDetail(k, kappa, lam))
+                details.append((kappa, lam, shift, bsolver))
             gens.append([kappa, lam, shift, bsolver])
     n = c.n
     th = theta(n) if gens else None
@@ -328,16 +314,15 @@ def generator_membership_holds(b: ThetaPolynomial, kappa: ModuleElement, lam: in
     return vd == NEG_INF or vd <= lam - 1
 
 
-def certify_b_function(b: ThetaPolynomial, details: Sequence[BFunctionDetail],
-                       c: ChainComplexPres) -> bool:
-    """Memberships hold for b, and every integer-root factor is needed."""
-    bsolvers = {k: _differential_solver(c, k - 1) if _has_boundaries(c, k) else None
-                for k in {det.position for det in details}}
+def certify_b_function(b: ThetaPolynomial, details: Sequence[tuple]) -> bool:
+    """Memberships hold for b, and every integer-root factor is needed.
+
+    details are the search's own (kappa, lam, shift, boundary solver)
+    records, so the certificate builds no solver."""
 
     def holds(poly):
-        return all(generator_membership_holds(
-            poly, det.kappa, det.lam, bsolvers[det.position],
-            c.module(det.position).shift_or_zero()) for det in details)
+        return all(generator_membership_holds(poly, kappa, lam, bsolver, shift)
+                   for kappa, lam, shift, bsolver in details)
 
     if not holds(b):
         return False

@@ -328,9 +328,10 @@ def verify_strict_ses(ses: QuotientSES) -> bool:
         wd = w.v_degree(solver.cofactor_shift)
         if wd != NEG_INF and wd > sc[j]:
             return False
-    # strictness at A: kernel generators of B -> C lift at their degree
-    ker_heads = _heads(SubmoduleSolver(spec, ses.c.rank, gens_c, sc).syzygy_basis,
-                       ses.b.rank)
+    # strictness at A: kernel generators of B -> C lift at their degree.
+    # The solver above, with cofactor shift sb on its B-part, gives them
+    # V-adapted in the shift they are measured in
+    ker_heads = _heads(solver.syzygy_basis, ses.b.rank)
     asolver = SubmoduleSolver(spec, ses.b.rank,
                               list(ses.a_to_b.rows) + list(ses.b.relations),
                               sb, tuple(sa) + obvious_shift(ses.b.relations, sb))

@@ -89,7 +89,7 @@ def test_minimal_complex_keeps_the_b_function(names, polys, support):
     details = []
     b = b_function_of_complex(minimal, positions=positions, details=details)
     assert str(b) == str(b_function_of_complex(total, positions=positions))
-    assert certify_b_function(b, details, minimal)
+    assert certify_b_function(b, details)
 
 
 def test_single_hypersurface_special_case():

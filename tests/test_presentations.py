@@ -71,6 +71,18 @@ def test_chain_check():
         bad.check_chain()
 
 
+def test_chain_check_reduces_modulo_the_target_relations():
+    # D -d1-> D -x1-> D/(rel): the composite d1 x1 = x1 d1 + 1 is nonzero,
+    # so the check decides membership in the target relations
+    free = DModPresentation.free(1, 1, (0,))
+    maps = [OperatorMatrix(1, 1, [me(1, "d1")]), OperatorMatrix(1, 1, [me(1, "x1")])]
+    target = DModPresentation.cyclic(1, [parse_operator("x1*d1 + 1", 1)], (0,))
+    ChainComplexPres(1, 0, [free, free, target], maps).check_chain()
+    target = DModPresentation.cyclic(1, [parse_operator("x1*d1", 1)], (0,))
+    with pytest.raises(InconsistencyError, match="nonzero at degree 0, row 0"):
+        ChainComplexPres(1, 0, [free, free, target], maps).check_chain()
+
+
 def test_cohomology_cokernel():
     # H^1 = D/<d> = C[x]: the top degree is all cycles, and 1 is no boundary
     c = d_complex()

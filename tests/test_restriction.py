@@ -1,8 +1,10 @@
+import logging
 import random
 from fractions import Fraction
 
 import pytest
 
+from conftest import solver_work
 from derham import (BBoundExceededError, ChainComplexPres, DModPresentation,
                     FiltrationSpec, GradedVectorComplex, InternalError,
                     InvalidInputError, ModuleElement, OperatorMatrix,
@@ -15,7 +17,6 @@ from derham import (BBoundExceededError, ChainComplexPres, DModPresentation,
                     strictify_complex)
 from derham import linalg
 from derham.groebner import SubmoduleSolver
-from derham.restriction import _differential_solver, _has_boundaries
 from derham.weyl import term_v_degree, theta
 
 
@@ -147,11 +148,11 @@ def test_b_function_of_complex_with_certificate():
     details = []
     b = b_function_of_complex(c, details=details)
     assert str(b) == "s"
-    assert certify_b_function(b, details, c)
+    assert certify_b_function(b, details)
     # dropping the only root breaks a membership
-    assert not certify_b_function(ThetaPolynomial.one(), details, c)
+    assert not certify_b_function(ThetaPolynomial.one(), details)
     # an extra integer root that no membership needs fails the certificate
-    assert not certify_b_function(b * ThetaPolynomial([-3, 1]), details, c)
+    assert not certify_b_function(b * ThetaPolynomial([-3, 1]), details)
 
 
 def test_b_function_exact_complex_is_one():
@@ -239,7 +240,7 @@ def reference_lcm_b(cases, max_degree):
     degrees, or "bound exceeded" if one of them or the lcm exceeds
     max_degree."""
     out = ThetaPolynomial.one()
-    for kappa, lam, solver, shift in cases:
+    for kappa, lam, shift, solver in cases:
         q = outcome(reference_minimal_b, kappa, lam, solver, shift, max_degree)
         if isinstance(q, str):
             return q
@@ -253,7 +254,7 @@ def reference_module_b(pres, max_degree):
     solver = SubmoduleSolver(FiltrationSpec(pres.n), pres.rank, pres.relations, shift) \
         if pres.relations else None
     return reference_lcm_b([(ModuleElement.unit(pres.n, pres.rank, i), shift[i],
-                             solver, shift) for i in range(pres.rank)], max_degree)
+                             shift, solver) for i in range(pres.rank)], max_degree)
 
 
 def outcome(fn, *args):
@@ -298,17 +299,23 @@ def random_presentations():
 
 
 def strict_complex_cases():
-    """The strict complex of x*y in C^2, with (kappa, lam, boundary solver,
-    shift) of every cycle generator."""
+    """The strict complex of x*y in C^2, with (kappa, lam, shift, boundary
+    solver) of every cycle generator, as the search records them."""
     family = family_for_mv(2, [parse_polynomial("x1*x2", 2)], {})
     c = strictify_complex(fourier_complex(mv_complex(family, 1))).total
     details = []
     b_function_of_complex(c, details=details)
-    # the boundaries at k are the image of d_(k-1)
-    solvers = {k: _differential_solver(c, k - 1) if _has_boundaries(c, k) else None
-               for k in {d.position for d in details}}
-    return c, [(d.kappa, d.lam, solvers[d.position],
-                c.module(d.position).shift_or_zero()) for d in details]
+    return c, details
+
+
+def test_certificate_reads_the_search_records(caplog):
+    # every boundary solver the certificate needs is the search's own
+    c, details = strict_complex_cases()
+    b = b_function_of_complex(c)
+    assert any(bsolver is not None for *_, bsolver in details)
+    caplog.set_level(logging.DEBUG, logger="derham.groebner")
+    assert certify_b_function(b, details)
+    assert solver_work(r.getMessage() for r in caplog.records)[0] == 0
 
 
 def test_minimal_b_matches_reference():

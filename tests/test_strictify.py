@@ -133,6 +133,20 @@ def test_strictify_ses_passes_checker():
     assert spots == 8
 
 
+def test_ses_check_solves_the_c_side_once(caplog):
+    # one solver over the C-side generators gives the level witnesses and
+    # the kernel heads, and one over the A-side gives their lifts
+    caplog.set_level(logging.DEBUG, logger="derham.groebner")
+    calls = 0
+    for seqs in phase_one_sequences(fourier_mv(["x", "y"], ["x", "y"])).values():
+        for seq in seqs:
+            caplog.clear()
+            assert verify_strict_ses(seq)
+            assert solver_work(r.getMessage() for r in caplog.records)[0] == 2
+            calls += 1
+    assert calls == 4
+
+
 def test_phase_one_lifts_generators_to_unit_vectors():
     # Z~ -> H and C^i -> B_next are identities on generators: each P_H
     # generator is realized by its own cycle generator, and each P_Bnext

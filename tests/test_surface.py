@@ -16,7 +16,8 @@ import derham
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
 
-# one way to do each job: SubmoduleSolver answers every Groebner query,
+# one way to do each job: SubmoduleSolver answers every Groebner query
+# that reads a basis, cofactor, syzygy or normal form,
 # mv_tensor_cech builds MV(F) and C(G) as its cases, the strict complex is
 # strictify_complex(c).total, strictify_complex alone rewrites short exact
 # sequences, phase two's are block offsets, what no stage called is gone,
@@ -31,7 +32,9 @@ README = ROOT / "README.md"
 # step whose submodule it solves, with no cache between them, and the
 # b-function's boundary solver is the solver of the differential below.
 # localize is the family of one factor, the only constructor of a
-# localized module, which no longer moves to another exponent.
+# localized module, which no longer moves to another exponent.  The
+# b-function certificate reads the search's own (kappa, lam, shift,
+# boundary solver) tuples, not a record class.
 # A dotted name is a method or field of a class that stays
 REMOVED = ["TermOrder", "GroebnerBasis", "groebner_basis", "normal_form",
            "submodule_membership", "syzygies", "kernel_of_map",
@@ -55,7 +58,8 @@ REMOVED = ["TermOrder", "GroebnerBasis", "groebner_basis", "normal_form",
            "_annihilator_and_b", "OperatorMatrix.identity",
            "TruncationWindow.widen", "ThetaPolynomial.is_one",
            "_minimal_b_for_generator", "_divmod_poly", "ThetaPolynomial.gcd",
-           "ThetaPolynomial.lcm", "ThetaPolynomial.taylor_shift"]
+           "ThetaPolynomial.lcm", "ThetaPolynomial.taylor_shift",
+           "BFunctionDetail"]
 
 # kept in derham.strictify for phase two and the SES oracle, but not
 # exported from the package
