@@ -118,14 +118,16 @@ reduced basis is unique too, and:
   reduced, those above not yet), a Groebner basis with the same leads, so
   the remainder is the one all-pairs reduction gives.
 - A saturation round in SubmoduleSolver divides some entries of the
-  reduced basis by their h-content h^c and restarts Buchberger from the
-  stripped list.  h is central and the V-order's weights do not see h,
-  so lead(h^c g) = h^c lead(g), and a standard representation of an
-  S-pair of two unchanged entries with respect to the old basis is one
-  with respect to the stripped list.  Buchberger is told which entries
-  changed and updates with each changed entry in ascending order, against
-  the unchanged ones and the changed ones before it; it never forms a pair
-  of two unchanged entries.  The round returns the reduced basis, which a
+  reduced basis by their h-content h^c and resumes Buchberger from the
+  stripped entries (GBEngine.resume).  h is central and the V-order's
+  weights do not see h, so lead(h^c g) = h^c lead(g), and a standard
+  representation of an S-pair of two unchanged entries with respect to
+  the old basis is one with respect to the stripped list.  A stripped
+  entry is still homogeneous, primitive and led by its old lead less c
+  h-powers, so it enters as it is.  resume is told which entries changed
+  and updates with each changed entry in ascending order, against the
+  unchanged ones and the changed ones before it; it never forms a pair of
+  two unchanged entries.  The round returns the reduced basis, which a
   restart from scratch returns too.
 """
 
@@ -592,25 +594,31 @@ class GBEngine:
 
     # Buchberger ---------------------------------------------------------
 
-    def buchberger(self, gens: Sequence[FlatVec], changed=None) -> list:
+    def buchberger(self, gens: Sequence[FlatVec]) -> list:
         """Unique reduced basis of the module generated by gens, as
-        (lead, lc, vec) entries with primitive int coefficients.
+        (lead, lc, vec) entries with primitive int coefficients."""
+        entries = []
+        for g in gens:
+            if self.h_step:
+                g = homogenize_flat(g, self.codec)
+            if g:
+                entries.append(primitive_entry(g))
+        return self.resume(entries, range(len(entries)))
 
-        changed, if given, holds the indices of the gens that may break the
-        basis property: every S-pair of two other gens has a standard
-        representation with respect to gens (the module docstring says when
-        that holds).  Only pairs that touch a changed index are formed.
-        The gens must then be nonzero, so that indices name entries.
+    def resume(self, entries: list, changed) -> list:
+        """buchberger's reduced basis of the module that entries generate.
+
+        entries are reducer entries (lead, lc, vec): nonzero, primitive
+        ints with a positive lead coefficient, homogeneous if h_step, as
+        primitive_entry and homogenize_flat leave them; the list grows in
+        place.  changed holds the indices of those that may break the
+        basis property: every S-pair of two other entries has a standard
+        representation with respect to entries (the module docstring says
+        when that holds).  Only pairs that touch a changed index are formed.
         """
         codec, h_step = self.codec, self.h_step
         guard, dmask, dtarget, pmax = codec.guard, codec.dmask, codec.dtarget, codec.pmax
         lcm_key, degree = codec.lcm_key, codec.degree
-        entries = []  # (lead, lc, vec)
-        for g in gens:
-            if h_step:
-                g = homogenize_flat(g, codec)
-            if g:
-                entries.append(primitive_entry(g))
         index = _DivisorIndex(entries, codec)
         pairs = {}  # pending (i, j) -> lcm key; the heap holds (degree, counter, i, j)
         heap, counter = [], count()
@@ -633,7 +641,6 @@ class GBEngine:
                 heapq.heappush(heap, (degree(key), next(counter), k, new))
             self.spairs_skipped += len(drop) + len(cand) - len(kept)
 
-        changed = range(len(entries)) if changed is None else changed
         for new in sorted(changed):
             update(new, [k for k in range(len(entries)) if k < new or k not in changed])
 
@@ -735,15 +742,16 @@ class SubmoduleSolver:
         for _ in range(64):
             stripped = []
             changed = set()
-            for i, (_lead, _lc, vec) in enumerate(reduced):
+            for i, (lead, lc, vec) in enumerate(reduced):
                 content = min(map(codec.h, vec))
                 if content:
                     changed.add(i)
-                    vec = {m + content * hunit: c for m, c in vec.items()}
-                stripped.append(vec)
+                    shift = content * hunit
+                    lead, vec = lead + shift, {m + shift: c for m, c in vec.items()}
+                stripped.append((lead, lc, vec))
             if not changed:
                 break
-            reduced = self.engine.buchberger(stripped, changed)
+            reduced = self.engine.resume(stripped, changed)
         else:
             raise InternalError("h-saturation did not stabilize")
         self._h_entries = reduced

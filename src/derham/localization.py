@@ -28,7 +28,15 @@ in weight zero, that is in D_n[t dt], and rewriting t^a dt^a as a falling
 factorial and t dt = -s - 1 yields a generator of Ann(f^s) in D_n[s].
 
 b_f(s) generates (Ann(f^s) + D_n[s] f) intersect Q[s]; with s0 the
-minimal integer root, D_n / Ann(f^s)|_{s=s0} presents R_f on f^s0.  One
+minimal integer root, D_n / Ann(f^s)|_{s=s0} presents R_f on f^s0, and
+on f^a for any integer a <= s0.  A family of products (LocalizationFamily)
+presents them all on one a, the least s0 over the family, and reads
+nothing else off b_f.  For nonconstant f, s + 1 divides b_f and its roots
+are negative rationals (Kashiwara, "B-functions and holonomic systems",
+Invent. Math. 38, 1976); the roots of b_f / (s + 1) lie in (-n, 0)
+(M. Saito, "On microlocal b-function", Bull. SMF 122, 1994).  So no
+integer root lies below the floor -max(1, n - 1), and once the family's
+running exponent reaches the floor it computes no further b_f.  One
 Briancon-Maisonobe run (_bm_basis) feeds both the annihilator and b_f,
 which is read off its basis by the first linear dependence among the
 normal forms of 1, s, s^2, ... (Noro, ICMS 2002; Levandovskyy and
@@ -39,7 +47,7 @@ that exact:
   Ann(f^s) in D_n[s] under the codec's order restricted there: dt-degree
   is the top weight, so an element whose lead is dt-free is dt-free, and
   a product of dt-free elements stays dt-free.
-- Buchberger may start from those entries and f with only f marked
+- Buchberger may resume from those entries and f with only f marked
   changed: an S-pair of two dt-free entries reduces to zero by the
   dt-free entries alone, as a reducer whose lead divides a dt-free
   monomial is dt-free.  So the run gives a basis of I = Ann(f^s) +
@@ -65,7 +73,7 @@ from typing import Optional, Sequence
 from . import linalg
 from .errors import InternalError, InvalidInputError
 from .groebner import GBEngine, block_elim_codec, elements_degree, me_to_flat
-from .groebner import ModuleElement, _DivisorIndex
+from .groebner import ModuleElement, _DivisorIndex, primitive_entry
 from .presentations import DModPresentation
 from .restriction import ThetaPolynomial
 from .weyl import (MonomialCodec, WeylElement, apply_to_polynomial, format_operator,
@@ -223,9 +231,8 @@ def bernstein_sato(f: WeylElement, bm: Optional[tuple] = None) -> ThetaPolynomia
     n = f.n
     ns = n + 1
     engine = GBEngine(codec, h_step=0)
-    gens = [vec for _, _, vec in entries]
-    gens.append(me_to_flat(ModuleElement(ns, [_extend(f, ns)]), codec))
-    basis = engine.buchberger(gens, changed={len(entries)})
+    fs = primitive_entry(me_to_flat(ModuleElement(ns, [_extend(f, ns)]), codec))
+    basis = engine.resume(entries + [fs], {len(entries)})
     index = _DivisorIndex(basis, codec)
     s = codec.pack(0, tuple(int(j == n) for j in range(2 * ns))) - codec.one
     deps = linalg.FirstDependence()
@@ -250,8 +257,11 @@ def bernstein_sato(f: WeylElement, bm: Optional[tuple] = None) -> ThetaPolynomia
 # ---------------------------------------------------------------------------
 
 class LocalizedModule:
-    """R_f presented as D_n / Ann(f^s)|_{s=exponent}, cyclic on f^exponent;
-    b_function is None on a user-supplied presentation."""
+    """R_f presented as D_n / Ann(f^s)|_{s=exponent}, cyclic on f^exponent.
+
+    b_function is None on a user-supplied presentation, and on a product
+    that its family localized after the family's exponent reached the
+    floor (LocalizationFamily)."""
 
     __slots__ = ("f", "exponent", "b_function", "presentation")
 
@@ -337,6 +347,17 @@ class LocalizationFamily:
     of the minimal integer roots (user-supplied presentations must already
     use that exponent).  Index sets with one product share one module, and
     each distinct product's annihilator is computed once.
+
+    The distinct products are walked in the sorted order of their index
+    sets.  No integer root of a nonconstant product lies below the floor
+    -max(1, n - 1) (Kashiwara, Saito: module docstring), so once the
+    running minimum, user exponents included, is at most the floor, a
+    later product gets its annihilator only and b_function None.  The
+    first nonconstant product not supplied by the user gets its b_f
+    unless a user exponent already reached the floor: b_f stays the one
+    source of roots, under one stopping rule, and a one-factor family
+    (localize) still reports it.  A debug line on derham.localization
+    tells how many products got their b_f.
     """
 
     def __init__(self, n: int, factors: Sequence[WeylElement], index_sets,
@@ -355,6 +376,7 @@ class LocalizationFamily:
         keys = sorted({tuple(sorted(idxs)) for idxs in index_sets})
         polys = {key: self.product(key) for key in keys}
 
+        floor = -max(1, n - 1)
         found = {}  # each distinct product: a user module, or (Ann(f^s), b_f)
         exponents = []
         for poly in polys.values():
@@ -369,6 +391,8 @@ class LocalizationFamily:
                 log.info("localization of %s supplied by the user", text)
             elif poly.is_constant():
                 found[poly] = None, ThetaPolynomial.one()
+            elif exponents and min(exponents) <= floor:
+                found[poly] = annihilator_of_fs(poly), None
             else:
                 bm = _bm_basis(poly)
                 ann, b = annihilator_of_fs(poly, bm), bernstein_sato(poly, bm)
@@ -380,6 +404,10 @@ class LocalizationFamily:
                 found[poly] = ann, b
                 exponents.append(roots[0])
         self.exponent = min(exponents) if exponents else 0
+        bs = [mod[1] for mod in found.values()  # nonconstant, not supplied
+              if not isinstance(mod, LocalizedModule) and mod[0] is not None]
+        log.debug("family: b_f for %d of %d products, exponent %d (floor %d)",
+                  sum(b is not None for b in bs), len(bs), self.exponent, floor)
 
         for poly, mod in found.items():
             if isinstance(mod, LocalizedModule):

@@ -323,15 +323,15 @@ def test_internal_error_exit_code(monkeypatch, capsys):
     import derham.groebner as G
     from derham.cli import main
 
-    original = G.GBEngine.buchberger
+    original = G.GBEngine.resume
 
-    def with_h_content(self, gens, *args, **kwargs):
+    def with_h_content(self, entries, changed):
         if not self.h_step:
-            return original(self, gens, *args, **kwargs)
+            return original(self, entries, changed)
         lead = self.codec.pack(0, (0,) * (2 * self.n), 1)
         return [(lead, Fraction(1), {lead: Fraction(1)})]
 
-    monkeypatch.setattr(G.GBEngine, "buchberger", with_h_content)
+    monkeypatch.setattr(G.GBEngine, "resume", with_h_content)
     assert main(["cohomology", "--vars", "x", "--poly", "x"]) == 3
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["kind"] == "inconsistency"

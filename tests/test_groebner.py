@@ -1004,11 +1004,11 @@ def test_h_saturation_failure_raises_internal_error(monkeypatch):
     from fractions import Fraction
     from derham import InternalError
 
-    def with_h_content(self, gens, *args, **kwargs):
+    def with_h_content(self, entries, changed):
         lead = self.codec.pack(0, (0, 0), 1)
         return [(lead, Fraction(1), {lead: Fraction(1)})]
 
-    monkeypatch.setattr(G.GBEngine, "buchberger", with_h_content)
+    monkeypatch.setattr(G.GBEngine, "resume", with_h_content)
     with pytest.raises(InternalError, match="h-saturation"):
         SubmoduleSolver(SPEC1, 1, [me(1, "d1")])
 
@@ -1249,7 +1249,8 @@ def _same_position_pairs(codec, entries):
 @pytest.mark.parametrize("h_step", [0, 2])
 def test_buchberger_treats_or_skips_every_pair_once(h_step):
     # on a reduced basis no S-pair adds an entry, so every same-position
-    # pair is formed once and either reduced or skipped; changed=() forms none
+    # pair is formed once and either reduced or skipped; a resume with
+    # no entry changed forms none
     import derham.groebner as G
     inputs = [_flats_in_d3(rows, h_step) for rows in
               ([(t,) for t in TRIANGLE], TRIANGLE_MODULE, [(q,) for q in QUADRICS])]
@@ -1267,7 +1268,7 @@ def test_buchberger_treats_or_skips_every_pair_once(h_step):
         assert engine.spairs_reduced + engine.spairs_skipped == \
             _same_position_pairs(codec, basis)
         untouched = G.GBEngine(codec, h_step=h_step)
-        _same_entries(untouched.buchberger(vecs, changed=()), basis)
+        _same_entries(untouched.resume(list(basis), ()), basis)
         assert untouched.spairs_reduced == untouched.spairs_skipped == 0
         skipped += engine.spairs_skipped > 0
     assert skipped, "no criterion dropped a pair"
@@ -1317,7 +1318,8 @@ def _saturate_from_scratch(solver):
         if stripped == [vec for _, _, vec in reduced]:
             return reduced, rounds
         reduced = engine.buchberger(stripped)
-        rounds.append(reduced != engine.buchberger(stripped, changed=()))
+        untouched = [G.primitive_entry(vec) for vec in stripped]
+        rounds.append(reduced != engine.resume(untouched, ()))
 
 
 def _strip_h(codec, m, content):

@@ -287,7 +287,8 @@ def test_family_rejects_zero_member():
 
 def test_family_localizes_each_distinct_product_once(monkeypatch):
     # (0,) and (1,) are both x: one Briancon-Maisonobe run for x and one
-    # for x^2, each feeding the annihilator and the b-function
+    # for x^2, each feeding the annihilator; x's root -1 is the floor for
+    # n = 1, so x^2 gets no b-function
     import derham.localization as L
     calls = {"bm": [], "ann": [], "b": []}
 
@@ -303,8 +304,93 @@ def test_family_localizes_each_distinct_product_once(monkeypatch):
     x = parse_polynomial("x1", 1)
     fam = LocalizationFamily(1, [x, x], [(0,), (1,), (0, 1)])
     assert {k: sorted(v) for k, v in calls.items()} == \
-        {"bm": ["x1", "x1^2"], "ann": ["x1", "x1^2"], "b": ["x1", "x1^2"]}
+        {"bm": ["x1", "x1^2"], "ann": ["x1", "x1^2"], "b": ["x1"]}
     assert fam.modules[(0,)] is fam.modules[(1,)]
+
+
+def _floor(n):
+    return -max(1, n - 1)
+
+
+@pytest.mark.parametrize("f", [p for p in oracle_inputs() if not p.values[0].is_constant()])
+def test_minimal_integer_root_lies_above_the_floor(f):
+    # s + 1 divides b_f (Kashiwara) and the other roots lie in (-n, 0)
+    # (Saito), so the minimal integer root is in [-max(1, n - 1), -1]
+    assert _floor(f.n) <= bernstein_sato(f).integer_roots()[0] <= -1
+
+
+def _all_index_sets(r):
+    return [tuple(i for i in range(r) if mask >> i & 1) for mask in range(1, 2 ** r)]
+
+
+FLOOR_FAMILIES = [
+    (["x1", "x2", "x1 + x2"], 2),
+    (["x1", "x2", "x3"], 3),
+    (["x1^3 + x2^3 + x3^3", "x1"], 3),
+]
+
+
+@pytest.mark.parametrize("texts, n", FLOOR_FAMILIES, ids=lambda v: str(v))
+def test_family_stops_computing_b_functions_at_the_floor(monkeypatch, texts, n):
+    # the exponent is the least minimal integer root over every product,
+    # though b_f is computed only until the running minimum reaches the
+    # floor; the products after it carry no b-function
+    import derham.localization as L
+    factors = [parse_polynomial(t, n) for t in texts]
+    index_sets = _all_index_sets(len(factors))
+    products = {}  # distinct products in the family's order
+    for key in sorted(index_sets):
+        f = factors[key[0]]
+        for i in key[1:]:
+            f = f * factors[i]
+        products.setdefault(f, key)
+    roots = {f: bernstein_sato(f).integer_roots()[0] for f in products}
+    want = []
+    for f in products:
+        want.append(f)
+        if min(roots[g] for g in want) <= _floor(n):
+            break
+
+    computed = []
+    original = L.bernstein_sato
+    monkeypatch.setattr(L, "bernstein_sato",
+                        lambda f, *args: computed.append(f) or original(f, *args))
+    fam = LocalizationFamily(n, factors, index_sets)
+    assert fam.exponent == min(roots.values())
+    assert computed == want
+    for f, key in products.items():
+        mod = fam.modules[key]
+        assert (mod.b_function is None) == (f not in want)
+        for rel in mod.presentation.relations:
+            assert formal_action_is_zero(rel.components[0], f, fam.exponent)
+
+
+def test_user_exponent_below_the_floor_stops_the_b_functions(monkeypatch):
+    # x's user presentation on x^-2 is below the floor -1 for n = 2, so
+    # no product after it gets a b-function, and all sit on the exponent -2
+    import derham.localization as L
+    computed = []
+    original = L.bernstein_sato
+    monkeypatch.setattr(L, "bernstein_sato",
+                        lambda f, *args: computed.append(f) or original(f, *args))
+    x, y = parse_polynomial("x1", 2), parse_polynomial("x2", 2)
+    overrides = {"x1": (-2, [parse_operator("x1*d1 + 2", 2), parse_operator("d2", 2)])}
+    fam = LocalizationFamily(2, [x, y], [(0,), (1,), (0, 1)], overrides=overrides)
+    assert computed == [] and fam.exponent == -2
+    for key, f in (((1,), y), ((0, 1), x * y)):
+        mod = fam.modules[key]
+        assert mod.exponent == -2 and mod.b_function is None
+        for rel in mod.presentation.relations:
+            assert formal_action_is_zero(rel.components[0], f, -2)
+
+
+def test_family_logs_how_many_products_got_b_functions(caplog):
+    import logging
+    caplog.set_level(logging.DEBUG, logger="derham.localization")
+    x, y = parse_polynomial("x1", 2), parse_polynomial("x2", 2)
+    LocalizationFamily(2, [x, y, x + y], _all_index_sets(3))
+    assert [r.getMessage() for r in caplog.records if r.name == "derham.localization"] \
+        == ["family: b_f for 1 of 7 products, exponent -1 (floor -1)"]
 
 
 def test_family_duplicates_allowed():
